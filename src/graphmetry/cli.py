@@ -48,7 +48,6 @@ from .errors import (
 from .pathmetric import (
     all_pairs_metric,
     enumerate_geodesics,
-    geodesic_weight,
     path_length,
     path_metric,
 )
@@ -83,10 +82,10 @@ QUERY_ERRORS = (
 
 def fmt(value: Any) -> Any:
     """Deterministic scalar formatting: 17-digit floats, inf token, p/q."""
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
     if isinstance(value, float):
         return "inf" if math.isinf(value) else f"{value:.17g}"
+    if isinstance(value, Fraction):
+        return f"{value.numerator}/{value.denominator}"
     return value
 
 
@@ -165,14 +164,17 @@ def _conductance_graph(args: argparse.Namespace) -> ConductanceGraph:
     g = _load(args.file, mode)
     if isinstance(g, WeightedGraph):
         b = {(u, v): 1.0 / w for (u, v), w in g.weights.items() if u != v and w > 0}
-        return ConductanceGraph(g.n, b, g.labels)
+        exact = {key: 1 / g.exact[key] for key in b if key in g.exact}
+        return ConductanceGraph(g.n, b, g.labels, exact)
     return g
 
 
 def _matrix_tree(labels_of, n: int, matrix) -> dict[str, dict[str, Any]]:
+    names = [labels_of(x) for x in range(n)]
+    # One row of Python floats at a time keeps the peak memory of a large table down.
     return {
-        labels_of(x): {labels_of(y): fmt(float(matrix[x, y])) for y in range(n)}
-        for x in range(n)
+        name: {other: fmt(value) for other, value in zip(names, row.tolist())}
+        for name, row in zip(names, matrix)
     }
 
 
@@ -228,19 +230,17 @@ def cmd_geodesics(args: argparse.Namespace) -> Report:
 def cmd_geodesic_weight(args: argparse.Namespace) -> Report:
     g = _weight_graph(args)
     report = Report("geodesic-weight", graph_digest(g))
-    t = all_pairs_metric(g)
-    W = geodesic_weight(t)
-    report.results["geodesic_weight"] = _matrix_tree(g.label, g.n, W.table)
     maximality = verify_maximal_weight(g)
+    if not maximality.passed:
+        raise InternalInvariantError(
+            "geodesic weight failed to generate or dominate; this is a bug"
+        )
+    report.results["geodesic_weight"] = _matrix_tree(g.label, g.n, maximality.weight.table)
     report.results["generates"] = maximality.generates
     report.results["dominates"] = maximality.dominates
     report.results["witnesses"] = [
         f"{g.label(u)},{g.label(v)}" for u, v in maximality.witnesses
     ]
-    if not maximality.passed:
-        raise InternalInvariantError(
-            "geodesic weight failed to generate or dominate; this is a bug"
-        )
     return report
 
 

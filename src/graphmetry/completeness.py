@@ -23,9 +23,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 from .core import INFINITY, Path, WeightedGraph
-from .errors import DuplicatePath, EmptyInput, MixedStart, TooLarge, UnknownVertex
+from .errors import DuplicatePath, EmptyInput, InvalidArgument, MixedStart, TooLarge, UnknownVertex
 from .pathmetric import (
     ElfReport,
+    GeodesicWeight,
     MetricTable,
     all_pairs_metric,
     enumerate_geodesics,
@@ -58,7 +59,7 @@ class GraphFamily:
     def truncate(self, budget: int) -> tuple[list[int], WeightedGraph]:
         """First ``budget`` vertices and the induced finite weighted graph."""
         if budget < 1:
-            raise ValueError("budget must be positive")
+            raise InvalidArgument("budget must be positive")
         if budget > SCAN_BUDGET_CAP:
             raise TooLarge(
                 f"scan budget capped at {SCAN_BUDGET_CAP} (quadratic truncation cost)"
@@ -156,9 +157,11 @@ def family_ball_scan(
     reached ``threshold`` (default: the budget itself) — evidence of an
     infinite ball, never a proof.
     """
+    if budget < 1:
+        raise InvalidArgument("budget must be positive")
     thr = budget if threshold is None else threshold
     if thr < 1:
-        raise ValueError("threshold must be positive")
+        raise InvalidArgument("threshold must be positive")
     vertices, g = fam.truncate(budget)
     try:
         src = vertices.index(center)
@@ -185,10 +188,10 @@ def family_elf_scan(
     finiteness fails at x.
     """
     if budget < 1:
-        raise ValueError("budget must be positive")
+        raise InvalidArgument("budget must be positive")
     thr = budget if threshold is None else threshold
     if thr < 1:
-        raise ValueError("threshold must be positive")
+        raise InvalidArgument("threshold must be positive")
     count = 0
     seen = 0
     for y in fam.stream():
@@ -296,6 +299,7 @@ class MaximalWeightReport:
     generates: bool
     dominates: bool
     witnesses: list[tuple[int, int]] = field(default_factory=list)
+    weight: GeodesicWeight | None = None
 
     @property
     def passed(self) -> bool:
@@ -308,19 +312,16 @@ def verify_maximal_weight(g: WeightedGraph) -> MaximalWeightReport:
     With t the metric of g and W = geodesic_weight(t): (a) W generates t
     again, and (b) g's own weight never exceeds W on pairs where it is
     finite (W is inf, hence dominating, wherever the direct pair is not the
-    unique geodesic).  Witnesses list the offending pairs of (b).
+    unique geodesic).  Witnesses list the offending pairs of (b); the
+    report carries W itself as ``weight``.
     """
     t = all_pairs_metric(g)
     W = geodesic_weight(t)
     generates = is_generating(W.as_weight_graph(), t)
-    witnesses: list[tuple[int, int]] = []
-    for x in range(g.n):
-        for y in range(x + 1, g.n):
-            wxy = g.weight(x, y)
-            if math.isfinite(wxy) and wxy > W.table[x, y]:
-                witnesses.append((x, y))
+    # Stored weights are finite (or NaN, which compares false), keys sorted.
+    witnesses = [(x, y) for (x, y), w in g.weights.items() if x < y and w > W.table[x, y]]
     return MaximalWeightReport(
-        generates=generates, dominates=not witnesses, witnesses=witnesses
+        generates=generates, dominates=not witnesses, witnesses=witnesses, weight=W
     )
 
 

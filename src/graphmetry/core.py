@@ -28,6 +28,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
+import numpy as np
+
 from .errors import (
     AsymmetryError,
     DiagonalError,
@@ -62,6 +64,13 @@ def weights_close(a: float, b: float, rel: float = TAU_EQ) -> bool:
     if math.isinf(a) or math.isinf(b):
         return a == b
     return abs(a - b) <= rel * max(1.0, abs(a), abs(b))
+
+
+def weights_close_array(a: np.ndarray, b: np.ndarray, rel: float = TAU_EQ) -> np.ndarray:
+    """Entrywise :func:`weights_close`; inf - inf NaNs fall to the exact test."""
+    with np.errstate(invalid="ignore"):
+        near = np.abs(a - b) <= rel * np.maximum(np.maximum(1.0, np.abs(a)), np.abs(b))
+    return np.where(np.isinf(a) | np.isinf(b), a == b, near)
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,10 @@ class NegativeWeightError(InputError):
     """Negative weight or conductance value."""
 
 
+class InvalidArgument(InputError, ValueError):
+    """A numeric parameter (cap, budget, threshold) outside its allowed range."""
+
+
 class UnknownVertex(GraphmetryError):
     """Vertex id or label not present in the graph."""
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,9 +23,9 @@ from .core import (
     TAU_GEO,
     Path,
     WeightedGraph,
-    weights_close,
+    weights_close_array,
 )
-from .errors import InvalidMetric, SizeMismatch, Unreachable
+from .errors import InvalidArgument, InvalidMetric, SizeMismatch, Unreachable
 
 
 @dataclass
@@ -87,13 +87,14 @@ class MetricTable:
 
     def as_weight_graph(self) -> WeightedGraph:
         """Reinterpret the table as a weight function (metric-as-weight)."""
-        weights = {
-            (x, y): float(self.d[x, y])
-            for x in range(self.n)
-            for y in range(x + 1, self.n)
-            if math.isfinite(self.d[x, y])
-        }
-        return WeightedGraph(self.n, weights, self.labels)
+        return _table_weight_graph(self.d, self.labels)
+
+
+def _table_weight_graph(table: np.ndarray, labels: tuple[str, ...] | None) -> WeightedGraph:
+    """The finite entries above the diagonal of a symmetric table as weights."""
+    xs, ys = np.nonzero(np.triu(np.isfinite(table), 1))
+    weights = dict(zip(zip(xs.tolist(), ys.tolist()), table[xs, ys].tolist()))
+    return WeightedGraph(len(table), weights, labels)
 
 
 def _triangle_violation(d: np.ndarray, tol: float) -> tuple[int, int, int] | None:
@@ -121,13 +122,7 @@ class GeodesicWeight:
         return float(self.table[x, y])
 
     def as_weight_graph(self) -> WeightedGraph:
-        weights = {
-            (x, y): float(self.table[x, y])
-            for x in range(self.n)
-            for y in range(x + 1, self.n)
-            if math.isfinite(self.table[x, y])
-        }
-        return WeightedGraph(self.n, weights, self.labels)
+        return _table_weight_graph(self.table, self.labels)
 
 
 @dataclass
@@ -226,10 +221,11 @@ def all_pairs_metric(g: WeightedGraph) -> MetricTable:
         if u != v and math.isfinite(w):
             d[u, v] = min(d[u, v], w)
             d[v, u] = d[u, v]
+    via = np.empty_like(d)
     while True:
         before = d.copy()
         for k in range(n):
-            via = d[:, k, None] + d[None, k, :]
+            np.add(d[:, k, None], d[None, k, :], out=via)
             np.minimum(d, via, out=d)
         if np.array_equal(before, d):
             break
@@ -249,7 +245,7 @@ def enumerate_geodesics(g: WeightedGraph, x: int, y: int, cap: int = 64) -> Geod
     and sets the truncation flag.
     """
     if cap < 1:
-        raise ValueError("cap must be positive")
+        raise InvalidArgument("cap must be positive")
     g._check_vertex(x)
     g._check_vertex(y)
     target = path_metric(g, x, y)
@@ -323,11 +319,9 @@ def geodesic_weight(t: MetricTable, tol: float = TAU_EQ) -> GeodesicWeight:
         between = gap <= allowed
         between[x, :] = False
         np.fill_diagonal(between, False)  # z == y
-        for y in range(n):
-            if y == x or math.isinf(row[y]):
-                continue
-            if not between[:, y].any():
-                out[x, y] = row[y]
+        unique = ~between.any(axis=0) & np.isfinite(row)
+        unique[x] = False
+        out[x, unique] = row[unique]
     # Symmetrize pedantically: betweenness is symmetric in exact arithmetic,
     # and the tolerance test above is symmetric too, but keep the invariant
     # structural rather than implicit.
@@ -339,12 +333,7 @@ def is_generating(g: WeightedGraph, t: MetricTable) -> bool:
     """Whether g's weight generates the metric t (delta_w = t entrywise)."""
     if g.n != t.n:
         raise SizeMismatch(f"graph has {g.n} vertices, table {t.n}")
-    d = all_pairs_metric(g).d
-    for x in range(g.n):
-        for y in range(g.n):
-            if not weights_close(float(d[x, y]), float(t.d[x, y])):
-                return False
-    return True
+    return bool(weights_close_array(all_pairs_metric(g).d, t.d).all())
 
 
 def check_elf(g: WeightedGraph, x: int, radius: float) -> ElfReport:

@@ -15,7 +15,9 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
-from .core import TAU_EQ, ConductanceGraph, Path, WeightedGraph, weights_close
+import numpy as np
+
+from .core import TAU_EQ, ConductanceGraph, Path, WeightedGraph, weights_close, weights_close_array
 from .errors import Disconnected, NotDistinct
 from .pathmetric import MetricTable, all_pairs_metric
 from .resistance import components, resistance_matrix
@@ -240,19 +242,23 @@ def compatible_resistance_weight(b: ConductanceGraph) -> CompatibilityCertificat
     weights = {(u, v): float(R.d[u, v]) for u, v, _ in b.edges()}
     w_graph = WeightedGraph(b.n, weights, b.labels)
     d = all_pairs_metric(w_graph).d
-    for x in range(b.n):
-        for y in range(x + 1, b.n):
-            if not weights_close(float(d[x, y]), float(R.d[x, y])):
-                return CompatibilityCertificate(
-                    verdict="INCOMPATIBLE", counterexample=(x, y)
-                )
+    differ = np.triu(~weights_close_array(d, R.d), 1)
+    if differ.any():
+        x, y = np.argwhere(differ)[0]  # first pair x < y in row-major order
+        return CompatibilityCertificate(
+            verdict="INCOMPATIBLE", counterexample=(int(x), int(y))
+        )
     return CompatibilityCertificate(verdict="COMPATIBLE", weight=w_graph)
 
 
 def inverse_conductance_weight(b: ConductanceGraph) -> WeightedGraph:
-    """The weight 1/b on positive-conductance edges, inf elsewhere."""
+    """The weight 1/b on positive-conductance edges, inf elsewhere.
+
+    Exact shadows carry over as exact reciprocals.
+    """
     weights = {(u, v): 1.0 / c for u, v, c in b.edges()}
-    return WeightedGraph(b.n, weights, b.labels)
+    exact = {key: 1 / b.exact[key] for key in weights if key in b.exact}
+    return WeightedGraph(b.n, weights, b.labels, exact)
 
 
 @dataclass
@@ -273,9 +279,6 @@ def check_tree_theorem(b: ConductanceGraph, tol: float = TAU_EQ) -> TreeTheoremR
         raise Disconnected("tree theorem check expects a connected graph")
     d = all_pairs_metric(inverse_conductance_weight(b)).d
     R = resistance_matrix(b).d
-    equal = all(
-        weights_close(float(d[x, y]), float(R[x, y]), rel=tol)
-        for x in range(b.n)
-        for y in range(x + 1, b.n)
-    )
+    upper = np.triu_indices(b.n, 1)
+    equal = bool(weights_close_array(d[upper], R[upper], rel=tol).all())
     return TreeTheoremReport(is_tree=is_tree(b), metrics_equal=equal)

@@ -304,3 +304,57 @@ def test_broken_invariant_is_exit_5(graph_file, capsys, monkeypatch):
     monkeypatch.setattr(cli, "verify_maximal_weight", failed)
     code, _, err = run(capsys, "geodesic-weight", graph_file(P3))
     assert code == 5
+
+
+def test_resistance_weight_mode_oracle_is_exact(graph_file, capsys):
+    tri = graph_file("a b 3\nb c 3\na c 3\n")
+    doc = run_json(capsys, "resistance", tri, "--mode", "weight", "--pair", "a", "b", "--oracle")
+    assert doc["results"]["oracle"] == "2/1"
+    assert float(doc["results"]["discrepancy"]) <= 1e-12
+    doc = run_json(capsys, "metric", tri, "--mode", "conductance", "--source", "a", "--target", "c", "--oracle")
+    assert doc["results"]["oracle"] == "1/3"
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (("geodesics", "GRAPH", "--source", "a", "--target", "c", "--cap", "0"), "cap"),
+        (("family", "unit-star", "--radius", "2", "--budget", "0"), "budget"),
+        (("family", "unit-ray", "--mode", "elf", "--radius", "2", "--budget", "0"), "budget"),
+        (("family", "unit-star", "--radius", "2", "--threshold", "0"), "threshold"),
+    ],
+)
+def test_nonpositive_argument_is_input_error(graph_file, capsys, argv, name):
+    argv = [graph_file(P3) if token == "GRAPH" else token for token in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {name} must be positive\n"
+    assert "Traceback" not in err
+
+
+def test_geodesic_weight_runs_two_closures_and_one_w_delta(graph_file, capsys, monkeypatch):
+    import graphmetry.cli as cli
+    import graphmetry.completeness as completeness
+    import graphmetry.pathmetric as pathmetric
+
+    calls = {"all_pairs_metric": 0, "geodesic_weight": 0}
+
+    def counted(name):
+        original = getattr(pathmetric, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        wrapper = counted(name)
+        for module in (pathmetric, completeness, cli):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapper)
+    for text in (P3, C4):
+        calls.update(all_pairs_metric=0, geodesic_weight=0)
+        code, _, err = run(capsys, "geodesic-weight", graph_file(text))
+        assert code == 0, err
+        assert calls == {"all_pairs_metric": 2, "geodesic_weight": 1}

@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from graphmetry import (
@@ -21,6 +22,7 @@ from graphmetry import (
     validate,
     weights_close,
 )
+from graphmetry.core import weights_close_array
 from .suites import random_weighted_graph
 
 P3_TEXT = """
@@ -215,6 +217,20 @@ def test_weights_close_extended():
     assert weights_close(1.0, 1.0 + 1e-12)
     assert not weights_close(1.0, 1.1)
     assert weights_close(0.0, 1e-12)
+
+
+def test_weights_close_array_matches_scalar():
+    rng = random.Random(5)
+    pool = [0.0, 1e-300, 5e-324, 1e-12, 1.0, 1.0 + 1e-10, 1.0 + 1e-8, 1e15, 1e15 * (1 + 1e-10), INFINITY]
+    a = [rng.choice(pool) for _ in range(400)]
+    b = [rng.choice(pool) if rng.random() < 0.5 else x * (1 + rng.choice([0, 1e-12, 1e-9, 1e-6])) for x in a]
+    expected = [weights_close(x, y) for x, y in zip(a, b)]
+    assert weights_close_array(np.array(a), np.array(b)).tolist() == expected
+    loose = [weights_close(x, y, rel=1e-6) for x, y in zip(a, b)]
+    assert weights_close_array(np.array(a), np.array(b), rel=1e-6).tolist() == loose
+    assert True in expected and False in expected
+    grid = np.array([[0.0, INFINITY], [1e-12, 2.0]])
+    assert weights_close_array(grid, grid.T).tolist() == [[True, False], [False, True]]
 
 
 def test_extended_weight_arithmetic():

@@ -1,0 +1,37 @@
+"""Byte-for-byte pins of CLI output on one seeded fractional graph.
+
+The digests were recorded before the path-metric layer was vectorised; any
+change to them means the float pipeline or the rendering moved.
+"""
+
+import hashlib
+import random
+
+import pytest
+
+from graphmetry.cli import main
+from graphmetry.core import serialize_graph
+from .suites import random_weighted_graph
+
+DIGESTS = {
+    ("geodesic-weight", "--json"): "5e5127c0af1fa6f8cadd695aefd321ac22dd983b514d24009dfa73a191f2ad8f",
+    ("geodesic-weight",): "64ac020115db9c4f980ca564484eb14d752648898afce4d058a32703e1ab8fba",
+    ("metric", "--all-pairs", "--json"): "6eab71baac71f88deee5c04468b4329f7e7532e1ce9d199e1f378781ae9f7ac7",
+    ("characterize", "--tree", "--block", "--json"): "011e8266a1aa2f01dd4c888bb91f085f80cb2d231d3ab447dff98378cb00fd3f",
+}
+
+
+@pytest.fixture(scope="module")
+def golden_file(tmp_path_factory):
+    g = random_weighted_graph(random.Random(20240), 40)
+    path = tmp_path_factory.mktemp("golden") / "golden.edges"
+    path.write_text(serialize_graph(g))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", sorted(DIGESTS))
+def test_cli_output_matches_recorded_digest(golden_file, capsys, argv):
+    code = main([argv[0], golden_file, *argv[1:]])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[argv]

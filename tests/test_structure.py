@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -19,6 +20,7 @@ from graphmetry import (
     inverse_conductance_weight,
     is_block_graph,
     is_tree,
+    parse_graph,
     resistance_matrix,
     separates,
 )
@@ -236,6 +238,11 @@ def test_inverse_conductance_weight():
     assert w.weight(0, 1) == 0.5
     assert w.weight(1, 2) == 0.25
     assert math.isinf(w.weight(0, 2))
+
+
+def test_inverse_conductance_weight_keeps_exact_reciprocals():
+    w = inverse_conductance_weight(parse_graph("a b 3\nb c 0.4\nc d 0\n", mode="conductance"))
+    assert w.exact == {(0, 1): Fraction(1, 3), (1, 2): Fraction(5, 2)}
 
 
 def test_tree_theorem_examples():
