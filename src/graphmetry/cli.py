@@ -63,7 +63,6 @@ from .structure import (
     compatible_resistance_weight,
     inverse_conductance_weight,
     is_block_graph,
-    separates,
 )
 
 QUERY_ERRORS = (
@@ -332,7 +331,7 @@ def cmd_characterize(args: argparse.Namespace) -> Report:
     if args.triangle:
         x, y, z = (b.resolve(token) for token in args.triangle)
         tri = check_triangle_equality(b, x, y, z)
-        sep = separates(b, y, x, z)
+        sep = tri.separation
         tri_result: dict[str, Any] = {
             "lhs": fmt(tri.lhs),
             "rhs": fmt(tri.rhs),

@@ -26,7 +26,7 @@ import hashlib
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -37,6 +37,9 @@ from .errors import (
     ParseError,
     UnknownVertex,
 )
+
+if TYPE_CHECKING:
+    from .resistance import _GroundedSystem
 
 INFINITY: float = math.inf
 
@@ -232,6 +235,11 @@ class ConductanceGraph:
         default_factory=dict, compare=False, repr=False
     )
     _adj: list[list[tuple[int, float]]] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    # Components and grounded Cholesky factors, built by the resistance
+    # module on first use and shared by every resistance query.
+    _grounded: _GroundedSystem | None = field(
         default=None, init=False, repr=False, compare=False
     )
 

@@ -100,9 +100,10 @@ def _table_weight_graph(table: np.ndarray, labels: tuple[str, ...] | None) -> We
 def _triangle_violation(d: np.ndarray, tol: float) -> tuple[int, int, int] | None:
     """First (x, y, z) with d[x,z] > d[x,y] + d[y,z] beyond tolerance, if any."""
     n = d.shape[0]
+    slack = tol * np.maximum(1.0, np.abs(d))
     for y in range(n):
         sums = d[:, y, None] + d[None, y, :]
-        bad = d > sums + tol * np.maximum(1.0, np.abs(d))
+        bad = d > sums + slack
         # inf > inf + tol is False; inf entries only flag finite sums.
         if bad.any():
             x, z = np.argwhere(bad)[0]

@@ -3,11 +3,18 @@
 The quadratic form Q(f) = 1/2 sum b(x,y) (f(x) - f(y))^2 splits into
 per-vertex densities Gamma(f)(x); its Laplacian is Lf(v) = sum_w b(v,w)
 (f(v) - f(w)).  The effective resistance R(x, y) is the supremum of
-(f(y) - f(x))^2 over potentials of unit energy; it is computed here by the
-grounded linear solve (fix f(y) = 0, inject unit current at x) and checked
-against that variational description by sampling, against harmonicity of
-the maximizer, and — in the tests — against an exact spanning-forest oracle.
-R is a metric; disconnected pairs get resistance inf.
+(f(y) - f(x))^2 over potentials of unit energy.
+
+Every resistance query reads one grounded system per graph, built on first
+use and kept on the graph: the components, and for each multi-vertex
+component one Cholesky factor of its Laplacian block grounded at its least
+vertex.  R(x, y) and the harmonic maximizer are one dipole solve each
+(unit current in at x and out at y, then f(y) = 0 and R = f(x)); the
+all-pairs table inverts the grounded block.  Graphs are immutable, so an
+edit builds a new graph with a new system.  R is checked against its
+variational description by sampling, against harmonicity of the maximizer,
+and — in the tests — against an exact spanning-forest oracle.  R is a
+metric; disconnected pairs get resistance inf.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .core import INFINITY, TAU_EQ, ConductanceGraph
-from .errors import Disconnected, SameVertex, SizeMismatch
+from .errors import Disconnected, InternalInvariantError, SameVertex, SizeMismatch
 from .pathmetric import MetricTable
 
 
@@ -86,7 +93,11 @@ def laplacian_apply(b: ConductanceGraph, f: PotentialFunction | np.ndarray, x: i
 
 
 def laplacian_matrix(b: ConductanceGraph) -> np.ndarray:
-    """Dense Laplacian L = diag(row sums) - conductance matrix."""
+    """Dense Laplacian L = diag(row sums) - conductance matrix.
+
+    The resistance queries do not build it; they factor per-component
+    grounded blocks with the same entries.
+    """
     L = np.zeros((b.n, b.n))
     for u, v, c in b.edges():
         L[u, v] -= c
@@ -96,66 +107,135 @@ def laplacian_matrix(b: ConductanceGraph) -> np.ndarray:
     return L
 
 
+class _GroundedSystem:
+    """The components of one conductance graph and their grounded factors.
+
+    Each vertex gets a component label (components are numbered by their
+    least vertex) and a position in its sorted component.  The Laplacian
+    block of a multi-vertex component, grounded at its least vertex, is
+    Cholesky-factored on first use and kept.  The system holds arrays only,
+    never the graph, so it makes no reference cycle; each part is built in
+    full before it is stored, so racing readers at worst build it twice.
+    """
+
+    def __init__(self, b: ConductanceGraph) -> None:
+        label = [-1] * b.n
+        position = [0] * b.n
+        members: list[np.ndarray] = []
+        for s in range(b.n):
+            if label[s] >= 0:
+                continue
+            found = [s]
+            label[s] = len(members)
+            queue = [s]
+            while queue:
+                u = queue.pop()
+                for v, _ in b.neighbors(u):
+                    if label[v] < 0:
+                        label[v] = label[s]
+                        found.append(v)
+                        queue.append(v)
+            found.sort()
+            for i, v in enumerate(found):
+                position[v] = i
+            members.append(np.array(found, dtype=np.intp))
+        self.members = members
+        self.label = label
+        self.position = position
+        # Edge arrays in edges() order, grouped by component with a stable
+        # sort so each group keeps that order, in component positions.
+        edges = b.edges()
+        ends = np.array([(u, v) for u, v, _ in edges], dtype=np.intp).reshape(-1, 2)
+        weights = np.array([c for _, _, c in edges], dtype=float)
+        group = np.array(label, dtype=np.intp)[ends[:, 0]]
+        order = np.argsort(group, kind="stable")
+        self._ends = np.array(position, dtype=np.intp)[ends[order]]
+        self._weights = weights[order]
+        self._starts = np.concatenate(
+            ([0], np.cumsum(np.bincount(group, minlength=len(members))))
+        )
+        self._factors: list[tuple[np.ndarray, bool] | None] = [None] * len(members)
+
+    def grounded_block(self, i: int) -> np.ndarray:
+        """Laplacian block of component ``i`` without its least vertex's row and column.
+
+        The entries equal those of ``laplacian_matrix`` bit for bit: the
+        diagonal sums each vertex's conductances in edges() order.  The
+        block is symmetric and Fortran-ordered, so LAPACK can factor it in
+        place.
+        """
+        k = len(self.members[i]) - 1
+        lo, hi = self._starts[i], self._starts[i + 1]
+        ends, c = self._ends[lo:hi] - 1, self._weights[lo:hi]  # the ground is -1
+        diag = np.bincount(ends.ravel() + 1, np.repeat(c, 2), k + 1)[1:]
+        inner = (ends >= 0).all(axis=1)
+        u, v, c = ends[inner, 0], ends[inner, 1], c[inner]
+        A = np.zeros((k, k), order="F")
+        A[u, v] = -c
+        A[v, u] = -c
+        A[np.arange(k), np.arange(k)] = diag
+        return A
+
+
+def _grounded(b: ConductanceGraph) -> _GroundedSystem:
+    """The graph's grounded system, built on first use and kept on the graph."""
+    system = b._grounded
+    if system is None:
+        system = _GroundedSystem(b)
+        b._grounded = system
+    return system
+
+
+def _factor(b: ConductanceGraph, system: _GroundedSystem, i: int) -> tuple[np.ndarray, bool]:
+    """Cholesky factor of component ``i``'s grounded block, built once."""
+    factor = system._factors[i]
+    if factor is None:
+        try:
+            factor = cho_factor(system.grounded_block(i), overwrite_a=True)
+        except np.linalg.LinAlgError:
+            least = int(system.members[i][0])
+            raise InternalInvariantError(
+                f"grounded Laplacian of the component of {b.label(least)} is not "
+                "positive definite; this is a bug"
+            ) from None
+        system._factors[i] = factor
+    return factor
+
+
 def components(b: ConductanceGraph) -> list[list[int]]:
     """Connected components of the positive-conductance edge set, sorted."""
-    comp = [-1] * b.n
-    out: list[list[int]] = []
-    for s in range(b.n):
-        if comp[s] >= 0:
-            continue
-        members = [s]
-        comp[s] = s
-        queue = [s]
-        while queue:
-            u = queue.pop()
-            for v, _ in b.neighbors(u):
-                if comp[v] < 0:
-                    comp[v] = s
-                    members.append(v)
-                    queue.append(v)
-        out.append(sorted(members))
-    return out
+    return [m.tolist() for m in _grounded(b).members]
 
 
-def _solve_spd(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve the SPD grounded system, degrading gracefully near singularity."""
-    try:
-        return cho_solve(cho_factor(A), rhs)
-    except np.linalg.LinAlgError:
-        pass
-    try:
-        return np.linalg.solve(A, rhs)
-    except np.linalg.LinAlgError:
-        return np.linalg.lstsq(A, rhs, rcond=None)[0]
+def _dipole_potential(b: ConductanceGraph, x: int, y: int) -> np.ndarray | None:
+    """Potential of a unit current from x to y, f(y) = 0, zero off their component.
 
-
-def _grounded_potential(b: ConductanceGraph, x: int, y: int) -> np.ndarray | None:
-    """Potential of a unit current from x to ground y, zero off the component.
-
-    Returns None when x and y are not connected.
+    Returns None when x and y are not connected.  One solve against the
+    cached factor with right-hand side e_x - e_y; every potential lies in
+    [f(y), f(x)], so the shift to f(y) = 0 cancels nothing.
     """
-    comp = next((c for c in components(b) if x in c), [x])
-    if y not in comp:
+    system = _grounded(b)
+    i = system.label[x]
+    if system.label[y] != i:
         return None
-    free = [v for v in comp if v != y]
-    idx = {v: i for i, v in enumerate(free)}
-    L = laplacian_matrix(b)
-    A = L[np.ix_(free, free)]
-    rhs = np.zeros(len(free))
-    rhs[idx[x]] = 1.0
-    sol = _solve_spd(A, rhs)
+    members = system.members[i]
+    rhs = np.zeros(len(members))
+    rhs[system.position[x]] = 1.0
+    rhs[system.position[y]] = -1.0
+    f = np.zeros(len(members))
+    f[1:] = cho_solve(_factor(b, system, i), rhs[1:])
     values = np.zeros(b.n)
-    values[free] = sol
+    values[members] = f - f[system.position[y]]
     return values
 
 
 def effective_resistance(b: ConductanceGraph, x: int, y: int) -> float:
-    """R(x, y) via the grounded solve; inf when x, y are not connected."""
+    """R(x, y) = f(x) for the unit dipole potential; inf when x, y are not connected."""
     b._check_vertex(x)
     b._check_vertex(y)
     if x == y:
         raise SameVertex("resistance needs two distinct vertices")
-    values = _grounded_potential(b, x, y)
+    values = _dipole_potential(b, x, y)
     if values is None:
         return INFINITY
     return float(values[x])
@@ -164,21 +244,18 @@ def effective_resistance(b: ConductanceGraph, x: int, y: int) -> float:
 def resistance_matrix(b: ConductanceGraph) -> MetricTable:
     """All-pairs effective resistance as a MetricTable.
 
-    One grounded factorization per component: ground the least vertex g,
-    invert the grounded Laplacian to G, and read off
+    From each component's cached factor, grounded at its least vertex g:
+    invert the grounded Laplacian to G and read off
     R(i, j) = G[i,i] + G[j,j] - 2 G[i,j] (with G extended by zeros at g).
     The Green-matrix route keeps the table exactly symmetric.
     """
     d = np.full((b.n, b.n), INFINITY)
     np.fill_diagonal(d, 0.0)
-    for comp in components(b):
+    system = _grounded(b)
+    for i, comp in enumerate(system.members):
         if len(comp) == 1:
             continue
-        g0 = comp[0]
-        free = comp[1:]
-        L = laplacian_matrix(b)
-        A = L[np.ix_(free, free)]
-        G = _solve_spd(A, np.eye(len(free)))
+        G = cho_solve(_factor(b, system, i), np.eye(len(comp) - 1))
         G = (G + G.T) / 2.0
         diag = np.concatenate(([0.0], np.diag(G)))
         Gfull = np.zeros((len(comp), len(comp)))
@@ -198,7 +275,7 @@ def harmonic_maximizer(b: ConductanceGraph, x: int, y: int) -> PotentialFunction
     b._check_vertex(y)
     if x == y:
         raise SameVertex("harmonic maximizer needs two distinct vertices")
-    values = _grounded_potential(b, x, y)
+    values = _dipole_potential(b, x, y)
     if values is None:
         raise Disconnected(f"{b.label(x)} and {b.label(y)} are not connected")
     resistance = values[x]

@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import TAU_EQ, ConductanceGraph, Path, WeightedGraph, weights_close, weights_close_array
 from .errors import Disconnected, NotDistinct
 from .pathmetric import MetricTable, all_pairs_metric
-from .resistance import components, resistance_matrix
+from .resistance import _grounded, components, effective_resistance, resistance_matrix
 
 
 @dataclass
@@ -77,8 +77,8 @@ def separates(
         b._check_vertex(v)
     if len({x, y, z}) != 3:
         raise NotDistinct("separator and endpoints must be pairwise distinct")
-    comp_x = next((c for c in components(b) if x in c), [x])
-    if z not in comp_x:
+    label = _grounded(b).label
+    if label[x] != label[z]:
         raise Disconnected(f"{b.label(x)} and {b.label(z)} are not connected")
     side_x, parent = _component_avoiding(b, y, x)
     if z in parent:
@@ -115,6 +115,9 @@ class TriangleReport:
     rhs: float
     equal: bool
     separated: bool
+    separation: SeparationCertificate | NotSeparated | None = field(
+        default=None, repr=False, compare=False
+    )
 
     @property
     def consistent(self) -> bool:
@@ -136,20 +139,26 @@ def check_triangle_equality(
     """Compare R(x,z) with R(x,y) + R(y,z) and the separation test at y.
 
     Equality within relative tolerance ``tol`` must coincide with y
-    separating x from z.  ``table`` may carry a precomputed resistance
-    matrix so triple sweeps do not redo the linear solves.
+    separating x from z.  Without ``table`` the three resistances are
+    dipole solves against the graph's cached grounded factor; ``table`` may
+    carry a precomputed resistance matrix to read them from instead.  The
+    report keeps the separation certificate or witness it was decided by.
     """
     if len({x, y, z}) != 3:
         raise NotDistinct("triangle check needs three pairwise distinct vertices")
     if table is None:
-        table = resistance_matrix(b)
-    lhs = float(table.d[x, z])
-    rhs = float(table.d[x, y]) + float(table.d[y, z])
+        lhs = effective_resistance(b, x, z)
+        rhs = effective_resistance(b, x, y) + effective_resistance(b, y, z)
+    else:
+        lhs = float(table.d[x, z])
+        rhs = float(table.d[x, y]) + float(table.d[y, z])
     if math.isinf(lhs) or math.isinf(rhs):
         raise Disconnected("triangle check needs a connected triple")
     equal = weights_close(lhs, rhs, rel=tol)
-    separated = separates(b, y, x, z).separated
-    return TriangleReport(lhs=lhs, rhs=rhs, equal=equal, separated=separated)
+    separation = separates(b, y, x, z)
+    return TriangleReport(
+        lhs=lhs, rhs=rhs, equal=equal, separated=separation.separated, separation=separation
+    )
 
 
 def is_tree(b: ConductanceGraph) -> bool:
@@ -161,40 +170,51 @@ def biconnected_components(b: ConductanceGraph) -> list[list[int]]:
     """Vertex sets of the biconnected components (blocks), via DFS low-links.
 
     Bridges appear as two-vertex blocks; isolated vertices yield no block.
+    The DFS keeps its own stack of (vertex, parent, neighbour iterator)
+    frames, so path length is not bounded by the recursion limit.
     """
-    index = [0] * b.n
+    index = [0] * b.n  # 0 = unvisited
     low = [0] * b.n
-    visited = [False] * b.n
-    counter = [1]
+    counter = 1
     edge_stack: list[tuple[int, int]] = []
     blocks: list[list[int]] = []
 
-    def dfs(u: int, parent: int) -> None:
-        visited[u] = True
-        index[u] = low[u] = counter[0]
-        counter[0] += 1
-        for v, _ in b.neighbors(u):
-            if v == parent:
-                continue
-            if not visited[v]:
-                edge_stack.append((u, v))
-                dfs(v, u)
-                low[u] = min(low[u], low[v])
-                if low[v] >= index[u]:
+    for s in range(b.n):
+        if index[s]:
+            continue
+        index[s] = low[s] = counter
+        counter += 1
+        stack = [(s, -1, iter(b.neighbors(s)))]
+        while stack:
+            u, parent, todo = stack[-1]
+            for v, _ in todo:
+                if v == parent:
+                    continue
+                if not index[v]:
+                    edge_stack.append((u, v))
+                    index[v] = low[v] = counter
+                    counter += 1
+                    stack.append((v, u, iter(b.neighbors(v))))
+                    break
+                if index[v] < index[u]:
+                    edge_stack.append((u, v))
+                    low[u] = min(low[u], index[v])
+            else:
+                # u is finished: hand its low-link to the parent, and close
+                # the block of edge (parent, u) when u's subtree reaches no
+                # higher than the parent.
+                stack.pop()
+                if parent < 0:
+                    continue
+                low[parent] = min(low[parent], low[u])
+                if low[u] >= index[parent]:
                     members: set[int] = set()
                     while True:
                         edge = edge_stack.pop()
                         members.update(edge)
-                        if edge == (u, v):
+                        if edge == (parent, u):
                             break
                     blocks.append(sorted(members))
-            elif index[v] < index[u]:
-                edge_stack.append((u, v))
-                low[u] = min(low[u], index[v])
-
-    for s in range(b.n):
-        if not visited[s]:
-            dfs(s, -1)
     return blocks
 
 

@@ -358,3 +358,23 @@ def test_geodesic_weight_runs_two_closures_and_one_w_delta(graph_file, capsys, m
         code, _, err = run(capsys, "geodesic-weight", graph_file(text))
         assert code == 0, err
         assert calls == {"all_pairs_metric": 2, "geodesic_weight": 1}
+
+
+def test_characterize_triangle_separates_once(graph_file, capsys, monkeypatch):
+    import graphmetry.cli as cli
+    import graphmetry.structure as structure
+
+    calls = []
+    original = structure.separates
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in (structure, cli):
+        if hasattr(module, "separates"):
+            monkeypatch.setattr(module, "separates", counted)
+    for text in (P3, K3):
+        calls.clear()
+        run_json(capsys, "characterize", graph_file(text), "--triangle", "a", "b", "c")
+        assert len(calls) == 1

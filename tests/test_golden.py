@@ -1,7 +1,8 @@
 """Byte-for-byte pins of CLI output on one seeded fractional graph.
 
-The digests were recorded before the path-metric layer was vectorised; any
-change to them means the float pipeline or the rendering moved.
+The digests were recorded before the path-metric layer was vectorised (the
+``resistance --matrix`` ones before the resistance layer cached its grounded
+factors); any change to them means the float pipeline or the rendering moved.
 """
 
 import hashlib
@@ -18,6 +19,8 @@ DIGESTS = {
     ("geodesic-weight",): "64ac020115db9c4f980ca564484eb14d752648898afce4d058a32703e1ab8fba",
     ("metric", "--all-pairs", "--json"): "6eab71baac71f88deee5c04468b4329f7e7532e1ce9d199e1f378781ae9f7ac7",
     ("characterize", "--tree", "--block", "--json"): "011e8266a1aa2f01dd4c888bb91f085f80cb2d231d3ab447dff98378cb00fd3f",
+    ("resistance", "--matrix", "--json"): "7b4846e4dca5c09860c37f436d7b81b46cbeb712a43b6cca6a41783eed2beb00",
+    ("resistance", "--matrix", "--mode", "weight", "--json"): "1918e0b270efaf0c9bcfcf123379f45a2de56128087014d323985f6f184e0bbb",
 }
 
 

@@ -1,14 +1,21 @@
 """Tests for the energy form, Laplacian, and effective resistance."""
 
+import gc
 import math
 import random
+import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+import graphmetry.resistance as resistance
 from graphmetry import (
     ConductanceGraph,
     Disconnected,
+    InternalInvariantError,
     PotentialFunction,
     SameVertex,
     SizeMismatch,
@@ -20,8 +27,10 @@ from graphmetry import (
     laplacian_apply,
     laplacian_matrix,
     resistance_matrix,
+    check_triangle_equality,
     verify_variational,
 )
+from graphmetry.cli import main
 from graphmetry.oracle import spanning_tree_resistance
 from .suites import random_connected_conductance
 
@@ -241,3 +250,145 @@ def test_verify_variational_random_sweep():
         x, y = rng.sample(range(b.n), 2)
         report = verify_variational(b, x, y, trials=200, seed=rng.randint(0, 10**6))
         assert report.passed
+
+
+def two_components_and_an_isolated_vertex() -> ConductanceGraph:
+    return ConductanceGraph(
+        8,
+        {(0, 1): 1.0, (1, 2): 2.0, (2, 3): 1.0, (0, 3): 3.0, (1, 3): 1.0, (4, 5): 1.0, (5, 6): 2.0},
+    )
+
+
+@pytest.fixture
+def factorizations(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return scipy.linalg.cho_factor(*args, **kwargs)
+
+    monkeypatch.setattr(resistance, "cho_factor", counted)
+    return calls
+
+
+def test_one_factorization_per_component_shared_by_every_query(factorizations):
+    b = two_components_and_an_isolated_vertex()
+    for _ in range(3):
+        effective_resistance(b, 0, 2)
+        effective_resistance(b, 6, 4)
+        harmonic_maximizer(b, 3, 1)
+        harmonic_maximizer(b, 5, 6)
+        check_triangle_equality(b, 0, 1, 2)
+        check_triangle_equality(b, 4, 5, 6)
+        resistance_matrix(b)
+        assert math.isinf(effective_resistance(b, 0, 7))
+        components(b)
+    assert sorted(factorizations) == [(2, 2), (3, 3)]
+
+    edited = dict(b.b)
+    edited[(0, 1)] = 5.0
+    b2 = ConductanceGraph(b.n, edited)
+    effective_resistance(b2, 0, 2)
+    effective_resistance(b2, 2, 0)
+    assert len(factorizations) == 3
+
+
+def test_queries_in_one_component_factor_only_that_component(factorizations):
+    b = two_components_and_an_isolated_vertex()
+    effective_resistance(b, 4, 6)
+    harmonic_maximizer(b, 6, 5)
+    assert factorizations == [(2, 2)]
+
+
+def test_grounded_block_matches_the_laplacian_bit_for_bit():
+    rng = random.Random(131)
+    for _ in range(10):
+        b = random_connected_conductance(rng, rng.randint(2, 12), max_c=7)
+        weights = {key: c / 7.0 for key, c in b.b.items()}  # inexact sums
+        b = ConductanceGraph(b.n, weights)
+        L = laplacian_matrix(b)
+        block = resistance._grounded(b).grounded_block(0)
+        assert np.array_equal(block, L[1:, 1:])
+
+
+def test_effective_resistance_is_bitwise_symmetric():
+    rng = random.Random(137)
+    for _ in range(20):
+        b = random_connected_conductance(rng, rng.randint(2, 15), max_c=9)
+        for _ in range(10):
+            x, y = rng.sample(range(b.n), 2)
+            assert effective_resistance(b, x, y) == effective_resistance(b, y, x)
+
+
+def test_stiff_edge_far_from_the_ground_keeps_full_precision():
+    b = {(i, i + 1): 1.0 for i in range(999)}
+    b[(999, 1000)] = 1e9
+    path = ConductanceGraph(1001, b)
+    value = effective_resistance(path, 999, 1000)
+    assert abs(value - 1e-9) <= 1e-12 * 1e-9
+    f = harmonic_maximizer(path, 1000, 999)
+    assert abs((f[1000] - f[999]) ** 2 - value) <= 1e-12 * value
+
+
+def test_cached_system_keeps_no_reference_to_the_graph():
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        b = random_connected_conductance(random.Random(139), 12)
+        effective_resistance(b, 0, 5)
+        harmonic_maximizer(b, 1, 4)
+        resistance_matrix(b)
+        ref = weakref.ref(b)
+        del b
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_failed_factorization_is_an_internal_error(monkeypatch, tmp_path, capsys):
+    def broken(*args, **kwargs):
+        raise np.linalg.LinAlgError("not positive definite")
+
+    monkeypatch.setattr(resistance, "cho_factor", broken)
+    with pytest.raises(InternalInvariantError, match="component of a"):
+        effective_resistance(p3(), 0, 2)
+    with pytest.raises(InternalInvariantError):
+        resistance_matrix(k3())
+
+    path = tmp_path / "p3.edges"
+    path.write_text("a b 1\nb c 1\n")
+    for argv in (["--pair", "a", "c"], ["--matrix"]):
+        code = main(["resistance", str(path), *argv])
+        err = capsys.readouterr().err
+        assert code == 5
+        assert err.startswith("internal error:") and "Traceback" not in err
+
+
+def test_concurrent_first_queries_agree():
+    base = random_connected_conductance(random.Random(151), 40)
+    pairs = [(x, y) for x in range(0, 40, 7) for y in range(1, 40, 9) if x != y]
+    expected = [effective_resistance(base, x, y) for x, y in pairs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            shared = ConductanceGraph(base.n, base.b)
+            results, errors = [None] * 8, []
+
+            def work(k):
+                try:
+                    results[k] = [effective_resistance(shared, x, y) for x, y in pairs]
+                except Exception as exc:  # reported below
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+            assert errors == []
+            assert all(r == expected for r in results)
+    finally:
+        sys.setswitchinterval(interval)

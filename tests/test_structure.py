@@ -270,3 +270,63 @@ def test_tree_theorem_random_sweep():
         assert t.is_tree and t.metrics_equal
         nt = check_tree_theorem(random_nontree(rng, rng.randint(3, 9)))
         assert not nt.is_tree and not nt.metrics_equal
+
+
+def recursive_biconnected_components(b: ConductanceGraph) -> list[list[int]]:
+    """Reference: the textbook recursive low-link DFS."""
+    index, low = [0] * b.n, [0] * b.n
+    counter = [1]
+    edge_stack, blocks = [], []
+
+    def dfs(u, parent):
+        index[u] = low[u] = counter[0]
+        counter[0] += 1
+        for v, _ in b.neighbors(u):
+            if v == parent:
+                continue
+            if not index[v]:
+                edge_stack.append((u, v))
+                dfs(v, u)
+                low[u] = min(low[u], low[v])
+                if low[v] >= index[u]:
+                    members = set()
+                    while True:
+                        edge = edge_stack.pop()
+                        members.update(edge)
+                        if edge == (u, v):
+                            break
+                    blocks.append(sorted(members))
+            elif index[v] < index[u]:
+                edge_stack.append((u, v))
+                low[u] = min(low[u], index[v])
+
+    for s in range(b.n):
+        if not index[s]:
+            dfs(s, -1)
+    return blocks
+
+
+def test_biconnected_components_match_the_recursive_reference():
+    rng = random.Random(149)
+    for _ in range(200):
+        n = rng.randint(1, 30)
+        p = rng.choice([0.05, 0.1, 0.2, 0.5])
+        b = ConductanceGraph(n, {(u, v): 1.0 for u in range(n) for v in range(u + 1, n) if rng.random() < p})
+        assert biconnected_components(b) == recursive_biconnected_components(b)
+
+
+def test_deep_path_is_a_block_graph():
+    n = 3000
+    path = ConductanceGraph(n, {(i, i + 1): 1.0 for i in range(n - 1)})
+    assert is_block_graph(path) == (True, None)
+    blocks = biconnected_components(path)
+    assert len(blocks) == n - 1 and sorted(blocks)[0] == [0, 1]
+
+
+def test_triangle_report_carries_its_separation():
+    report = check_triangle_equality(p3(), 0, 1, 2)
+    assert isinstance(report.separation, SeparationCertificate)
+    assert report.separation == separates(p3(), 1, 0, 2)
+    report = check_triangle_equality(k3(), 0, 1, 2)
+    assert isinstance(report.separation, NotSeparated)
+    assert report.separation.witness.vertices == (0, 2)
