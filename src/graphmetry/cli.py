@@ -203,7 +203,7 @@ def cmd_metric(args: argparse.Namespace) -> Report:
     d = path_metric(g, x, y)
     report.results["distance"] = fmt(d)
     if args.oracle:
-        exact = oracle.brute_metric(g, x, y)
+        exact = oracle.brute_metric_from(g, x)[y]
         report.results["oracle"] = fmt(exact) if exact is not None else "inf"
         if exact is None:
             discrepancy = 0.0 if math.isinf(d) else math.inf

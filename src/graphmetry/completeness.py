@@ -218,12 +218,14 @@ class PrefixTrie:
         self.children: dict[int, "PrefixTrie"] = {}
 
     def insert(self, suffix: tuple[int, ...]) -> None:
-        self.multiplicity += 1
-        if suffix:
-            head, tail = suffix[0], suffix[1:]
-            if head not in self.children:
-                self.children[head] = PrefixTrie(head)
-            self.children[head].insert(tail)
+        node = self
+        node.multiplicity += 1
+        for head in suffix:
+            child = node.children.get(head)
+            if child is None:
+                child = node.children[head] = PrefixTrie(head)
+            child.multiplicity += 1
+            node = child
 
     @classmethod
     def build(cls, paths: list[Path]) -> "PrefixTrie":

@@ -45,10 +45,9 @@ INFINITY: float = math.inf
 
 # Shared comparison tolerances.  TAU_EQ guards float equality of derived
 # quantities (metric entries, resistances), TAU_GEO the tighter geodesic
-# length equality, TAU_HARM the harmonicity residual of grounded solves.
+# length equality.
 TAU_EQ: float = 1e-9
 TAU_GEO: float = 1e-12
-TAU_HARM: float = 1e-8
 
 VertexId = int
 
@@ -137,6 +136,27 @@ def _canonical_map(
     return dict(sorted(out.items()))
 
 
+def _resolve(g: "Graph", token: str | int) -> int:
+    """Vertex id of a label or index token.
+
+    An ``int`` is always an index.  A string is a label on a labelled graph
+    and nothing else, so on the labelled graph ``a b 1 / b c 1`` the token
+    ``"2"`` is unknown rather than vertex ``c``; only an unlabelled graph
+    reads a numeric string as an index.
+    """
+    if isinstance(token, int):
+        g._check_vertex(token)
+        return token
+    if g.labels is not None:
+        if token in g.labels:
+            return g.labels.index(token)
+    elif token.lstrip("-").isdigit():
+        u = int(token)
+        g._check_vertex(u)
+        return u
+    raise UnknownVertex(f"unknown vertex {token!r}")
+
+
 @dataclass
 class WeightedGraph:
     """Finite vertex set with a symmetric extended weight per pair.
@@ -194,17 +214,8 @@ class WeightedGraph:
         return self.labels[u] if self.labels is not None else str(u)
 
     def resolve(self, token: str | int) -> int:
-        """Map a label (or numeric index) to a vertex id."""
-        if isinstance(token, int):
-            self._check_vertex(token)
-            return token
-        if self.labels is not None and token in self.labels:
-            return self.labels.index(token)
-        if token.lstrip("-").isdigit():
-            u = int(token)
-            self._check_vertex(u)
-            return u
-        raise UnknownVertex(f"unknown vertex {token!r}")
+        """Map a label (or, on an unlabelled graph, a numeric index) to a vertex id."""
+        return _resolve(self, token)
 
     def _check_vertex(self, u: int) -> None:
         if not (0 <= u < self.n):
@@ -286,16 +297,8 @@ class ConductanceGraph:
         return self.labels[u] if self.labels is not None else str(u)
 
     def resolve(self, token: str | int) -> int:
-        if isinstance(token, int):
-            self._check_vertex(token)
-            return token
-        if self.labels is not None and token in self.labels:
-            return self.labels.index(token)
-        if token.lstrip("-").isdigit():
-            u = int(token)
-            self._check_vertex(u)
-            return u
-        raise UnknownVertex(f"unknown vertex {token!r}")
+        """Map a label (or, on an unlabelled graph, a numeric index) to a vertex id."""
+        return _resolve(self, token)
 
     def _check_vertex(self, u: int) -> None:
         if not (0 <= u < self.n):

@@ -1,21 +1,31 @@
-"""Slow, exact reference computations used to cross-check the fast paths.
+"""Exact rational reference computations used to cross-check the fast paths.
 
 Everything here runs in exact rational arithmetic (:class:`~fractions.Fraction`)
-over the parsed decimal values, enumerates exhaustively instead of pruning,
-and is deliberately independent of the production algorithms: shortest paths
-by full simple-path enumeration, effective resistance by spanning-tree /
-two-forest counts, block structure by induced-path enumeration.  Sizes are
-capped; these are test oracles, not user-facing tools.
+over the parsed decimal values and shares no code with the float algorithms
+it checks.  Two oracles are polynomial and back ``--oracle`` on the CLI:
+
+* :func:`brute_metric_from` runs Dijkstra over the exact weights;
+* :func:`spanning_tree_resistance` reads R(x, y) = det L(-x,-y) / det L(-x)
+  off the pair's component by Kirchhoff's matrix-tree theorem, with both
+  determinants by fraction-free (Bareiss) elimination over integers.
+
+The rest are definitional enumerators, exponential by design and kept as
+slow checks of the two above: :func:`enumerate_simple_paths` and
+:func:`brute_metric` (every injective path), :func:`spanning_tree_sum` and
+:func:`two_forest_sum` (every spanning forest), and
+:func:`unique_induced_path`.  Sizes are capped; these are test oracles, not
+user-facing tools.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from fractions import Fraction
 from typing import Iterator
 
 from .core import ConductanceGraph, Path, WeightedGraph, edge_key
-from .errors import SameVertex, TooLarge
+from .errors import NegativeWeightError, SameVertex, TooLarge
 
 PATH_CAP = 12
 TREE_CAP = 8
@@ -106,29 +116,32 @@ def brute_metric(g: WeightedGraph, x: int, y: int) -> ExactWeight:
 
 
 def brute_metric_from(g: WeightedGraph, x: int) -> list[ExactWeight]:
-    """Exact distances from x to every vertex via one DFS over injective paths."""
+    """Exact distances from x to every vertex: Dijkstra over the exact weights."""
     if g.n > PATH_CAP:
-        raise TooLarge(f"path enumeration capped at {PATH_CAP} vertices, got {g.n}")
+        raise TooLarge(f"exact path oracle capped at {PATH_CAP} vertices, got {g.n}")
     best: list[ExactWeight] = [None] * g.n
     best[x] = Fraction(0)
-    on_path = [False] * g.n
-    on_path[x] = True
-
-    def walk(u: int, acc: Fraction) -> None:
+    heap: list[tuple[Fraction, int]] = [(Fraction(0), x)]
+    done = [False] * g.n
+    while heap:
+        d, u = heapq.heappop(heap)
+        if done[u]:
+            continue
+        done[u] = True
         for v, _ in g.neighbors(u):
-            if on_path[v]:
+            if done[v]:
                 continue
             w = exact_weight(g, u, v)
             if w is None:
                 continue
-            total = acc + w
+            if w < 0:
+                raise NegativeWeightError(
+                    f"negative weight {w} on ({g.label(u)}, {g.label(v)})"
+                )
+            total = d + w
             if best[v] is None or total < best[v]:
                 best[v] = total
-            on_path[v] = True
-            walk(v, total)
-            on_path[v] = False
-
-    walk(x, Fraction(0))
+                heapq.heappush(heap, (total, v))
     return best
 
 
@@ -215,14 +228,44 @@ def two_forest_sum(g: ConductanceGraph, x: int, y: int) -> Fraction:
     return _forest_sum(g.n, edges, ((x,), (y,)))
 
 
-def spanning_tree_resistance(g: ConductanceGraph, x: int, y: int) -> ExactWeight:
-    """Exact effective resistance as the two-forest / spanning-tree ratio.
+def _bareiss_det(m: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by Bareiss fraction-free elimination.
 
-    Computed on the component containing x, so unrelated components do not
-    zero out the tree sum; None when x and y are not connected.
+    Every intermediate entry is a minor of ``m``, so the divisions are exact
+    and the integers stay polynomially sized.  Rows are swapped past a zero
+    pivot; the empty matrix has determinant 1.
+    """
+    a = [row[:] for row in m]
+    n = len(a)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        pivot, row_k = a[k][k], a[k]
+        for row in a[k + 1 :]:
+            lead = row[k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * pivot - lead * row_k[j]) // prev
+        prev = pivot
+    return sign * a[-1][-1] if n else 1
+
+
+def spanning_tree_resistance(g: ConductanceGraph, x: int, y: int) -> ExactWeight:
+    """Exact effective resistance on the component of x, by the matrix-tree theorem.
+
+    With L the component's Laplacian scaled by the lcm D of the exact
+    conductances' denominators (so its entries are integers),
+    R(x, y) = D * det L(-x,-y) / det L(-x): the two-forest sum over the
+    spanning-tree sum, here without enumerating either.  Unrelated
+    components do not enter; None when x and y are not connected.
     """
     if x == y:
         raise SameVertex("resistance needs two distinct vertices")
+    # The enumerators' cap and message, so --oracle stops at the same sizes.
     if g.n > TREE_CAP:
         raise TooLarge(f"tree enumeration capped at {TREE_CAP} vertices, got {g.n}")
     members = [x]
@@ -242,11 +285,22 @@ def spanning_tree_resistance(g: ConductanceGraph, x: int, y: int) -> ExactWeight
     edges = [
         (index[u], index[v], exact_conductance(g, u, v))
         for u, v, _ in g.edges()
-        if u in index and v in index
+        if u in index
     ]
-    t = _forest_sum(len(comp), edges, ((index[x],),))
-    f = _forest_sum(len(comp), edges, ((index[x],), (index[y],)))
-    return f / t
+    scale = math.lcm(*(c.denominator for _, _, c in edges))
+    k = len(comp)
+    lap = [[0] * k for _ in range(k)]
+    for i, j, c in edges:
+        e = c.numerator * (scale // c.denominator)
+        lap[i][j] -= e
+        lap[j][i] -= e
+        lap[i][i] += e
+        lap[j][j] += e
+    keep_x = [i for i in range(k) if i != index[x]]
+    keep_xy = [i for i in keep_x if i != index[y]]
+    forests = _bareiss_det([[lap[i][j] for j in keep_xy] for i in keep_xy])
+    trees = _bareiss_det([[lap[i][j] for j in keep_x] for i in keep_x])
+    return Fraction(scale * forests, trees)
 
 
 def unique_induced_path(g: ConductanceGraph, x: int, y: int) -> tuple[bool, list[Path]]:

@@ -261,32 +261,31 @@ def enumerate_geodesics(g: WeightedGraph, x: int, y: int, cap: int = 64) -> Geod
     on_path = [False] * g.n
     on_path[x] = True
     stack = [x]
-
-    def walk(u: int, acc: float) -> bool:
-        for v, w in g.neighbors(u):
+    # Depth-first with an explicit stack of neighbour iterators, one per
+    # vertex on the current path, each paired with the length walked so far.
+    frames = [(iter(g.neighbors(x)), 0.0)]
+    while frames and not truncated:
+        neighbours, acc = frames[-1]
+        for v, w in neighbours:
             if on_path[v] or math.isinf(w):
                 continue
             length = acc + w
             if length + to_y[v] > target + slack:
                 continue
-            stack.append(v)
-            on_path[v] = True
             if v == y:
                 if abs(length - target) <= slack:
                     if len(paths) >= cap:
-                        on_path[v] = False
-                        stack.pop()
-                        return True
-                    paths.append(Path(tuple(stack)))
-            elif walk(v, length):
-                on_path[v] = False
-                stack.pop()
-                return True
-            on_path[v] = False
-            stack.pop()
-        return False
-
-    truncated = walk(x, 0.0)
+                        truncated = True
+                        break
+                    paths.append(Path((*stack, y)))
+                continue
+            stack.append(v)
+            on_path[v] = True
+            frames.append((iter(g.neighbors(v)), length))
+            break
+        else:
+            frames.pop()
+            on_path[stack.pop()] = False
     return GeodesicSet(paths, target, truncated)
 
 

@@ -378,3 +378,36 @@ def test_characterize_triangle_separates_once(graph_file, capsys, monkeypatch):
         calls.clear()
         run_json(capsys, "characterize", graph_file(text), "--triangle", "a", "b", "c")
         assert len(calls) == 1
+
+
+def test_numeric_token_on_a_labelled_graph_is_unknown(graph_file, capsys):
+    code, out, err = run(capsys, "metric", graph_file(P3), "--source", "a", "--target", "2")
+    assert code == 3 and out == "" and "unknown vertex '2'" in err
+    code, out, err = run(capsys, "resistance", graph_file(P3), "--pair", "0", "c")
+    assert code == 3 and out == "" and "unknown vertex '0'" in err
+
+
+def test_geodesics_on_a_deep_path(graph_file, capsys):
+    n = 3000
+    path = graph_file("".join(f"v{i} v{i + 1} 1\n" for i in range(n - 1)))
+    doc = run_json(capsys, "geodesics", path, "--source", "v0", "--target", f"v{n - 1}")
+    assert doc["results"]["distance"] == str(n - 1)
+    assert [p["path"] for p in doc["results"]["geodesics"]] == [" -> ".join(f"v{i}" for i in range(n))]
+    assert doc["results"]["truncated"] is False
+
+
+@pytest.mark.parametrize(
+    "argv, cap",
+    [
+        (("metric", "GRAPH", "--all-pairs", "--oracle"), 12),
+        (("metric", "GRAPH", "--source", "v0", "--target", "v1", "--oracle"), 12),
+        (("resistance", "GRAPH", "--pair", "v0", "v1", "--oracle"), 8),
+        (("resistance", "GRAPH", "--matrix", "--oracle"), 8),
+    ],
+)
+def test_oracle_caps_are_exact_sizes(graph_file, capsys, argv, cap):
+    for n, expected in ((cap, 0), (cap + 1, 4)):
+        path = graph_file("".join(f"v{i} v{i + 1} 1\n" for i in range(n - 1)))
+        code, _, err = run(capsys, *[path if token == "GRAPH" else token for token in argv])
+        assert code == expected, err
+        assert expected == 0 or "capped" in err

@@ -296,3 +296,54 @@ def test_decaying_ray_partial_sums_stay_below_radius():
     for m in range(1, 300):
         total += math.ldexp(1.0, -m) if m < 1075 else 5e-324
         assert total <= 1.0
+
+
+class RecursiveTrie:
+    """Reference: the recursive trie insertion that copies the suffix per level."""
+
+    def __init__(self, vertex):
+        self.vertex = vertex
+        self.multiplicity = 0
+        self.children = {}
+
+    def insert(self, suffix):
+        self.multiplicity += 1
+        if suffix:
+            head, tail = suffix[0], suffix[1:]
+            if head not in self.children:
+                self.children[head] = RecursiveTrie(head)
+            self.children[head].insert(tail)
+
+
+def trie_rows(root):
+    """(depth, vertex, multiplicity) in preorder, children in insertion order."""
+    rows, todo = [], [(0, root)]
+    while todo:
+        depth, node = todo.pop()
+        rows.append((depth, node.vertex, node.multiplicity))
+        todo.extend((depth + 1, child) for child in reversed(list(node.children.values())))
+    return rows
+
+
+def test_prefix_trie_matches_the_recursive_reference():
+    rng = random.Random(211)
+    for _ in range(200):
+        paths = set()
+        for _ in range(rng.randint(1, 12)):
+            rest = rng.sample(range(1, 10), rng.randint(0, 6))
+            paths.add((0, *rest))
+        paths = [Path(p) for p in sorted(paths, key=lambda _: rng.random())]
+        reference = RecursiveTrie(0)
+        for p in paths:
+            reference.insert(p.vertices[1:])
+        assert trie_rows(PrefixTrie.build(paths)) == trie_rows(reference)
+
+
+def test_extract_common_prefix_on_a_deep_path():
+    n = 3000
+    g = WeightedGraph(n, {(i, i + 1): 1.0 for i in range(n - 1)})
+    paths = [Path(tuple(range(n))), Path(tuple(range(n - 1)))]
+    out = extract_common_prefix_path(paths, g, k=2)
+    assert out.path.vertices == tuple(range(n - 1))
+    assert out.multiplicities == [2] * (n - 1)
+    assert out.length == n - 2

@@ -256,3 +256,19 @@ def test_resolve_numeric_tokens():
         g.resolve("frog")
     with pytest.raises(UnknownVertex):
         g.resolve("7")
+
+
+def test_resolve_on_labelled_graphs_reads_strings_as_labels_only():
+    for mode in ("weight", "conductance"):
+        g = parse_graph(P3_TEXT, mode=mode)
+        assert g.resolve("c") == 2
+        assert g.resolve(2) == 2
+        with pytest.raises(UnknownVertex):
+            g.resolve("2")
+    # A label that looks like an index names its own vertex, not that index.
+    g = parse_graph("2 0 1\n")
+    assert g.resolve("2") == 0 and g.resolve("0") == 1
+    with pytest.raises(UnknownVertex):
+        g.resolve("1")
+    b = ConductanceGraph(3, {(0, 1): 1.0})
+    assert b.resolve("2") == 2

@@ -38,3 +38,52 @@ def test_cli_output_matches_recorded_digest(golden_file, capsys, argv):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[argv]
+
+
+def _hundredths(rng: random.Random) -> str:
+    k = rng.randrange(1, 1001)
+    return f"{k // 100}.{k % 100:02d}"
+
+
+def circulant_c10_1_4() -> str:
+    """C10(1,4) with seeded weights on the 0.01 grid: 20 edges, several routes per pair."""
+    rng = random.Random(1014)
+    edges = {(min(i, (i + s) % 10), max(i, (i + s) % 10)) for i in range(10) for s in (1, 4)}
+    return "".join(f"v{u} v{v} {_hundredths(rng)}\n" for u, v in sorted(edges))
+
+
+def fractional_two_component_8() -> str:
+    """Eight vertices in a dense six-vertex block and a separate edge, 0.01-grid values."""
+    rng = random.Random(808)
+    lines = []
+    for u in range(6):
+        for v in range(u + 1, 6):
+            if (v == u + 1) or rng.random() < 0.6:
+                lines.append(f"v{u} v{v} {_hundredths(rng)}\n")
+    lines.append(f"v6 v7 {_hundredths(rng)}\n")
+    return "".join(lines)
+
+
+# Recorded while both oracles still enumerated every simple path and every
+# spanning forest; the polynomial oracles must print the same rationals.
+ORACLE_DIGESTS = {
+    ("metric", "--all-pairs", "--oracle", "--json"): (
+        circulant_c10_1_4,
+        "3001f94ce485b47f95acac0c1e45b6b04f8b0c972afc5a6794c13947bb1d5b7a",
+    ),
+    ("resistance", "--matrix", "--oracle", "--json"): (
+        fractional_two_component_8,
+        "b5bd4fb8471a73da617b7825c728eb2201be8161edaf845ec94696d84a962ec9",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(ORACLE_DIGESTS))
+def test_oracle_output_matches_recorded_digest(tmp_path, capsys, argv):
+    build, digest = ORACLE_DIGESTS[argv]
+    path = tmp_path / "oracle.edges"
+    path.write_text(build())
+    code = main([argv[0], str(path), *argv[1:]])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -1,12 +1,24 @@
 """Tests for the exact rational reference computations."""
 
+import itertools
+import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from graphmetry import ConductanceGraph, SameVertex, TooLarge, WeightedGraph
+from graphmetry import (
+    ConductanceGraph,
+    NegativeWeightError,
+    SameVertex,
+    TooLarge,
+    WeightedGraph,
+    components,
+)
+from graphmetry.cli import main
 from graphmetry.oracle import (
+    _bareiss_det,
     brute_metric,
     brute_metric_from,
     enumerate_simple_paths,
@@ -195,3 +207,116 @@ def test_tree_sum_matches_cayley_count():
     # And on a random connected graph the two-forest sum is symmetric.
     g = random_connected_conductance(rng, 6)
     assert two_forest_sum(g, 0, 3) == two_forest_sum(g, 3, 0)
+
+
+def hundredths_graph(rng: random.Random, n: int) -> WeightedGraph:
+    """Weights on the 0.01 grid, many absent (inf) pairs, some isolated vertices."""
+    isolated = set(rng.sample(range(n), rng.randint(0, n // 3)))
+    weights = {}
+    for u in range(n):
+        for v in range(u + 1, n):
+            if u in isolated or v in isolated or rng.random() < 0.5:
+                continue
+            weights[(u, v)] = rng.randrange(1, 1001) / 100
+    return WeightedGraph(n, weights)
+
+
+def test_dijkstra_oracle_matches_path_enumeration():
+    rng = random.Random(2718)
+    for _ in range(120):
+        g = hundredths_graph(rng, rng.randint(2, 8))
+        for x in range(g.n):
+            row = brute_metric_from(g, x)
+            assert row == [brute_metric(g, x, y) for y in range(g.n)]
+
+
+def test_dijkstra_oracle_rejects_negative_weights():
+    g = WeightedGraph(3, {(0, 1): 1.0, (1, 2): -0.5})
+    with pytest.raises(NegativeWeightError):
+        brute_metric_from(g, 0)
+
+
+def component_graph(b: ConductanceGraph, members: list[int]) -> ConductanceGraph:
+    index = {v: i for i, v in enumerate(members)}
+    return ConductanceGraph(
+        len(members),
+        {(index[u], index[v]): c for u, v, c in b.edges() if u in index},
+        exact={(index[u], index[v]): exact_conductance(b, u, v) for u, v, _ in b.edges() if u in index},
+    )
+
+
+def test_matrix_tree_oracle_matches_forest_enumeration():
+    rng = random.Random(1847)
+    for _ in range(30):
+        # Up to three connected blocks on shuffled vertices, 0.01-grid conductances.
+        n = rng.randint(2, 8)
+        order = rng.sample(range(n), n)
+        cuts = sorted(rng.sample(range(1, n), min(n - 1, rng.randint(0, 2))))
+        b = {}
+        for block in (order[i:j] for i, j in zip([0, *cuts], [*cuts, n])):
+            for u, v in itertools.combinations(block, 2):
+                if v == block[block.index(u) + 1] or rng.random() < 0.25:
+                    b[(u, v)] = rng.randrange(1, 1001) / 100
+        b = ConductanceGraph(n, b)
+        for members in components(b):
+            sub = component_graph(b, members)
+            trees = spanning_tree_sum(sub)
+            for (i, x), (j, y) in itertools.combinations(enumerate(members), 2):
+                exact = spanning_tree_resistance(b, x, y)
+                assert exact == two_forest_sum(sub, i, j) / trees
+                assert exact == spanning_tree_resistance(b, y, x)
+            for y in range(n):
+                if y not in members:
+                    assert spanning_tree_resistance(b, members[0], y) is None
+
+
+def test_matrix_tree_oracle_reads_the_exact_shadows():
+    # One third in series with one seventh: the float values are not exact.
+    b = ConductanceGraph(3, {(0, 1): 1 / 3, (1, 2): 1 / 7}, exact={(0, 1): Fraction(1, 3), (1, 2): Fraction(1, 7)})
+    assert spanning_tree_resistance(b, 0, 2) == 10
+
+
+def test_bareiss_determinant_matches_rational_elimination():
+    def rational_det(m):
+        a = [[Fraction(v) for v in row] for row in m]
+        n, det = len(a), Fraction(1)
+        for k in range(n):
+            pivot = next((i for i in range(k, n) if a[i][k] != 0), None)
+            if pivot is None:
+                return 0
+            if pivot != k:
+                a[k], a[pivot] = a[pivot], a[k]
+                det = -det
+            det *= a[k][k]
+            for i in range(k + 1, n):
+                f = a[i][k] / a[k][k]
+                a[i] = [p - f * q for p, q in zip(a[i], a[k])]
+        return det
+
+    rng = random.Random(1968)
+    assert _bareiss_det([]) == 1
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        # Small entries with many zeros force row swaps and singular cases.
+        m = [[rng.choice([0, 0, 0, -2, -1, 1, 3, 10**12]) for _ in range(n)] for _ in range(n)]
+        assert _bareiss_det(m) == rational_det(m)
+
+
+@pytest.mark.parametrize(
+    "argv, n",
+    [(("metric", "--all-pairs", "--oracle"), 12), (("resistance", "--matrix", "--oracle"), 8)],
+)
+def test_oracles_are_polynomial_on_complete_graphs(tmp_path, capsys, argv, n):
+    # K12 has about 1.1e8 simple paths from each vertex and K8 has
+    # 8**6 spanning trees; neither may be enumerated within the budget.
+    rng = random.Random(n)
+    path = tmp_path / "complete.edges"
+    path.write_text(
+        "".join(f"v{u} v{v} {rng.randrange(1, 100) / 10}\n" for u in range(n) for v in range(u + 1, n))
+    )
+    start = time.perf_counter()
+    code = main([argv[0], str(path), *argv[1:], "--json"])
+    elapsed = time.perf_counter() - start
+    oracle = json.loads(capsys.readouterr().out)["results"]["oracle"]
+    assert code == 0 and len(oracle) == n
+    assert elapsed < 2.0

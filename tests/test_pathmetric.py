@@ -8,6 +8,8 @@ import pytest
 
 from graphmetry import (
     INFINITY,
+    TAU_GEO,
+    GeodesicSet,
     InvalidMetric,
     MetricTable,
     Path,
@@ -25,6 +27,7 @@ from graphmetry import (
     single_source_distances,
 )
 from graphmetry.oracle import brute_metric_from, enumerate_simple_paths, exact_path_length
+from graphmetry.pathmetric import _integral_weights
 from .suites import random_weighted_graph
 
 
@@ -268,3 +271,72 @@ def test_first_step_lower_bound():
                 if y != x:
                     assert t.d[x, y] >= floor
                     assert t.d[x, y] > 0
+
+
+def recursive_enumerate_geodesics(g: WeightedGraph, x: int, y: int, cap: int) -> GeodesicSet:
+    """Reference: the recursive depth-first geodesic walk."""
+    target = path_metric(g, x, y)
+    if x == y:
+        return GeodesicSet([Path((x,))], 0.0)
+    slack = 0.0 if _integral_weights(g) else TAU_GEO * max(1.0, target)
+    to_y = single_source_distances(g, y)
+    paths = []
+    on_path = [False] * g.n
+    on_path[x] = True
+    stack = [x]
+
+    def walk(u, acc):
+        for v, w in g.neighbors(u):
+            if on_path[v] or math.isinf(w):
+                continue
+            length = acc + w
+            if length + to_y[v] > target + slack:
+                continue
+            stack.append(v)
+            on_path[v] = True
+            if v == y:
+                if abs(length - target) <= slack:
+                    if len(paths) >= cap:
+                        on_path[v] = False
+                        stack.pop()
+                        return True
+                    paths.append(Path(tuple(stack)))
+            elif walk(v, length):
+                on_path[v] = False
+                stack.pop()
+                return True
+            on_path[v] = False
+            stack.pop()
+        return False
+
+    truncated = walk(x, 0.0)
+    return GeodesicSet(paths, target, truncated)
+
+
+def test_enumerate_geodesics_matches_the_recursive_reference():
+    rng = random.Random(173)
+    for _ in range(200):
+        n = rng.randint(2, 8)
+        if rng.random() < 0.5:
+            # Weights 1 and 2 on a dense graph: many tied routes, so caps bite.
+            g = WeightedGraph(
+                n,
+                {(u, v): float(rng.randint(1, 2)) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.6},
+            )
+        else:
+            g = random_weighted_graph(rng, n, integer=rng.random() < 0.5)
+        cap = rng.choice([1, 2, 3, 64])
+        t = all_pairs_metric(g)
+        for x in range(g.n):
+            for y in range(g.n):
+                if math.isinf(t.d[x, y]):
+                    continue
+                assert enumerate_geodesics(g, x, y, cap=cap) == recursive_enumerate_geodesics(g, x, y, cap)
+
+
+def test_enumerate_geodesics_on_a_deep_path():
+    n = 3000
+    g = WeightedGraph(n, {(i, i + 1): 1.0 for i in range(n - 1)})
+    found = enumerate_geodesics(g, 0, n - 1)
+    assert [p.vertices for p in found.paths] == [tuple(range(n))]
+    assert found.distance == n - 1 and not found.truncated
