@@ -20,6 +20,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Any, Sequence
 
 from . import oracle
@@ -104,7 +105,7 @@ class Report:
             "results": self.results,
             "diagnostics": self.diagnostics,
         }
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        return _json(doc, "\n") + "\n"
 
     def to_text(self) -> str:
         lines = [f"command: {self.command}", f"input: {self.input}"]
@@ -112,6 +113,30 @@ class Report:
         for note in self.diagnostics:
             lines.append(f"! {note}")
         return "\n".join(lines) + "\n"
+
+
+def _json(node: Any, outer: str) -> str:
+    """``json.dumps(node, sort_keys=True, indent=2)`` for a node nested in a
+    document, ``outer`` being the line break and indent of its closing line.
+
+    The standard encoder with ``indent`` runs in pure Python; a flat dict of
+    strings (every table row) goes through the C encoder instead, with the
+    line break and indent folded into its item separator.  Report keys are
+    strings.
+    """
+    inner = outer + "  "
+    if isinstance(node, dict) and node:
+        if all(isinstance(value, str) for value in node.values()):
+            flat = json.dumps(node, sort_keys=True, separators=("," + inner, ": "))
+            return "{" + inner + flat[1:-1] + outer + "}"
+        items = [
+            encode_basestring_ascii(key) + ": " + _json(value, inner)
+            for key, value in sorted(node.items())
+        ]
+        return "{" + inner + ("," + inner).join(items) + outer + "}"
+    if isinstance(node, list) and node:
+        return "[" + inner + ("," + inner).join(_json(item, inner) for item in node) + outer + "]"
+    return json.dumps(node)
 
 
 def _render(prefix: str, node: Any) -> list[str]:

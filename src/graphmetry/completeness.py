@@ -315,10 +315,11 @@ def verify_maximal_weight(g: WeightedGraph) -> MaximalWeightReport:
     again, and (b) g's own weight never exceeds W on pairs where it is
     finite (W is inf, hence dominating, wherever the direct pair is not the
     unique geodesic).  Witnesses list the offending pairs of (b); the
-    report carries W itself as ``weight``.
+    report carries W itself as ``weight``.  t is the one fixpoint closure;
+    W is found from g's tight edges and (a) reads one min-plus sweep.
     """
     t = all_pairs_metric(g)
-    W = geodesic_weight(t)
+    W = geodesic_weight(t, graph=g)
     generates = is_generating(W.as_weight_graph(), t)
     # Stored weights are finite (or NaN, which compares false), keys sorted.
     witnesses = [(x, y) for (x, y), w in g.weights.items() if x < y and w > W.table[x, y]]

@@ -7,6 +7,15 @@ paths of the summed step weights.  On a finite graph the infimum is attained,
 inequality.  The geodesic weight keeps delta on pairs whose only geodesic is
 the direct two-vertex path and is ``inf`` elsewhere; it generates the same
 metric and dominates every other weight that does.
+
+Two closure routes share one initial table.  :func:`all_pairs_metric`
+iterates min-plus sweeps to a bitwise fixpoint; it serves wherever delta is
+printed or fed back in as a weight.  Checks that only compare a metric
+within a tolerance (:func:`is_generating`, the tree and block-graph checks)
+read a table from a single sweep, which is exact up to rounding.  Given the
+graph that generated its table, :func:`geodesic_weight` tests only the tight
+edges (w = delta bitwise): every other finite pair has a vertex between its
+ends.
 """
 
 from __future__ import annotations
@@ -25,7 +34,13 @@ from .core import (
     WeightedGraph,
     weights_close_array,
 )
-from .errors import InvalidArgument, InvalidMetric, SizeMismatch, Unreachable
+from .errors import (
+    InvalidArgument,
+    InvalidMetric,
+    NegativeWeightError,
+    SizeMismatch,
+    Unreachable,
+)
 
 
 @dataclass
@@ -205,6 +220,42 @@ def path_metric(g: WeightedGraph, x: int, y: int) -> float:
     return INFINITY
 
 
+def _initial_table(g: WeightedGraph) -> np.ndarray:
+    """Diagonal 0, the least stored finite weight per pair, inf elsewhere."""
+    n = g.n
+    d = np.full((n, n), INFINITY)
+    np.fill_diagonal(d, 0.0)
+    for (u, v), w in g.weights.items():
+        if u != v and math.isfinite(w):
+            if w < 0:
+                # A negative weight has no shortest paths: the sweeps would run to -inf.
+                raise NegativeWeightError(
+                    f"negative weight {w} on ({g.label(u)}, {g.label(v)})"
+                )
+            d[u, v] = min(d[u, v], w)
+            d[v, u] = d[u, v]
+    return d
+
+
+def _min_plus_sweep(d: np.ndarray, via: np.ndarray) -> None:
+    """One Floyd-Warshall pass over k = 0 .. n-1, in place; ``via`` is scratch."""
+    for k in range(d.shape[0]):
+        np.add(d[:, k, None], d[None, k, :], out=via)
+        np.minimum(d, via, out=d)
+
+
+def _one_sweep_metric(g: WeightedGraph) -> np.ndarray:
+    """delta_w from a single min-plus sweep, for checks within a tolerance.
+
+    One pass gives shortest paths up to rounding (a few ulps per step, far
+    below TAU_EQ for nonnegative weights) but not the bitwise fixpoint of
+    :func:`all_pairs_metric`, so the table is never printed or fed back in.
+    """
+    d = _initial_table(g)
+    _min_plus_sweep(d, np.empty_like(d))
+    return d
+
+
 def all_pairs_metric(g: WeightedGraph) -> MetricTable:
     """All-pairs delta_w as a MetricTable.
 
@@ -213,24 +264,18 @@ def all_pairs_metric(g: WeightedGraph) -> MetricTable:
     exactly for every z, which makes the table idempotent — feeding it back
     in as a weight function reproduces it bit for bit (delta_delta = delta
     with no tolerance), something per-source float accumulation cannot
-    promise at the last ulp.
+    promise at the last ulp.  Use it where delta is printed or fed back in;
+    a comparison within a tolerance needs only one sweep.  Raises
+    NegativeWeightError on a negative finite weight.
     """
-    n = g.n
-    d = np.full((n, n), INFINITY)
-    np.fill_diagonal(d, 0.0)
-    for (u, v), w in g.weights.items():
-        if u != v and math.isfinite(w):
-            d[u, v] = min(d[u, v], w)
-            d[v, u] = d[u, v]
+    d = _initial_table(g)
     via = np.empty_like(d)
     while True:
         before = d.copy()
-        for k in range(n):
-            np.add(d[:, k, None], d[None, k, :], out=via)
-            np.minimum(d, via, out=d)
+        _min_plus_sweep(d, via)
         if np.array_equal(before, d):
             break
-    return MetricTable(n, d, g.labels)
+    return MetricTable(g.n, d, g.labels)
 
 
 def _integral_weights(g: WeightedGraph) -> bool:
@@ -289,7 +334,9 @@ def enumerate_geodesics(g: WeightedGraph, x: int, y: int, cap: int = 64) -> Geod
     return GeodesicSet(paths, target, truncated)
 
 
-def geodesic_weight(t: MetricTable, tol: float = TAU_EQ) -> GeodesicWeight:
+def geodesic_weight(
+    t: MetricTable, tol: float = TAU_EQ, graph: WeightedGraph | None = None
+) -> GeodesicWeight:
     """w_delta: keep d(x, y) when no third vertex sits metrically between
     x and y, use inf otherwise (and always on infinite-distance pairs).
 
@@ -298,6 +345,13 @@ def geodesic_weight(t: MetricTable, tol: float = TAU_EQ) -> GeodesicWeight:
     the unique one.  Betweenness is decided within relative tolerance
     ``tol``.  Raises InvalidMetric when the input violates the triangle
     inequality.
+
+    ``graph`` must satisfy ``t == all_pairs_metric(graph)``.  Only its
+    tight edges (stored weight equal to d bitwise) are then tested: the
+    closure lowered every other finite pair through some k outside the pair
+    with fl(d[x,k] + d[k,y]) = d[x,y] at the fixpoint, so k is between and
+    the result equals the full scan bit for bit.  Without ``graph`` every
+    pair is scanned.
     """
     n, d = t.n, t.d
     viol = _triangle_violation(d, tol)
@@ -309,6 +363,9 @@ def geodesic_weight(t: MetricTable, tol: float = TAU_EQ) -> GeodesicWeight:
         )
     out = np.full((n, n), INFINITY)
     np.fill_diagonal(out, 0.0)
+    if graph is not None:
+        _tight_edge_weight(d, tol, graph, out)
+        return GeodesicWeight(n, out, t.labels)
     for x in range(n):
         row = d[x]
         sums = row[:, None] + d  # sums[z, y] = d(x,z) + d(z,y)
@@ -329,11 +386,41 @@ def geodesic_weight(t: MetricTable, tol: float = TAU_EQ) -> GeodesicWeight:
     return GeodesicWeight(n, out, t.labels)
 
 
+def _tight_edge_weight(d: np.ndarray, tol: float, graph: WeightedGraph, out: np.ndarray) -> None:
+    """Write d into ``out`` on the tight edges of ``graph`` with nothing between.
+
+    The same float expressions as the full scan in :func:`geodesic_weight`,
+    on an (edges x n) block, cut into slices of about 2**20 entries.
+    """
+    n = d.shape[0]
+    keys = np.array(list(graph.weights), dtype=np.intp).reshape(-1, 2)
+    xs, ys = keys[:, 0], keys[:, 1]
+    stored = np.fromiter(graph.weights.values(), float, len(keys))
+    tight = (xs != ys) & (stored == d[xs, ys])
+    xs, ys = xs[tight], ys[tight]
+    step = max(1, (1 << 20) // max(n, 1))
+    for lo in range(0, len(xs), step):
+        x, y = xs[lo : lo + step], ys[lo : lo + step]
+        dxy = d[x, y]
+        gap = np.abs((d[x, :] + d[:, y].T) - dxy[:, None])  # gap[i, z] for z = 0 .. n-1
+        between = gap <= tol * np.maximum(1.0, np.abs(dxy))[:, None]
+        rows = np.arange(len(x))
+        between[rows, x] = False
+        between[rows, y] = False
+        unique = ~between.any(axis=1)
+        out[x[unique], y[unique]] = dxy[unique]
+        out[y[unique], x[unique]] = dxy[unique]
+
+
 def is_generating(g: WeightedGraph, t: MetricTable) -> bool:
-    """Whether g's weight generates the metric t (delta_w = t entrywise)."""
+    """Whether g's weight generates the metric t (delta_w = t entrywise).
+
+    Compares within TAU_EQ, so delta_w comes from one min-plus sweep rather
+    than the bitwise fixpoint.
+    """
     if g.n != t.n:
         raise SizeMismatch(f"graph has {g.n} vertices, table {t.n}")
-    return bool(weights_close_array(all_pairs_metric(g).d, t.d).all())
+    return bool(weights_close_array(_one_sweep_metric(g), t.d).all())
 
 
 def check_elf(g: WeightedGraph, x: int, radius: float) -> ElfReport:

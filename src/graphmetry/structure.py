@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import TAU_EQ, ConductanceGraph, Path, WeightedGraph, weights_close, weights_close_array
 from .errors import Disconnected, NotDistinct
-from .pathmetric import MetricTable, all_pairs_metric
+from .pathmetric import MetricTable, _one_sweep_metric
 from .resistance import _grounded, components, effective_resistance, resistance_matrix
 
 
@@ -261,7 +261,7 @@ def compatible_resistance_weight(b: ConductanceGraph) -> CompatibilityCertificat
     R = resistance_matrix(b)
     weights = {(u, v): float(R.d[u, v]) for u, v, _ in b.edges()}
     w_graph = WeightedGraph(b.n, weights, b.labels)
-    d = all_pairs_metric(w_graph).d
+    d = _one_sweep_metric(w_graph)
     differ = np.triu(~weights_close_array(d, R.d), 1)
     if differ.any():
         x, y = np.argwhere(differ)[0]  # first pair x < y in row-major order
@@ -297,7 +297,7 @@ def check_tree_theorem(b: ConductanceGraph, tol: float = TAU_EQ) -> TreeTheoremR
     """Compare delta_{1/b} with the resistance matrix entrywise."""
     if len(components(b)) > 1:
         raise Disconnected("tree theorem check expects a connected graph")
-    d = all_pairs_metric(inverse_conductance_weight(b)).d
+    d = _one_sweep_metric(inverse_conductance_weight(b))
     R = resistance_matrix(b).d
     upper = np.triu_indices(b.n, 1)
     equal = bool(weights_close_array(d[upper], R[upper], rel=tol).all())

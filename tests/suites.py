@@ -84,3 +84,27 @@ def random_block_graph(rng: random.Random, n: int, max_c: int = 3) -> Conductanc
         used += k
         anchors.extend(members[1:])
     return ConductanceGraph(n, b)
+
+
+def random_sparse_weighted_graph(
+    rng: random.Random,
+    n: int,
+    scale: int = 10,
+    degree: float = 3.0,
+    parts: int = 1,
+) -> WeightedGraph:
+    """Sparse random weights on ``parts`` blocks of consecutive vertices.
+
+    Each block gets about ``degree * size / 2`` random pairs with weights on
+    the 1/scale grid (1/scale .. 10), so blocks never connect to each other
+    and a block may itself split.
+    """
+    cuts = sorted(rng.sample(range(1, n), min(parts, n) - 1)) if n > 1 else []
+    bounds = [0, *cuts, n]
+    weights = {}
+    for lo, hi in zip(bounds, bounds[1:]):
+        size = hi - lo
+        for _ in range(round(degree * size / 2) if size > 1 else 0):
+            u, v = rng.sample(range(lo, hi), 2)
+            weights[(min(u, v), max(u, v))] = rng.randint(1, 10 * scale) / scale
+    return WeightedGraph(n, weights)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from graphmetry import MetricTable
-from graphmetry.cli import main
+from graphmetry.cli import Report, main
 from graphmetry.completeness import MaximalWeightReport
 
 P3 = "a b 1\nb c 1\n"
@@ -332,12 +332,17 @@ def test_nonpositive_argument_is_input_error(graph_file, capsys, argv, name):
     assert "Traceback" not in err
 
 
-def test_geodesic_weight_runs_two_closures_and_one_w_delta(graph_file, capsys, monkeypatch):
+CLOSURES = ("all_pairs_metric", "_one_sweep_metric", "geodesic_weight")
+
+
+def count_closures(monkeypatch) -> dict[str, int]:
+    """Count fixpoint closures, single sweeps and w_delta calls by any route."""
     import graphmetry.cli as cli
     import graphmetry.completeness as completeness
     import graphmetry.pathmetric as pathmetric
+    import graphmetry.structure as structure
 
-    calls = {"all_pairs_metric": 0, "geodesic_weight": 0}
+    calls = dict.fromkeys(CLOSURES, 0)
 
     def counted(name):
         original = getattr(pathmetric, name)
@@ -348,16 +353,31 @@ def test_geodesic_weight_runs_two_closures_and_one_w_delta(graph_file, capsys, m
 
         return wrapper
 
-    for name in calls:
+    for name in CLOSURES:
         wrapper = counted(name)
-        for module in (pathmetric, completeness, cli):
+        for module in (pathmetric, completeness, structure, cli):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_geodesic_weight_runs_one_closure_one_sweep_and_one_w_delta(
+    graph_file, capsys, monkeypatch
+):
+    calls = count_closures(monkeypatch)
     for text in (P3, C4):
-        calls.update(all_pairs_metric=0, geodesic_weight=0)
+        calls.update(dict.fromkeys(CLOSURES, 0))
         code, _, err = run(capsys, "geodesic-weight", graph_file(text))
         assert code == 0, err
-        assert calls == {"all_pairs_metric": 2, "geodesic_weight": 1}
+        assert calls == {"all_pairs_metric": 1, "_one_sweep_metric": 1, "geodesic_weight": 1}
+
+
+def test_characterize_tree_and_block_run_no_fixpoint_closure(graph_file, capsys, monkeypatch):
+    calls = count_closures(monkeypatch)
+    for text in (P3, C4):
+        calls.update(dict.fromkeys(CLOSURES, 0))
+        run_json(capsys, "characterize", graph_file(text), "--tree", "--block")
+        assert calls == {"all_pairs_metric": 0, "_one_sweep_metric": 2, "geodesic_weight": 0}
 
 
 def test_characterize_triangle_separates_once(graph_file, capsys, monkeypatch):
@@ -411,3 +431,20 @@ def test_oracle_caps_are_exact_sizes(graph_file, capsys, argv, cap):
         code, _, err = run(capsys, *[path if token == "GRAPH" else token for token in argv])
         assert code == expected, err
         assert expected == 0 or "capped" in err
+
+
+@pytest.mark.parametrize(
+    "results, diagnostics",
+    [
+        ({}, []),
+        ({"table": {"é": {"é": "0", "\"q\"": "1"}, "\"q\"": {"é": "1", "\"q\"": "0"}}}, []),
+        ({"row": {"back\\slash": "tab\there", "bell\x07": "nl\n", "☃": "\u2603"}}, ["note ☃"]),
+        ({"empty": {}, "none": [], "nested": {"inner": {}}}, []),
+        ({"flags": {"a": True, "b": False}, "count": 3, "mixed": {"s": "x", "n": 7}}, ["x"]),
+        ({"paths": [{"path": "a -> b", "length": "1"}, {"path": "b", "length": "0"}], "ok": [[1, "x"], []]}, []),
+    ],
+)
+def test_to_json_matches_the_indented_encoder(results, diagnostics):
+    report = Report("cmd", "in\u00ff", results, diagnostics)
+    doc = {"command": "cmd", "input": "in\u00ff", "results": results, "diagnostics": diagnostics}
+    assert report.to_json() == json.dumps(doc, sort_keys=True, indent=2) + "\n"

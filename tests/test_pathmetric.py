@@ -12,6 +12,7 @@ from graphmetry import (
     GeodesicSet,
     InvalidMetric,
     MetricTable,
+    NegativeWeightError,
     Path,
     SizeMismatch,
     Unreachable,
@@ -26,9 +27,10 @@ from graphmetry import (
     path_metric,
     single_source_distances,
 )
+from graphmetry.core import weights_close_array
 from graphmetry.oracle import brute_metric_from, enumerate_simple_paths, exact_path_length
-from graphmetry.pathmetric import _integral_weights
-from .suites import random_weighted_graph
+from graphmetry.pathmetric import _integral_weights, _one_sweep_metric
+from .suites import random_sparse_weighted_graph, random_weighted_graph
 
 
 def p3() -> WeightedGraph:
@@ -232,6 +234,58 @@ def test_geodesic_weight_regenerates_metric():
         for (x, y), wv in g.weights.items():
             if x != y:
                 assert wv <= w.table[x, y]
+
+
+def tight_edge_sweep():
+    """200 seeded graphs: integer, tenths and hundredths weights, 1-3
+    components, mean degree 2, 3 or 8, n up to 100, and some dense ones."""
+    rng = random.Random(131)
+    for i in range(200):
+        n = rng.randint(60, 100) if i % 10 == 0 else rng.randint(2, 40)
+        if i % 25 == 1:
+            yield random_weighted_graph(rng, n, integer=i % 2 == 0)
+        else:
+            scale = (1, 10, 100)[i % 3]
+            yield random_sparse_weighted_graph(
+                rng, n, scale=scale, degree=rng.choice((2.0, 3.0, 8.0)), parts=1 + i % 3
+            )
+
+
+def test_geodesic_weight_on_tight_edges_matches_the_full_scan():
+    slack = tight_but_between = 0
+    for g in tight_edge_sweep():
+        t = all_pairs_metric(g)
+        full = geodesic_weight(t).table
+        assert np.array_equal(geodesic_weight(t, graph=g).table, full)
+        for (x, y), w in g.weights.items():
+            slack += w > t.d[x, y]
+            tight_but_between += w == t.d[x, y] and math.isinf(full[x, y])
+    # The sweep covers both ways an edge can drop out of the support.
+    assert slack > 0 and tight_but_between > 0
+
+
+def test_geodesic_weight_drops_a_tight_edge_with_a_vertex_between():
+    g = WeightedGraph(3, {(0, 1): 1.0, (1, 2): 1.0, (0, 2): 2.0})
+    t = all_pairs_metric(g)
+    assert t.d[0, 2] == g.weights[(0, 2)]
+    w = geodesic_weight(t, graph=g)
+    assert math.isinf(w.weight(0, 2)) and w.weight(0, 1) == 1.0
+    assert np.array_equal(w.table, geodesic_weight(t).table)
+
+
+def test_one_sweep_metric_is_the_fixpoint_up_to_rounding():
+    for g in tight_edge_sweep():
+        assert weights_close_array(_one_sweep_metric(g), all_pairs_metric(g).d, rel=1e-12).all()
+
+
+def test_negative_weight_is_rejected_by_both_closures():
+    g = WeightedGraph(3, {(0, 1): -1.0, (1, 2): 2.0})
+    with pytest.raises(NegativeWeightError):
+        all_pairs_metric(g)
+    with pytest.raises(NegativeWeightError):
+        _one_sweep_metric(g)
+    with pytest.raises(NegativeWeightError):
+        is_generating(g, all_pairs_metric(p3()))
 
 
 def test_is_generating_examples():

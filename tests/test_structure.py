@@ -4,11 +4,13 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from graphmetry import (
     ConductanceGraph,
     Disconnected,
+    WeightedGraph,
     NotDistinct,
     NotSeparated,
     SeparationCertificate,
@@ -18,13 +20,16 @@ from graphmetry import (
     compatible_resistance_weight,
     effective_resistance,
     inverse_conductance_weight,
+    geodesic_weight,
     is_block_graph,
+    is_generating,
     is_tree,
     parse_graph,
     resistance_matrix,
     separates,
 )
 from graphmetry.oracle import unique_induced_path
+from graphmetry.core import weights_close_array
 from graphmetry.pathmetric import all_pairs_metric
 from .suites import random_block_graph, random_connected_conductance, random_nontree, random_tree
 
@@ -270,6 +275,47 @@ def test_tree_theorem_random_sweep():
         assert t.is_tree and t.metrics_equal
         nt = check_tree_theorem(random_nontree(rng, rng.randint(3, 9)))
         assert not nt.is_tree and not nt.metrics_equal
+
+
+def fixpoint_metrics_equal(b: ConductanceGraph) -> bool:
+    d = all_pairs_metric(inverse_conductance_weight(b)).d
+    upper = np.triu_indices(b.n, 1)
+    return bool(weights_close_array(d[upper], resistance_matrix(b).d[upper]).all())
+
+
+def fixpoint_compatibility(b: ConductanceGraph) -> tuple[str, tuple[int, int] | None]:
+    R = resistance_matrix(b).d
+    w_graph = WeightedGraph(b.n, {(u, v): float(R[u, v]) for u, v, _ in b.edges()})
+    differ = np.triu(~weights_close_array(all_pairs_metric(w_graph).d, R), 1)
+    if differ.any():
+        x, y = np.argwhere(differ)[0]
+        return "INCOMPATIBLE", (int(x), int(y))
+    return "COMPATIBLE", None
+
+
+def fixpoint_is_generating(g: WeightedGraph, d: np.ndarray) -> bool:
+    return bool(weights_close_array(all_pairs_metric(g).d, d).all())
+
+
+def test_tolerance_checks_match_their_fixpoint_versions():
+    rng = random.Random(137)
+    verdicts = set()
+    for i in range(120):
+        n = rng.randint(2, 30)
+        make = (random_tree, random_block_graph, random_connected_conductance)[i % 3]
+        b = make(rng, n, max_c=rng.choice((3, 7)))
+        tree = check_tree_theorem(b)
+        assert tree.metrics_equal == fixpoint_metrics_equal(b)
+        cert = compatible_resistance_weight(b)
+        assert (cert.verdict, cert.counterexample) == fixpoint_compatibility(b)
+        g = inverse_conductance_weight(b)
+        R = resistance_matrix(b)
+        assert is_generating(g, R) == fixpoint_is_generating(g, R.d)
+        t = all_pairs_metric(g)
+        W = geodesic_weight(t, graph=g).as_weight_graph()
+        assert is_generating(W, t) and fixpoint_is_generating(W, t.d)
+        verdicts.add((tree.metrics_equal, cert.verdict))
+    assert len(verdicts) == 3  # trees, non-tree block graphs, and neither
 
 
 def recursive_biconnected_components(b: ConductanceGraph) -> list[list[int]]:
