@@ -15,13 +15,16 @@ breach (a theorem-backed post-hoc check failed; that is a bug, not bad input).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import Any, Sequence
+from typing import Any, Callable, Iterator, Sequence
+
+import numpy as np
 
 from . import oracle
 from .completeness import FAMILIES, family_ball_scan, family_elf_scan, verify_maximal_weight
@@ -89,6 +92,36 @@ def fmt(value: Any) -> Any:
     return value
 
 
+class Table:
+    """A labelled square float matrix in a report.
+
+    Renders byte for byte as the dict of dicts ``{row: {column: fmt(value)}}``
+    would, but sorts the labels once and formats each distinct value once: a
+    w_delta table has n**2 cells and at most m + 2 distinct values.  Values
+    are distinct bitwise, so -0.0 and NaN print exactly as ``fmt`` prints them.
+    """
+
+    def __init__(self, labels: Sequence[str], matrix: np.ndarray) -> None:
+        self.matrix = matrix
+        self.order = sorted(range(len(labels)), key=labels.__getitem__)
+        self.names = [labels[i] for i in self.order]
+
+    def rows(self, spell: Callable[[str], str]) -> Iterator[tuple[str, ...]]:
+        """Each row's cells as ``spell(fmt(value))``, rows and columns in label order."""
+        bits = np.ascontiguousarray(self.matrix, dtype=np.float64).view(np.int64)
+        distinct, codes = np.unique(bits, return_inverse=True)
+        codes = codes.reshape(bits.shape)
+        spelled = [spell(fmt(value)) for value in distinct.view(np.float64).tolist()]
+        order = np.array(self.order, dtype=np.intp)
+        for i in self.order:
+            # One row of Python ints at a time keeps the peak memory of a large table down.
+            yield tuple(map(spelled.__getitem__, codes[i, order].tolist()))
+
+
+def _table(g: WeightedGraph | ConductanceGraph, matrix: np.ndarray) -> Table:
+    return Table([g.label(x) for x in range(g.n)], matrix)
+
+
 @dataclass
 class Report:
     """Structured command output: results tree plus free-form diagnostics."""
@@ -121,10 +154,21 @@ def _json(node: Any, outer: str) -> str:
 
     The standard encoder with ``indent`` runs in pure Python; a flat dict of
     strings (every table row) goes through the C encoder instead, with the
-    line break and indent folded into its item separator.  Report keys are
+    line break and indent folded into its item separator.  A :class:`Table`
+    is spelled out row by row from its distinct values.  Report keys are
     strings.
     """
     inner = outer + "  "
+    if isinstance(node, Table):
+        if not node.names:
+            return "{}"
+        cell = inner + "  "
+        keys = [encode_basestring_ascii(name) + ": " for name in node.names]
+        # One %-template holds every row's keys and separators; a label's own % is doubled.
+        row = "{" + cell + ("," + cell).join(key.replace("%", "%%") + "%s" for key in keys)
+        row += inner + "}"
+        rows = [key + row % values for key, values in zip(keys, node.rows(encode_basestring_ascii))]
+        return "{" + inner + ("," + inner).join(rows) + outer + "}"
     if isinstance(node, dict) and node:
         if all(isinstance(value, str) for value in node.values()):
             flat = json.dumps(node, sort_keys=True, separators=("," + inner, ": "))
@@ -140,8 +184,15 @@ def _json(node: Any, outer: str) -> str:
 
 
 def _render(prefix: str, node: Any) -> list[str]:
-    if isinstance(node, dict):
+    if isinstance(node, Table):
         lines: list[str] = []
+        columns = [f".{name}: " for name in node.names]
+        for name, values in zip(node.names, node.rows(str)):
+            head = f"{prefix}.{name}" if prefix else name
+            lines.extend([head + column + value for column, value in zip(columns, values)])
+        return lines
+    if isinstance(node, dict):
+        lines = []
         for key in sorted(node):
             child = f"{prefix}.{key}" if prefix else str(key)
             lines.extend(_render(child, node[key]))
@@ -162,6 +213,10 @@ def _load(path: str, mode: str) -> WeightedGraph | ConductanceGraph:
             text = handle.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(
+            f"cannot read {path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+        ) from exc
     return parse_graph(text, mode=mode)
 
 
@@ -193,15 +248,6 @@ def _conductance_graph(args: argparse.Namespace) -> ConductanceGraph:
     return g
 
 
-def _matrix_tree(labels_of, n: int, matrix) -> dict[str, dict[str, Any]]:
-    names = [labels_of(x) for x in range(n)]
-    # One row of Python floats at a time keeps the peak memory of a large table down.
-    return {
-        name: {other: fmt(value) for other, value in zip(names, row.tolist())}
-        for name, row in zip(names, matrix)
-    }
-
-
 def _path_text(g, p) -> str:
     return " -> ".join(g.label(v) for v in p)
 
@@ -211,7 +257,7 @@ def cmd_metric(args: argparse.Namespace) -> Report:
     report = Report("metric", graph_digest(g))
     if args.all_pairs:
         t = all_pairs_metric(g)
-        report.results["table"] = _matrix_tree(g.label, g.n, t.d)
+        report.results["table"] = _table(g, t.d)
         if args.oracle:
             exact = {}
             for x in range(g.n):
@@ -259,7 +305,7 @@ def cmd_geodesic_weight(args: argparse.Namespace) -> Report:
         raise InternalInvariantError(
             "geodesic weight failed to generate or dominate; this is a bug"
         )
-    report.results["geodesic_weight"] = _matrix_tree(g.label, g.n, maximality.weight.table)
+    report.results["geodesic_weight"] = _table(g, maximality.weight.table)
     report.results["generates"] = maximality.generates
     report.results["dominates"] = maximality.dominates
     report.results["witnesses"] = [
@@ -278,7 +324,7 @@ def cmd_resistance(args: argparse.Namespace) -> Report:
             raise InternalInvariantError(
                 "resistance matrix violates the metric axioms: " + "; ".join(problems)
             )
-        report.results["resistance"] = _matrix_tree(b.label, b.n, table.d)
+        report.results["resistance"] = _table(b, table.d)
         if args.oracle:
             exact = {}
             for x in range(b.n):
@@ -409,7 +455,9 @@ def cmd_family(args: argparse.Namespace) -> Report:
     return report
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process (parsing leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="graphmetry",
         description="Path metrics, geodesic weights, and resistance metrics "

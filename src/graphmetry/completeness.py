@@ -162,6 +162,8 @@ def family_ball_scan(
     thr = budget if threshold is None else threshold
     if thr < 1:
         raise InvalidArgument("threshold must be positive")
+    if not radius >= 0:  # also rejects NaN
+        raise InvalidArgument(f"radius must be nonnegative, got {radius}")
     vertices, g = fam.truncate(budget)
     try:
         src = vertices.index(center)
@@ -192,6 +194,8 @@ def family_elf_scan(
     thr = budget if threshold is None else threshold
     if thr < 1:
         raise InvalidArgument("threshold must be positive")
+    if not radius >= 0:  # also rejects NaN
+        raise InvalidArgument(f"radius must be nonnegative, got {radius}")
     count = 0
     seen = 0
     for y in fam.stream():

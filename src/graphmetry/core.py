@@ -357,6 +357,9 @@ def parse_graph(text: str, mode: str = "weight") -> Graph:
 
     entries: dict[tuple[int, int], float] = {}
     exact: dict[tuple[int, int], Fraction] = {}
+    # One parse (and one Fraction) per distinct value token; a bad token is
+    # never stored, so it fails on its own line.
+    parsed: dict[str, tuple[float, Fraction | None]] = {}
     for line_no, raw_line in enumerate(text.splitlines(), 1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
@@ -368,7 +371,10 @@ def parse_graph(text: str, mode: str = "weight") -> Graph:
         if len(tokens) != 3:
             raise ParseError(f"line {line_no}: expected '<label> <label> <value>', got {raw_line!r}")
         u, v = vid(tokens[0]), vid(tokens[1])
-        value, frac = _parse_value(tokens[2], line_no)
+        value_frac = parsed.get(tokens[2])
+        if value_frac is None:
+            value_frac = parsed[tokens[2]] = _parse_value(tokens[2], line_no)
+        value, frac = value_frac
         if u == v:
             if mode == "conductance":
                 raise DiagonalError(f"line {line_no}: self-loop on {tokens[0]!r}")

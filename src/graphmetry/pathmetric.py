@@ -343,17 +343,26 @@ def geodesic_weight(
     A strictly-between z (d(x,z) + d(z,y) = d(x,y), z distinct from both)
     witnesses a second geodesic through z, so the direct pair is no longer
     the unique one.  Betweenness is decided within relative tolerance
-    ``tol``.  Raises InvalidMetric when the input violates the triangle
+    ``tol``.  Raises InvalidMetric when a bare table violates the triangle
     inequality.
 
     ``graph`` must satisfy ``t == all_pairs_metric(graph)``.  Only its
     tight edges (stored weight equal to d bitwise) are then tested: the
     closure lowered every other finite pair through some k outside the pair
     with fl(d[x,k] + d[k,y]) = d[x,y] at the fixpoint, so k is between and
-    the result equals the full scan bit for bit.  Without ``graph`` every
-    pair is scanned.
+    the result equals the full scan bit for bit.  Such a table also skips
+    the O(n**3) triangle gate, which cannot fire on it: a full sweep left
+    every entry unchanged, so d[x,z] <= fl(d[x,y] + d[y,z]) holds exactly
+    for every y, and adding the nonnegative slack cannot lower that sum
+    (rounding is monotone; the table holds no NaN, or the closure would
+    not have stopped).  Without ``graph`` every pair is scanned.
     """
     n, d = t.n, t.d
+    out = np.full((n, n), INFINITY)
+    np.fill_diagonal(out, 0.0)
+    if graph is not None:
+        _tight_edge_weight(d, tol, graph, out)
+        return GeodesicWeight(n, out, t.labels)
     viol = _triangle_violation(d, tol)
     if viol is not None:
         x, y, z = viol
@@ -361,11 +370,6 @@ def geodesic_weight(
             f"d({t.label(x)}, {t.label(z)}) > d({t.label(x)}, {t.label(y)}) "
             f"+ d({t.label(y)}, {t.label(z)})"
         )
-    out = np.full((n, n), INFINITY)
-    np.fill_diagonal(out, 0.0)
-    if graph is not None:
-        _tight_edge_weight(d, tol, graph, out)
-        return GeodesicWeight(n, out, t.labels)
     for x in range(n):
         row = d[x]
         sums = row[:, None] + d  # sums[z, y] = d(x,z) + d(z,y)

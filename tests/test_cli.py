@@ -1,12 +1,13 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
 from graphmetry import MetricTable
-from graphmetry.cli import Report, main
+from graphmetry.cli import Report, Table, _render, build_parser, fmt, main
 from graphmetry.completeness import MaximalWeightReport
 
 P3 = "a b 1\nb c 1\n"
@@ -448,3 +449,82 @@ def test_to_json_matches_the_indented_encoder(results, diagnostics):
     report = Report("cmd", "in\u00ff", results, diagnostics)
     doc = {"command": "cmd", "input": "in\u00ff", "results": results, "diagnostics": diagnostics}
     assert report.to_json() == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def test_non_utf8_file_is_input_error(tmp_path, capsys):
+    path = tmp_path / "latin.edges"
+    path.write_bytes(b"a b \xff\xfe1\n")
+    code, out, err = run(capsys, "metric", str(path), "--all-pairs")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "UTF-8" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("scan", ["ball", "elf"])
+@pytest.mark.parametrize("radius", ["nan", "-1", "-inf"])
+def test_nan_or_negative_radius_is_input_error(capsys, scan, radius):
+    code, out, err = run(capsys, "family", "unit-ray", "--mode", scan, f"--radius={radius}")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "radius" in err
+
+
+def test_parser_is_built_once_and_reused(graph_file, capsys):
+    path = graph_file(C4)
+    commands = [
+        ["metric", path, "--all-pairs"],
+        ["geodesic-weight", path, "--json"],
+        ["metric"],  # argparse rejects it: SystemExit in between
+        ["resistance", path, "--matrix"],
+        ["family", "unit-star", "--radius", "2", "--json"],
+        ["resistance", path, "--pair", "a", "c", "--json"],
+        ["geodesics", path, "--source", "a", "--target", "c"],
+        ["metric", path, "--source", "a", "--target", "c", "--json"],
+    ]
+
+    def outcome(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    assert build_parser() is build_parser()
+    reused = [outcome(argv) for argv in commands]
+    fresh = []
+    for argv in commands:
+        build_parser.cache_clear()
+        fresh.append(outcome(argv))
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [0, 0, 2, 0, 0, 0, 0, 0]
+
+
+def spelled(labels, matrix) -> dict:
+    """The dict of dicts a Table stands for, built cell by cell."""
+    return {
+        name: {other: fmt(value) for other, value in zip(labels, row.tolist())}
+        for name, row in zip(labels, matrix)
+    }
+
+
+RENDER_TABLES = [
+    (["a"], [[0.0]]),
+    ([], np.empty((0, 0))),
+    (["x", "y", "z"], [[0.0, -0.0, math.nan], [-0.0, math.inf, -math.inf], [math.nan, 1 / 3, 1e-300]]),
+    ([str(i) for i in (9, 10, 2, 100, 1)], np.arange(25.0).reshape(5, 5) / 7),
+    (["c", "b", "a"], np.asfortranarray(np.arange(9.0).reshape(3, 3))),
+    (["é", '"q"', "back\\slash", "☃", "plain", "50%", "%s", "%%d"], np.full((8, 8), 2.5) - np.eye(8) * 2.5),
+]
+
+
+@pytest.mark.parametrize("labels, matrix", RENDER_TABLES)
+def test_table_renders_as_its_dict_of_dicts(labels, matrix):
+    matrix = np.asarray(matrix, dtype=float)
+    table = Table(labels, matrix)
+    cells = spelled(labels, matrix)
+    report = Report("cmd", "in", {"table": table, "after": "1", "before": {"k": True}}, ["note"])
+    reference = Report("cmd", "in", {"table": cells, "after": "1", "before": {"k": True}}, ["note"])
+    doc = {"command": "cmd", "input": "in", "results": reference.results, "diagnostics": ["note"]}
+    assert report.to_json() == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    assert report.to_text() == reference.to_text()
+    for prefix in ("", "top"):
+        assert _render(prefix, table) == _render(prefix, cells)

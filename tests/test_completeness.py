@@ -16,6 +16,7 @@ from graphmetry import (
     UNIT_STAR,
     DuplicatePath,
     EmptyInput,
+    InvalidArgument,
     MixedStart,
     Path,
     TooLarge,
@@ -347,3 +348,17 @@ def test_extract_common_prefix_on_a_deep_path():
     assert out.path.vertices == tuple(range(n - 1))
     assert out.multiplicities == [2] * (n - 1)
     assert out.length == n - 2
+
+
+@pytest.mark.parametrize("scan", [family_ball_scan, family_elf_scan])
+@pytest.mark.parametrize("radius", [math.nan, -1.0, -INFINITY])
+def test_scans_reject_a_nan_or_negative_radius(scan, radius):
+    with pytest.raises(InvalidArgument, match="radius"):
+        scan(UNIT_RAY, 0, radius, 10)
+
+
+def test_scans_accept_zero_and_infinite_radius():
+    assert family_ball_scan(UNIT_RAY, 0, 0.0, 10).found == 1
+    assert family_ball_scan(UNIT_RAY, 0, INFINITY, 10).found == 10
+    assert family_elf_scan(UNIT_RAY, 0, 0.0, 10).count == 0
+    assert family_elf_scan(UNIT_RAY, 0, INFINITY, 10).count == 1

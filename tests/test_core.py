@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from graphmetry import (
     AsymmetryError,
     ConductanceGraph,
     DiagonalError,
+    InputError,
     NegativeWeightError,
     ParseError,
     Path,
@@ -272,3 +274,32 @@ def test_resolve_on_labelled_graphs_reads_strings_as_labels_only():
         g.resolve("1")
     b = ConductanceGraph(3, {(0, 1): 1.0})
     assert b.resolve("2") == 2
+
+
+def test_parse_graph_reads_each_distinct_token_once_and_exactly():
+    tokens = ["0.1", "2", "1e-3", "0.1", "7.25", "2", "0.1", "inf", "1E-3"]
+    text = "".join(f"v{i} v{i + 1} {token}\n" for i, token in enumerate(tokens))
+    g = parse_graph(text)
+    for i, token in enumerate(tokens):
+        key = (i, i + 1)
+        if token == "inf":
+            assert key not in g.exact and math.isinf(g.weight(*key))
+        else:
+            assert g.exact[key] == Fraction(token)
+            assert g.weight(*key) == float(token)
+    # One object per distinct token.
+    assert g.exact[(0, 1)] is g.exact[(3, 4)] is g.exact[(6, 7)]
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("a b 0.5\nb c 0.5\nc d 0.5x\n", 3),
+        ("a b 1\nb c x\nc d x\n", 2),
+        ("a b 2\nb c 2\nc d 2\nd e -2\n", 4),
+        ("a b 3\nb c 3\nc d 1e999\n", 3),
+    ],
+)
+def test_parse_graph_reports_a_bad_token_on_its_own_line(text, line):
+    with pytest.raises(InputError, match=f"^line {line}:"):
+        parse_graph(text)

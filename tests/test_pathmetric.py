@@ -8,6 +8,7 @@ import pytest
 
 from graphmetry import (
     INFINITY,
+    TAU_EQ,
     TAU_GEO,
     GeodesicSet,
     InvalidMetric,
@@ -29,7 +30,8 @@ from graphmetry import (
 )
 from graphmetry.core import weights_close_array
 from graphmetry.oracle import brute_metric_from, enumerate_simple_paths, exact_path_length
-from graphmetry.pathmetric import _integral_weights, _one_sweep_metric
+from graphmetry import pathmetric
+from graphmetry.pathmetric import _integral_weights, _one_sweep_metric, _triangle_violation
 from .suites import random_sparse_weighted_graph, random_weighted_graph
 
 
@@ -271,6 +273,27 @@ def test_geodesic_weight_drops_a_tight_edge_with_a_vertex_between():
     w = geodesic_weight(t, graph=g)
     assert math.isinf(w.weight(0, 2)) and w.weight(0, 1) == 1.0
     assert np.array_equal(w.table, geodesic_weight(t).table)
+
+
+def test_triangle_gate_cannot_fire_on_a_fixpoint_table():
+    # Why geodesic_weight(t, graph=g) may skip the gate: at the closure's
+    # fixpoint d[x,z] <= fl(d[x,y] + d[y,z]) holds exactly.
+    for g in tight_edge_sweep():
+        assert _triangle_violation(all_pairs_metric(g).d, TAU_EQ) is None
+
+
+def test_triangle_gate_runs_on_bare_tables_only(monkeypatch):
+    calls = []
+
+    def counted(d, tol):
+        calls.append(tol)
+        return _triangle_violation(d, tol)
+
+    monkeypatch.setattr(pathmetric, "_triangle_violation", counted)
+    g = random_sparse_weighted_graph(random.Random(5), 30, parts=2)
+    t = all_pairs_metric(g)
+    assert np.array_equal(geodesic_weight(t, graph=g).table, geodesic_weight(t).table)
+    assert calls == [TAU_EQ]
 
 
 def test_one_sweep_metric_is_the_fixpoint_up_to_rounding():
