@@ -30,9 +30,11 @@ from . import oracle
 from .completeness import FAMILIES, family_ball_scan, family_elf_scan, verify_maximal_weight
 from .core import (
     ConductanceGraph,
+    Graph,
     WeightedGraph,
     graph_digest,
     parse_graph,
+    validate,
 )
 from .errors import (
     Disconnected,
@@ -118,7 +120,7 @@ class Table:
             yield tuple(map(spelled.__getitem__, codes[i, order].tolist()))
 
 
-def _table(g: WeightedGraph | ConductanceGraph, matrix: np.ndarray) -> Table:
+def _table(g: Graph, matrix: np.ndarray) -> Table:
     return Table([g.label(x) for x in range(g.n)], matrix)
 
 
@@ -207,7 +209,7 @@ def _render(prefix: str, node: Any) -> list[str]:
     return [f"{prefix}: {node}"]
 
 
-def _load(path: str, mode: str) -> WeightedGraph | ConductanceGraph:
+def _load(path: str, mode: str) -> Graph:
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
@@ -237,15 +239,35 @@ def _conductance_graph(args: argparse.Namespace) -> ConductanceGraph:
     """Load the file for a resistance-flavored command.
 
     Conductance mode reads values as conductances; weight mode takes b = 1/w
-    on finite-weight pairs (the inverse of the lift above).
+    on finite-weight pairs (the inverse of the lift above), which must pass
+    the checks a parsed conductance graph passes.
     """
     mode = args.mode or "conductance"
     g = _load(args.file, mode)
     if isinstance(g, WeightedGraph):
-        b = {(u, v): 1.0 / w for (u, v), w in g.weights.items() if u != v and w > 0}
-        exact = {key: 1 / g.exact[key] for key in b if key in g.exact}
-        return ConductanceGraph(g.n, b, g.labels, exact)
+        g = g.reciprocal(ConductanceGraph)
+        problems = validate(g)
+        if problems:
+            raise InputError("as conductances 1/w: " + "; ".join(problems))
     return g
+
+
+def _exact_text(q: Fraction | None) -> str:
+    """An exact oracle value: ``p/q``, or ``inf`` for None."""
+    return fmt(q) if q is not None else "inf"
+
+
+def _oracle_fields(value: float, exact: Fraction | None) -> dict[str, str]:
+    """The exact value and its distance from the float one: 0 when both are
+    infinite, inf when one is or when the exact value is beyond float range."""
+    if exact is None:
+        discrepancy = 0.0 if math.isinf(value) else math.inf
+    else:
+        try:
+            discrepancy = abs(value - float(exact))
+        except OverflowError:
+            discrepancy = math.inf
+    return {"oracle": _exact_text(exact), "discrepancy": fmt(discrepancy)}
 
 
 def _path_text(g, p) -> str:
@@ -259,14 +281,11 @@ def cmd_metric(args: argparse.Namespace) -> Report:
         t = all_pairs_metric(g)
         report.results["table"] = _table(g, t.d)
         if args.oracle:
-            exact = {}
-            for x in range(g.n):
-                row = oracle.brute_metric_from(g, x)
-                exact[g.label(x)] = {
-                    g.label(y): fmt(row[y]) if row[y] is not None else "inf"
-                    for y in range(g.n)
-                }
-            report.results["oracle"] = exact
+            labels = [g.label(y) for y in range(g.n)]
+            report.results["oracle"] = {
+                labels[x]: dict(zip(labels, map(_exact_text, oracle.brute_metric_from(g, x))))
+                for x in range(g.n)
+            }
         return report
     if args.source is None or args.target is None:
         raise InputError("metric needs --source and --target, or --all-pairs")
@@ -274,13 +293,7 @@ def cmd_metric(args: argparse.Namespace) -> Report:
     d = path_metric(g, x, y)
     report.results["distance"] = fmt(d)
     if args.oracle:
-        exact = oracle.brute_metric_from(g, x)[y]
-        report.results["oracle"] = fmt(exact) if exact is not None else "inf"
-        if exact is None:
-            discrepancy = 0.0 if math.isinf(d) else math.inf
-        else:
-            discrepancy = abs(d - float(exact))
-        report.results["discrepancy"] = fmt(discrepancy)
+        report.results.update(_oracle_fields(d, oracle.brute_metric_from(g, x)[y]))
     return report
 
 
@@ -326,17 +339,14 @@ def cmd_resistance(args: argparse.Namespace) -> Report:
             )
         report.results["resistance"] = _table(b, table.d)
         if args.oracle:
-            exact = {}
-            for x in range(b.n):
-                row = {}
-                for y in range(b.n):
-                    if x == y:
-                        row[b.label(y)] = "0/1"
-                    else:
-                        frac = oracle.spanning_tree_resistance(b, x, y)
-                        row[b.label(y)] = fmt(frac) if frac is not None else "inf"
-                exact[b.label(x)] = row
-            report.results["oracle"] = exact
+            report.results["oracle"] = {
+                b.label(x): {
+                    b.label(y): _exact_text(oracle.spanning_tree_resistance(b, x, y))
+                    if x != y else "0/1"
+                    for y in range(b.n)
+                }
+                for x in range(b.n)
+            }
         return report
     if not args.pair:
         raise InputError("resistance needs --pair X Y or --matrix")
@@ -344,13 +354,7 @@ def cmd_resistance(args: argparse.Namespace) -> Report:
     value = effective_resistance(b, x, y)
     report.results["resistance"] = fmt(value)
     if args.oracle:
-        exact = oracle.spanning_tree_resistance(b, x, y)
-        report.results["oracle"] = fmt(exact) if exact is not None else "inf"
-        if exact is None:
-            discrepancy = 0.0 if math.isinf(value) else math.inf
-        else:
-            discrepancy = abs(value - float(exact)) if math.isfinite(value) else math.inf
-        report.results["discrepancy"] = fmt(discrepancy)
+        report.results.update(_oracle_fields(value, oracle.spanning_tree_resistance(b, x, y)))
     if args.maximizer:
         f = harmonic_maximizer(b, x, y)
         residual = max(

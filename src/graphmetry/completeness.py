@@ -376,35 +376,19 @@ def _subgraph(g: WeightedGraph, vertices: list[int]) -> WeightedGraph:
         for (u, v), w in g.weights.items()
         if u in index and v in index
     }
-    labels = tuple(g.label(v) for v in vertices) if g.labels is not None else None
-    sub = WeightedGraph(len(vertices), weights, labels)
-    sub.exact = {
+    exact = {
         (index[u], index[v]): q
         for (u, v), q in g.exact.items()
         if u in index and v in index
     }
-    return sub
+    labels = tuple(g.label(v) for v in vertices) if g.labels is not None else None
+    return WeightedGraph(len(vertices), weights, labels, exact)
 
 
 def metric_components(g: WeightedGraph) -> list[list[int]]:
-    """Vertex classes of the finite-distance equivalence, smallest id first."""
-    comp = [-1] * g.n
-    order: list[list[int]] = []
-    for s in range(g.n):
-        if comp[s] >= 0:
-            continue
-        members = [s]
-        comp[s] = s
-        queue = [s]
-        while queue:
-            u = queue.pop()
-            for v, w in g.neighbors(u):
-                if comp[v] < 0 and math.isfinite(w):
-                    comp[v] = s
-                    members.append(v)
-                    queue.append(v)
-        order.append(sorted(members))
-    return order
+    """Finite-distance classes, smallest id first; a NaN or -inf weight joins nothing."""
+    finite = {key: w for key, w in g.weights.items() if math.isfinite(w)}
+    return (WeightedGraph(g.n, finite) if len(finite) < len(g.weights) else g).components()
 
 
 def finite_equivalence_report(g: WeightedGraph) -> EquivalenceReport:

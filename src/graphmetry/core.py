@@ -1,7 +1,7 @@
 """Core graph types, edge-list parsing, validation, and canonical serialization.
 
-The toolkit works with two views of a finite simple graph over vertices
-``0 .. n-1``:
+The toolkit works with two readings of one structure, a :class:`Graph`:
+a finite vertex set ``0 .. n-1`` with a stored value per vertex pair.
 
 * :class:`WeightedGraph` carries a symmetric weight in ``[0, inf]`` per
   vertex pair; an absent entry means ``inf`` (no finite connection).
@@ -16,8 +16,10 @@ addition for free.  Exact rational shadows of parsed decimal values are
 kept alongside the float pipeline so the brute-force oracles never
 inherit rounding error.
 
-Both graph classes are immutable after construction and safe to read from
-any number of concurrent workers.
+The base class holds what the two share: neighbour lists, breadth-first
+reach and components, label resolution, and the reciprocal 1/x that turns
+one reading into the other.  Both graph classes are immutable after
+construction and safe to read from any number of concurrent workers.
 """
 
 from __future__ import annotations
@@ -26,13 +28,14 @@ import hashlib
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, TypeVar
 
 import numpy as np
 
 from .errors import (
     AsymmetryError,
     DiagonalError,
+    InputError,
     NegativeWeightError,
     ParseError,
     UnknownVertex,
@@ -109,19 +112,15 @@ class Path:
         return zip(self.vertices[:-1], self.vertices[1:])
 
 
-def _check_ids(n: int, entries: Iterable[tuple[int, int]]) -> None:
-    for u, v in entries:
-        if not (0 <= u < n and 0 <= v < n):
-            raise UnknownVertex(f"vertex pair ({u}, {v}) out of range for {n} vertices")
-
-
 def _canonical_map(
     n: int,
     raw: Mapping[tuple[int, int], float],
     drop_value: float,
 ) -> dict[tuple[int, int], float]:
     """Normalize pair keys, merge symmetric duplicates, drop default entries."""
-    _check_ids(n, raw.keys())
+    for u, v in raw:
+        if not (0 <= u < n and 0 <= v < n):
+            raise UnknownVertex(f"vertex pair ({u}, {v}) out of range for {n} vertices")
     out: dict[tuple[int, int], float] = {}
     for (u, v), value in raw.items():
         value = float(value)
@@ -131,34 +130,148 @@ def _canonical_map(
                 f"conflicting values for pair {key}: {out[key]} vs {value}"
             )
         out[key] = value
-    if not math.isnan(drop_value):
-        out = {k: w for k, w in out.items() if w != drop_value or k[0] == k[1]}
-    return dict(sorted(out.items()))
+    return dict(sorted((k, w) for k, w in out.items() if w != drop_value or k[0] == k[1]))
 
 
-def _resolve(g: "Graph", token: str | int) -> int:
-    """Vertex id of a label or index token.
+class Graph:
+    """Finite vertex set ``0 .. n-1`` with one stored value per unordered pair.
 
-    An ``int`` is always an index.  A string is a label on a labelled graph
-    and nothing else, so on the labelled graph ``a b 1 / b c 1`` the token
-    ``"2"`` is unknown rather than vertex ``c``; only an unlabelled graph
-    reads a numeric string as an index.
+    The two subclasses read the same structure two ways: a
+    :class:`WeightedGraph` value is a length (absent pair: ``INFINITY``), a
+    :class:`ConductanceGraph` value a conductance (absent pair: 0).  Each
+    names its stored pairs (``weights``, ``b``) and keeps them, like
+    ``exact``, under canonical ``(min, max)`` keys.
     """
-    if isinstance(token, int):
-        g._check_vertex(token)
-        return token
-    if g.labels is not None:
-        if token in g.labels:
-            return g.labels.index(token)
-    elif token.lstrip("-").isdigit():
-        u = int(token)
-        g._check_vertex(u)
-        return u
-    raise UnknownVertex(f"unknown vertex {token!r}")
+
+    n: int
+    labels: tuple[str, ...] | None
+    exact: dict[tuple[int, int], Fraction]
+    _absent: float  # the value of a pair with no stored entry
+    _pairs: dict[tuple[int, int], float]  # the subclass's stored pairs
+    _adj: list[list[tuple[int, float]]] | None
+
+    def _store(self, raw: Mapping[tuple[int, int], float]) -> dict[tuple[int, int], float]:
+        """Check n and the labels, normalize the pairs and ``exact``; return the pairs."""
+        if self.n < 0:
+            raise ValueError("vertex count must be nonnegative")
+        if self.labels is not None and len(self.labels) != self.n:
+            raise ValueError("label table size must equal the vertex count")
+        self._pairs = _canonical_map(self.n, raw, drop_value=self._absent)
+        self.exact = {edge_key(u, v): q for (u, v), q in self.exact.items()}
+        self._adj = None
+        return self._pairs
+
+    def _value(self, u: int, v: int) -> float:
+        """The value of pair (u, v): zero on the diagonal, ``_absent`` when none is stored."""
+        if u == v:
+            self._check_vertex(u)
+            return 0.0
+        self._check_vertex(u)
+        self._check_vertex(v)
+        # edge_key inlined: weight and conductance sit in hot loops
+        return self._pairs.get((u, v) if u <= v else (v, u), self._absent)
+
+    def neighbors(self, u: int) -> list[tuple[int, float]]:
+        """Stored partners of ``u`` with their values, in ascending vertex order."""
+        if self._adj is None:
+            adj: list[list[tuple[int, float]]] = [[] for _ in range(self.n)]
+            for (a, c), w in self._pairs.items():
+                if a == c:
+                    continue
+                adj[a].append((c, w))
+                adj[c].append((a, w))
+            for lst in adj:
+                lst.sort()
+            self._adj = adj
+        self._check_vertex(u)
+        return self._adj[u]
+
+    def reach(self, start: int, banned: int | None = None) -> dict[int, int]:
+        """Breadth-first search from ``start`` in the graph minus ``banned``.
+
+        Returns each reached vertex's parent (``start`` is its own), keyed in
+        visiting order; neighbours are visited in ascending order.  Every
+        stored pair is an edge, whatever its value.
+        """
+        parent = {start: start}
+        queue = [start]
+        for u in queue:  # the list grows as it is read: first in, first out
+            for v, _ in self.neighbors(u):
+                if v != banned and v not in parent:
+                    parent[v] = u
+                    queue.append(v)
+        return parent
+
+    def components(self) -> list[list[int]]:
+        """Connected components, each sorted, ordered by least vertex."""
+        out: list[list[int]] = []
+        seen: set[int] = set()
+        for s in range(self.n):
+            if s not in seen:
+                out.append(sorted(self.reach(s)))
+                seen.update(out[-1])
+        return out
+
+    def reciprocal(self, kind: type[G]) -> G:
+        """A ``kind`` graph with value 1/x on every stored pair x of this one.
+
+        Lifts a conductance to its length 1/b and back; exact shadows carry
+        over as exact reciprocals.  Raises InputError when a reciprocal is
+        outside float range (a subnormal value overflows 1/x).
+        """
+        values = {key: 1.0 / x for key, x in self._pairs.items() if key[0] != key[1]}
+        for (u, v), y in values.items():
+            if not math.isfinite(y):
+                raise InputError(
+                    f"1/{self._pairs[u, v]!r} on ({self.label(u)}, {self.label(v)}) "
+                    "is outside float range"
+                )
+        exact = {key: 1 / self.exact[key] for key in values if key in self.exact}
+        return kind(self.n, values, self.labels, exact)
+
+    def label(self, u: int) -> str:
+        self._check_vertex(u)
+        return self.labels[u] if self.labels is not None else str(u)
+
+    def resolve(self, token: str | int) -> int:
+        """Vertex id of a label or index token.
+
+        An ``int`` is always an index.  A string is a label on a labelled
+        graph and nothing else, so on the labelled graph ``a b 1 / b c 1``
+        the token ``"2"`` is unknown rather than vertex ``c``; only an
+        unlabelled graph reads a numeric string as an index.
+        """
+        if isinstance(token, int):
+            self._check_vertex(token)
+            return token
+        if self.labels is not None:
+            if token in self.labels:
+                return self.labels.index(token)
+        elif token.lstrip("-").isdigit():
+            u = int(token)
+            self._check_vertex(u)
+            return u
+        raise UnknownVertex(f"unknown vertex {token!r}")
+
+    def _check_vertex(self, u: int) -> None:
+        if not (0 <= u < self.n):
+            raise UnknownVertex(f"vertex {u} out of range for {self.n} vertices")
+
+    @classmethod
+    def of(
+        cls: type[G],
+        n: int,
+        edges: Iterable[tuple[int, int, float]],
+        labels: tuple[str, ...] | None = None,
+    ) -> G:
+        return cls(n, {(u, v): w for u, v, w in edges}, labels)
+
+
+G = TypeVar("G", bound=Graph)
 
 
 @dataclass
-class WeightedGraph:
+class WeightedGraph(Graph):
     """Finite vertex set with a symmetric extended weight per pair.
 
     ``weights`` holds finite entries under canonical ``(min, max)`` keys;
@@ -173,66 +286,16 @@ class WeightedGraph:
     exact: dict[tuple[int, int], Fraction] = field(
         default_factory=dict, compare=False, repr=False
     )
-    _adj: list[list[tuple[int, float]]] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    _absent = INFINITY
 
     def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError("vertex count must be nonnegative")
-        if self.labels is not None and len(self.labels) != self.n:
-            raise ValueError("label table size must equal the vertex count")
-        self.weights = _canonical_map(self.n, self.weights, drop_value=INFINITY)
-        self.exact = {edge_key(u, v): q for (u, v), q in self.exact.items()}
+        self.weights = self._store(self.weights)
 
-    def weight(self, u: int, v: int) -> float:
-        """w(u, v): zero on the diagonal, INFINITY when no entry is stored."""
-        if u == v:
-            self._check_vertex(u)
-            return 0.0
-        self._check_vertex(u)
-        self._check_vertex(v)
-        return self.weights.get(edge_key(u, v), INFINITY)
-
-    def neighbors(self, u: int) -> list[tuple[int, float]]:
-        """Stored finite-weight partners of ``u`` in ascending vertex order."""
-        if self._adj is None:
-            adj: list[list[tuple[int, float]]] = [[] for _ in range(self.n)]
-            for (a, b), w in self.weights.items():
-                if a == b:
-                    continue
-                adj[a].append((b, w))
-                adj[b].append((a, w))
-            for lst in adj:
-                lst.sort()
-            self._adj = adj
-        self._check_vertex(u)
-        return self._adj[u]
-
-    def label(self, u: int) -> str:
-        self._check_vertex(u)
-        return self.labels[u] if self.labels is not None else str(u)
-
-    def resolve(self, token: str | int) -> int:
-        """Map a label (or, on an unlabelled graph, a numeric index) to a vertex id."""
-        return _resolve(self, token)
-
-    def _check_vertex(self, u: int) -> None:
-        if not (0 <= u < self.n):
-            raise UnknownVertex(f"vertex {u} out of range for {self.n} vertices")
-
-    @classmethod
-    def of(
-        cls,
-        n: int,
-        edges: Iterable[tuple[int, int, float]],
-        labels: tuple[str, ...] | None = None,
-    ) -> "WeightedGraph":
-        return cls(n, {(u, v): w for u, v, w in edges}, labels)
+    weight = Graph._value  # w(u, v): zero on the diagonal, INFINITY when no entry is stored
 
 
 @dataclass
-class ConductanceGraph:
+class ConductanceGraph(Graph):
     """Finite vertex set with a symmetric nonnegative finite conductance per pair.
 
     ``b`` holds positive entries under canonical keys; an absent pair has
@@ -245,76 +308,25 @@ class ConductanceGraph:
     exact: dict[tuple[int, int], Fraction] = field(
         default_factory=dict, compare=False, repr=False
     )
-    _adj: list[list[tuple[int, float]]] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
     # Components and grounded Cholesky factors, built by the resistance
     # module on first use and shared by every resistance query.
     _grounded: _GroundedSystem | None = field(
         default=None, init=False, repr=False, compare=False
     )
+    _absent = 0.0
 
     def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError("vertex count must be nonnegative")
-        if self.labels is not None and len(self.labels) != self.n:
-            raise ValueError("label table size must equal the vertex count")
-        self.b = _canonical_map(self.n, self.b, drop_value=0.0)
-        self.exact = {edge_key(u, v): q for (u, v), q in self.exact.items()}
+        self.b = self._store(self.b)
 
-    def conductance(self, u: int, v: int) -> float:
-        if u == v:
-            self._check_vertex(u)
-            return 0.0
-        self._check_vertex(u)
-        self._check_vertex(v)
-        return self.b.get(edge_key(u, v), 0.0)
+    conductance = Graph._value  # b(u, v): zero on the diagonal and where no entry is stored
 
     def edges(self) -> list[tuple[int, int, float]]:
         """Positive-conductance edges as (u, v, value), u < v, sorted."""
         return [(u, v, w) for (u, v), w in self.b.items() if u != v]
 
-    def neighbors(self, u: int) -> list[tuple[int, float]]:
-        if self._adj is None:
-            adj: list[list[tuple[int, float]]] = [[] for _ in range(self.n)]
-            for (a, c), w in self.b.items():
-                if a == c:
-                    continue
-                adj[a].append((c, w))
-                adj[c].append((a, w))
-            for lst in adj:
-                lst.sort()
-            self._adj = adj
-        self._check_vertex(u)
-        return self._adj[u]
-
     def degree_sum(self, u: int) -> float:
         """Row sum of conductances about ``u``; finite by construction."""
         return sum(w for _, w in self.neighbors(u))
-
-    def label(self, u: int) -> str:
-        self._check_vertex(u)
-        return self.labels[u] if self.labels is not None else str(u)
-
-    def resolve(self, token: str | int) -> int:
-        """Map a label (or, on an unlabelled graph, a numeric index) to a vertex id."""
-        return _resolve(self, token)
-
-    def _check_vertex(self, u: int) -> None:
-        if not (0 <= u < self.n):
-            raise UnknownVertex(f"vertex {u} out of range for {self.n} vertices")
-
-    @classmethod
-    def of(
-        cls,
-        n: int,
-        edges: Iterable[tuple[int, int, float]],
-        labels: tuple[str, ...] | None = None,
-    ) -> "ConductanceGraph":
-        return cls(n, {(u, v): w for u, v, w in edges}, labels)
-
-
-Graph = WeightedGraph | ConductanceGraph
 
 
 def _parse_value(token: str, line_no: int) -> tuple[float, Fraction | None]:
@@ -402,10 +414,8 @@ def parse_graph(text: str, mode: str = "weight") -> Graph:
 
     labels = tuple(ids)
     n = len(labels)
-    if mode == "weight":
-        graph: Graph = WeightedGraph(n, entries, labels, exact)
-    else:
-        graph = ConductanceGraph(n, entries, labels, exact)
+    kind = WeightedGraph if mode == "weight" else ConductanceGraph
+    graph = kind(n, entries, labels, exact)
     report = validate(graph)
     if report:
         raise ParseError("; ".join(report))
@@ -419,31 +429,24 @@ def validate(g: Graph) -> list[str]:
     users can inspect what is wrong; parsing rejects any diagnosed input.
     """
     report: list[str] = []
-    if isinstance(g, WeightedGraph):
-        for (u, v), w in g.weights.items():
-            pair = f"({g.label(u)}, {g.label(v)})"
-            if u == v:
-                if w != 0.0:
-                    report.append(f"diagonal entry {pair} must be zero, got {w}")
-                continue
-            if math.isnan(w):
-                report.append(f"weight {pair} is NaN")
-            elif w < 0:
-                report.append(f"weight {pair} is negative: {w}")
-            elif w == 0.0:
-                report.append(f"weight {pair} is zero off diagonal")
-    else:
-        for (u, v), w in g.b.items():
-            pair = f"({g.label(u)}, {g.label(v)})"
-            if u == v:
+    weighted = isinstance(g, WeightedGraph)
+    kind = "weight" if weighted else "conductance"
+    for (u, v), w in g._pairs.items():
+        pair = f"({g.label(u)}, {g.label(v)})"
+        if u == v:
+            if not weighted:
                 report.append(f"diagonal conductance {pair} must be absent")
-                continue
-            if math.isnan(w):
-                report.append(f"conductance {pair} is NaN")
-            elif w < 0:
-                report.append(f"conductance {pair} is negative: {w}")
-            elif math.isinf(w):
-                report.append(f"conductance {pair} must be finite")
+            elif w != 0.0:
+                report.append(f"diagonal entry {pair} must be zero, got {w}")
+        elif math.isnan(w):
+            report.append(f"{kind} {pair} is NaN")
+        elif w < 0:
+            report.append(f"{kind} {pair} is negative: {w}")
+        elif w == 0.0:  # only a weight stores a zero, only a conductance an inf
+            report.append(f"weight {pair} is zero off diagonal")
+        elif math.isinf(w):
+            report.append(f"conductance {pair} must be finite")
+    if not weighted:
         for u in range(g.n):
             if math.isinf(g.degree_sum(u)):
                 report.append(f"conductance row sum at {g.label(u)} is not finite")
@@ -458,10 +461,9 @@ def serialize_graph(g: Graph) -> str:
     Values use the shortest round-tripping decimal form, so the exact
     rational shadow survives a serialize/parse cycle.
     """
-    entries = g.weights if isinstance(g, WeightedGraph) else g.b
     lines = []
     touched = set()
-    for (u, v), w in sorted(entries.items()):
+    for (u, v), w in sorted(g._pairs.items()):
         if u == v:
             continue
         lines.append(f"{g.label(u)} {g.label(v)} {repr(w)}")

@@ -24,7 +24,7 @@ import math
 from fractions import Fraction
 from typing import Iterator
 
-from .core import ConductanceGraph, Path, WeightedGraph, edge_key
+from .core import ConductanceGraph, Graph, Path, WeightedGraph, edge_key
 from .errors import NegativeWeightError, SameVertex, TooLarge
 
 PATH_CAP = 12
@@ -33,26 +33,18 @@ TREE_CAP = 8
 ExactWeight = Fraction | None  # None spells +infinity in the exact lane.
 
 
-def exact_weight(g: WeightedGraph, u: int, v: int) -> ExactWeight:
-    """w(u, v) as an exact rational, or None for infinity."""
+def exact_weight(g: Graph, u: int, v: int) -> ExactWeight:
+    """w(u, v) (or b(u, v)) as an exact rational, or None for infinity."""
     if u == v:
         return Fraction(0)
     key = edge_key(u, v)
     if key in g.exact:
         return g.exact[key]
-    w = g.weights.get(key)
-    if w is None or math.isinf(w):
-        return None
-    return Fraction(repr(w))
+    x = g._pairs.get(key, g._absent)
+    return None if math.isinf(x) else Fraction(repr(x))
 
 
-def exact_conductance(g: ConductanceGraph, u: int, v: int) -> Fraction:
-    if u == v:
-        return Fraction(0)
-    key = edge_key(u, v)
-    if key in g.exact:
-        return g.exact[key]
-    return Fraction(repr(g.b.get(key, 0.0)))
+exact_conductance = exact_weight
 
 
 def enumerate_simple_paths(
@@ -268,16 +260,7 @@ def spanning_tree_resistance(g: ConductanceGraph, x: int, y: int) -> ExactWeight
     # The enumerators' cap and message, so --oracle stops at the same sizes.
     if g.n > TREE_CAP:
         raise TooLarge(f"tree enumeration capped at {TREE_CAP} vertices, got {g.n}")
-    members = [x]
-    seen = {x}
-    while members != []:
-        frontier = []
-        for u in members:
-            for v, _ in g.neighbors(u):
-                if v not in seen:
-                    seen.add(v)
-                    frontier.append(v)
-        members = frontier
+    seen = g.reach(x)
     if y not in seen:
         return None
     comp = sorted(seen)

@@ -23,6 +23,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -171,34 +172,10 @@ def path_length(g: WeightedGraph, p: Path) -> float:
     return total
 
 
-def single_source_distances(g: WeightedGraph, x: int) -> np.ndarray:
-    """Dijkstra distances from x; inf-weight pairs are not edges."""
+def _settle(g: WeightedGraph, x: int) -> Iterator[tuple[int, float]]:
+    """Dijkstra from x: each reachable vertex with its distance, in the order
+    they settle; inf-weight pairs are not edges."""
     g._check_vertex(x)
-    dist = np.full(g.n, INFINITY)
-    dist[x] = 0.0
-    heap: list[tuple[float, int]] = [(0.0, x)]
-    done = [False] * g.n
-    while heap:
-        d, u = heapq.heappop(heap)
-        if done[u]:
-            continue
-        done[u] = True
-        for v, w in g.neighbors(u):
-            if done[v] or math.isinf(w):
-                continue
-            nd = d + w
-            if nd < dist[v]:
-                dist[v] = nd
-                heapq.heappush(heap, (nd, v))
-    return dist
-
-
-def path_metric(g: WeightedGraph, x: int, y: int) -> float:
-    """delta_w(x, y) by label-setting search; inf iff no finite-weight route."""
-    g._check_vertex(x)
-    g._check_vertex(y)
-    if x == y:
-        return 0.0
     dist = [INFINITY] * g.n
     dist[x] = 0.0
     heap: list[tuple[float, int]] = [(0.0, x)]
@@ -207,9 +184,8 @@ def path_metric(g: WeightedGraph, x: int, y: int) -> float:
         d, u = heapq.heappop(heap)
         if done[u]:
             continue
-        if u == y:
-            return d
         done[u] = True
+        yield u, d
         for v, w in g.neighbors(u):
             if done[v] or math.isinf(w):
                 continue
@@ -217,6 +193,23 @@ def path_metric(g: WeightedGraph, x: int, y: int) -> float:
             if nd < dist[v]:
                 dist[v] = nd
                 heapq.heappush(heap, (nd, v))
+
+
+def single_source_distances(g: WeightedGraph, x: int) -> np.ndarray:
+    """Dijkstra distances from x; inf-weight pairs are not edges."""
+    dist = np.full(g.n, INFINITY)
+    for u, d in _settle(g, x):
+        dist[u] = d
+    return dist
+
+
+def path_metric(g: WeightedGraph, x: int, y: int) -> float:
+    """delta_w(x, y) by a search that stops when y settles; inf iff no finite-weight route."""
+    g._check_vertex(x)
+    g._check_vertex(y)
+    for u, d in _settle(g, x):
+        if u == y:
+            return d
     return INFINITY
 
 

@@ -26,7 +26,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .core import INFINITY, TAU_EQ, ConductanceGraph
-from .errors import Disconnected, InternalInvariantError, SameVertex, SizeMismatch
+from .errors import Disconnected, InputError, InternalInvariantError, SameVertex, SizeMismatch
 from .pathmetric import MetricTable
 
 
@@ -119,27 +119,13 @@ class _GroundedSystem:
     """
 
     def __init__(self, b: ConductanceGraph) -> None:
-        label = [-1] * b.n
+        label = [0] * b.n
         position = [0] * b.n
-        members: list[np.ndarray] = []
-        for s in range(b.n):
-            if label[s] >= 0:
-                continue
-            found = [s]
-            label[s] = len(members)
-            queue = [s]
-            while queue:
-                u = queue.pop()
-                for v, _ in b.neighbors(u):
-                    if label[v] < 0:
-                        label[v] = label[s]
-                        found.append(v)
-                        queue.append(v)
-            found.sort()
-            for i, v in enumerate(found):
-                position[v] = i
-            members.append(np.array(found, dtype=np.intp))
-        self.members = members
+        members = b.components()
+        for i, comp in enumerate(members):
+            for j, v in enumerate(comp):
+                label[v], position[v] = i, j
+        self.members = [np.array(comp, dtype=np.intp) for comp in members]
         self.label = label
         self.position = position
         # Edge arrays in edges() order, grouped by component with a stable
@@ -212,7 +198,8 @@ def _dipole_potential(b: ConductanceGraph, x: int, y: int) -> np.ndarray | None:
 
     Returns None when x and y are not connected.  One solve against the
     cached factor with right-hand side e_x - e_y; every potential lies in
-    [f(y), f(x)], so the shift to f(y) = 0 cancels nothing.
+    [f(y), f(x)], so the shift to f(y) = 0 cancels nothing.  Raises
+    InputError when a potential is outside float range.
     """
     system = _grounded(b)
     i = system.label[x]
@@ -223,10 +210,18 @@ def _dipole_potential(b: ConductanceGraph, x: int, y: int) -> np.ndarray | None:
     rhs[system.position[x]] = 1.0
     rhs[system.position[y]] = -1.0
     f = np.zeros(len(members))
-    f[1:] = cho_solve(_factor(b, system, i), rhs[1:])
+    with np.errstate(over="ignore", invalid="ignore"):
+        f[1:] = cho_solve(_factor(b, system, i), rhs[1:])
+        f -= f[system.position[y]]
+    if not np.isfinite(f).all():
+        raise _out_of_range(b, x, y)
     values = np.zeros(b.n)
-    values[members] = f - f[system.position[y]]
+    values[members] = f
     return values
+
+
+def _out_of_range(b: ConductanceGraph, x: int, y: int) -> InputError:
+    return InputError(f"resistance between {b.label(x)} and {b.label(y)} is outside float range")
 
 
 def effective_resistance(b: ConductanceGraph, x: int, y: int) -> float:
@@ -247,7 +242,8 @@ def resistance_matrix(b: ConductanceGraph) -> MetricTable:
     From each component's cached factor, grounded at its least vertex g:
     invert the grounded Laplacian to G and read off
     R(i, j) = G[i,i] + G[j,j] - 2 G[i,j] (with G extended by zeros at g).
-    The Green-matrix route keeps the table exactly symmetric.
+    The Green-matrix route keeps the table exactly symmetric.  Raises
+    InputError when R on a connected pair is outside float range.
     """
     d = np.full((b.n, b.n), INFINITY)
     np.fill_diagonal(d, 0.0)
@@ -255,13 +251,17 @@ def resistance_matrix(b: ConductanceGraph) -> MetricTable:
     for i, comp in enumerate(system.members):
         if len(comp) == 1:
             continue
-        G = cho_solve(_factor(b, system, i), np.eye(len(comp) - 1))
-        G = (G + G.T) / 2.0
-        diag = np.concatenate(([0.0], np.diag(G)))
-        Gfull = np.zeros((len(comp), len(comp)))
-        Gfull[1:, 1:] = G
-        R = diag[:, None] + diag[None, :] - 2.0 * Gfull
+        with np.errstate(over="ignore", invalid="ignore"):
+            G = cho_solve(_factor(b, system, i), np.eye(len(comp) - 1))
+            G = (G + G.T) / 2.0
+            diag = np.concatenate(([0.0], np.diag(G)))
+            Gfull = np.zeros((len(comp), len(comp)))
+            Gfull[1:, 1:] = G
+            R = diag[:, None] + diag[None, :] - 2.0 * Gfull
         np.fill_diagonal(R, 0.0)
+        if not np.isfinite(R).all():
+            x, y = np.argwhere(~np.isfinite(R))[0]
+            raise _out_of_range(b, int(comp[x]), int(comp[y]))
         d[np.ix_(comp, comp)] = R
     return MetricTable(b.n, d, b.labels)
 

@@ -12,7 +12,6 @@ exercised from both directions in the test suites.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,22 +47,6 @@ class NotSeparated:
         return False
 
 
-def _component_avoiding(b: ConductanceGraph, banned: int, start: int) -> tuple[list[int], dict[int, int]]:
-    """Vertices reachable from start in b - banned, with BFS parents."""
-    parent: dict[int, int] = {start: start}
-    order = [start]
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        for v, _ in b.neighbors(u):
-            if v == banned or v in parent:
-                continue
-            parent[v] = u
-            order.append(v)
-            queue.append(v)
-    return order, parent
-
-
 def separates(
     b: ConductanceGraph, y: int, x: int, z: int
 ) -> SeparationCertificate | NotSeparated:
@@ -80,17 +63,16 @@ def separates(
     label = _grounded(b).label
     if label[x] != label[z]:
         raise Disconnected(f"{b.label(x)} and {b.label(z)} are not connected")
-    side_x, parent = _component_avoiding(b, y, x)
+    parent = b.reach(x, banned=y)
     if z in parent:
         route = [z]
         while route[-1] != x:
             route.append(parent[route[-1]])
         return NotSeparated(witness=Path(tuple(reversed(route))))
-    side_z, _ = _component_avoiding(b, y, z)
     cert = SeparationCertificate(
         separator=y,
-        side_x=sorted(side_x),
-        side_z=sorted(side_z),
+        side_x=sorted(parent),
+        side_z=sorted(b.reach(z, banned=y)),
         verified=False,
     )
     cert.verified = _verify_certificate(b, cert)
@@ -274,11 +256,10 @@ def compatible_resistance_weight(b: ConductanceGraph) -> CompatibilityCertificat
 def inverse_conductance_weight(b: ConductanceGraph) -> WeightedGraph:
     """The weight 1/b on positive-conductance edges, inf elsewhere.
 
-    Exact shadows carry over as exact reciprocals.
+    Exact shadows carry over as exact reciprocals; a conductance whose
+    reciprocal overflows raises InputError.
     """
-    weights = {(u, v): 1.0 / c for u, v, c in b.edges()}
-    exact = {key: 1 / b.exact[key] for key in weights if key in b.exact}
-    return WeightedGraph(b.n, weights, b.labels, exact)
+    return b.reciprocal(WeightedGraph)
 
 
 @dataclass

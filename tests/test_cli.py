@@ -528,3 +528,39 @@ def test_table_renders_as_its_dict_of_dicts(labels, matrix):
     assert report.to_text() == reference.to_text()
     for prefix in ("", "top"):
         assert _render(prefix, table) == _render(prefix, cells)
+
+
+OUT_OF_RANGE = {
+    "subnormal": "a b 1e-320\nb c 1e-320\n",  # 1/b overflows
+    "tiny": "a b 1e-308\nb c 1e-308\n",  # 1/b is finite, R(a, c) = 2e308 is not
+    "huge": "a b 1e308\nb c 1e308\n",
+}
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("subnormal", ("resistance", "--pair", "a", "c", "--maximizer")),
+        ("subnormal", ("resistance", "--mode", "weight", "--pair", "a", "c")),
+        ("tiny", ("resistance", "--pair", "a", "c")),
+        ("tiny", ("resistance", "--matrix")),
+        ("subnormal", ("characterize", "--tree")),
+        ("subnormal", ("characterize", "--block")),
+        ("subnormal", ("characterize", "--triangle", "a", "b", "c")),
+        ("subnormal", ("metric", "--mode", "conductance", "--all-pairs")),
+        ("tiny", ("resistance", "--mode", "weight", "--pair", "a", "c", "--maximizer")),
+        ("huge", ("resistance", "--mode", "weight", "--matrix")),
+    ],
+)
+def test_values_outside_float_range_are_input_errors(graph_file, capsys, name, argv):
+    code, out, err = run(capsys, argv[0], graph_file(OUT_OF_RANGE[name]), *argv[1:])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_oracle_beyond_float_range_has_infinite_discrepancy(graph_file, capsys):
+    # delta(a, c) = 2e308 overflows to inf in floats but not in the exact lane.
+    path = graph_file(OUT_OF_RANGE["huge"])
+    doc = run_json(capsys, "metric", path, "--source", "a", "--target", "c", "--oracle")
+    assert doc["results"]["oracle"] == f"{2 * 10**308}/1"
+    assert doc["results"]["discrepancy"] == "inf"

@@ -27,6 +27,7 @@ from graphmetry import (
     family_elf_scan,
     finite_equivalence_report,
     metric_components,
+    validate,
     verify_maximal_weight,
 )
 from graphmetry.completeness import PrefixTrie
@@ -362,3 +363,14 @@ def test_scans_accept_zero_and_infinite_radius():
     assert family_ball_scan(UNIT_RAY, 0, INFINITY, 10).found == 10
     assert family_elf_scan(UNIT_RAY, 0, 0.0, 10).count == 0
     assert family_elf_scan(UNIT_RAY, 0, INFINITY, 10).count == 1
+
+
+def test_metric_components_skip_nan_weights():
+    # Construction keeps a NaN or -inf weight (validate reports it); it joins nothing.
+    g = WeightedGraph(5, {(0, 1): math.nan, (1, 2): 1.0, (3, 4): 2.0})
+    assert any("NaN" in line for line in validate(g))
+    assert metric_components(g) == [[0], [1, 2], [3, 4]]
+    assert metric_components(WeightedGraph(3, {(0, 2): math.nan})) == [[0], [1], [2]]
+    g = WeightedGraph(3, {(0, 1): -math.inf, (1, 2): 1.0})
+    assert any("negative" in line for line in validate(g))
+    assert metric_components(g) == [[0], [1, 2]]

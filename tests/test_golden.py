@@ -90,3 +90,82 @@ def test_oracle_output_matches_recorded_digest(tmp_path, capsys, argv):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def two_blocks_at_cut_vertex() -> str:
+    """Two six-vertex blocks sharing the cut vertex ``c``: a Hamiltonian cycle
+    per block plus seeded chords, 0.01-grid values, so several routes tie in
+    hop count and the breadth-first witness order shows."""
+    rng = random.Random(4242)
+    edges = []
+    for block in ("a", "b"):
+        names = ["c"] + [f"{block}{i}" for i in range(1, 6)]
+        ring = {frozenset((names[i], names[(i + 1) % 6])) for i in range(6)}
+        for i, u in enumerate(names):
+            for v in names[i + 1 :]:
+                if frozenset((u, v)) in ring or rng.random() < 0.4:
+                    edges.append(f"{u} {v} {_hundredths(rng)}\n")
+    return "".join(edges)
+
+
+def unit_grid_4x4() -> str:
+    """4x4 grid of unit weights: twenty corner-to-corner geodesics, all ties."""
+    lines = []
+    for r in range(4):
+        for c in range(4):
+            if c < 3:
+                lines.append(f"g{r}{c} g{r}{c + 1} 1\n")
+            if r < 3:
+                lines.append(f"g{r}{c} g{r + 1}{c} 1\n")
+    return "".join(lines)
+
+
+# Recorded before the graph classes shared a base class and one traversal:
+# the triangle certificate, the breadth-first witness path, and the geodesic
+# listing (path_metric plus single_source_distances) must keep their order.
+ORDER_DIGESTS = {
+    ("characterize", "--triangle", "a1", "c", "b2", "--json"): (
+        two_blocks_at_cut_vertex,
+        "615d3ff71865fd96ffcd74c24b0611a88197ee3e65d277cc9b3b006ee0a96041",
+    ),
+    ("characterize", "--triangle", "a1", "a3", "b4", "--json"): (
+        two_blocks_at_cut_vertex,
+        "83afbbd0eeef5c2197de4f455921c99b2cdd88d89132bb74217fe739f3c7474d",
+    ),
+    ("characterize", "--triangle", "b3", "b5", "a2", "--json"): (
+        two_blocks_at_cut_vertex,
+        "2b7225c22e717b4141ccb64d820597f1d51fe9bbbc1f81e20fa20ed9a1fdabeb",
+    ),
+    ("geodesics", "--source", "g00", "--target", "g33", "--json"): (
+        unit_grid_4x4,
+        "97ff24b0d22150e1d8cbce387b4ee21e3853adb36b8214552ff849e3e8ce21a7",
+    ),
+    ("geodesics", "--source", "g03", "--target", "g31", "--cap", "3", "--json"): (
+        unit_grid_4x4,
+        "73851493a737c6327a3bfb9f41c31b292ec974490c619bcd0b36e352b7535a72",
+    ),
+    ("geodesics", "--source", "a1", "--target", "b3", "--json"): (
+        two_blocks_at_cut_vertex,
+        "dc7a18b1d132100c352c6ca017a8cee4278d655dbad5f1e782c9daca386b05c3",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(ORDER_DIGESTS))
+def test_traversal_order_matches_recorded_digest(tmp_path, capsys, argv):
+    build, digest = ORDER_DIGESTS[argv]
+    path = tmp_path / "order.edges"
+    path.write_text(build())
+    code = main([argv[0], str(path), *argv[1:]])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_geodesics_on_the_golden_file_match_recorded_digest(golden_file, capsys):
+    code = main(["geodesics", golden_file, "--source", "0", "--target", "33", "--json"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "e4a675170fabd4e62e3c511577885295ce447d09b4391f57359b4f181816cbf0"
+    )
