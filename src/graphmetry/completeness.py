@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .core import INFINITY, Path, WeightedGraph
 from .errors import DuplicatePath, EmptyInput, InvalidArgument, MixedStart, TooLarge, UnknownVertex
@@ -32,6 +32,7 @@ from .pathmetric import (
     enumerate_geodesics,
     geodesic_weight,
     is_generating,
+    metric_components,
     path_length,
     single_source_distances,
 )
@@ -46,31 +47,40 @@ EXCEEDS_THRESHOLD = "EXCEEDS_THRESHOLD"
 class GraphFamily:
     """A countable graph given by a vertex stream and a symmetric weight oracle.
 
-    ``stream()`` enumerates vertex descriptors deterministically; ``weight``
-    must be symmetric and zero exactly on equal descriptors.  Scans only ever
-    look at budget-bounded truncations.
+    ``stream()`` enumerates distinct nonnegative vertex descriptors
+    deterministically; ``weight`` must be symmetric and zero exactly on
+    equal descriptors.  ``earlier(v)`` lists the neighbours of ``v`` (the
+    descriptors at finite weight from it) that ``stream()`` yields before
+    ``v``, so a truncation finds every finite pair without testing the
+    others.  Scans only ever look at budget-bounded truncations.
     """
 
     name: str
     stream: Callable[[], Iterator[int]]
     weight: Callable[[int, int], float]
     describe: Callable[[int], str]
+    earlier: Callable[[int], Iterable[int]]
 
     def truncate(self, budget: int) -> tuple[list[int], WeightedGraph]:
-        """First ``budget`` vertices and the induced finite weighted graph."""
+        """First ``budget`` vertices and the induced finite weighted graph.
+
+        One weight call per pair of a vertex and an earlier neighbour inside
+        the prefix: O(budget + edges).
+        """
         if budget < 1:
             raise InvalidArgument("budget must be positive")
         if budget > SCAN_BUDGET_CAP:
-            raise TooLarge(
-                f"scan budget capped at {SCAN_BUDGET_CAP} (quadratic truncation cost)"
-            )
+            raise TooLarge(f"scan budget capped at {SCAN_BUDGET_CAP}")
         vertices = list(itertools.islice(self.stream(), budget))
+        index = {v: i for i, v in enumerate(vertices)}
         weights: dict[tuple[int, int], float] = {}
-        for i in range(len(vertices)):
-            for j in range(i + 1, len(vertices)):
-                w = self.weight(vertices[i], vertices[j])
-                if math.isfinite(w):
-                    weights[(i, j)] = w
+        for j, v in enumerate(vertices):
+            for u in self.earlier(v):
+                i = index.get(u)
+                if i is not None:
+                    w = self.weight(u, v)
+                    if math.isfinite(w):
+                        weights[(i, j)] = w
         labels = tuple(self.describe(v) for v in vertices)
         return vertices, WeightedGraph(len(vertices), weights, labels)
 
@@ -117,13 +127,23 @@ def _ray_label(v: int) -> str:
     return f"x{v}"
 
 
-UNIT_STAR = GraphFamily("unit-star", itertools.count, _star_weight(False), _star_label)
-DECAYING_STAR = GraphFamily(
-    "decaying-star", itertools.count, _star_weight(True), _star_label
+def _star_earlier(v: int) -> tuple[int, ...]:
+    return () if v == 0 else (0,)
+
+
+def _ray_earlier(v: int) -> tuple[int, ...]:
+    return () if v == 0 else (v - 1,)
+
+
+UNIT_STAR = GraphFamily(
+    "unit-star", itertools.count, _star_weight(False), _star_label, _star_earlier
 )
-UNIT_RAY = GraphFamily("unit-ray", itertools.count, _ray_weight(False), _ray_label)
+DECAYING_STAR = GraphFamily(
+    "decaying-star", itertools.count, _star_weight(True), _star_label, _star_earlier
+)
+UNIT_RAY = GraphFamily("unit-ray", itertools.count, _ray_weight(False), _ray_label, _ray_earlier)
 DECAYING_RAY = GraphFamily(
-    "decaying-ray", itertools.count, _ray_weight(True), _ray_label
+    "decaying-ray", itertools.count, _ray_weight(True), _ray_label, _ray_earlier
 )
 
 FAMILIES: dict[str, GraphFamily] = {
@@ -196,6 +216,8 @@ def family_elf_scan(
         raise InvalidArgument("threshold must be positive")
     if not radius >= 0:  # also rejects NaN
         raise InvalidArgument(f"radius must be nonnegative, got {radius}")
+    if x < 0:  # descriptors are nonnegative; the weight is undefined off the family
+        raise UnknownVertex(f"vertex {x} is not a vertex of {fam.name}")
     count = 0
     seen = 0
     for y in fam.stream():
@@ -383,12 +405,6 @@ def _subgraph(g: WeightedGraph, vertices: list[int]) -> WeightedGraph:
     }
     labels = tuple(g.label(v) for v in vertices) if g.labels is not None else None
     return WeightedGraph(len(vertices), weights, labels, exact)
-
-
-def metric_components(g: WeightedGraph) -> list[list[int]]:
-    """Finite-distance classes, smallest id first; a NaN or -inf weight joins nothing."""
-    finite = {key: w for key, w in g.weights.items() if math.isfinite(w)}
-    return (WeightedGraph(g.n, finite) if len(finite) < len(g.weights) else g).components()
 
 
 def finite_equivalence_report(g: WeightedGraph) -> EquivalenceReport:

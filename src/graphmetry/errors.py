@@ -29,6 +29,10 @@ class InvalidArgument(InputError, ValueError):
     """A numeric parameter (cap, budget, threshold) outside its allowed range."""
 
 
+class OutOfRange(InputError):
+    """Finite input values whose distance or resistance lies outside float range."""
+
+
 class UnknownVertex(GraphmetryError):
     """Vertex id or label not present in the graph."""
 

@@ -39,6 +39,7 @@ from .errors import (
     InvalidArgument,
     InvalidMetric,
     NegativeWeightError,
+    OutOfRange,
     SizeMismatch,
     Unreachable,
 )
@@ -172,9 +173,15 @@ def path_length(g: WeightedGraph, p: Path) -> float:
     return total
 
 
+def _out_of_range(g: WeightedGraph, x: int, y: int) -> OutOfRange:
+    return OutOfRange(f"distance between {g.label(x)} and {g.label(y)} is outside float range")
+
+
 def _settle(g: WeightedGraph, x: int) -> Iterator[tuple[int, float]]:
     """Dijkstra from x: each reachable vertex with its distance, in the order
-    they settle; inf-weight pairs are not edges."""
+    they settle; inf-weight pairs are not edges.  Raises OutOfRange, once
+    the search runs out, if a vertex reached over a finite edge never
+    settled: every sum offered to it overflowed to inf."""
     g._check_vertex(x)
     dist = [INFINITY] * g.n
     dist[x] = 0.0
@@ -193,6 +200,11 @@ def _settle(g: WeightedGraph, x: int) -> Iterator[tuple[int, float]]:
             if nd < dist[v]:
                 dist[v] = nd
                 heapq.heappush(heap, (nd, v))
+    for v in range(g.n):
+        if not done[v]:
+            for u, w in g.neighbors(v):
+                if done[u] and w < INFINITY:  # inf and NaN pairs are not edges
+                    raise _out_of_range(g, x, v)
 
 
 def single_source_distances(g: WeightedGraph, x: int) -> np.ndarray:
@@ -231,10 +243,35 @@ def _initial_table(g: WeightedGraph) -> np.ndarray:
 
 
 def _min_plus_sweep(d: np.ndarray, via: np.ndarray) -> None:
-    """One Floyd-Warshall pass over k = 0 .. n-1, in place; ``via`` is scratch."""
-    for k in range(d.shape[0]):
-        np.add(d[:, k, None], d[None, k, :], out=via)
-        np.minimum(d, via, out=d)
+    """One Floyd-Warshall pass over k = 0 .. n-1, in place; ``via`` is scratch.
+
+    A sum beyond float range becomes inf without a warning;
+    :func:`_check_range` reports it once the closure is done.
+    """
+    with np.errstate(over="ignore"):
+        for k in range(d.shape[0]):
+            np.add(d[:, k, None], d[None, k, :], out=via)
+            np.minimum(d, via, out=d)
+
+
+def metric_components(g: WeightedGraph) -> list[list[int]]:
+    """Finite-distance classes, smallest id first; a NaN or -inf weight joins nothing."""
+    finite = {key: w for key, w in g.weights.items() if math.isfinite(w)}
+    return (WeightedGraph(g.n, finite) if len(finite) < len(g.weights) else g).components()
+
+
+def _check_range(g: WeightedGraph, d: np.ndarray) -> None:
+    """Raise OutOfRange for an inf entry of a closure table between vertices
+    of one metric component, whose distance is finite but beyond float range."""
+    infinite = np.isinf(d)
+    if not infinite.any():
+        return
+    component = np.empty(g.n, dtype=np.intp)
+    for i, members in enumerate(metric_components(g)):
+        component[members] = i
+    xs, ys = np.nonzero(infinite & (component[:, None] == component[None, :]))
+    if len(xs):
+        raise _out_of_range(g, int(xs[0]), int(ys[0]))
 
 
 def _one_sweep_metric(g: WeightedGraph) -> np.ndarray:
@@ -246,6 +283,7 @@ def _one_sweep_metric(g: WeightedGraph) -> np.ndarray:
     """
     d = _initial_table(g)
     _min_plus_sweep(d, np.empty_like(d))
+    _check_range(g, d)
     return d
 
 
@@ -259,7 +297,8 @@ def all_pairs_metric(g: WeightedGraph) -> MetricTable:
     with no tolerance), something per-source float accumulation cannot
     promise at the last ulp.  Use it where delta is printed or fed back in;
     a comparison within a tolerance needs only one sweep.  Raises
-    NegativeWeightError on a negative finite weight.
+    NegativeWeightError on a negative finite weight and OutOfRange when a
+    distance between connected vertices is beyond float range.
     """
     d = _initial_table(g)
     via = np.empty_like(d)
@@ -268,6 +307,7 @@ def all_pairs_metric(g: WeightedGraph) -> MetricTable:
         _min_plus_sweep(d, via)
         if np.array_equal(before, d):
             break
+    _check_range(g, d)
     return MetricTable(g.n, d, g.labels)
 
 
@@ -336,8 +376,9 @@ def geodesic_weight(
     A strictly-between z (d(x,z) + d(z,y) = d(x,y), z distinct from both)
     witnesses a second geodesic through z, so the direct pair is no longer
     the unique one.  Betweenness is decided within relative tolerance
-    ``tol``.  Raises InvalidMetric when a bare table violates the triangle
-    inequality.
+    ``tol`` with no absolute floor, so distances far below 1 keep their
+    unique geodesics.  Raises InvalidMetric when a bare table violates the
+    triangle inequality.
 
     ``graph`` must satisfy ``t == all_pairs_metric(graph)``.  Only its
     tight edges (stored weight equal to d bitwise) are then tested: the
@@ -369,7 +410,7 @@ def geodesic_weight(
         with np.errstate(invalid="ignore"):
             # inf - inf in columns of infinite distance; those y are skipped.
             gap = np.abs(sums - row[None, :])
-        allowed = tol * np.maximum(1.0, np.abs(row))[None, :]
+        allowed = tol * np.abs(row)[None, :]
         between = gap <= allowed
         between[x, :] = False
         np.fill_diagonal(between, False)  # z == y
@@ -400,7 +441,7 @@ def _tight_edge_weight(d: np.ndarray, tol: float, graph: WeightedGraph, out: np.
         x, y = xs[lo : lo + step], ys[lo : lo + step]
         dxy = d[x, y]
         gap = np.abs((d[x, :] + d[:, y].T) - dxy[:, None])  # gap[i, z] for z = 0 .. n-1
-        between = gap <= tol * np.maximum(1.0, np.abs(dxy))[:, None]
+        between = gap <= tol * np.abs(dxy)[:, None]
         rows = np.arange(len(x))
         between[rows, x] = False
         between[rows, y] = False

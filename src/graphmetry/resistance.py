@@ -26,7 +26,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .core import INFINITY, TAU_EQ, ConductanceGraph
-from .errors import Disconnected, InputError, InternalInvariantError, SameVertex, SizeMismatch
+from .errors import Disconnected, InternalInvariantError, OutOfRange, SameVertex, SizeMismatch
 from .pathmetric import MetricTable
 
 
@@ -199,7 +199,7 @@ def _dipole_potential(b: ConductanceGraph, x: int, y: int) -> np.ndarray | None:
     Returns None when x and y are not connected.  One solve against the
     cached factor with right-hand side e_x - e_y; every potential lies in
     [f(y), f(x)], so the shift to f(y) = 0 cancels nothing.  Raises
-    InputError when a potential is outside float range.
+    OutOfRange when a potential is outside float range.
     """
     system = _grounded(b)
     i = system.label[x]
@@ -220,8 +220,8 @@ def _dipole_potential(b: ConductanceGraph, x: int, y: int) -> np.ndarray | None:
     return values
 
 
-def _out_of_range(b: ConductanceGraph, x: int, y: int) -> InputError:
-    return InputError(f"resistance between {b.label(x)} and {b.label(y)} is outside float range")
+def _out_of_range(b: ConductanceGraph, x: int, y: int) -> OutOfRange:
+    return OutOfRange(f"resistance between {b.label(x)} and {b.label(y)} is outside float range")
 
 
 def effective_resistance(b: ConductanceGraph, x: int, y: int) -> float:
@@ -243,7 +243,7 @@ def resistance_matrix(b: ConductanceGraph) -> MetricTable:
     invert the grounded Laplacian to G and read off
     R(i, j) = G[i,i] + G[j,j] - 2 G[i,j] (with G extended by zeros at g).
     The Green-matrix route keeps the table exactly symmetric.  Raises
-    InputError when R on a connected pair is outside float range.
+    OutOfRange when R on a connected pair is outside float range.
     """
     d = np.full((b.n, b.n), INFINITY)
     np.fill_diagonal(d, 0.0)

@@ -2,6 +2,9 @@
 
 import json
 import math
+import random
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -564,3 +567,82 @@ def test_oracle_beyond_float_range_has_infinite_discrepancy(graph_file, capsys):
     doc = run_json(capsys, "metric", path, "--source", "a", "--target", "c", "--oracle")
     assert doc["results"]["oracle"] == f"{2 * 10**308}/1"
     assert doc["results"]["discrepancy"] == "inf"
+
+
+def test_geodesic_weight_on_tiny_distances(graph_file, capsys):
+    doc = run_json(capsys, "geodesic-weight", graph_file("a b 1e-10\nb c 1e-10\n"))
+    table = doc["results"]["geodesic_weight"]
+    assert table["a"]["b"] == table["b"]["c"] == fmt(1e-10)
+    assert table["a"]["c"] == table["c"]["a"] == "inf"
+    assert doc["results"]["generates"] and doc["results"]["dominates"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("metric", "--source", "a", "--target", "c"),
+        ("metric", "--source", "c", "--target", "a", "--json"),
+        ("geodesics", "--source", "a", "--target", "c"),
+        ("metric", "--all-pairs"),
+        ("geodesic-weight",),
+    ],
+)
+def test_path_metric_overflow_is_input_error(graph_file, capsys, argv):
+    path = graph_file(OUT_OF_RANGE["huge"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, argv[0], path, *argv[1:])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "outside float range" in err
+    assert {"a", "c"} <= set(err.replace(",", " ").split())
+
+
+def test_one_sweep_overflow_is_input_error_without_a_warning(graph_file, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "characterize", graph_file(OUT_OF_RANGE["tiny"]), "--tree")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "outside float range" in err
+
+
+FAMILY_NAMES = ["unit-star", "decaying-star", "unit-ray", "decaying-ray"]
+
+
+def family_argv(rng):
+    """One ``family`` command line: builtin names and edge-case flag values,
+    each invalid choice rare enough that most lines get past the others."""
+    budget = rng.choice([0, 1, 2, 50, 2000, 2000, 2001])
+    names = FAMILY_NAMES * 6 + ["unit-grid", "", "UNIT-STAR"]
+    argv = ["family", rng.choice(names), "--mode", rng.choice(["ball", "elf"])]
+    argv.append("--center=" + str(rng.choice([-1, 0, 0, budget - 1, budget])))
+    radii = ["nan", "-1", "inf", "-0", "1e-320", "0.7071", "2.5", "1"]
+    argv.append("--radius=" + rng.choice(radii))
+    argv.append(f"--budget={budget}")
+    if rng.random() < 0.5:
+        argv.append("--threshold=" + str(rng.choice([0, 1, 10**9, 10**9])))
+    if rng.random() < 0.5:
+        argv.append("--json")
+    return argv
+
+
+def test_family_cli_contract_under_fuzzing(capsys):
+    rng = random.Random(8080)
+    threads = threading.active_count()
+    codes = set()
+    for _ in range(200):
+        argv = family_argv(rng)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's own exit
+            code = exc.code
+        captured = capsys.readouterr()
+        codes.add(code)
+        assert code in {0, 2, 3, 4}, argv
+        assert "Traceback" not in captured.err, argv
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        if code == 0:
+            assert captured.err == "" and captured.out, argv
+        else:
+            assert len(errors) == 1 and captured.out == "", argv
+    assert codes == {0, 2, 3, 4}
+    assert threading.active_count() == threads

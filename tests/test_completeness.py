@@ -1,5 +1,7 @@
 """Tests for completeness evidence, family scans, and prefix extraction."""
 
+import dataclasses
+import itertools
 import math
 import random
 
@@ -374,3 +376,65 @@ def test_metric_components_skip_nan_weights():
     g = WeightedGraph(3, {(0, 1): -math.inf, (1, 2): 1.0})
     assert any("negative" in line for line in validate(g))
     assert metric_components(g) == [[0], [1, 2]]
+
+
+def dense_truncate(fam, budget):
+    """Reference truncation: the family's weight on every pair of the prefix."""
+    vertices = list(itertools.islice(fam.stream(), budget))
+    weights = {}
+    for i in range(len(vertices)):
+        for j in range(i + 1, len(vertices)):
+            w = fam.weight(vertices[i], vertices[j])
+            if math.isfinite(w):
+                weights[(i, j)] = w
+    labels = tuple(fam.describe(v) for v in vertices)
+    return vertices, WeightedGraph(len(vertices), weights, labels)
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+@pytest.mark.parametrize("budget", [1, 2, 3, 50, 600, 2000])
+def test_truncate_equals_the_dense_reference(name, budget):
+    fam = FAMILIES[name]
+    vertices, g = fam.truncate(budget)
+    ref_vertices, ref = dense_truncate(fam, budget)
+    assert vertices == ref_vertices
+    assert g.n == ref.n and g.labels == ref.labels
+    assert list(g.weights) == list(ref.weights)
+    # Bitwise: the same floats, not merely equal ones.
+    assert [w.hex() for w in g.weights.values()] == [w.hex() for w in ref.weights.values()]
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_earlier_lists_exactly_the_earlier_neighbours(name):
+    fam = FAMILIES[name]
+    prefix = list(itertools.islice(fam.stream(), 300))
+    position = {v: i for i, v in enumerate(prefix)}
+    for b in prefix:
+        assert all(position[a] < position[b] for a in fam.earlier(b))
+    for i, a in enumerate(prefix):
+        for b in prefix[i + 1 :]:
+            finite = math.isfinite(fam.weight(a, b))
+            assert finite == (a in fam.earlier(b) or b in fam.earlier(a)), (a, b)
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_truncate_calls_the_weight_linearly_often(name):
+    fam = FAMILIES[name]
+    calls = 0
+
+    def counting(a, b):
+        nonlocal calls
+        calls += 1
+        return fam.weight(a, b)
+
+    budget = 2000
+    _, g = dataclasses.replace(fam, weight=counting).truncate(budget)
+    assert calls <= 2 * budget
+    assert g.weights == fam.truncate(budget)[1].weights
+
+
+def test_elf_scan_rejects_a_negative_vertex():
+    # Off the family the weight is undefined (the decaying star divided by zero).
+    for fam in FAMILIES.values():
+        with pytest.raises(UnknownVertex):
+            family_elf_scan(fam, -1, 1.0, 10)

@@ -2,6 +2,7 @@
 
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from graphmetry import (
     InvalidMetric,
     MetricTable,
     NegativeWeightError,
+    OutOfRange,
     Path,
     SizeMismatch,
     Unreachable,
@@ -417,3 +419,55 @@ def test_enumerate_geodesics_on_a_deep_path():
     found = enumerate_geodesics(g, 0, n - 1)
     assert [p.vertices for p in found.paths] == [tuple(range(n))]
     assert found.distance == n - 1 and not found.truncated
+
+
+def test_geodesic_weight_keeps_tiny_unique_geodesics():
+    # Betweenness is relative without a floor: at scale 1e-10, c is not between a and b.
+    g = WeightedGraph(3, {(0, 1): 1e-10, (1, 2): 1e-10})
+    t = all_pairs_metric(g)
+    for W in (geodesic_weight(t), geodesic_weight(t, graph=g)):
+        assert W.table[0, 1] == W.table[1, 2] == 1e-10
+        assert W.table[0, 2] == INFINITY
+    assert is_generating(geodesic_weight(t).as_weight_graph(), t)
+
+
+def test_geodesic_weight_is_scale_invariant():
+    # Scaling by a power of two is exact in floats, so w_delta scales with it bit for bit.
+    rng = random.Random(2718)
+    for _ in range(40):
+        g = random_sparse_weighted_graph(rng, rng.randint(3, 40), parts=rng.randint(1, 2))
+        small = WeightedGraph(g.n, {k: math.ldexp(w, -40) for k, w in g.weights.items()})
+        t, ts = all_pairs_metric(g), all_pairs_metric(small)
+        assert np.array_equal(np.ldexp(t.d, -40), ts.d)
+        expected = np.ldexp(geodesic_weight(t, graph=g).table, -40)
+        assert np.array_equal(geodesic_weight(ts).table, expected)
+        assert np.array_equal(geodesic_weight(ts, graph=small).table, expected)
+
+
+HUGE = WeightedGraph(4, {(0, 1): 1e308, (1, 2): 1e308}, labels=("a", "b", "c", "d"))
+
+
+def test_searches_report_a_distance_beyond_float_range():
+    with pytest.raises(OutOfRange, match="between a and c"):
+        single_source_distances(HUGE, 0)
+    with pytest.raises(OutOfRange, match="between a and c"):
+        path_metric(HUGE, 0, 2)
+    with pytest.raises(OutOfRange, match="between c and a"):
+        path_metric(HUGE, 2, 0)
+    # Answered before the overflow is reached, or never reaching it.
+    assert path_metric(HUGE, 0, 1) == 1e308
+    assert list(single_source_distances(HUGE, 3)) == [INFINITY, INFINITY, INFINITY, 0.0]
+
+
+def test_closures_report_a_distance_beyond_float_range_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OutOfRange, match="between a and c"):
+            all_pairs_metric(HUGE)
+        with pytest.raises(OutOfRange, match="between a and c"):
+            _one_sweep_metric(HUGE)
+        # inf between components, or across a NaN weight, is no overflow.
+        split = WeightedGraph(4, {(0, 1): 1e308, (2, 3): 1e308})
+        assert all_pairs_metric(split).d[0, 2] == INFINITY
+        nan = WeightedGraph(3, {(0, 1): math.nan, (1, 2): 1.0})
+        assert _one_sweep_metric(nan)[0, 1] == INFINITY
