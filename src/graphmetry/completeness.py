@@ -1,18 +1,17 @@
-"""Finite-graph completeness evidence and budgeted scans of infinite families.
+"""Budgeted scans of infinite families, prefix extraction, and the
+maximality check of the geodesic weight.
 
-On a finite graph with a definite weight, all four completeness-flavored
-conditions hold at once: balls are finite, geodesics exist between all
-metrically connected pairs, distinct vertices keep a positive distance
-floor, and the geodesic weight is the maximal weight generating the metric.
-:func:`finite_equivalence_report` re-derives each consequence as an
-implementation guard.
-
-Infinite counterexamples (stars that break ball finiteness, rays whose
-total length converges) cannot be checked, only witnessed: the family
-scans enumerate a budget-bounded truncation and report evidence, never
-proofs.  :func:`extract_common_prefix_path` is the finite analog of the
-pigeonhole step that extracts an infinite path from an infinite path set:
-descend the prefix tree while at least ``k`` inputs still share the prefix.
+The paper's completeness conditions (finite balls, metric and geodesic
+completeness, essential local finiteness) all hold on every finite graph, so
+only infinite graphs can tell them apart.  Infinite counterexamples (stars
+that break ball finiteness, rays whose total length converges) cannot be
+checked, only witnessed: the family scans enumerate a budget-bounded
+truncation and report evidence, never proofs.
+:func:`extract_common_prefix_path` is the finite analog of the pigeonhole
+step that extracts an infinite path from an infinite path set: descend the
+prefix tree while at least ``k`` inputs still share the prefix.
+:func:`verify_maximal_weight` checks that the geodesic weight regenerates
+the metric and dominates the input weight.
 """
 
 from __future__ import annotations
@@ -25,14 +24,11 @@ from typing import Callable, Iterable, Iterator
 from .core import INFINITY, Path, WeightedGraph
 from .errors import DuplicatePath, EmptyInput, InvalidArgument, MixedStart, TooLarge, UnknownVertex
 from .pathmetric import (
-    ElfReport,
     GeodesicWeight,
-    MetricTable,
     all_pairs_metric,
-    enumerate_geodesics,
     geodesic_weight,
     is_generating,
-    metric_components,
+    metric_components,  # importable from this module too
     path_length,
     single_source_distances,
 )
@@ -162,6 +158,30 @@ class BallScan:
     verdict: str
 
 
+@dataclass
+class ElfReport:
+    """Count of vertices whose direct weight from ``vertex`` is below ``radius``."""
+
+    vertex: int
+    radius: float
+    count: int
+    exhausted: bool
+    verdict: str
+
+
+def _scan_threshold(budget: int, threshold: int | None, radius: float) -> int:
+    """Check a scan's arguments; the count that means EXCEEDS_THRESHOLD
+    (default: the budget itself)."""
+    if budget < 1:
+        raise InvalidArgument("budget must be positive")
+    thr = budget if threshold is None else threshold
+    if thr < 1:
+        raise InvalidArgument("threshold must be positive")
+    if not radius >= 0:  # also rejects NaN
+        raise InvalidArgument(f"radius must be nonnegative, got {radius}")
+    return thr
+
+
 def family_ball_scan(
     fam: GraphFamily,
     center: int,
@@ -177,13 +197,7 @@ def family_ball_scan(
     reached ``threshold`` (default: the budget itself) — evidence of an
     infinite ball, never a proof.
     """
-    if budget < 1:
-        raise InvalidArgument("budget must be positive")
-    thr = budget if threshold is None else threshold
-    if thr < 1:
-        raise InvalidArgument("threshold must be positive")
-    if not radius >= 0:  # also rejects NaN
-        raise InvalidArgument(f"radius must be nonnegative, got {radius}")
+    thr = _scan_threshold(budget, threshold, radius)
     vertices, g = fam.truncate(budget)
     try:
         src = vertices.index(center)
@@ -209,13 +223,7 @@ def family_elf_scan(
     (default: the budget) is evidence — not proof — that essential local
     finiteness fails at x.
     """
-    if budget < 1:
-        raise InvalidArgument("budget must be positive")
-    thr = budget if threshold is None else threshold
-    if thr < 1:
-        raise InvalidArgument("threshold must be positive")
-    if not radius >= 0:  # also rejects NaN
-        raise InvalidArgument(f"radius must be nonnegative, got {radius}")
+    thr = _scan_threshold(budget, threshold, radius)
     if x < 0:  # descriptors are nonnegative; the weight is undefined off the family
         raise UnknownVertex(f"vertex {x} is not a vertex of {fam.name}")
     count = 0
@@ -228,9 +236,8 @@ def family_elf_scan(
         seen += 1
         if seen >= budget:
             break
-    report = ElfReport(vertex=x, radius=radius, count=count, exhausted=False)
-    report.verdict = EXCEEDS_THRESHOLD if count >= thr else BOUNDED_SO_FAR
-    return report
+    verdict = EXCEEDS_THRESHOLD if count >= thr else BOUNDED_SO_FAR
+    return ElfReport(vertex=x, radius=radius, count=count, exhausted=False, verdict=verdict)
 
 
 class PrefixTrie:
@@ -297,7 +304,7 @@ def extract_common_prefix_path(
     level, and its length never exceeds the longest input length.
     """
     if k < 2:
-        raise ValueError("multiplicity threshold must be at least 2")
+        raise InvalidArgument("multiplicity threshold must be at least 2")
     root = PrefixTrie.build(paths)
     prefix = [root.vertex]
     mults = [root.multiplicity]
@@ -353,114 +360,3 @@ def verify_maximal_weight(g: WeightedGraph) -> MaximalWeightReport:
         generates=generates, dominates=not witnesses, witnesses=witnesses, weight=W
     )
 
-
-@dataclass
-class ComponentReport:
-    """Completeness consequences checked on one metric component."""
-
-    vertices: list[int]
-    balls_finite: bool
-    geodesics_exist: bool
-    first_step_bound: bool
-    maximal_weight: MaximalWeightReport
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.balls_finite
-            and self.geodesics_exist
-            and self.first_step_bound
-            and self.maximal_weight.passed
-        )
-
-
-@dataclass
-class EquivalenceReport:
-    """Evidence that the completeness equivalences hold on a finite graph."""
-
-    connected: bool
-    components: list[ComponentReport]
-    unreachable_pairs: int
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.components)
-
-    @property
-    def verdict(self) -> str:
-        return "PASS" if self.passed else "FAIL"
-
-
-def _subgraph(g: WeightedGraph, vertices: list[int]) -> WeightedGraph:
-    index = {v: i for i, v in enumerate(vertices)}
-    weights = {
-        (index[u], index[v]): w
-        for (u, v), w in g.weights.items()
-        if u in index and v in index
-    }
-    exact = {
-        (index[u], index[v]): q
-        for (u, v), q in g.exact.items()
-        if u in index and v in index
-    }
-    labels = tuple(g.label(v) for v in vertices) if g.labels is not None else None
-    return WeightedGraph(len(vertices), weights, labels, exact)
-
-
-def finite_equivalence_report(g: WeightedGraph) -> EquivalenceReport:
-    """Re-derive the finite-graph completeness consequences, per component.
-
-    A finite graph satisfies all of them; this suite guards the
-    implementation, not the theorem.  Metrically disconnected inputs are
-    handled per component, with cross pairs counted as unreachable.
-    """
-    comps = metric_components(g)
-    reports: list[ComponentReport] = []
-    for members in comps:
-        sub = _subgraph(g, members)
-        t = all_pairs_metric(sub)
-        balls_finite = _balls_finite(t)
-        geodesics_exist = True
-        for x in range(sub.n):
-            for y in range(x + 1, sub.n):
-                found = enumerate_geodesics(sub, x, y, cap=1)
-                if not found.paths:
-                    geodesics_exist = False
-        first_step = _first_step_bound(sub, t)
-        reports.append(
-            ComponentReport(
-                vertices=members,
-                balls_finite=balls_finite,
-                geodesics_exist=geodesics_exist,
-                first_step_bound=first_step,
-                maximal_weight=verify_maximal_weight(sub),
-            )
-        )
-    total_pairs = g.n * (g.n - 1) // 2
-    internal = sum(len(c) * (len(c) - 1) // 2 for c in comps)
-    return EquivalenceReport(
-        connected=len(comps) <= 1,
-        components=reports,
-        unreachable_pairs=total_pairs - internal,
-    )
-
-
-def _balls_finite(t: MetricTable) -> bool:
-    """Every ball of every radius is finite iff all distances are (trivially
-    true on a metric component; kept as an explicit implementation guard)."""
-    return bool(math.isfinite(float(t.d.max()))) if t.n else True
-
-
-def _first_step_bound(g: WeightedGraph, t: MetricTable) -> bool:
-    """delta(x, y) >= min_z w(x, z) > 0 for every x and y != x."""
-    for x in range(g.n):
-        steps = [w for _, w in g.neighbors(x) if math.isfinite(w)]
-        if not steps:
-            continue  # isolated within its component (single vertex)
-        floor = min(steps)
-        if floor <= 0.0:
-            return False
-        for y in range(g.n):
-            if y != x and t.d[x, y] < floor:
-                return False
-    return True

@@ -36,6 +36,7 @@ from .errors import (
     AsymmetryError,
     DiagonalError,
     InputError,
+    InvalidArgument,
     NegativeWeightError,
     ParseError,
     UnknownVertex,
@@ -359,7 +360,7 @@ def parse_graph(text: str, mode: str = "weight") -> Graph:
     are lengths) or ``conductance`` (absent pair = 0, values finite).
     """
     if mode not in ("weight", "conductance"):
-        raise ValueError(f"unknown mode {mode!r}")
+        raise InvalidArgument(f"unknown mode {mode!r}")
     ids: dict[str, int] = {}
 
     def vid(label: str) -> int:

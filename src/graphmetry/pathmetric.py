@@ -1,5 +1,4 @@
-"""Shortest-path pseudo metrics, geodesic enumeration, geodesic weights, and
-essential local finiteness checks.
+"""Shortest-path pseudo metrics, geodesic enumeration, and geodesic weights.
 
 A weight function induces the pseudo metric delta(x, y) = inf over injective
 paths of the summed step weights.  On a finite graph the infimum is attained,
@@ -15,7 +14,7 @@ within a tolerance (:func:`is_generating`, the tree and block-graph checks)
 read a table from a single sweep, which is exact up to rounding.  Given the
 graph that generated its table, :func:`geodesic_weight` tests only the tight
 edges (w = delta bitwise): every other finite pair has a vertex between its
-ends.
+ends.  A bare table has every finite pair tested by the same kernel.
 """
 
 from __future__ import annotations
@@ -118,13 +117,14 @@ def _triangle_violation(d: np.ndarray, tol: float) -> tuple[int, int, int] | Non
     """First (x, y, z) with d[x,z] > d[x,y] + d[y,z] beyond tolerance, if any."""
     n = d.shape[0]
     slack = tol * np.maximum(1.0, np.abs(d))
-    for y in range(n):
-        sums = d[:, y, None] + d[None, y, :]
-        bad = d > sums + slack
-        # inf > inf + tol is False; inf entries only flag finite sums.
-        if bad.any():
-            x, z = np.argwhere(bad)[0]
-            return int(x), int(y), int(z)
+    with np.errstate(over="ignore"):  # a sum beyond float range is inf: no violation
+        for y in range(n):
+            sums = d[:, y, None] + d[None, y, :]
+            bad = d > sums + slack
+            # inf > inf + tol is False; inf entries only flag finite sums.
+            if bad.any():
+                x, z = np.argwhere(bad)[0]
+                return int(x), int(y), int(z)
     return None
 
 
@@ -141,17 +141,6 @@ class GeodesicWeight:
 
     def as_weight_graph(self) -> WeightedGraph:
         return _table_weight_graph(self.table, self.labels)
-
-
-@dataclass
-class ElfReport:
-    """Count of vertices whose direct weight from ``vertex`` is below ``radius``."""
-
-    vertex: int
-    radius: float
-    count: int
-    exhausted: bool
-    verdict: str | None = None
 
 
 @dataclass
@@ -333,7 +322,7 @@ def enumerate_geodesics(g: WeightedGraph, x: int, y: int, cap: int = 64) -> Geod
     if x == y:
         return GeodesicSet([Path((x,))], 0.0)
     slack = 0.0 if _integral_weights(g) else TAU_GEO * max(1.0, target)
-    to_y = single_source_distances(g, y)
+    to_y = single_source_distances(g, y).tolist()  # float sums overflow to inf silently
     paths: list[Path] = []
     truncated = False
     on_path = [False] * g.n
@@ -367,81 +356,72 @@ def enumerate_geodesics(g: WeightedGraph, x: int, y: int, cap: int = 64) -> Geod
     return GeodesicSet(paths, target, truncated)
 
 
-def geodesic_weight(
-    t: MetricTable, tol: float = TAU_EQ, graph: WeightedGraph | None = None
-) -> GeodesicWeight:
+def geodesic_weight(t: MetricTable, graph: WeightedGraph | None = None) -> GeodesicWeight:
     """w_delta: keep d(x, y) when no third vertex sits metrically between
     x and y, use inf otherwise (and always on infinite-distance pairs).
 
     A strictly-between z (d(x,z) + d(z,y) = d(x,y), z distinct from both)
     witnesses a second geodesic through z, so the direct pair is no longer
-    the unique one.  Betweenness is decided within relative tolerance
-    ``tol`` with no absolute floor, so distances far below 1 keep their
-    unique geodesics.  Raises InvalidMetric when a bare table violates the
-    triangle inequality.
+    the unique one.  Betweenness allows the rounding of sums of fewer than
+    n steps, n * 2**-51 * |d(x, y)|, with no absolute floor: distances far
+    below 1 keep their unique geodesics, a spur far shorter than the pair
+    stays off it, and a gap of exactly 0 is always between.
 
     ``graph`` must satisfy ``t == all_pairs_metric(graph)``.  Only its
     tight edges (stored weight equal to d bitwise) are then tested: the
     closure lowered every other finite pair through some k outside the pair
     with fl(d[x,k] + d[k,y]) = d[x,y] at the fixpoint, so k is between and
-    the result equals the full scan bit for bit.  Such a table also skips
-    the O(n**3) triangle gate, which cannot fire on it: a full sweep left
-    every entry unchanged, so d[x,z] <= fl(d[x,y] + d[y,z]) holds exactly
-    for every y, and adding the nonnegative slack cannot lower that sum
-    (rounding is monotone; the table holds no NaN, or the closure would
-    not have stopped).  Without ``graph`` every pair is scanned.
+    the result equals testing every pair bit for bit.  Such a table also
+    skips the O(n**3) triangle gate, which cannot fire on it: a full sweep
+    left every entry unchanged, so d[x,z] <= fl(d[x,y] + d[y,z]) holds
+    exactly for every y, and adding the nonnegative slack cannot lower that
+    sum (rounding is monotone; the table holds no NaN, or the closure would
+    not have stopped).  Without ``graph`` the table must be symmetric and
+    pass the triangle gate (InvalidMetric otherwise), and every finite pair
+    above the diagonal is tested: each is a tight edge of the table itself.
     """
     n, d = t.n, t.d
+    if graph is None:
+        asymmetric = (d != d.T) & (d == d)  # NaN in both places is not an asymmetry
+        if asymmetric.any():
+            x, y = np.argwhere(asymmetric)[0]
+            raise InvalidMetric(f"d({t.label(x)}, {t.label(y)}) != d({t.label(y)}, {t.label(x)})")
+        viol = _triangle_violation(d, TAU_EQ)
+        if viol is not None:
+            x, y, z = viol
+            raise InvalidMetric(
+                f"d({t.label(x)}, {t.label(z)}) > d({t.label(x)}, {t.label(y)}) "
+                f"+ d({t.label(y)}, {t.label(z)})"
+            )
+        xs, ys = np.nonzero(np.triu(np.isfinite(d), 1))
+    else:
+        keys = np.array(list(graph.weights), dtype=np.intp).reshape(-1, 2)
+        xs, ys = keys[:, 0], keys[:, 1]
+        stored = np.fromiter(graph.weights.values(), float, len(keys))
+        tight = (xs != ys) & (stored == d[xs, ys])
+        xs, ys = xs[tight], ys[tight]
     out = np.full((n, n), INFINITY)
     np.fill_diagonal(out, 0.0)
-    if graph is not None:
-        _tight_edge_weight(d, tol, graph, out)
-        return GeodesicWeight(n, out, t.labels)
-    viol = _triangle_violation(d, tol)
-    if viol is not None:
-        x, y, z = viol
-        raise InvalidMetric(
-            f"d({t.label(x)}, {t.label(z)}) > d({t.label(x)}, {t.label(y)}) "
-            f"+ d({t.label(y)}, {t.label(z)})"
-        )
-    for x in range(n):
-        row = d[x]
-        sums = row[:, None] + d  # sums[z, y] = d(x,z) + d(z,y)
-        with np.errstate(invalid="ignore"):
-            # inf - inf in columns of infinite distance; those y are skipped.
-            gap = np.abs(sums - row[None, :])
-        allowed = tol * np.abs(row)[None, :]
-        between = gap <= allowed
-        between[x, :] = False
-        np.fill_diagonal(between, False)  # z == y
-        unique = ~between.any(axis=0) & np.isfinite(row)
-        unique[x] = False
-        out[x, unique] = row[unique]
-    # Symmetrize pedantically: betweenness is symmetric in exact arithmetic,
-    # and the tolerance test above is symmetric too, but keep the invariant
-    # structural rather than implicit.
-    out = np.minimum(out, out.T)
+    _tight_edge_weight(d, xs, ys, out)
     return GeodesicWeight(n, out, t.labels)
 
 
-def _tight_edge_weight(d: np.ndarray, tol: float, graph: WeightedGraph, out: np.ndarray) -> None:
-    """Write d into ``out`` on the tight edges of ``graph`` with nothing between.
+def _tight_edge_weight(d: np.ndarray, xs: np.ndarray, ys: np.ndarray, out: np.ndarray) -> None:
+    """Write d into ``out`` on the pairs (xs, ys), both ways, that have
+    nothing between their ends.
 
-    The same float expressions as the full scan in :func:`geodesic_weight`,
-    on an (edges x n) block, cut into slices of about 2**20 entries.
+    z is between x and y when |(d[x,z] + d[z,y]) - d[x,y]| <= n * 2**-51 *
+    |d[x,y]|; tested on a (pairs x n) block, cut into slices of about 2**20
+    entries.
     """
     n = d.shape[0]
-    keys = np.array(list(graph.weights), dtype=np.intp).reshape(-1, 2)
-    xs, ys = keys[:, 0], keys[:, 1]
-    stored = np.fromiter(graph.weights.values(), float, len(keys))
-    tight = (xs != ys) & (stored == d[xs, ys])
-    xs, ys = xs[tight], ys[tight]
     step = max(1, (1 << 20) // max(n, 1))
     for lo in range(0, len(xs), step):
         x, y = xs[lo : lo + step], ys[lo : lo + step]
         dxy = d[x, y]
-        gap = np.abs((d[x, :] + d[:, y].T) - dxy[:, None])  # gap[i, z] for z = 0 .. n-1
-        between = gap <= tol * np.abs(dxy)[:, None]
+        with np.errstate(over="ignore"):  # a sum beyond float range is inf: z is not between
+            gap = np.abs((d[x, :] + d[:, y].T) - dxy[:, None])  # gap[i, z] for z = 0 .. n-1
+        between = gap <= (n * 2.0**-51) * np.abs(dxy)[:, None]
         rows = np.arange(len(x))
         between[rows, x] = False
         between[rows, y] = False
@@ -460,13 +440,3 @@ def is_generating(g: WeightedGraph, t: MetricTable) -> bool:
         raise SizeMismatch(f"graph has {g.n} vertices, table {t.n}")
     return bool(weights_close_array(_one_sweep_metric(g), t.d).all())
 
-
-def check_elf(g: WeightedGraph, x: int, radius: float) -> ElfReport:
-    """Count vertices y != x with direct weight w(x, y) < radius.
-
-    On a finite graph the count is always finite; the report exists so the
-    same shape can carry budgeted scans of infinite families.
-    """
-    g._check_vertex(x)
-    count = sum(1 for v, w in g.neighbors(x) if w < radius)
-    return ElfReport(vertex=x, radius=radius, count=count, exhausted=True)

@@ -253,7 +253,7 @@ def resistance_matrix(b: ConductanceGraph) -> MetricTable:
             continue
         with np.errstate(over="ignore", invalid="ignore"):
             G = cho_solve(_factor(b, system, i), np.eye(len(comp) - 1))
-            G = (G + G.T) / 2.0
+            G = 0.5 * G + 0.5 * G.T  # halving first keeps a large G[k,k] in range
             diag = np.concatenate(([0.0], np.diag(G)))
             Gfull = np.zeros((len(comp), len(comp)))
             Gfull[1:, 1:] = G

@@ -646,3 +646,134 @@ def test_family_cli_contract_under_fuzzing(capsys):
             assert len(errors) == 1 and captured.out == "", argv
     assert codes == {0, 2, 3, 4}
     assert threading.active_count() == threads
+
+
+def test_resistance_matrix_names_the_pair_beyond_float_range(graph_file, capsys):
+    # R(a, b) = 1e308 is in range; only R(a, c) = 2e308 is not.
+    path = graph_file(OUT_OF_RANGE["tiny"])
+    code, out, err = run(capsys, "resistance", path, "--matrix")
+    assert code == 2 and out == ""
+    assert err == "error: resistance between a and c is outside float range\n"
+    assert run(capsys, "resistance", path, "--pair", "a", "b")[0] == 0
+
+
+@pytest.mark.parametrize("text", ["a b 20000\nb c 0.00001\n", "a b 1e15\nb c 1\n"])
+def test_geodesic_weight_on_mixed_scales(graph_file, capsys, text):
+    doc = run_json(capsys, "geodesic-weight", graph_file(text))
+    table = doc["results"]["geodesic_weight"]
+    (a, b, big), (_, c, small) = (line.split() for line in text.splitlines())
+    assert table[a][b] == fmt(float(big)) and table[b][c] == fmt(float(small))
+    assert table[a][c] == "inf"
+    assert doc["results"]["generates"] and doc["results"]["dominates"]
+
+
+@pytest.mark.parametrize(
+    "text, argv",
+    [
+        ("x y 1e307\ny z 1e308\n", ("geodesic-weight",)),
+        ("a d 0.5\na c 1e308\nb a 2\n", ("resistance", "--mode", "weight", "--matrix")),
+        (
+            "e c 1\n1 v 1e-308\nv c 3\n0 c 10\n",
+            ("geodesics", "--mode", "conductance", "--source", "v", "--target", "e"),
+        ),
+    ],
+)
+def test_sums_beyond_float_range_raise_no_warning(graph_file, capsys, text, argv):
+    # A sum that overflows to inf is never a shorter route, a vertex between, or a violation.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, argv[0], graph_file(text), *argv[1:])
+    assert code == 0 and err == "" and out
+
+
+FUZZ_LABELS = ["a", "b", "c", "d", "0", "1", "7", "-3", "é", "日本", "vertex"]
+FUZZ_VALUES = ["1", "2", "0.5", "3", "0.1", "10"]
+FUZZ_EXTREMES = ["inf", "INF", "nan", "1e309", "5e-324", "1e-308", "1e-320", "1e308", "0", "-1"]
+FUZZ_MALFORMED = ["a a 1", "a b", "a b 1 2", "a b x", "vertex", "a", "# a comment", "", "\t"]
+
+
+def fuzz_file(rng):
+    """One edge-list file and its labels: mostly consistent edges, mixed with
+    extreme and invalid values, repeated and conflicting pairs, vertex lines,
+    malformed lines and, now and then, a tail that is not UTF-8."""
+    labels = rng.sample(FUZZ_LABELS, rng.randint(2, 6))
+    lines, known = [], {}
+    for _ in range(rng.randint(1, 10)):
+        r = rng.random()
+        u, v = rng.sample(labels, 2)
+        if r < 0.62:
+            pair = frozenset((u, v))
+            if pair not in known or rng.random() < 0.1:
+                known[pair] = rng.choice(FUZZ_VALUES)
+            lines.append(f"{u} {v} {known[pair]}")
+        elif r < 0.74:
+            lines.append(f"{u} {v} {rng.choice(FUZZ_EXTREMES)}")
+        elif r < 0.86 and lines:
+            tokens = rng.choice(lines).split()
+            if len(tokens) == 3:
+                value = tokens[2] if rng.random() < 0.7 else rng.choice(FUZZ_VALUES)
+                lines.append(f"{tokens[1]} {tokens[0]} {value}")
+        elif r < 0.96:
+            lines.append(f"vertex {u}")
+        else:
+            lines.append(rng.choice(FUZZ_MALFORMED))
+    data = "\n".join(lines).encode()
+    if rng.random() < 0.05:
+        data += b"\nb \xff\xfe 1\n"
+    return data, labels
+
+
+def file_command_argv(rng, path, labels):
+    """One command line over a fuzzed file; queried labels are sometimes absent."""
+    def label():
+        return rng.choice(labels) if rng.random() < 0.95 else "zz"
+
+    command = rng.choice(["metric", "geodesics", "geodesic-weight", "resistance", "characterize"])
+    if command == "metric":
+        extra = [f"--source={label()}", f"--target={label()}"]
+        extra = ["--all-pairs"] if rng.random() < 0.5 else extra
+        extra += ["--oracle"] if rng.random() < 0.3 else []
+    elif command == "geodesics":
+        extra = [f"--source={label()}", f"--target={label()}", f"--cap={rng.choice([1, 3, 64])}"]
+    elif command == "geodesic-weight":
+        extra = []
+    elif command == "resistance":
+        extra = ["--matrix"] if rng.random() < 0.5 else ["--pair", label(), label()]
+        extra += ["--oracle"] if rng.random() < 0.3 else []
+        extra += ["--maximizer"] if "--pair" in extra and rng.random() < 0.3 else []
+    else:
+        extra = rng.choice([["--tree"], ["--block"], ["--tree", "--block"], ["--triangle"]])
+        extra += [label() for _ in range(3)] if extra == ["--triangle"] else []
+    mode = rng.choice([[], ["--mode", "weight"], ["--mode", "conductance"]])
+    json_flag = ["--json"] if rng.random() < 0.5 else []
+    return [command, path, *mode, *extra, *json_flag]
+
+
+def test_file_commands_keep_the_exit_code_contract_under_fuzzing(tmp_path, capsys):
+    rng = random.Random(9090)
+    threads = threading.active_count()
+    codes, seen = set(), set()
+    for i in range(300):
+        data, labels = fuzz_file(rng)
+        path = tmp_path / f"fuzz{i}.edges"
+        path.write_bytes(data)
+        for _ in range(4):
+            argv = file_command_argv(rng, str(path), labels)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = main(argv)
+            captured = capsys.readouterr()
+            codes.add(code)
+            mode = argv[argv.index("--mode") + 1] if "--mode" in argv else "default"
+            seen.add((argv[0], mode, argv[-1] == "--json"))
+            context = (data, argv[:1] + argv[2:])
+            assert code in {0, 2, 3, 4, 5}, context
+            assert "Traceback" not in captured.err and not caught, context
+            if code == 0:
+                assert captured.err == "" and captured.out, context
+            else:
+                assert captured.out == "" and len(captured.err.splitlines()) == 1, context
+                assert captured.err.startswith(("error: ", "internal error: ")), context
+    assert {0, 2, 3} <= codes
+    assert len(seen) == 5 * 3 * 2  # every command, in either mode or the default, both outputs
+    assert threading.active_count() == threads

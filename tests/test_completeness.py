@@ -27,7 +27,6 @@ from graphmetry import (
     extract_common_prefix_path,
     family_ball_scan,
     family_elf_scan,
-    finite_equivalence_report,
     metric_components,
     validate,
     verify_maximal_weight,
@@ -258,40 +257,6 @@ def test_metric_components():
     g = WeightedGraph(5, {(0, 1): 1.0, (2, 3): 1.0})
     assert metric_components(g) == [[0, 1], [2, 3], [4]]
     assert metric_components(WeightedGraph(0, {})) == []
-
-
-def test_finite_equivalence_connected():
-    p3 = WeightedGraph(3, {(0, 1): 1.0, (1, 2): 1.0})
-    report = finite_equivalence_report(p3)
-    assert report.connected
-    assert report.verdict == "PASS" and report.passed
-    assert report.unreachable_pairs == 0
-    assert len(report.components) == 1
-    assert report.components[0].vertices == [0, 1, 2]
-    comp = report.components[0]
-    assert comp.balls_finite and comp.geodesics_exist and comp.first_step_bound
-
-
-def test_finite_equivalence_split():
-    two = WeightedGraph(4, {(0, 1): 1.0, (2, 3): 2.0})
-    report = finite_equivalence_report(two)
-    assert not report.connected
-    assert report.passed
-    assert report.unreachable_pairs == 4
-    assert [c.vertices for c in report.components] == [[0, 1], [2, 3]]
-
-
-def test_finite_equivalence_random():
-    rng = random.Random(61)
-    for _ in range(25):
-        g = random_weighted_graph(rng, rng.randint(1, 8))
-        report = finite_equivalence_report(g)
-        assert report.passed
-        comps = metric_components(g)
-        assert report.connected == (len(comps) <= 1)
-        total = g.n * (g.n - 1) // 2
-        internal = sum(len(c) * (len(c) - 1) // 2 for c in comps)
-        assert report.unreachable_pairs == total - internal
 
 
 def test_decaying_ray_partial_sums_stay_below_radius():

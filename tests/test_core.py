@@ -7,17 +7,21 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import graphmetry
+
 from graphmetry import (
     INFINITY,
     AsymmetryError,
     ConductanceGraph,
     DiagonalError,
     InputError,
+    InvalidArgument,
     NegativeWeightError,
     ParseError,
     Path,
     UnknownVertex,
     WeightedGraph,
+    extract_common_prefix_path,
     graph_digest,
     parse_graph,
     serialize_graph,
@@ -303,3 +307,19 @@ def test_parse_graph_reads_each_distinct_token_once_and_exactly():
 def test_parse_graph_reports_a_bad_token_on_its_own_line(text, line):
     with pytest.raises(InputError, match=f"^line {line}:"):
         parse_graph(text)
+
+
+def test_exports_resolve_and_stay_sorted():
+    names = graphmetry.__all__
+    assert names == sorted(set(names))
+    assert [name for name in names if not hasattr(graphmetry, name)] == []
+    namespace: dict = {}
+    exec("from graphmetry import *", namespace)
+    assert set(names) <= set(namespace)
+
+
+def test_bad_arguments_raise_invalid_argument():
+    with pytest.raises(InvalidArgument, match="unknown mode"):
+        parse_graph("a b 1\n", mode="length")
+    with pytest.raises(InvalidArgument, match="at least 2"):
+        extract_common_prefix_path([Path((0, 1))], lambda u, v: 1.0, k=1)

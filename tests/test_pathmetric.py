@@ -22,19 +22,24 @@ from graphmetry import (
     UnknownVertex,
     WeightedGraph,
     all_pairs_metric,
-    check_elf,
     enumerate_geodesics,
     geodesic_weight,
     is_generating,
     path_length,
     path_metric,
+    resistance_matrix,
     single_source_distances,
+    verify_maximal_weight,
 )
 from graphmetry.core import weights_close_array
 from graphmetry.oracle import brute_metric_from, enumerate_simple_paths, exact_path_length
 from graphmetry import pathmetric
 from graphmetry.pathmetric import _integral_weights, _one_sweep_metric, _triangle_violation
-from .suites import random_sparse_weighted_graph, random_weighted_graph
+from .suites import (
+    random_connected_conductance,
+    random_sparse_weighted_graph,
+    random_weighted_graph,
+)
 
 
 def p3() -> WeightedGraph:
@@ -324,19 +329,6 @@ def test_is_generating_examples():
         is_generating(WeightedGraph(2, {}), t)
 
 
-def test_check_elf_examples():
-    g = p3()
-    near_b = check_elf(g, 1, 2.0)
-    assert near_b.count == 2 and near_b.exhausted
-    assert check_elf(g, 0, 0.5).count == 0
-    assert check_elf(g, 0, 1.5).count == 1
-    star = WeightedGraph(101, {(0, k): 1.0 for k in range(1, 101)})
-    assert check_elf(star, 0, 2.0).count == 100
-    assert check_elf(star, 1, 2.0).count == 1
-    with pytest.raises(UnknownVertex):
-        check_elf(g, 9, 1.0)
-
-
 def test_first_step_lower_bound():
     # A route out of x costs at least the cheapest incident weight, so the
     # metric separates distinct vertices whenever weights do.
@@ -471,3 +463,74 @@ def test_closures_report_a_distance_beyond_float_range_without_a_warning():
         assert all_pairs_metric(split).d[0, 2] == INFINITY
         nan = WeightedGraph(3, {(0, 1): math.nan, (1, 2): 1.0})
         assert _one_sweep_metric(nan)[0, 1] == INFINITY
+
+
+def full_scan_weight(d: np.ndarray) -> np.ndarray:
+    """w_delta by testing every z on every pair, one row at a time.
+
+    The reference that both routes of ``geodesic_weight`` must equal bit for
+    bit: the same betweenness slack, n * 2**-51 * |d(x, y)|, and the same
+    sums d(x, z) + d(z, y), on every pair instead of the tight edges.
+    """
+    n = len(d)
+    out = np.full((n, n), INFINITY)
+    np.fill_diagonal(out, 0.0)
+    for x in range(n):
+        row = d[x]
+        sums = row[:, None] + d  # sums[z, y] = d(x,z) + d(z,y)
+        with np.errstate(invalid="ignore"):
+            # inf - inf in columns of infinite distance; those y are skipped.
+            gap = np.abs(sums - row[None, :])
+        between = gap <= (n * 2.0**-51) * np.abs(row)[None, :]
+        between[x, :] = False
+        np.fill_diagonal(between, False)  # z == y
+        unique = ~between.any(axis=0) & np.isfinite(row)
+        unique[x] = False
+        out[x, unique] = row[unique]
+    return np.minimum(out, out.T)
+
+
+def assert_both_routes_match_the_full_scan(t, g):
+    expected = full_scan_weight(t.d)
+    assert np.array_equal(geodesic_weight(t).table, expected)
+    assert np.array_equal(geodesic_weight(t, graph=g).table, expected)
+
+
+def test_both_routes_match_the_full_scan_reference():
+    for g in tight_edge_sweep():
+        assert_both_routes_match_the_full_scan(all_pairs_metric(g), g)
+        # Scaling by 2**-40 is exact, so the sweep's tables keep their ties.
+        small = WeightedGraph(g.n, {k: math.ldexp(w, -40) for k, w in g.weights.items()})
+        assert_both_routes_match_the_full_scan(all_pairs_metric(small), small)
+
+
+def test_both_routes_match_the_full_scan_on_resistance_matrices():
+    rng = random.Random(577)
+    for _ in range(100):
+        r = resistance_matrix(random_connected_conductance(rng, rng.randint(2, 30)))
+        assert np.array_equal(geodesic_weight(r).table, full_scan_weight(r.d))
+        # Fed back in as a weight, R closes to a table the graph route accepts.
+        g = r.as_weight_graph()
+        assert_both_routes_match_the_full_scan(all_pairs_metric(g), g)
+
+
+@pytest.mark.parametrize("ratio", [3e9, 1e10, 1e12, 1e14, 1e15])
+def test_geodesic_weight_keeps_a_spur_far_shorter_than_its_edge(ratio):
+    # A relative slack of 1e-9 put c between a and b once w(a, b) / w(b, c)
+    # passed about 2e9, and a lost every w_delta edge.
+    for big in (20000.0, 1.0, 2.0**-40):
+        g = WeightedGraph(3, {(0, 1): big, (1, 2): big / ratio})
+        t = all_pairs_metric(g)
+        assert_both_routes_match_the_full_scan(t, g)
+        W = geodesic_weight(t, graph=g)
+        assert W.table[0, 1] == big and W.table[1, 2] == big / ratio
+        assert W.table[0, 2] == INFINITY
+        assert verify_maximal_weight(g).passed
+
+
+def test_geodesic_weight_rejects_an_asymmetric_table():
+    # It passes the triangle gate; only the symmetry check stops it.
+    skew = MetricTable(3, np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [1.5, 1.0, 0.0]]))
+    assert _triangle_violation(skew.d, TAU_EQ) is None
+    with pytest.raises(InvalidMetric, match="!="):
+        geodesic_weight(skew)
