@@ -6,10 +6,11 @@ Commands mirror the library: ``metric``, ``geodesics``, ``geodesic-weight``,
 digits (``inf`` spelled out, rationals as ``p/q``); otherwise a plain
 key-per-line rendering of the same tree.
 
-Exit codes: 0 success, 2 input error (parse/validation, unknown family),
-3 query error (unknown vertex, unreachable, disconnected, bad pair), 4 cap
-exceeded (exact oracles and scans are size-capped), 5 internal invariant
-breach (a theorem-backed post-hoc check failed; that is a bug, not bad input).
+Exit codes: 0 success, 2 input error (parse/validation, unknown family,
+values floats cannot resolve), 3 query error (any other toolkit error:
+unknown vertex, unreachable, disconnected, bad pair), 4 cap exceeded (exact
+oracles and scans are size-capped), 5 internal invariant breach (a
+theorem-backed post-hoc check failed; that is a bug, not bad input).
 """
 
 from __future__ import annotations
@@ -33,25 +34,11 @@ from .core import (
     Graph,
     WeightedGraph,
     graph_digest,
+    invariant_error,
     parse_graph,
     validate,
 )
-from .errors import (
-    Disconnected,
-    DuplicatePath,
-    EmptyInput,
-    InputError,
-    InternalInvariantError,
-    InvalidMetric,
-    MixedStart,
-    NotDistinct,
-    OutOfRange,
-    SameVertex,
-    SizeMismatch,
-    TooLarge,
-    UnknownVertex,
-    Unreachable,
-)
+from .errors import GraphmetryError, InputError, InternalInvariantError, OutOfRange, TooLarge
 from .pathmetric import (
     all_pairs_metric,
     enumerate_geodesics,
@@ -71,20 +58,6 @@ from .structure import (
     inverse_conductance_weight,
     is_block_graph,
 )
-
-QUERY_ERRORS = (
-    UnknownVertex,
-    Unreachable,
-    SameVertex,
-    NotDistinct,
-    SizeMismatch,
-    InvalidMetric,
-    Disconnected,
-    EmptyInput,
-    MixedStart,
-    DuplicatePath,
-)
-
 
 def fmt(value: Any) -> Any:
     """Deterministic scalar formatting: 17-digit floats, inf token, p/q."""
@@ -321,9 +294,7 @@ def cmd_geodesic_weight(args: argparse.Namespace) -> Report:
     report = Report("geodesic-weight", graph_digest(g))
     maximality = verify_maximal_weight(g)
     if not maximality.passed:
-        raise InternalInvariantError(
-            "geodesic weight failed to generate or dominate; this is a bug"
-        )
+        raise invariant_error(g, "geodesic weight failed to generate or dominate; this is a bug")
     report.results["geodesic_weight"] = _table(g, maximality.weight.table)
     report.results["generates"] = maximality.generates
     report.results["dominates"] = maximality.dominates
@@ -340,8 +311,8 @@ def cmd_resistance(args: argparse.Namespace) -> Report:
         table = resistance_matrix(b)
         problems = table.validate()
         if problems:
-            raise InternalInvariantError(
-                "resistance matrix violates the metric axioms: " + "; ".join(problems)
+            raise invariant_error(
+                b, "resistance matrix violates the metric axioms: " + "; ".join(problems)
             )
         report.results["resistance"] = _table(b, table.d)
         if args.oracle:
@@ -388,7 +359,7 @@ def cmd_characterize(args: argparse.Namespace) -> Report:
             "consistent": tree.consistent,
         }
         if not tree.consistent:
-            raise InternalInvariantError("tree theorem inconsistency; this is a bug")
+            raise invariant_error(b, "tree theorem inconsistency; this is a bug")
     if args.block:
         blocky, offender = is_block_graph(b)
         cert = compatible_resistance_weight(b)
@@ -408,7 +379,7 @@ def cmd_characterize(args: argparse.Namespace) -> Report:
             block_result["counterexample"] = f"{b.label(u)},{b.label(v)}"
         report.results["block"] = block_result
         if blocky != cert.compatible:
-            raise InternalInvariantError("block-graph theorem inconsistency; this is a bug")
+            raise invariant_error(b, "block-graph theorem inconsistency; this is a bug")
     if args.triangle:
         x, y, z = (b.resolve(token) for token in args.triangle)
         tri = check_triangle_equality(b, x, y, z)
@@ -431,7 +402,7 @@ def cmd_characterize(args: argparse.Namespace) -> Report:
             }
         report.results["triangle"] = tri_result
         if not tri.consistent:
-            raise InternalInvariantError("triangle equality inconsistency; this is a bug")
+            raise invariant_error(b, "triangle equality inconsistency; this is a bug")
     return report
 
 
@@ -543,12 +514,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     except TooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except QUERY_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except InternalInvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 5
+    except GraphmetryError as exc:  # a well-formed query with no answer
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     sys.stdout.write(report.to_json() if args.json else report.to_text())
     return 0
 

@@ -35,9 +35,12 @@ import numpy as np
 from .errors import (
     AsymmetryError,
     DiagonalError,
+    GraphmetryError,
     InputError,
+    InternalInvariantError,
     InvalidArgument,
     NegativeWeightError,
+    OutOfRange,
     ParseError,
     UnknownVertex,
 )
@@ -47,11 +50,10 @@ if TYPE_CHECKING:
 
 INFINITY: float = math.inf
 
-# Shared comparison tolerances.  TAU_EQ guards float equality of derived
-# quantities (metric entries, resistances), TAU_GEO the tighter geodesic
-# length equality.
+# Relative tolerance between the results of two different algorithms
+# (metric entries, resistances).  Sums of the same path terms compare within
+# their rounding bound instead (pathmetric._sum_slack).
 TAU_EQ: float = 1e-9
-TAU_GEO: float = 1e-12
 
 VertexId = int
 
@@ -64,18 +66,19 @@ def edge_key(u: int, v: int) -> tuple[int, int]:
 def weights_close(a: float, b: float, rel: float = TAU_EQ) -> bool:
     """Equality of extended weights: exact at infinity, relative otherwise.
 
-    Finite values compare with relative tolerance ``rel`` floored at
-    absolute scale 1, so tiny values do not demand impossible precision.
+    Finite values agree within ``rel`` times the larger magnitude, with no
+    absolute floor, so scaling both by the same power of two keeps the
+    answer (short of underflow).
     """
     if math.isinf(a) or math.isinf(b):
         return a == b
-    return abs(a - b) <= rel * max(1.0, abs(a), abs(b))
+    return abs(a - b) <= rel * max(abs(a), abs(b))
 
 
 def weights_close_array(a: np.ndarray, b: np.ndarray, rel: float = TAU_EQ) -> np.ndarray:
     """Entrywise :func:`weights_close`; inf - inf NaNs fall to the exact test."""
     with np.errstate(invalid="ignore"):
-        near = np.abs(a - b) <= rel * np.maximum(np.maximum(1.0, np.abs(a)), np.abs(b))
+        near = np.abs(a - b) <= rel * np.maximum(np.abs(a), np.abs(b))
     return np.where(np.isinf(a) | np.isinf(b), a == b, near)
 
 
@@ -454,6 +457,22 @@ def validate(g: Graph) -> list[str]:
     if g.labels is not None and len(set(g.labels)) != len(g.labels):
         report.append("duplicate vertex labels")
     return report
+
+
+def invariant_error(g: Graph, message: str) -> GraphmetryError:
+    """The error for a theorem-backed check that failed on ``g``: OutOfRange,
+    naming the values, when its least and greatest finite stored values absorb
+    in a float sum (large + small == large, which no float algorithm can
+    resolve), InternalInvariantError(message), a bug, otherwise."""
+    values = sorted(w for (u, v), w in g._pairs.items() if u != v and 0.0 < w < INFINITY)
+    if values and values[-1] + values[0] == values[-1]:
+        kind = "weights" if isinstance(g, WeightedGraph) else "conductances"
+        small, large = values[0], values[-1]
+        return OutOfRange(
+            f"{kind} {small!r} and {large!r} are too far apart for float sums: "
+            f"{large!r} + {small!r} == {large!r}"
+        )
+    return InternalInvariantError(message)
 
 
 def serialize_graph(g: Graph) -> str:

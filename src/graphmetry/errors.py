@@ -30,7 +30,8 @@ class InvalidArgument(InputError, ValueError):
 
 
 class OutOfRange(InputError):
-    """Finite input values whose distance or resistance lies outside float range."""
+    """Finite input values that floats cannot resolve: a distance or resistance
+    beyond float range, or two values whose float sum absorbs the smaller."""
 
 
 class UnknownVertex(GraphmetryError):

@@ -29,7 +29,6 @@ import numpy as np
 from .core import (
     INFINITY,
     TAU_EQ,
-    TAU_GEO,
     Path,
     WeightedGraph,
     weights_close_array,
@@ -65,7 +64,7 @@ class MetricTable:
     def label(self, u: int) -> str:
         return self.labels[u] if self.labels is not None else str(u)
 
-    def validate(self, tol: float = TAU_EQ) -> list[str]:
+    def validate(self) -> list[str]:
         """Diagnostics for violated pseudo-metric invariants (empty iff valid).
 
         Zero off-diagonal entries are legal in a pseudo metric but worth
@@ -85,7 +84,7 @@ class MetricTable:
         if (d < 0).any():
             x, y = np.argwhere(d < 0)[0]
             report.append(f"negative entry at ({self.label(x)}, {self.label(y)})")
-        viol = _triangle_violation(d, tol)
+        viol = _triangle_violation(d)
         if viol is not None:
             x, y, z = viol
             report.append(
@@ -113,15 +112,16 @@ def _table_weight_graph(table: np.ndarray, labels: tuple[str, ...] | None) -> We
     return WeightedGraph(len(table), weights, labels)
 
 
-def _triangle_violation(d: np.ndarray, tol: float) -> tuple[int, int, int] | None:
-    """First (x, y, z) with d[x,z] > d[x,y] + d[y,z] beyond tolerance, if any."""
+def _triangle_violation(d: np.ndarray) -> tuple[int, int, int] | None:
+    """First (x, y, z) with d[x,z] > d[x,y] + d[y,z] by more than TAU_EQ
+    times d[x,z] (by anything when d[x,z] is inf), if any."""
     n = d.shape[0]
-    slack = tol * np.maximum(1.0, np.abs(d))
+    slack = TAU_EQ * np.abs(d)
+    slack[np.isinf(d)] = 0.0  # exact at infinity, as in weights_close
     with np.errstate(over="ignore"):  # a sum beyond float range is inf: no violation
         for y in range(n):
             sums = d[:, y, None] + d[None, y, :]
             bad = d > sums + slack
-            # inf > inf + tol is False; inf entries only flag finite sums.
             if bad.any():
                 x, z = np.argwhere(bad)[0]
                 return int(x), int(y), int(z)
@@ -300,17 +300,20 @@ def all_pairs_metric(g: WeightedGraph) -> MetricTable:
     return MetricTable(g.n, d, g.labels)
 
 
-def _integral_weights(g: WeightedGraph) -> bool:
-    return all(w.is_integer() for w in g.weights.values() if math.isfinite(w))
+def _sum_slack(n: int, d: float | np.ndarray) -> float | np.ndarray:
+    """n * 2**-51 * |d|: how far rounding alone moves two float sums of fewer
+    than n nonnegative path terms near d apart (Higham 2002, 4.2).  It scales
+    with d, and distinct integer sums below 2**51 / n differ by more."""
+    return n * 2.0**-51 * abs(d)
 
 
 def enumerate_geodesics(g: WeightedGraph, x: int, y: int, cap: int = 64) -> GeodesicSet:
     """All w-geodesics from x to y in lexicographic vertex order.
 
-    A path qualifies when its recomputed length equals delta_w(x, y) —
-    exactly when every finite weight is an integer (sums are then exact),
-    within relative tolerance TAU_GEO otherwise.  Stops after ``cap`` paths
-    and sets the truncation flag.
+    A path qualifies when its length is within the rounding bound
+    :func:`_sum_slack` of delta_w(x, y), and the search prunes a branch
+    only when it exceeds delta_w by more than that bound.  Stops after
+    ``cap`` paths and sets the truncation flag.
     """
     if cap < 1:
         raise InvalidArgument("cap must be positive")
@@ -321,7 +324,7 @@ def enumerate_geodesics(g: WeightedGraph, x: int, y: int, cap: int = 64) -> Geod
         raise Unreachable(f"no finite-weight path from {g.label(x)} to {g.label(y)}")
     if x == y:
         return GeodesicSet([Path((x,))], 0.0)
-    slack = 0.0 if _integral_weights(g) else TAU_GEO * max(1.0, target)
+    slack = _sum_slack(g.n, target)
     to_y = single_source_distances(g, y).tolist()  # float sums overflow to inf silently
     paths: list[Path] = []
     truncated = False
@@ -386,7 +389,7 @@ def geodesic_weight(t: MetricTable, graph: WeightedGraph | None = None) -> Geode
         if asymmetric.any():
             x, y = np.argwhere(asymmetric)[0]
             raise InvalidMetric(f"d({t.label(x)}, {t.label(y)}) != d({t.label(y)}, {t.label(x)})")
-        viol = _triangle_violation(d, TAU_EQ)
+        viol = _triangle_violation(d)
         if viol is not None:
             x, y, z = viol
             raise InvalidMetric(
@@ -410,9 +413,9 @@ def _tight_edge_weight(d: np.ndarray, xs: np.ndarray, ys: np.ndarray, out: np.nd
     """Write d into ``out`` on the pairs (xs, ys), both ways, that have
     nothing between their ends.
 
-    z is between x and y when |(d[x,z] + d[z,y]) - d[x,y]| <= n * 2**-51 *
-    |d[x,y]|; tested on a (pairs x n) block, cut into slices of about 2**20
-    entries.
+    z is between x and y when d[x,z] + d[z,y] is within
+    ``_sum_slack(n, d[x,y])`` of d[x,y]; tested on a (pairs x n) block, cut
+    into slices of about 2**20 entries.
     """
     n = d.shape[0]
     step = max(1, (1 << 20) // max(n, 1))
@@ -421,7 +424,7 @@ def _tight_edge_weight(d: np.ndarray, xs: np.ndarray, ys: np.ndarray, out: np.nd
         dxy = d[x, y]
         with np.errstate(over="ignore"):  # a sum beyond float range is inf: z is not between
             gap = np.abs((d[x, :] + d[:, y].T) - dxy[:, None])  # gap[i, z] for z = 0 .. n-1
-        between = gap <= (n * 2.0**-51) * np.abs(dxy)[:, None]
+        between = gap <= _sum_slack(n, dxy)[:, None]
         rows = np.arange(len(x))
         between[rows, x] = False
         between[rows, y] = False

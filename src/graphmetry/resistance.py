@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .core import INFINITY, TAU_EQ, ConductanceGraph
-from .errors import Disconnected, InternalInvariantError, OutOfRange, SameVertex, SizeMismatch
+from .core import INFINITY, TAU_EQ, ConductanceGraph, invariant_error, weights_close
+from .errors import Disconnected, OutOfRange, SameVertex, SizeMismatch
 from .pathmetric import MetricTable
 
 
@@ -173,16 +173,20 @@ def _grounded(b: ConductanceGraph) -> _GroundedSystem:
 
 
 def _factor(b: ConductanceGraph, system: _GroundedSystem, i: int) -> tuple[np.ndarray, bool]:
-    """Cholesky factor of component ``i``'s grounded block, built once."""
+    """Cholesky factor of component ``i``'s grounded block, built once.
+
+    A failed factorization is OutOfRange when the graph's conductances
+    absorb one another in float sums, and a bug otherwise."""
     factor = system._factors[i]
     if factor is None:
         try:
             factor = cho_factor(system.grounded_block(i), overwrite_a=True)
         except np.linalg.LinAlgError:
             least = int(system.members[i][0])
-            raise InternalInvariantError(
+            raise invariant_error(
+                b,
                 f"grounded Laplacian of the component of {b.label(least)} is not "
-                "positive definite; this is a bug"
+                "positive definite; this is a bug",
             ) from None
         system._factors[i] = factor
     return factor
@@ -332,9 +336,7 @@ def verify_variational(
     fq = energy(b, f).total
     fgap2 = (f[y] - f[x]) ** 2
     maximizer_quotient = fgap2 / fq
-    maximizer_attains = abs(maximizer_quotient - resistance) <= TAU_EQ * max(
-        1.0, abs(resistance)
-    )
+    maximizer_attains = weights_close(maximizer_quotient, resistance)
     return VariationalReport(
         resistance=resistance,
         max_quotient=max_quotient,

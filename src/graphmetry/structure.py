@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import TAU_EQ, ConductanceGraph, Path, WeightedGraph, weights_close, weights_close_array
+from .core import ConductanceGraph, Path, WeightedGraph, weights_close, weights_close_array
 from .errors import Disconnected, NotDistinct
 from .pathmetric import MetricTable, _one_sweep_metric
 from .resistance import _grounded, components, effective_resistance, resistance_matrix
@@ -115,12 +115,11 @@ def check_triangle_equality(
     x: int,
     y: int,
     z: int,
-    tol: float = TAU_EQ,
     table: MetricTable | None = None,
 ) -> TriangleReport:
     """Compare R(x,z) with R(x,y) + R(y,z) and the separation test at y.
 
-    Equality within relative tolerance ``tol`` must coincide with y
+    Equality within :func:`weights_close` must coincide with y
     separating x from z.  Without ``table`` the three resistances are
     dipole solves against the graph's cached grounded factor; ``table`` may
     carry a precomputed resistance matrix to read them from instead.  The
@@ -136,7 +135,7 @@ def check_triangle_equality(
         rhs = float(table.d[x, y]) + float(table.d[y, z])
     if math.isinf(lhs) or math.isinf(rhs):
         raise Disconnected("triangle check needs a connected triple")
-    equal = weights_close(lhs, rhs, rel=tol)
+    equal = weights_close(lhs, rhs)
     separation = separates(b, y, x, z)
     return TriangleReport(
         lhs=lhs, rhs=rhs, equal=equal, separated=separation.separated, separation=separation
@@ -274,12 +273,12 @@ class TreeTheoremReport:
         return self.is_tree == self.metrics_equal
 
 
-def check_tree_theorem(b: ConductanceGraph, tol: float = TAU_EQ) -> TreeTheoremReport:
+def check_tree_theorem(b: ConductanceGraph) -> TreeTheoremReport:
     """Compare delta_{1/b} with the resistance matrix entrywise."""
     if len(components(b)) > 1:
         raise Disconnected("tree theorem check expects a connected graph")
     d = _one_sweep_metric(inverse_conductance_weight(b))
     R = resistance_matrix(b).d
     upper = np.triu_indices(b.n, 1)
-    equal = bool(weights_close_array(d[upper], R[upper], rel=tol).all())
+    equal = bool(weights_close_array(d[upper], R[upper]).all())
     return TreeTheoremReport(is_tree=is_tree(b), metrics_equal=equal)

@@ -9,9 +9,10 @@ import warnings
 import numpy as np
 import pytest
 
-from graphmetry import MetricTable
+from graphmetry import ConductanceGraph, GraphmetryError, MetricTable
 from graphmetry.cli import Report, Table, _render, build_parser, fmt, main
 from graphmetry.completeness import MaximalWeightReport
+from .suites import random_block_graph, random_nontree, random_tree
 
 P3 = "a b 1\nb c 1\n"
 K3 = "a b 1\nb c 1\na c 1\n"
@@ -777,3 +778,104 @@ def test_file_commands_keep_the_exit_code_contract_under_fuzzing(tmp_path, capsy
     assert {0, 2, 3} <= codes
     assert len(seen) == 5 * 3 * 2  # every command, in either mode or the default, both outputs
     assert threading.active_count() == threads
+
+
+def test_any_other_toolkit_error_is_exit_3(graph_file, capsys, monkeypatch):
+    import graphmetry.cli as cli
+
+    class NoAnswer(GraphmetryError):
+        pass
+
+    def raising(*args):
+        raise NoAnswer("no answer here")
+
+    monkeypatch.setattr(cli, "path_metric", raising)
+    code, out, err = run(capsys, "metric", graph_file(P3), "--source", "a", "--target", "c")
+    assert code == 3 and out == ""
+    assert err == "error: no answer here\n"
+
+
+# Values a float sum absorbs (large + small == large): bad input, not a bug.
+ABSORBED = [
+    ("a b 1\nb c 1e-20\n", ("geodesic-weight",)),
+    ("a b 1e-10\nb c 2e-10\na c 3e-10\nc d 1e-300\n", ("geodesic-weight",)),
+    ("b d 0.1\nm d 1e-308\n", ("characterize", "--mode", "weight", "--tree")),
+    ("vertex é 1e-308\nvertex 0 1e-320\né b 3\n", ("resistance", "--matrix")),
+    ("d a 0.1\né d 1e308\na f 10\né f 0.1\n", ("characterize", "--mode", "conductance", "--block")),
+    (
+        "a é 0.1\nvertex d\n1 d 2\n1 vertex 2\né d 5e-324\nd 1 2\n",
+        ("characterize", "--triangle", "1", "vertex", "é"),
+    ),
+    ("a e 1e308\nvertex e 0.5\na j 1\n", ("characterize", "--mode", "weight", "--tree")),
+]
+
+
+@pytest.mark.parametrize("text, argv", ABSORBED)
+def test_absorbed_values_are_input_errors(graph_file, capsys, text, argv):
+    code, out, err = run(capsys, argv[0], graph_file(text), *argv[1:])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "too far apart for float sums" in err
+
+
+def verdicts(doc: dict) -> dict:
+    """The characterize results without the values that carry a unit."""
+    results = {key: dict(value) for key, value in doc["results"].items()}
+    results.get("block", {}).pop("certificate", None)
+    for key in ("lhs", "rhs"):
+        results.get("triangle", {}).pop(key, None)
+    return results
+
+
+CHECKS = ("--tree", "--block", "--triangle", "a", "b", "c")
+
+
+@pytest.mark.parametrize(
+    "text, mode",
+    [(C4.replace(" 1\n", " 1e12\n"), "conductance"), (C4.replace(" 1\n", " 1e-12\n"), "weight")],
+)
+def test_scaled_four_cycle_keeps_its_verdicts(graph_file, capsys, text, mode):
+    unit = run_json(capsys, "characterize", graph_file(C4), "--mode", mode, *CHECKS)
+    scaled = run_json(capsys, "characterize", graph_file(text), "--mode", mode, *CHECKS)
+    assert verdicts(scaled) == verdicts(unit)
+    assert verdicts(unit)["tree"] == {"is_tree": False, "metrics_equal": False, "consistent": True}
+
+
+def test_geodesics_of_a_tiny_triangle_keep_only_the_direct_path(graph_file, capsys):
+    path = graph_file("a b 1e-13\nb c 1e-13\na c 1e-13\n")
+    doc = run_json(capsys, "geodesics", path, "--source", "a", "--target", "c")
+    assert [g["path"] for g in doc["results"]["geodesics"]] == ["a -> c"]
+
+
+def scaled_text(b: ConductanceGraph, scale: float) -> str:
+    return "".join(f"v{u} v{v} {c * scale!r}\n" for u, v, c in b.edges())
+
+
+def test_answers_do_not_depend_on_the_unit(graph_file, capsys):
+    # Scaling by a power of two is exact in floats, so every verdict, every
+    # geodesic and every w_delta entry must carry over (w_delta scaled).
+    rng = random.Random(2024)
+    makers = [random_tree, random_block_graph, random_nontree]
+    for i in range(9):
+        g = makers[i % 3](rng, rng.randint(4, 8))
+        g = ConductanceGraph(g.n, {key: rng.randint(1, 100) / 10 for key in g.b})
+        x, y, z = rng.sample(range(g.n), 3)
+        answers = {}
+        for scale in (1.0, 2.0**-40, 2.0**40):
+            path = graph_file(scaled_text(g, scale), f"g{i}.edges")
+            for mode in ("weight", "conductance"):
+                doc = run_json(
+                    capsys, "characterize", path, "--mode", mode,
+                    "--tree", "--block", "--triangle", f"v{x}", f"v{y}", f"v{z}",
+                )
+                answers[scale, mode] = verdicts(doc)
+            doc = run_json(capsys, "geodesics", path, "--source", f"v{x}", "--target", f"v{z}")
+            answers[scale, "geodesics"] = [p["path"] for p in doc["results"]["geodesics"]]
+            results = run_json(capsys, "geodesic-weight", path)["results"]
+            table = results.pop("geodesic_weight")
+            answers[scale, "w_delta"] = results, {
+                key: {col: float(value) / scale for col, value in row.items()}
+                for key, row in table.items()
+            }
+        for key in ("weight", "conductance", "geodesics", "w_delta"):
+            assert answers[2.0**-40, key] == answers[1.0, key] == answers[2.0**40, key], (i, key)

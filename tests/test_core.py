@@ -15,8 +15,10 @@ from graphmetry import (
     ConductanceGraph,
     DiagonalError,
     InputError,
+    InternalInvariantError,
     InvalidArgument,
     NegativeWeightError,
+    OutOfRange,
     ParseError,
     Path,
     UnknownVertex,
@@ -28,7 +30,7 @@ from graphmetry import (
     validate,
     weights_close,
 )
-from graphmetry.core import weights_close_array
+from graphmetry.core import invariant_error, weights_close_array
 from .suites import random_weighted_graph
 
 P3_TEXT = """
@@ -222,7 +224,20 @@ def test_weights_close_extended():
     assert not weights_close(INFINITY, 10.0)
     assert weights_close(1.0, 1.0 + 1e-12)
     assert not weights_close(1.0, 1.1)
-    assert weights_close(0.0, 1e-12)
+    assert not weights_close(0.0, 1e-12)
+    assert weights_close(1e-12, 1e-12 * (1 + 1e-12))
+
+
+def test_invariant_error_blames_absorbed_values_only():
+    k3 = ConductanceGraph(3, {(0, 1): 1.0, (1, 2): 2.0, (0, 2): 3.0})
+    bug = invariant_error(k3, "a bug")
+    assert isinstance(bug, InternalInvariantError) and str(bug) == "a bug"
+    # 2**53 + 1 rounds back to 2**53; 2**52 + 1 is exact.
+    wide = WeightedGraph(3, {(0, 1): 1.0, (1, 2): 2.0**53, (0, 2): INFINITY})
+    blamed = invariant_error(wide, "a bug")
+    assert isinstance(blamed, OutOfRange) and "1.0 and 9007199254740992.0" in str(blamed)
+    near = WeightedGraph(3, {(0, 1): 1.0, (1, 2): 2.0**52})
+    assert isinstance(invariant_error(near, "a bug"), InternalInvariantError)
 
 
 def test_weights_close_array_matches_scalar():

@@ -9,8 +9,6 @@ import pytest
 
 from graphmetry import (
     INFINITY,
-    TAU_EQ,
-    TAU_GEO,
     GeodesicSet,
     InvalidMetric,
     MetricTable,
@@ -34,7 +32,7 @@ from graphmetry import (
 from graphmetry.core import weights_close_array
 from graphmetry.oracle import brute_metric_from, enumerate_simple_paths, exact_path_length
 from graphmetry import pathmetric
-from graphmetry.pathmetric import _integral_weights, _one_sweep_metric, _triangle_violation
+from graphmetry.pathmetric import _one_sweep_metric, _sum_slack, _triangle_violation
 from .suites import (
     random_connected_conductance,
     random_sparse_weighted_graph,
@@ -286,21 +284,21 @@ def test_triangle_gate_cannot_fire_on_a_fixpoint_table():
     # Why geodesic_weight(t, graph=g) may skip the gate: at the closure's
     # fixpoint d[x,z] <= fl(d[x,y] + d[y,z]) holds exactly.
     for g in tight_edge_sweep():
-        assert _triangle_violation(all_pairs_metric(g).d, TAU_EQ) is None
+        assert _triangle_violation(all_pairs_metric(g).d) is None
 
 
 def test_triangle_gate_runs_on_bare_tables_only(monkeypatch):
     calls = []
 
-    def counted(d, tol):
-        calls.append(tol)
-        return _triangle_violation(d, tol)
+    def counted(d):
+        calls.append(d)
+        return _triangle_violation(d)
 
     monkeypatch.setattr(pathmetric, "_triangle_violation", counted)
     g = random_sparse_weighted_graph(random.Random(5), 30, parts=2)
     t = all_pairs_metric(g)
     assert np.array_equal(geodesic_weight(t, graph=g).table, geodesic_weight(t).table)
-    assert calls == [TAU_EQ]
+    assert len(calls) == 1 and calls[0] is t.d
 
 
 def test_one_sweep_metric_is_the_fixpoint_up_to_rounding():
@@ -349,7 +347,7 @@ def recursive_enumerate_geodesics(g: WeightedGraph, x: int, y: int, cap: int) ->
     target = path_metric(g, x, y)
     if x == y:
         return GeodesicSet([Path((x,))], 0.0)
-    slack = 0.0 if _integral_weights(g) else TAU_GEO * max(1.0, target)
+    slack = _sum_slack(g.n, target)
     to_y = single_source_distances(g, y)
     paths = []
     on_path = [False] * g.n
@@ -531,6 +529,15 @@ def test_geodesic_weight_keeps_a_spur_far_shorter_than_its_edge(ratio):
 def test_geodesic_weight_rejects_an_asymmetric_table():
     # It passes the triangle gate; only the symmetry check stops it.
     skew = MetricTable(3, np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [1.5, 1.0, 0.0]]))
-    assert _triangle_violation(skew.d, TAU_EQ) is None
+    assert _triangle_violation(skew.d) is None
     with pytest.raises(InvalidMetric, match="!="):
         geodesic_weight(skew)
+
+
+def test_triangle_gate_is_exact_at_infinity():
+    # d(0, 2) = inf above the finite route 0 - 1 - 2 breaks the triangle inequality.
+    gap = MetricTable(3, np.array([[0.0, 1.0, INFINITY], [1.0, 0.0, 1.0], [INFINITY, 1.0, 0.0]]))
+    assert _triangle_violation(gap.d) == (0, 1, 2)
+    assert any("triangle inequality fails" in line for line in gap.validate())
+    with pytest.raises(InvalidMetric):
+        geodesic_weight(gap)

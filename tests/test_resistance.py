@@ -16,6 +16,7 @@ from graphmetry import (
     ConductanceGraph,
     Disconnected,
     InternalInvariantError,
+    OutOfRange,
     PotentialFunction,
     SameVertex,
     SizeMismatch,
@@ -25,6 +26,7 @@ from graphmetry import (
     gamma,
     harmonic_maximizer,
     laplacian_apply,
+    parse_graph,
     laplacian_matrix,
     resistance_matrix,
     check_triangle_equality,
@@ -363,6 +365,13 @@ def test_failed_factorization_is_an_internal_error(monkeypatch, tmp_path, capsys
         err = capsys.readouterr().err
         assert code == 5
         assert err.startswith("internal error:") and "Traceback" not in err
+
+
+def test_absorbed_conductances_fail_the_factor_as_out_of_range():
+    # fl(1e308 + 10) = 1e308: the grounded block is singular in floats.
+    b = ConductanceGraph(3, {(0, 1): 10.0, (1, 2): 1e308})
+    with pytest.raises(OutOfRange, match="10.0 and 1e[+]308"):
+        effective_resistance(b, 0, 2)
 
 
 def test_concurrent_first_queries_agree():
