@@ -23,7 +23,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
@@ -82,12 +82,17 @@ class Table:
         self.order = sorted(range(len(labels)), key=labels.__getitem__)
         self.names = [labels[i] for i in self.order]
 
-    def rows(self, spell: Callable[[str], str]) -> Iterator[tuple[str, ...]]:
-        """Each row's cells as ``spell(fmt(value))``, rows and columns in label order."""
+    def rows(self, quote: str = "") -> Iterator[tuple[str, ...]]:
+        """Each row's cells as ``fmt(value)`` between ``quote`` marks, rows
+        and columns in label order.  A float's spelling never needs JSON
+        escaping, so ``quote='"'`` gives its JSON string."""
         bits = np.ascontiguousarray(self.matrix, dtype=np.float64).view(np.int64)
         distinct, codes = np.unique(bits, return_inverse=True)
         codes = codes.reshape(bits.shape)
-        spelled = [spell(fmt(value)) for value in distinct.view(np.float64).tolist()]
+        values = distinct.view(np.float64)
+        spelled = [f"{quote}{value:.17g}{quote}" for value in values.tolist()]
+        for i in np.flatnonzero(np.isinf(values)).tolist():
+            spelled[i] = f"{quote}inf{quote}"  # fmt spells -inf as inf too
         order = np.array(self.order, dtype=np.intp)
         for i in self.order:
             # One row of Python ints at a time keeps the peak memory of a large table down.
@@ -143,7 +148,7 @@ def _json(node: Any, outer: str) -> str:
         # One %-template holds every row's keys and separators; a label's own % is doubled.
         row = "{" + cell + ("," + cell).join(key.replace("%", "%%") + "%s" for key in keys)
         row += inner + "}"
-        rows = [key + row % values for key, values in zip(keys, node.rows(encode_basestring_ascii))]
+        rows = [key + row % values for key, values in zip(keys, node.rows('"'))]
         return "{" + inner + ("," + inner).join(rows) + outer + "}"
     if isinstance(node, dict) and node:
         if all(isinstance(value, str) for value in node.values()):
@@ -163,7 +168,7 @@ def _render(prefix: str, node: Any) -> list[str]:
     if isinstance(node, Table):
         lines: list[str] = []
         columns = [f".{name}: " for name in node.names]
-        for name, values in zip(node.names, node.rows(str)):
+        for name, values in zip(node.names, node.rows()):
             head = f"{prefix}.{name}" if prefix else name
             lines.extend([head + column + value for column, value in zip(columns, values)])
         return lines

@@ -7,14 +7,18 @@ inequality.  The geodesic weight keeps delta on pairs whose only geodesic is
 the direct two-vertex path and is ``inf`` elsewhere; it generates the same
 metric and dominates every other weight that does.
 
-Two closure routes share one initial table.  :func:`all_pairs_metric`
-iterates min-plus sweeps to a bitwise fixpoint; it serves wherever delta is
-printed or fed back in as a weight.  Checks that only compare a metric
-within a tolerance (:func:`is_generating`, the tree and block-graph checks)
-read a table from a single sweep, which is exact up to rounding.  Given the
-graph that generated its table, :func:`geodesic_weight` tests only the tight
-edges (w = delta bitwise): every other finite pair has a vertex between its
-ends.  A bare table has every finite pair tested by the same kernel.
+Two closure routes share one start table.  :func:`all_pairs_metric` runs
+one min-plus sweep, a second that records what it leaves stale, and passes
+over only the stale entries until one changes nothing: the bitwise fixpoint
+that sweeps-until-unchanged reach, which serves wherever delta is printed
+or fed back in as a weight.  On integer weights summing to at most 2**52
+every sum is exact and the first sweep is already that fixpoint.  Checks
+that only compare a metric within a tolerance (:func:`is_generating`, the
+tree and block-graph checks) read the single sweep, which is exact up to
+rounding.  Given the graph that generated its table, :func:`geodesic_weight`
+tests only the tight edges (w = delta bitwise): every other finite pair has
+a vertex between its ends.  A bare table has every finite pair tested by the
+same kernel.
 """
 
 from __future__ import annotations
@@ -215,32 +219,41 @@ def path_metric(g: WeightedGraph, x: int, y: int) -> float:
 
 
 def _initial_table(g: WeightedGraph) -> np.ndarray:
-    """Diagonal 0, the least stored finite weight per pair, inf elsewhere."""
+    """Diagonal 0, the stored finite weight per pair, inf elsewhere."""
     n = g.n
     d = np.full((n, n), INFINITY)
+    keys = np.array(list(g.weights), dtype=np.intp).reshape(-1, 2)
+    w = np.fromiter(g.weights.values(), float, len(keys))
+    u, v = keys[:, 0], keys[:, 1]
+    finite = np.isfinite(w) & (u != v)
+    negative = finite & (w < 0)
+    if negative.any():
+        # A negative weight has no shortest paths: the sweeps would run to -inf.
+        i = int(np.argmax(negative))
+        raise NegativeWeightError(
+            f"negative weight {float(w[i])} on ({g.label(int(u[i]))}, {g.label(int(v[i]))})"
+        )
+    u, v, w = u[finite], v[finite], w[finite]
+    d[u, v] = w  # one stored key per unordered pair
+    d[v, u] = w
     np.fill_diagonal(d, 0.0)
-    for (u, v), w in g.weights.items():
-        if u != v and math.isfinite(w):
-            if w < 0:
-                # A negative weight has no shortest paths: the sweeps would run to -inf.
-                raise NegativeWeightError(
-                    f"negative weight {w} on ({g.label(u)}, {g.label(v)})"
-                )
-            d[u, v] = min(d[u, v], w)
-            d[v, u] = d[u, v]
     return d
 
 
-def _min_plus_sweep(d: np.ndarray, via: np.ndarray) -> None:
+def _min_plus_sweep(d: np.ndarray, via: np.ndarray, seen: np.ndarray | None = None) -> None:
     """One Floyd-Warshall pass over k = 0 .. n-1, in place; ``via`` is scratch.
 
-    A sum beyond float range becomes inf without a warning;
+    Step k applies every update d[x,y] <- min(d[x,y], fl(d[x,k] + d[k,y]))
+    at once; with ``seen``, row k of it receives row k of d as step k read
+    it.  A sum beyond float range becomes inf without a warning;
     :func:`_check_range` reports it once the closure is done.
     """
     with np.errstate(over="ignore"):
         for k in range(d.shape[0]):
             np.add(d[:, k, None], d[None, k, :], out=via)
             np.minimum(d, via, out=d)
+            if seen is not None:
+                seen[k] = d[k]  # step k leaves row k as it found it: d[k,k] = 0
 
 
 def metric_components(g: WeightedGraph) -> list[list[int]]:
@@ -276,26 +289,88 @@ def _one_sweep_metric(g: WeightedGraph) -> np.ndarray:
     return d
 
 
-def all_pairs_metric(g: WeightedGraph) -> MetricTable:
-    """All-pairs delta_w as a MetricTable.
+def _sums_exact(d: np.ndarray) -> bool:
+    """Whether every float sum a closure of the start table ``d`` forms is
+    exact: its finite entries are integers summing to at most 2**52 above
+    the diagonal, so no path is longer than 2**52 and no sum of two path
+    lengths exceeds 2**53."""
+    upper = np.triu(d, 1)
+    w = upper[np.isfinite(upper)]
+    # Each entry at most 2**52 first: then the sum of n**2 of them cannot overflow.
+    return bool(w.max(initial=0.0) <= 2.0**52 and (w == np.rint(w)).all() and w.sum() <= 2.0**52)
 
-    Computed by min-plus closure iterated to a float fixpoint rather than
-    per-source searches: at the fixpoint d[x,y] <= fl(d[x,z] + d[z,y]) holds
-    exactly for every z, which makes the table idempotent — feeding it back
-    in as a weight function reproduces it bit for bit (delta_delta = delta
-    with no tolerance), something per-source float accumulation cannot
-    promise at the last ulp.  Use it where delta is printed or fed back in;
-    a comparison within a tolerance needs only one sweep.  Raises
-    NegativeWeightError on a negative finite weight and OutOfRange when a
-    distance between connected vertices is beyond float range.
+
+def _relax_rows(d: np.ndarray, xs: np.ndarray, ks: np.ndarray) -> None:
+    """d[x,:] <- min(d[x,:], fl(d[x,k] + d[k,:])) for each pair (xs[i], ks[i]),
+    then d <- min(d, d.T), so that a symmetric ``d`` stays symmetric.
+
+    ``xs`` must be sorted: the candidate rows of one x are reduced together
+    with ``np.minimum.reduceat``, in cache-sized slices of about 2**15 entries.
+    """
+    n = d.shape[0]
+    step = max(1, (1 << 15) // n)
+    with np.errstate(over="ignore"):  # a sum beyond float range is inf, as in a sweep
+        for lo in range(0, len(xs), step):
+            x, k = xs[lo : lo + step], ks[lo : lo + step]
+            starts = np.flatnonzero(np.concatenate(([True], x[1:] != x[:-1])))
+            rows = x[starts]
+            sums = d[k]
+            sums += d[x, k, None]
+            best = np.minimum.reduceat(sums, starts)
+            d[rows] = np.minimum(d[rows], best, out=best)
+    np.minimum(d, d.T, out=d)
+
+
+def all_pairs_metric(g: WeightedGraph) -> MetricTable:
+    """All-pairs delta_w as a MetricTable, at the bitwise fixpoint.
+
+    At the fixpoint d[x,y] <= fl(d[x,k] + d[k,y]) holds exactly for every
+    k, which makes the table idempotent: feeding it back in as a weight
+    function reproduces it bit for bit (delta_delta = delta with no
+    tolerance), something per-source float accumulation cannot promise at
+    the last ulp.  Use it where delta is printed or fed back in; a
+    comparison within a tolerance needs only one sweep.
+
+    Why the route below reaches it.  Each update d[x,y] <- min(d[x,y],
+    fl(d[x,k] + d[k,y])) is monotone (float rounding is) and deflationary,
+    and fl(a + b) = fl(b + a).  The tables at most the start table d0 that
+    no update lowers are closed under entrywise max, so there is a greatest
+    one, G; it is symmetric, and every table that updates reach from d0
+    stays at or above it.  An iteration that stops only when no update would
+    lower any entry therefore stops at G, in whatever order it applies them
+    (chaotic relaxation, Chazan & Miranker 1969), and equals
+    sweeps-until-unchanged bit for bit.  It is fair if every update either
+    is applied again or reads only entries unchanged since it last held:
+    d[x,y] only falls, so such an update still holds.
+
+    - When every finite weight is an integer and they sum to at most 2**52
+      (:func:`_sums_exact`, tested on d0), every sum a sweep forms is
+      exact, so the first sweep ends at the true shortest paths, which no
+      update lowers: it is already G.
+    - Otherwise a second sweep records row k as its step k reads it.  The
+      update (x, k, y) is due again only where d[k,x] or d[k,y] changed
+      after that step.
+    - Each later pass applies every due update (x, k, .), and its mirror
+      the updates (., k, x) (:func:`_relax_rows`).  The updates due after
+      it are those reading an entry the pass changed.  The first pass that
+      changes nothing leaves none due.
+
+    Raises NegativeWeightError on a negative finite weight and OutOfRange
+    when a distance between connected vertices is beyond float range.
     """
     d = _initial_table(g)
+    exact = _sums_exact(d)
     via = np.empty_like(d)
-    while True:
-        before = d.copy()
-        _min_plus_sweep(d, via)
-        if np.array_equal(before, d):
-            break
+    _min_plus_sweep(d, via)
+    if not exact:
+        seen = np.empty_like(d)
+        _min_plus_sweep(d, via, seen)
+        # Row update (x, k) is due where d[k,x] changed after step k read it.
+        xs, ks = np.nonzero(d != seen.T)
+        while len(xs):
+            np.copyto(seen, d)
+            _relax_rows(d, xs, ks)
+            xs, ks = np.nonzero(d != seen)
     _check_range(g, d)
     return MetricTable(g.n, d, g.labels)
 

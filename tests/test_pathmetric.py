@@ -316,6 +316,92 @@ def test_negative_weight_is_rejected_by_both_closures():
         is_generating(g, all_pairs_metric(p3()))
 
 
+def test_negative_weight_message_names_the_first_negative_pair():
+    labels = ("a", "b", "c", "d")
+    # Keys are stored sorted; a negative value on the diagonal, NaN and -inf join nothing.
+    g = WeightedGraph(
+        4,
+        {(3, 2): -1.0, (1, 2): -2.5, (0, 0): -3.0, (0, 1): math.nan, (0, 3): -math.inf},
+        labels,
+    )
+    with pytest.raises(NegativeWeightError) as err:
+        all_pairs_metric(g)
+    assert str(err.value) == "negative weight -2.5 on (b, c)"
+    fine = WeightedGraph(3, {(0, 0): -3.0, (0, 1): math.nan, (1, 2): -math.inf, (0, 2): 1.0})
+    assert np.array_equal(
+        all_pairs_metric(fine).d, [[0.0, INFINITY, 1.0], [INFINITY, 0.0, INFINITY], [1.0, INFINITY, 0.0]]
+    )
+
+
+def sweeps_until_unchanged(g: WeightedGraph) -> np.ndarray:
+    """The closure by its definition: full min-plus sweeps from the start
+    table until one changes nothing.  ``all_pairs_metric`` must equal it
+    bit for bit, whatever order it applies the same updates in."""
+    n = g.n
+    d = np.full((n, n), INFINITY)
+    np.fill_diagonal(d, 0.0)
+    for (u, v), w in g.weights.items():
+        if u != v and math.isfinite(w):
+            d[u, v] = d[v, u] = w
+    with np.errstate(over="ignore"):
+        while True:
+            before = d.copy()
+            for k in range(n):
+                np.minimum(d, d[:, k, None] + d[None, k, :], out=d)
+            if np.array_equal(before, d):
+                return d
+
+
+CLOSURE_WEIGHTS = {
+    "integer": lambda rng: float(rng.randint(1, 10)),
+    "tenths": lambda rng: rng.randint(1, 100) / 10,
+    "hundredths": lambda rng: rng.randint(1, 1000) / 100,
+    "dyadic": lambda rng: rng.randint(1, 10240) / 1024,
+    "real": lambda rng: 10 ** rng.uniform(-6, 6),
+}
+
+
+def closure_case(seed: int) -> WeightedGraph:
+    """A seeded sparse graph of 1-3 blocks plus 0-3 isolated vertices, ids
+    shuffled, with weights of the kind ``seed`` picks from CLOSURE_WEIGHTS."""
+    rng = random.Random(seed)
+    draw = list(CLOSURE_WEIGHTS.values())[seed % len(CLOSURE_WEIGHTS)]
+    n = rng.randint(2, 48)
+    shape = random_sparse_weighted_graph(
+        rng, n, degree=rng.choice([1.5, 3.0, 6.0, 10.0]), parts=rng.randint(1, 3)
+    )
+    total = n + rng.randint(0, 3)
+    ids = rng.sample(range(total), total)
+    return WeightedGraph(total, {(ids[u], ids[v]): draw(rng) for u, v in shape.weights})
+
+
+def test_closure_equals_sweeps_until_unchanged_bitwise():
+    for seed in range(250):
+        g = closure_case(seed)
+        assert np.array_equal(all_pairs_metric(g).d, sweeps_until_unchanged(g)), seed
+
+
+@pytest.mark.parametrize("total, sweeps", [(2**52 - 1, 1), (2**52, 1), (2**52 + 1, 2)])
+def test_integer_sums_up_to_2_52_stop_after_one_sweep(monkeypatch, total, sweeps):
+    # A path a-b-c-d and a chord a-c, the four weights summing to ``total``.
+    half = 2**51
+    g = WeightedGraph(4, {(0, 1): half - 2.0, (1, 2): 2.0, (2, 3): total - half - 3.0, (0, 2): 3.0})
+    calls = []
+    sweep = pathmetric._min_plus_sweep
+    monkeypatch.setattr(pathmetric, "_min_plus_sweep", lambda *a: calls.append(1) or sweep(*a))
+    assert np.array_equal(all_pairs_metric(g).d, sweeps_until_unchanged(g))
+    assert len(calls) == sweeps
+
+
+def test_exact_sum_test_cannot_overflow():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not pathmetric._sums_exact(pathmetric._initial_table(HUGE))
+        many = WeightedGraph(60, {(u, u + 1): 2.0**52 for u in range(59)})
+        assert not pathmetric._sums_exact(pathmetric._initial_table(many))
+        assert pathmetric._sums_exact(pathmetric._initial_table(WeightedGraph(3, {})))
+
+
 def test_is_generating_examples():
     g = p3()
     t = all_pairs_metric(g)
