@@ -90,7 +90,8 @@ class Table:
         distinct, codes = np.unique(bits, return_inverse=True)
         codes = codes.reshape(bits.shape)
         values = distinct.view(np.float64)
-        spelled = [f"{quote}{value:.17g}{quote}" for value in values.tolist()]
+        template = (quote + "%.17g" + quote + "\0") * len(values)  # split leaves "" last
+        spelled = (template % tuple(values.tolist())).split("\0")
         for i in np.flatnonzero(np.isinf(values)).tolist():
             spelled[i] = f"{quote}inf{quote}"  # fmt spells -inf as inf too
         order = np.array(self.order, dtype=np.intp)

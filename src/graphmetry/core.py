@@ -436,6 +436,8 @@ def validate(g: Graph) -> list[str]:
     weighted = isinstance(g, WeightedGraph)
     kind = "weight" if weighted else "conductance"
     for (u, v), w in g._pairs.items():
+        if u != v and 0.0 < w < INFINITY:  # a weight stores no inf, a conductance no 0
+            continue
         pair = f"({g.label(u)}, {g.label(v)})"
         if u == v:
             if not weighted:
@@ -451,8 +453,11 @@ def validate(g: Graph) -> list[str]:
         elif math.isinf(w):
             report.append(f"conductance {pair} must be finite")
     if not weighted:
-        for u in range(g.n):
-            if math.isinf(g.degree_sum(u)):
+        row_sums = [0.0] * g.n  # in degree_sum's order: each row adds its partners ascending
+        for u, v, w in g.edges():
+            row_sums[u], row_sums[v] = row_sums[u] + w, row_sums[v] + w
+        for u, total in enumerate(row_sums):
+            if math.isinf(total):
                 report.append(f"conductance row sum at {g.label(u)} is not finite")
     if g.labels is not None and len(set(g.labels)) != len(g.labels):
         report.append("duplicate vertex labels")

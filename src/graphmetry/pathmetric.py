@@ -117,12 +117,14 @@ def _table_weight_graph(table: np.ndarray, labels: tuple[str, ...] | None) -> We
 
 
 def _triangle_violation(d: np.ndarray) -> tuple[int, int, int] | None:
-    """First (x, y, z) with d[x,z] > d[x,y] + d[y,z] by more than TAU_EQ
-    times d[x,z] (by anything when d[x,z] is inf), if any."""
+    """First (x, y, z), by y and then by (x, z), with d[x,z] > d[x,y] + d[y,z]
+    by more than TAU_EQ times d[x,z] (by anything when d[x,z] is inf), if any."""
     n = d.shape[0]
     slack = TAU_EQ * np.abs(d)
     slack[np.isinf(d)] = 0.0  # exact at infinity, as in weights_close
-    with np.errstate(over="ignore"):  # a sum beyond float range is inf: no violation
+    if n > 0 and (d >= 0).all() and not np.diagonal(d).any() and not _may_violate(d, slack):
+        return None
+    with np.errstate(over="ignore", invalid="ignore"):  # +inf or NaN sums never violate
         for y in range(n):
             sums = d[:, y, None] + d[None, y, :]
             bad = d > sums + slack
@@ -130,6 +132,27 @@ def _triangle_violation(d: np.ndarray) -> tuple[int, int, int] | None:
                 x, z = np.argwhere(bad)[0]
                 return int(x), int(y), int(z)
     return None
+
+
+def _may_violate(d: np.ndarray, slack: np.ndarray) -> bool:
+    """Whether _triangle_violation's test can fire on a table with no NaN, no
+    negative entry and a zero diagonal.  Monotone rounding clears each pair
+    with d[x,z] <= fl(fl(r + c) + slack) for r, c the least off-diagonal
+    entries of row x and column z; the rest are tested on every y."""
+    off = np.where(np.eye(len(d), dtype=bool), INFINITY, d)
+    with np.errstate(over="ignore"):  # a sum beyond float range is inf: no violation
+        survive = d > (off.min(axis=1)[:, None] + off.min(axis=0)) + slack
+        gap = survive & np.isinf(d)
+        if gap.any():
+            finite = np.isfinite(d).astype(np.float32)  # counts up to n are exact
+            survive[gap] = (finite @ finite)[gap] > 0
+        xs, zs = np.nonzero(survive)
+        step = max(1, (1 << 20) // len(d))
+        for lo in range(0, len(xs), step):
+            x, z = xs[lo : lo + step], zs[lo : lo + step]
+            if (d[x, z][:, None] > d[x, :] + d[:, z].T + slack[x, z][:, None]).any():
+                return True
+    return False
 
 
 @dataclass
@@ -450,7 +473,7 @@ def geodesic_weight(t: MetricTable, graph: WeightedGraph | None = None) -> Geode
     closure lowered every other finite pair through some k outside the pair
     with fl(d[x,k] + d[k,y]) = d[x,y] at the fixpoint, so k is between and
     the result equals testing every pair bit for bit.  Such a table also
-    skips the O(n**3) triangle gate, which cannot fire on it: a full sweep
+    skips the triangle gate, which cannot fire on it: a full sweep
     left every entry unchanged, so d[x,z] <= fl(d[x,y] + d[y,z]) holds
     exactly for every y, and adding the nonnegative slack cannot lower that
     sum (rounding is monotone; the table holds no NaN, or the closure would

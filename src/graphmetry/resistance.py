@@ -23,10 +23,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .core import INFINITY, TAU_EQ, ConductanceGraph, invariant_error, weights_close
-from .errors import Disconnected, OutOfRange, SameVertex, SizeMismatch
+from .core import INFINITY, TAU_EQ, ConductanceGraph, invariant_error, validate, weights_close
+from .errors import Disconnected, InputError, OutOfRange, SameVertex, SizeMismatch
 from .pathmetric import MetricTable
 
 
@@ -140,7 +140,7 @@ class _GroundedSystem:
         self._starts = np.concatenate(
             ([0], np.cumsum(np.bincount(group, minlength=len(members))))
         )
-        self._factors: list[tuple[np.ndarray, bool] | None] = [None] * len(members)
+        self._factors: list[np.ndarray | None] = [None] * len(members)
 
     def grounded_block(self, i: int) -> np.ndarray:
         """Laplacian block of component ``i`` without its least vertex's row and column.
@@ -172,22 +172,23 @@ def _grounded(b: ConductanceGraph) -> _GroundedSystem:
     return system
 
 
-def _factor(b: ConductanceGraph, system: _GroundedSystem, i: int) -> tuple[np.ndarray, bool]:
-    """Cholesky factor of component ``i``'s grounded block, built once.
-
-    A failed factorization is OutOfRange when the graph's conductances
-    absorb one another in float sums, and a bug otherwise."""
+def _factor(b: ConductanceGraph, system: _GroundedSystem, i: int) -> np.ndarray:
+    """Cholesky factor U of component ``i``'s grounded block (A = U^T U), built
+    once.  An inf or NaN entry, which only an invalid graph has, is an
+    InputError; a failed factorization is OutOfRange when the graph's
+    conductances absorb one another in float sums, and a bug otherwise."""
     factor = system._factors[i]
     if factor is None:
-        try:
-            factor = cho_factor(system.grounded_block(i), overwrite_a=True)
-        except np.linalg.LinAlgError:
-            least = int(system.members[i][0])
+        block = system.grounded_block(i)
+        if not np.isfinite(block).all():  # bare dpotrf, unlike cho_factor, does not check
+            raise InputError("; ".join(validate(b)))
+        factor, info = dpotrf(block, overwrite_a=1, clean=0)
+        if info > 0:
             raise invariant_error(
                 b,
-                f"grounded Laplacian of the component of {b.label(least)} is not "
+                f"grounded Laplacian of the component of {b.label(system.members[i][0])} is not "
                 "positive definite; this is a bug",
-            ) from None
+            )
         system._factors[i] = factor
     return factor
 
@@ -215,7 +216,7 @@ def _dipole_potential(b: ConductanceGraph, x: int, y: int) -> np.ndarray | None:
     rhs[system.position[y]] = -1.0
     f = np.zeros(len(members))
     with np.errstate(over="ignore", invalid="ignore"):
-        f[1:] = cho_solve(_factor(b, system, i), rhs[1:])
+        f[1:] = dpotrs(_factor(b, system, i), rhs[1:])[0]
         f -= f[system.position[y]]
     if not np.isfinite(f).all():
         raise _out_of_range(b, x, y)
@@ -255,13 +256,13 @@ def resistance_matrix(b: ConductanceGraph) -> MetricTable:
     for i, comp in enumerate(system.members):
         if len(comp) == 1:
             continue
+        R = np.empty((len(comp), len(comp)))
         with np.errstate(over="ignore", invalid="ignore"):
-            G = cho_solve(_factor(b, system, i), np.eye(len(comp) - 1))
+            G = dpotrs(_factor(b, system, i), np.eye(len(comp) - 1, order="F"), overwrite_b=1)[0]
             G = 0.5 * G + 0.5 * G.T  # halving first keeps a large G[k,k] in range
-            diag = np.concatenate(([0.0], np.diag(G)))
-            Gfull = np.zeros((len(comp), len(comp)))
-            Gfull[1:, 1:] = G
-            R = diag[:, None] + diag[None, :] - 2.0 * Gfull
+            g = np.diag(G)
+            R[1:, 1:] = g[:, None] + g[None, :] - 2.0 * G
+        R[0, 1:] = R[1:, 0] = g + 0.0  # (0 + G[k,k]) - 2 * 0, with G = 0 at the ground
         np.fill_diagonal(R, 0.0)
         if not np.isfinite(R).all():
             x, y = np.argwhere(~np.isfinite(R))[0]

@@ -29,7 +29,7 @@ from graphmetry import (
     single_source_distances,
     verify_maximal_weight,
 )
-from graphmetry.core import weights_close_array
+from graphmetry.core import TAU_EQ, weights_close_array
 from graphmetry.oracle import brute_metric_from, enumerate_simple_paths, exact_path_length
 from graphmetry import pathmetric
 from graphmetry.pathmetric import _one_sweep_metric, _sum_slack, _triangle_violation
@@ -627,3 +627,95 @@ def test_triangle_gate_is_exact_at_infinity():
     assert any("triangle inequality fails" in line for line in gap.validate())
     with pytest.raises(InvalidMetric):
         geodesic_weight(gap)
+
+
+def ordered_triangle_scan(d: np.ndarray) -> tuple[int, int, int] | None:
+    """The triangle gate by its definition: every y in order, then the
+    first (x, z) in row order with d[x,z] > fl(fl(d[x,y] + d[y,z]) + slack).
+    ``_triangle_violation`` must return the same triple, or None, on every
+    table, whatever prefilter it runs first."""
+    n = d.shape[0]
+    slack = TAU_EQ * np.abs(d)
+    slack[np.isinf(d)] = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for y in range(n):
+            bad = d > d[:, y, None] + d[None, y, :] + slack
+            if bad.any():
+                x, z = np.argwhere(bad)[0]
+                return int(x), int(y), int(z)
+    return None
+
+
+def triangle_gate_case(seed: int) -> np.ndarray:
+    """A seeded table: a resistance metric, a closed path metric (1-3 blocks,
+    isolated vertices) or a random table, with one change that ``seed``
+    picks: none, one entry scaled by 1 + 1e-12, one pair within a few ulps
+    of the gate's bound on a triple, a finite pair made +inf, one -inf, NaN
+    or negative entry, a non-zero diagonal entry, one side of a pair
+    changed, or every finite entry scaled up so that two legs overflow."""
+    rng = random.Random(seed)
+    if seed % 3 == 0:
+        d = resistance_matrix(random_connected_conductance(rng, rng.randint(1, 24))).d
+    elif seed % 3 == 1:
+        d = all_pairs_metric(closure_case(seed)).d
+    else:
+        n = rng.randint(1, 24)
+        d = np.array([[float(rng.randint(1, 20)) for _ in range(n)] for _ in range(n)])
+        d = np.minimum(d, d.T)
+        d[np.array([[rng.random() < 0.3 for _ in range(n)] for _ in range(n)])] = INFINITY
+        np.fill_diagonal(d, 0.0)
+    n, change = len(d), seed % 10
+    if n < 2 or change == 0:
+        return d
+    x, z = rng.sample(range(n), 2)
+    if change == 1:
+        d[x, z] *= 1 + 1e-12
+        if rng.random() < 0.5:
+            d[z, x] = d[x, z]
+    elif change == 2 and n > 2:
+        y = rng.choice([v for v in range(n) if v not in (x, z)])
+        value = (d[x, y] + d[y, z]) * (1 + TAU_EQ)
+        if np.isfinite(value):
+            for _ in range(rng.randint(0, 8)):
+                value = np.nextafter(value, INFINITY if rng.random() < 0.6 else 0.0)
+            d[x, z] = d[z, x] = value
+    elif change == 3:
+        d[x, z] = d[z, x] = INFINITY
+    elif change == 4:
+        d[x, z] = -INFINITY
+    elif change == 5:
+        d[x, z] = math.nan
+    elif change == 6:
+        d[x, z] = d[z, x] = -rng.choice([1e-300, 1.0, 2.0])
+    elif change == 7:
+        d[x, x] = rng.choice([1e-12, 1.0, -1.0, INFINITY])
+    elif change == 8:
+        d[x, z] *= rng.choice([0.5, 1 - 1e-12, 1 + 1e-8, 3.0])
+    elif change == 9:
+        finite = np.isfinite(d)
+        d[finite] *= 1e308 / max(d[finite].max(), 1.0)
+        if rng.random() < 0.5:
+            d[x, z] = d[z, x] = INFINITY
+    return d
+
+
+def test_triangle_gate_equals_the_ordered_scan():
+    # Counts of (clean table, violated): clean tables take the prefilter.
+    counts = {(clean, fired): 0 for clean in (False, True) for fired in (False, True)}
+    for seed in range(2200):
+        d = triangle_gate_case(seed)
+        expected = ordered_triangle_scan(d)
+        assert _triangle_violation(d) == expected, seed
+        clean = bool(len(d) and (d >= 0).all() and not np.diagonal(d).any())
+        counts[clean, expected is not None] += 1
+    assert min(counts.values()) > 100, counts
+
+
+def test_triangle_gate_fires_on_an_inf_pair_with_two_finite_legs():
+    g = random_sparse_weighted_graph(random.Random(11), 40, degree=3.0, parts=2)
+    d = all_pairs_metric(g).d
+    assert _triangle_violation(d) is None
+    x, z = np.argwhere(np.isfinite(d) & (d > 0))[-1]
+    d[x, z] = d[z, x] = INFINITY
+    found = _triangle_violation(d)
+    assert found is not None and found == ordered_triangle_scan(d)

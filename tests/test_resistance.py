@@ -15,6 +15,7 @@ import graphmetry.resistance as resistance
 from graphmetry import (
     ConductanceGraph,
     Disconnected,
+    InputError,
     InternalInvariantError,
     OutOfRange,
     PotentialFunction,
@@ -267,9 +268,9 @@ def factorizations(monkeypatch):
 
     def counted(*args, **kwargs):
         calls.append(args[0].shape)
-        return scipy.linalg.cho_factor(*args, **kwargs)
+        return scipy.linalg.lapack.dpotrf(*args, **kwargs)
 
-    monkeypatch.setattr(resistance, "cho_factor", counted)
+    monkeypatch.setattr(resistance, "dpotrf", counted)
     return calls
 
 
@@ -313,6 +314,26 @@ def test_grounded_block_matches_the_laplacian_bit_for_bit():
         assert np.array_equal(block, L[1:, 1:])
 
 
+def test_raw_lapack_calls_equal_cho_factor_and_cho_solve_bitwise():
+    rng = random.Random(141)
+    for k in range(1, 61):
+        b = random_connected_conductance(rng, k + 1, max_c=9)
+        b = ConductanceGraph(b.n, {key: c / rng.choice((1.0, 7.0, 10.0)) for key, c in b.b.items()})
+        block = resistance._grounded(b).grounded_block(0)
+        reference = scipy.linalg.cho_factor(block)
+        factor = resistance._factor(b, resistance._grounded(b), 0)
+        assert np.array_equal(factor, reference[0])
+        rhs = np.zeros(k)
+        rhs[rng.randrange(k)] = 1.0
+        assert np.array_equal(
+            resistance.dpotrs(factor, rhs)[0], scipy.linalg.cho_solve(reference, rhs)
+        )
+        assert np.array_equal(
+            resistance.dpotrs(factor, np.eye(k, order="F"), overwrite_b=1)[0],
+            scipy.linalg.cho_solve(reference, np.eye(k)),
+        )
+
+
 def test_effective_resistance_is_bitwise_symmetric():
     rng = random.Random(137)
     for _ in range(20):
@@ -349,10 +370,10 @@ def test_cached_system_keeps_no_reference_to_the_graph():
 
 
 def test_failed_factorization_is_an_internal_error(monkeypatch, tmp_path, capsys):
-    def broken(*args, **kwargs):
-        raise np.linalg.LinAlgError("not positive definite")
+    def broken(a, **kwargs):
+        return a, 1  # LAPACK's info > 0: a leading minor is not positive definite
 
-    monkeypatch.setattr(resistance, "cho_factor", broken)
+    monkeypatch.setattr(resistance, "dpotrf", broken)
     with pytest.raises(InternalInvariantError, match="component of a"):
         effective_resistance(p3(), 0, 2)
     with pytest.raises(InternalInvariantError):
@@ -372,6 +393,23 @@ def test_absorbed_conductances_fail_the_factor_as_out_of_range():
     b = ConductanceGraph(3, {(0, 1): 10.0, (1, 2): 1e308})
     with pytest.raises(OutOfRange, match="10.0 and 1e[+]308"):
         effective_resistance(b, 0, 2)
+
+
+@pytest.mark.parametrize(
+    "pairs, message",
+    [
+        ({(0, 1): math.inf, (1, 2): 1.0}, r"conductance \(a, b\) must be finite"),
+        ({(0, 1): math.nan, (1, 2): 1.0}, r"conductance \(a, b\) is NaN"),
+        ({(0, 1): 1e308, (1, 2): 1e308}, "conductance row sum at b is not finite"),
+    ],
+    ids=["inf", "nan", "row-sum-overflow"],
+)
+def test_non_finite_grounded_block_is_an_input_error(pairs, message):
+    # Construction keeps such graphs; validate names what is wrong with them.
+    for query in (lambda b: effective_resistance(b, 0, 2), resistance_matrix):
+        b = ConductanceGraph(3, pairs, labels=("a", "b", "c"))
+        with pytest.raises(InputError, match=message):
+            query(b)
 
 
 def test_concurrent_first_queries_agree():
