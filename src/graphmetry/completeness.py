@@ -8,8 +8,9 @@ that break ball finiteness, rays whose total length converges) cannot be
 checked, only witnessed: the family scans enumerate a budget-bounded
 truncation and report evidence, never proofs.
 :func:`extract_common_prefix_path` is the finite analog of the pigeonhole
-step that extracts an infinite path from an infinite path set: descend the
-prefix tree while at least ``k`` inputs still share the prefix.
+step that extracts an infinite path from an infinite path set: level by
+level, follow the least next vertex that at least ``k`` of the paths still on
+the prefix share.
 :func:`verify_maximal_weight` checks that the geodesic weight regenerates
 the metric and dominates the input weight.
 """
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
@@ -28,7 +30,6 @@ from .pathmetric import (
     all_pairs_metric,
     geodesic_weight,
     is_generating,
-    metric_components,  # importable from this module too
     path_length,
     single_source_distances,
 )
@@ -240,47 +241,6 @@ def family_elf_scan(
     return ElfReport(vertex=x, radius=radius, count=count, exhausted=False, verdict=verdict)
 
 
-class PrefixTrie:
-    """Prefix tree of paths; each node knows how many inputs pass through it."""
-
-    __slots__ = ("vertex", "multiplicity", "children")
-
-    def __init__(self, vertex: int) -> None:
-        self.vertex = vertex
-        self.multiplicity = 0
-        self.children: dict[int, "PrefixTrie"] = {}
-
-    def insert(self, suffix: tuple[int, ...]) -> None:
-        node = self
-        node.multiplicity += 1
-        for head in suffix:
-            child = node.children.get(head)
-            if child is None:
-                child = node.children[head] = PrefixTrie(head)
-            child.multiplicity += 1
-            node = child
-
-    @classmethod
-    def build(cls, paths: list[Path]) -> "PrefixTrie":
-        if not paths:
-            raise EmptyInput("need at least one path")
-        seen: set[tuple[int, ...]] = set()
-        for p in paths:
-            if p.vertices in seen:
-                raise DuplicatePath(f"path {p.vertices} given twice; paths form a set")
-            seen.add(p.vertices)
-        start = paths[0].start
-        for p in paths:
-            if p.start != start:
-                raise MixedStart(
-                    f"paths start at both {start} and {p.start}; a common root is required"
-                )
-        root = cls(start)
-        for p in paths:
-            root.insert(p.vertices[1:])
-        return root
-
-
 @dataclass
 class PrefixExtraction:
     """Greedily extracted common prefix with per-level multiplicities."""
@@ -295,28 +255,44 @@ def extract_common_prefix_path(
     w: WeightedGraph | Callable[[int, int], float],
     k: int = 2,
 ) -> PrefixExtraction:
-    """Descend the prefix tree along minimum-vertex children of multiplicity >= k.
+    """Follow the least next vertex that at least ``k`` paths still share.
 
     The finite analog of extracting an infinite path from an infinite path
     set by pigeonhole: at each level, some continuation is shared by many
-    paths; we take the least such vertex and record how many inputs still
-    agree.  The result is a prefix of at least ``k`` input paths at every
-    level, and its length never exceeds the longest input length.
+    paths; we take the least such vertex, keep only the paths through it and
+    record how many inputs still agree.  The result is a prefix of at least
+    ``k`` input paths at every level, and its length never exceeds the
+    longest input length.  Each level reads each surviving path once, so the
+    descent costs O(total input length).
     """
     if k < 2:
         raise InvalidArgument("multiplicity threshold must be at least 2")
-    root = PrefixTrie.build(paths)
-    prefix = [root.vertex]
-    mults = [root.multiplicity]
-    node = root
+    if not paths:
+        raise EmptyInput("need at least one path")
+    seen: set[tuple[int, ...]] = set()
+    for p in paths:
+        if p.vertices in seen:
+            raise DuplicatePath(f"path {p.vertices} given twice; paths form a set")
+        seen.add(p.vertices)
+    start = paths[0].start
+    for p in paths:
+        if p.start != start:
+            raise MixedStart(
+                f"paths start at both {start} and {p.start}; a common root is required"
+            )
+    prefix = [start]
+    mults = [len(paths)]
+    alive = [p.vertices for p in paths]
     while True:
-        candidates = [v for v, child in node.children.items() if child.multiplicity >= k]
-        if not candidates:
+        depth = len(prefix)
+        counts = Counter(p[depth] for p in alive if len(p) > depth)
+        shared = [v for v, c in counts.items() if c >= k]
+        if not shared:
             break
-        nxt = min(candidates)
-        node = node.children[nxt]
+        nxt = min(shared)
+        alive = [p for p in alive if len(p) > depth and p[depth] == nxt]
         prefix.append(nxt)
-        mults.append(node.multiplicity)
+        mults.append(counts[nxt])
     path = Path(tuple(prefix))
     if isinstance(w, WeightedGraph):
         length = path_length(w, path)

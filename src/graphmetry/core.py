@@ -28,7 +28,7 @@ import hashlib
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, TypeVar
+from typing import TYPE_CHECKING, Iterator, Mapping, TypeVar
 
 import numpy as np
 
@@ -63,22 +63,22 @@ def edge_key(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u <= v else (v, u)
 
 
-def weights_close(a: float, b: float, rel: float = TAU_EQ) -> bool:
+def weights_close(a: float, b: float) -> bool:
     """Equality of extended weights: exact at infinity, relative otherwise.
 
-    Finite values agree within ``rel`` times the larger magnitude, with no
+    Finite values agree within ``TAU_EQ`` times the larger magnitude, with no
     absolute floor, so scaling both by the same power of two keeps the
     answer (short of underflow).
     """
     if math.isinf(a) or math.isinf(b):
         return a == b
-    return abs(a - b) <= rel * max(abs(a), abs(b))
+    return abs(a - b) <= TAU_EQ * max(abs(a), abs(b))
 
 
-def weights_close_array(a: np.ndarray, b: np.ndarray, rel: float = TAU_EQ) -> np.ndarray:
+def weights_close_array(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Entrywise :func:`weights_close`; inf - inf NaNs fall to the exact test."""
     with np.errstate(invalid="ignore"):
-        near = np.abs(a - b) <= rel * np.maximum(np.abs(a), np.abs(b))
+        near = np.abs(a - b) <= TAU_EQ * np.maximum(np.abs(a), np.abs(b))
     return np.where(np.isinf(a) | np.isinf(b), a == b, near)
 
 
@@ -243,7 +243,7 @@ class Graph:
         An ``int`` is always an index.  A string is a label on a labelled
         graph and nothing else, so on the labelled graph ``a b 1 / b c 1``
         the token ``"2"`` is unknown rather than vertex ``c``; only an
-        unlabelled graph reads a numeric string as an index.
+        unlabelled graph reads a string of ASCII digits as an index.
         """
         if isinstance(token, int):
             self._check_vertex(token)
@@ -251,7 +251,7 @@ class Graph:
         if self.labels is not None:
             if token in self.labels:
                 return self.labels.index(token)
-        elif token.lstrip("-").isdigit():
+        elif token.isascii() and token.isdigit():
             u = int(token)
             self._check_vertex(u)
             return u
@@ -260,15 +260,6 @@ class Graph:
     def _check_vertex(self, u: int) -> None:
         if not (0 <= u < self.n):
             raise UnknownVertex(f"vertex {u} out of range for {self.n} vertices")
-
-    @classmethod
-    def of(
-        cls: type[G],
-        n: int,
-        edges: Iterable[tuple[int, int, float]],
-        labels: tuple[str, ...] | None = None,
-    ) -> G:
-        return cls(n, {(u, v): w for u, v, w in edges}, labels)
 
 
 G = TypeVar("G", bound=Graph)

@@ -44,9 +44,6 @@ def exact_weight(g: Graph, u: int, v: int) -> ExactWeight:
     return None if math.isinf(x) else Fraction(repr(x))
 
 
-exact_conductance = exact_weight
-
-
 def enumerate_simple_paths(
     g: WeightedGraph,
     x: int,
@@ -206,7 +203,7 @@ def spanning_tree_sum(g: ConductanceGraph) -> Fraction:
         raise TooLarge(f"tree enumeration capped at {TREE_CAP} vertices, got {g.n}")
     if g.n == 0:
         return Fraction(1)
-    edges = [(u, v, exact_conductance(g, u, v)) for u, v, _ in g.edges()]
+    edges = [(u, v, exact_weight(g, u, v)) for u, v, _ in g.edges()]
     return _forest_sum(g.n, edges, ((0,),))
 
 
@@ -216,7 +213,7 @@ def two_forest_sum(g: ConductanceGraph, x: int, y: int) -> Fraction:
         raise TooLarge(f"tree enumeration capped at {TREE_CAP} vertices, got {g.n}")
     if x == y:
         raise SameVertex("the separated vertices must be distinct")
-    edges = [(u, v, exact_conductance(g, u, v)) for u, v, _ in g.edges()]
+    edges = [(u, v, exact_weight(g, u, v)) for u, v, _ in g.edges()]
     return _forest_sum(g.n, edges, ((x,), (y,)))
 
 
@@ -266,7 +263,7 @@ def spanning_tree_resistance(g: ConductanceGraph, x: int, y: int) -> ExactWeight
     comp = sorted(seen)
     index = {v: i for i, v in enumerate(comp)}
     edges = [
-        (index[u], index[v], exact_conductance(g, u, v))
+        (index[u], index[v], exact_weight(g, u, v))
         for u, v, _ in g.edges()
         if u in index
     ]

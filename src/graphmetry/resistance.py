@@ -1,9 +1,10 @@
 """Energy form, Laplacian, and effective resistance of a conductance graph.
 
-The quadratic form Q(f) = 1/2 sum b(x,y) (f(x) - f(y))^2 splits into
-per-vertex densities Gamma(f)(x); its Laplacian is Lf(v) = sum_w b(v,w)
-(f(v) - f(w)).  The effective resistance R(x, y) is the supremum of
-(f(y) - f(x))^2 over potentials of unit energy.
+The quadratic form Q(f) = 1/2 sum_{x,y} b(x,y) (f(x) - f(y))^2 counts each
+edge once; its Laplacian is Lf(v) = sum_w b(v,w) (f(v) - f(w)).  The
+effective resistance R(x, y) is the supremum of (f(y) - f(x))^2 over
+potentials of unit energy; :func:`energy` and :func:`verify_variational`
+state that definition.
 
 Every resistance query reads one grounded system per graph, built on first
 use and kept on the graph: the components, and for each multi-vertex
@@ -50,14 +51,6 @@ class PotentialFunction:
         return float(self.values[x])
 
 
-@dataclass
-class EnergyBreakdown:
-    """Total energy Q(f) with its per-vertex densities Gamma(f)."""
-
-    total: float
-    per_vertex: np.ndarray
-
-
 def _as_values(b: ConductanceGraph, f: PotentialFunction | np.ndarray) -> np.ndarray:
     values = f.values if isinstance(f, PotentialFunction) else np.asarray(f, dtype=float)
     if values.shape != (b.n,):
@@ -65,24 +58,13 @@ def _as_values(b: ConductanceGraph, f: PotentialFunction | np.ndarray) -> np.nda
     return values
 
 
-def gamma(b: ConductanceGraph, f: PotentialFunction | np.ndarray, x: int) -> float:
-    """Gamma(f)(x) = 1/2 sum_y b(x,y) (f(x) - f(y))^2."""
+def energy(b: ConductanceGraph, f: PotentialFunction | np.ndarray) -> float:
+    """Q(f) = sum over edges of b(u,v) (f(u) - f(v))^2."""
     values = _as_values(b, f)
-    b._check_vertex(x)
-    return 0.5 * sum(c * (values[x] - values[v]) ** 2 for v, c in b.neighbors(x))
-
-
-def energy(b: ConductanceGraph, f: PotentialFunction | np.ndarray) -> EnergyBreakdown:
-    """Q(f) together with the Gamma densities; Q(f) = sum_x Gamma(f)(x)."""
-    values = _as_values(b, f)
-    per_vertex = np.zeros(b.n)
     total = 0.0
     for u, v, c in b.edges():
-        d2 = c * (values[u] - values[v]) ** 2
-        total += d2
-        per_vertex[u] += 0.5 * d2
-        per_vertex[v] += 0.5 * d2
-    return EnergyBreakdown(total=total, per_vertex=per_vertex)
+        total += c * (values[u] - values[v]) ** 2
+    return float(total)
 
 
 def laplacian_apply(b: ConductanceGraph, f: PotentialFunction | np.ndarray, x: int) -> float:
@@ -334,7 +316,7 @@ def verify_variational(
     max_quotient = float(quotients.max()) if quotients.size else 0.0
     bound_holds = bool((quotients <= resistance * (1.0 + TAU_EQ)).all())
     f = harmonic_maximizer(b, x, y)
-    fq = energy(b, f).total
+    fq = energy(b, f)
     fgap2 = (f[y] - f[x]) ** 2
     maximizer_quotient = fgap2 / fq
     maximizer_attains = weights_close(maximizer_quotient, resistance)

@@ -31,7 +31,6 @@ from graphmetry import (
     validate,
     verify_maximal_weight,
 )
-from graphmetry.completeness import PrefixTrie
 from .suites import random_weighted_graph
 
 
@@ -150,22 +149,19 @@ def test_elf_scan_unit_ray():
         family_elf_scan(UNIT_RAY, 0, 2.0, 0)
 
 
-def test_prefix_trie_build():
-    paths = [Path((0, 1, 2)), Path((0, 1, 3)), Path((0, 4))]
-    root = PrefixTrie.build(paths)
-    assert root.vertex == 0 and root.multiplicity == 3
-    assert root.children[1].multiplicity == 2
-    assert root.children[4].multiplicity == 1
-    assert root.children[1].children[2].multiplicity == 1
-
-
 def test_prefix_trie_rejects_bad_input():
+    unit = lambda u, v: 1.0  # noqa: E731
+    with pytest.raises(InvalidArgument):
+        extract_common_prefix_path([], unit, k=1)
     with pytest.raises(EmptyInput):
-        PrefixTrie.build([])
+        extract_common_prefix_path([], unit)
     with pytest.raises(DuplicatePath):
-        PrefixTrie.build([Path((0, 1)), Path((0, 1))])
+        extract_common_prefix_path([Path((0, 1)), Path((0, 1))], unit)
     with pytest.raises(MixedStart):
-        PrefixTrie.build([Path((0, 1)), Path((2, 1))])
+        extract_common_prefix_path([Path((0, 1)), Path((2, 1))], unit)
+    # Duplicates are checked over all paths before any start is compared.
+    with pytest.raises(DuplicatePath):
+        extract_common_prefix_path([Path((0, 1)), Path((2, 1)), Path((0, 1))], unit)
 
 
 def test_extract_common_prefix_example():
@@ -284,14 +280,16 @@ class RecursiveTrie:
             self.children[head].insert(tail)
 
 
-def trie_rows(root):
-    """(depth, vertex, multiplicity) in preorder, children in insertion order."""
-    rows, todo = [], [(0, root)]
-    while todo:
-        depth, node = todo.pop()
-        rows.append((depth, node.vertex, node.multiplicity))
-        todo.extend((depth + 1, child) for child in reversed(list(node.children.values())))
-    return rows
+def greedy_descent(root, k):
+    """Path and multiplicities along the least child of multiplicity >= k."""
+    vertices, mults, node = [root.vertex], [root.multiplicity], root
+    while True:
+        shared = [v for v, child in node.children.items() if child.multiplicity >= k]
+        if not shared:
+            return tuple(vertices), mults
+        node = node.children[min(shared)]
+        vertices.append(node.vertex)
+        mults.append(node.multiplicity)
 
 
 def test_prefix_trie_matches_the_recursive_reference():
@@ -305,7 +303,9 @@ def test_prefix_trie_matches_the_recursive_reference():
         reference = RecursiveTrie(0)
         for p in paths:
             reference.insert(p.vertices[1:])
-        assert trie_rows(PrefixTrie.build(paths)) == trie_rows(reference)
+        for k in (2, 3, 5):
+            out = extract_common_prefix_path(paths, lambda u, v: 1.0, k=k)
+            assert (out.path.vertices, out.multiplicities) == greedy_descent(reference, k)
 
 
 def test_extract_common_prefix_on_a_deep_path():

@@ -22,7 +22,6 @@ from graphmetry.oracle import (
     brute_metric,
     brute_metric_from,
     enumerate_simple_paths,
-    exact_conductance,
     exact_path_length,
     exact_weight,
     spanning_tree_resistance,
@@ -159,8 +158,8 @@ def test_resistance_ratio_restricted_to_component():
 
 def test_exact_conductance_shadow():
     b = ConductanceGraph(2, {(0, 1): 0.1}, exact={(0, 1): Fraction(1, 10)})
-    assert exact_conductance(b, 0, 1) == Fraction(1, 10)
-    assert exact_conductance(b, 0, 0) == 0
+    assert exact_weight(b, 0, 1) == Fraction(1, 10)
+    assert exact_weight(b, 0, 0) == 0
 
 
 def test_unique_induced_path_cases():
@@ -241,7 +240,7 @@ def component_graph(b: ConductanceGraph, members: list[int]) -> ConductanceGraph
     return ConductanceGraph(
         len(members),
         {(index[u], index[v]): c for u, v, c in b.edges() if u in index},
-        exact={(index[u], index[v]): exact_conductance(b, u, v) for u, v, _ in b.edges() if u in index},
+        exact={(index[u], index[v]): exact_weight(b, u, v) for u, v, _ in b.edges() if u in index},
     )
 
 

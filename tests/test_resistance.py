@@ -24,7 +24,6 @@ from graphmetry import (
     components,
     effective_resistance,
     energy,
-    gamma,
     harmonic_maximizer,
     laplacian_apply,
     parse_graph,
@@ -66,17 +65,12 @@ def test_potential_function_guards():
 def test_gamma_and_energy_unit_edge():
     f = np.array([1.0, 0.0])
     g = unit_edge()
-    assert gamma(g, f, 0) == 0.5
-    assert gamma(g, f, 1) == 0.5
-    out = energy(g, f)
-    assert out.total == 1.0
-    assert list(out.per_vertex) == [0.5, 0.5]
+    assert energy(g, f) == 1.0
 
 
 def test_energy_scales_with_conductance():
     g = ConductanceGraph(2, {(0, 1): 2.0})
-    out = energy(g, np.array([1.0, 0.0]))
-    assert out.total == 2.0 and gamma(g, np.array([1.0, 0.0]), 0) == 1.0
+    assert energy(g, np.array([1.0, 0.0])) == 2.0
 
 
 def test_energy_is_sum_of_gamma():
@@ -84,11 +78,11 @@ def test_energy_is_sum_of_gamma():
     for _ in range(20):
         b = random_connected_conductance(rng, rng.randint(2, 8))
         f = np.array([rng.uniform(-2, 2) for _ in range(b.n)])
-        out = energy(b, f)
-        total = sum(gamma(b, f, x) for x in range(b.n))
-        assert math.isclose(out.total, total, rel_tol=1e-12, abs_tol=1e-12)
-        assert math.isclose(out.total, float(out.per_vertex.sum()), rel_tol=1e-12, abs_tol=1e-12)
-        assert out.total >= 0.0
+        q = energy(b, f)
+        # Q(f) = sum_x Gamma(f)(x), Gamma(f)(x) = 1/2 sum_y b(x,y) (f(x) - f(y))^2.
+        total = sum(0.5 * c * (f[x] - f[y]) ** 2 for x in range(b.n) for y, c in b.neighbors(x))
+        assert math.isclose(q, total, rel_tol=1e-12, abs_tol=1e-12)
+        assert q >= 0.0
         with pytest.raises(SizeMismatch):
             energy(b, np.zeros(b.n + 1))
 
@@ -113,7 +107,7 @@ def test_laplacian_matrix_structure():
         for x in range(b.n):
             assert math.isclose(applied[x], laplacian_apply(b, f, x), rel_tol=1e-10, abs_tol=1e-12)
         # The energy is the Laplacian quadratic form.
-        assert math.isclose(energy(b, f).total, float(f @ L @ f), rel_tol=1e-10, abs_tol=1e-12)
+        assert math.isclose(energy(b, f), float(f @ L @ f), rel_tol=1e-10, abs_tol=1e-12)
 
 
 def test_components():
@@ -191,7 +185,7 @@ def test_harmonic_maximizer_properties():
     f = harmonic_maximizer(g, 0, 2)
     r = effective_resistance(g, 0, 2)
     assert f[0] > f[2]
-    assert abs(energy(g, f).total - 1.0) <= 1e-9
+    assert abs(energy(g, f) - 1.0) <= 1e-9
     assert abs((f[0] - f[2]) ** 2 - r) <= 1e-9
     # Interior vertices satisfy the mean-value property.
     assert abs(f[1] - (f[0] + f[2]) / 2) <= 1e-12
@@ -211,7 +205,7 @@ def test_harmonic_maximizer_residuals_random():
         for v in range(b.n):
             if v not in (x, y):
                 assert abs(laplacian_apply(b, f, v)) <= 1e-8
-        assert abs(energy(b, f).total - 1.0) <= 1e-9
+        assert abs(energy(b, f) - 1.0) <= 1e-9
 
 
 def test_verify_variational_examples():
@@ -227,7 +221,7 @@ def test_verify_variational_examples():
 
     # A hand potential realizes a strictly smaller quotient.
     f = np.array([1.0, 0.0, 0.0])
-    quotient = (f[0] - f[1]) ** 2 / energy(k3(), f).total
+    quotient = (f[0] - f[1]) ** 2 / energy(k3(), f)
     assert quotient == 0.5 < 2 / 3
 
 

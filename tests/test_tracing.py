@@ -1,10 +1,13 @@
-"""The benchmark's tracer must install on the current program.
+"""The benchmark's tracer and ops must find the names they use.
 
 ``perfbench/tracing.py`` wraps library functions by name and patches each
 graph class's own ``__post_init__``; a refactor that drops a traced name or
 moves ``__post_init__`` off a class fails here, not only under ``--trace 1``.
+Likewise a deletion of a name the benchmark ops call fails here, not only in
+a benchmark run.
 """
 
+import re
 import sys
 import types
 from pathlib import Path
@@ -15,7 +18,8 @@ import graphmetry
 import graphmetry.cli
 from graphmetry import ConductanceGraph, WeightedGraph, effective_resistance
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def _load_tracing() -> types.ModuleType:
@@ -52,3 +56,13 @@ def test_tracer_installs_and_uninstalls_cleanly():
     for name, before in modules.items():
         assert dict(vars(sys.modules[name])) == before, name
     assert graphmetry.effective_resistance is effective_resistance
+
+
+def test_benchmark_names_resolve_on_the_package():
+    # Read as text, like the tracer, so no benchmark module is imported.
+    text = "".join((PERFBENCH / script).read_text() for script in ("workloads.py", "selftest.py"))
+    names = set(re.findall(r"\b(gm|gcli)\.([A-Za-z_]\w*)", text))
+    assert ("gcli", "main") in names and ("gm", "extract_common_prefix_path") in names
+    modules = {"gm": graphmetry, "gcli": graphmetry.cli}
+    missing = sorted(f"{alias}.{name}" for alias, name in names if not hasattr(modules[alias], name))
+    assert not missing, missing
