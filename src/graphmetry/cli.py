@@ -399,6 +399,8 @@ def cmd_characterize(args: argparse.Namespace) -> Report:
         }
         if hasattr(sep, "witness"):
             tri_result["witness"] = _path_text(b, sep.witness)
+        elif not sep.verified:
+            raise invariant_error(b, "separation certificate fails its own check; this is a bug")
         else:
             tri_result["certificate"] = {
                 "separator": b.label(sep.separator),

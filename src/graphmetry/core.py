@@ -190,19 +190,27 @@ class Graph:
         self._check_vertex(u)
         return self._adj[u]
 
-    def reach(self, start: int, banned: int | None = None) -> dict[int, int]:
+    def reach(self, start: int, banned: int | None = None, stop: int | None = None) -> dict[int, int]:
         """Breadth-first search from ``start`` in the graph minus ``banned``.
 
         Returns each reached vertex's parent (``start`` is its own), keyed in
         visiting order; neighbours are visited in ascending order.  Every
-        stored pair is an edge, whatever its value.
+        stored pair is an edge, whatever its value.  The search ends as soon
+        as it reaches ``stop``; every parent on the route to ``stop`` is set
+        by then, so that route is the one the full search would record.
         """
+        self.neighbors(start)  # checks start and builds the adjacency lists
+        adj = self._adj
         parent = {start: start}
+        if start == stop:
+            return parent
         queue = [start]
         for u in queue:  # the list grows as it is read: first in, first out
-            for v, _ in self.neighbors(u):
+            for v, _ in adj[u]:
                 if v != banned and v not in parent:
                     parent[v] = u
+                    if v == stop:
+                        return parent
                     queue.append(v)
         return parent
 

@@ -180,31 +180,41 @@ def components(b: ConductanceGraph) -> list[list[int]]:
     return [m.tolist() for m in _grounded(b).members]
 
 
-def _dipole_potential(b: ConductanceGraph, x: int, y: int) -> np.ndarray | None:
-    """Potential of a unit current from x to y, f(y) = 0, zero off their component.
+def _dipole_potentials(b: ConductanceGraph, pairs: list[tuple[int, int]]) -> list[np.ndarray | None]:
+    """Potential of a unit current from x to y, f(y) = 0, zero off their
+    component, for each pair (x, y); None for a pair that is not connected.
 
-    Returns None when x and y are not connected.  One solve against the
-    cached factor with right-hand side e_x - e_y; every potential lies in
+    The connected pairs lie in one component, as the pairs of one triple
+    do, and are solved in one call against its cached factor, one
+    right-hand side e_x - e_y per pair.  Every potential lies in
     [f(y), f(x)], so the shift to f(y) = 0 cancels nothing.  Raises
-    OutOfRange when a potential is outside float range.
+    OutOfRange for the first pair with a potential outside float range.
     """
     system = _grounded(b)
-    i = system.label[x]
-    if system.label[y] != i:
-        return None
+    label, position = system.label, system.position
+    connected = [k for k, (x, y) in enumerate(pairs) if label[x] == label[y]]
+    out: list[np.ndarray | None] = [None] * len(pairs)
+    if not connected:
+        return out
+    i = label[pairs[connected[0]][0]]
     members = system.members[i]
-    rhs = np.zeros(len(members))
-    rhs[system.position[x]] = 1.0
-    rhs[system.position[y]] = -1.0
-    f = np.zeros(len(members))
+    columns = np.arange(len(connected))
+    xs = [position[pairs[k][0]] for k in connected]
+    ys = [position[pairs[k][1]] for k in connected]
+    rhs = np.zeros((len(members), len(connected)), order="F")
+    rhs[xs, columns] = 1.0
+    rhs[ys, columns] = -1.0
+    f = np.zeros_like(rhs)
     with np.errstate(over="ignore", invalid="ignore"):
-        f[1:] = dpotrs(_factor(b, system, i), rhs[1:])[0]
-        f -= f[system.position[y]]
-    if not np.isfinite(f).all():
-        raise _out_of_range(b, x, y)
-    values = np.zeros(b.n)
-    values[members] = f
-    return values
+        f[1:] = dpotrs(_factor(b, system, i), rhs[1:], overwrite_b=1)[0]
+        f -= f[ys, columns]
+    finite = np.isfinite(f).all(axis=0)
+    for col, k in enumerate(connected):
+        if not finite[col]:
+            raise _out_of_range(b, *pairs[k])
+        out[k] = np.zeros(b.n)
+        out[k][members] = f[:, col]
+    return out
 
 
 def _out_of_range(b: ConductanceGraph, x: int, y: int) -> OutOfRange:
@@ -217,7 +227,7 @@ def effective_resistance(b: ConductanceGraph, x: int, y: int) -> float:
     b._check_vertex(y)
     if x == y:
         raise SameVertex("resistance needs two distinct vertices")
-    values = _dipole_potential(b, x, y)
+    (values,) = _dipole_potentials(b, [(x, y)])
     if values is None:
         return INFINITY
     return float(values[x])
@@ -262,7 +272,7 @@ def harmonic_maximizer(b: ConductanceGraph, x: int, y: int) -> PotentialFunction
     b._check_vertex(y)
     if x == y:
         raise SameVertex("harmonic maximizer needs two distinct vertices")
-    values = _dipole_potential(b, x, y)
+    (values,) = _dipole_potentials(b, [(x, y)])
     if values is None:
         raise Disconnected(f"{b.label(x)} and {b.label(y)} are not connected")
     resistance = values[x]

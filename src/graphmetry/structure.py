@@ -16,10 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ConductanceGraph, Path, WeightedGraph, weights_close, weights_close_array
+from .core import INFINITY, ConductanceGraph, Path, WeightedGraph, weights_close, weights_close_array
 from .errors import Disconnected, NotDistinct
 from .pathmetric import MetricTable, _one_sweep_metric
-from .resistance import _grounded, components, effective_resistance, resistance_matrix
+from .resistance import _dipole_potentials, _grounded, components, resistance_matrix
 
 
 @dataclass
@@ -53,8 +53,11 @@ def separates(
     """Does every path from x to z pass through y?
 
     Equivalent to x and z falling into different components after deleting
-    y; linear-time reachability instead of path enumeration.  Returns a
-    verified certificate with the two shores, or the witness path avoiding y.
+    y, so one breadth-first search from x in the graph minus y decides it.
+    The search stops when it reaches z and returns the route it found as
+    the witness path avoiding y; otherwise the vertices it reached are x's
+    shore, a second search from z gives z's shore, and the certificate is
+    re-checked before it is returned.
     """
     for v in (x, y, z):
         b._check_vertex(v)
@@ -63,7 +66,7 @@ def separates(
     label = _grounded(b).label
     if label[x] != label[z]:
         raise Disconnected(f"{b.label(x)} and {b.label(z)} are not connected")
-    parent = b.reach(x, banned=y)
+    parent = b.reach(x, banned=y, stop=z)
     if z in parent:
         route = [z]
         while route[-1] != x:
@@ -80,13 +83,16 @@ def separates(
 
 
 def _verify_certificate(b: ConductanceGraph, cert: SeparationCertificate) -> bool:
-    """Re-check the certificate invariants independently of how it was built."""
+    """Re-check the certificate invariants independently of how it was built:
+    disjoint shores without the separator, and no edge between them.  Every
+    stored pair is an edge, so the neighbours of the smaller shore show it."""
     sx, sz = set(cert.side_x), set(cert.side_z)
     if sx & sz:
         return False
     if cert.separator in sx or cert.separator in sz:
         return False
-    return all(b.conductance(v, w) == 0.0 for v in sx for w in sz)
+    small, large = (sx, sz) if len(sx) <= len(sz) else (sz, sx)
+    return not any(w in large for v in small for w, _ in b.neighbors(v))
 
 
 @dataclass
@@ -120,19 +126,25 @@ def check_triangle_equality(
     """Compare R(x,z) with R(x,y) + R(y,z) and the separation test at y.
 
     Equality within :func:`weights_close` must coincide with y
-    separating x from z.  Without ``table`` the three resistances are
-    dipole solves against the graph's cached grounded factor; ``table`` may
-    carry a precomputed resistance matrix to read them from instead.  The
-    report keeps the separation certificate or witness it was decided by.
+    separating x from z.  Without ``table`` the three resistances come from
+    one solve against the graph's cached grounded factor, one right-hand
+    side per pair; ``table`` may carry a precomputed resistance matrix to
+    read them from instead.  The report keeps the separation certificate
+    or witness it was decided by.
     """
     if len({x, y, z}) != 3:
         raise NotDistinct("triangle check needs three pairwise distinct vertices")
+    pairs = [(x, z), (x, y), (y, z)]
     if table is None:
-        lhs = effective_resistance(b, x, z)
-        rhs = effective_resistance(b, x, y) + effective_resistance(b, y, z)
+        for v in (x, z, y):
+            b._check_vertex(v)
+        xz, xy, yz = (
+            INFINITY if f is None else float(f[u])
+            for f, (u, _) in zip(_dipole_potentials(b, pairs), pairs)
+        )
     else:
-        lhs = float(table.d[x, z])
-        rhs = float(table.d[x, y]) + float(table.d[y, z])
+        xz, xy, yz = (float(table.d[u, v]) for u, v in pairs)
+    lhs, rhs = xz, xy + yz
     if math.isinf(lhs) or math.isinf(rhs):
         raise Disconnected("triangle check needs a connected triple")
     equal = weights_close(lhs, rhs)

@@ -405,6 +405,35 @@ def test_characterize_triangle_separates_once(graph_file, capsys, monkeypatch):
         assert len(calls) == 1
 
 
+def test_characterize_triangle_factors_once_and_solves_once(graph_file, capsys, monkeypatch):
+    import graphmetry.resistance as resistance
+
+    calls = []
+    for name in ("dpotrf", "dpotrs"):
+        original = getattr(resistance, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls.append((_name, args[-1].shape))
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(resistance, name, counted)
+    for text, k in ((P3, 2), (K3, 2), (C4, 3)):  # k: the grounded block's size
+        calls.clear()
+        run_json(capsys, "characterize", graph_file(text), "--triangle", "a", "b", "c")
+        assert calls == [("dpotrf", (k, k)), ("dpotrs", (k, 3))]  # three right-hand sides
+
+
+def test_unverified_certificate_is_exit_5(graph_file, capsys, monkeypatch):
+    import graphmetry.structure as structure
+
+    monkeypatch.setattr(structure, "_verify_certificate", lambda b, cert: False)
+    code, out, err = run(capsys, "characterize", graph_file(P3), "--triangle", "a", "b", "c")
+    assert code == 5 and out == ""
+    assert "internal error: separation certificate fails its own check" in err
+    code, out, err = run(capsys, "characterize", graph_file(K3), "--triangle", "a", "b", "c")
+    assert code == 0 and err == ""  # a witness path has no certificate to re-check
+
+
 def test_numeric_token_on_a_labelled_graph_is_unknown(graph_file, capsys):
     code, out, err = run(capsys, "metric", graph_file(P3), "--source", "a", "--target", "2")
     assert code == 3 and out == "" and "unknown vertex '2'" in err

@@ -96,6 +96,20 @@ def test_neighbors_sorted():
     assert g.neighbors(1) == [(0, 5.0)]
 
 
+def test_reach_stops_at_the_stop_vertex_with_the_full_search_route():
+    rng = random.Random(173)
+    for _ in range(100):
+        g = random_weighted_graph(rng, rng.randint(1, 20), inf_prob=rng.choice((0.5, 0.8, 0.95)))
+        start, banned = rng.randrange(g.n), rng.choice((None, rng.randrange(g.n)))
+        full = g.reach(start, banned)
+        for stop in range(g.n):
+            part = g.reach(start, banned, stop)
+            assert list(part) == list(full)[: len(part)] and part.items() <= full.items()
+            assert list(part)[-1] == stop if stop in full else part == full
+    with pytest.raises(UnknownVertex):
+        WeightedGraph(2, {}).reach(2, stop=0)
+
+
 def test_parse_weight_graph():
     g = parse_graph(P3_TEXT)
     assert isinstance(g, WeightedGraph)

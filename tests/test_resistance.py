@@ -21,6 +21,7 @@ from graphmetry import (
     PotentialFunction,
     SameVertex,
     SizeMismatch,
+    UnknownVertex,
     components,
     effective_resistance,
     energy,
@@ -326,6 +327,45 @@ def test_raw_lapack_calls_equal_cho_factor_and_cho_solve_bitwise():
             resistance.dpotrs(factor, np.eye(k, order="F"), overwrite_b=1)[0],
             scipy.linalg.cho_solve(reference, np.eye(k)),
         )
+
+
+def test_multi_column_solve_equals_one_column_solves_bitwise():
+    # Pairs of one triple share one dpotrs call; each of its columns must be
+    # the column a one-pair query would get, as a 2-D or a 1-D right-hand side.
+    rng = random.Random(151)
+    for k in [*range(1, 61), 200, 300, 600]:
+        n = k + 1
+        weights = {(rng.randrange(v), v): rng.randint(1, 9) / rng.choice((1.0, 7.0, 10.0)) for v in range(1, n)}
+        for _ in range(3 * n):
+            u, v = sorted(rng.sample(range(n), 2))
+            weights.setdefault((u, v), rng.randint(1, 9) / 7.0)
+        b = ConductanceGraph(n, weights)
+        factor = resistance._factor(b, resistance._grounded(b), 0)
+        for m in (2, 3, 5):
+            rhs = np.zeros((k, m), order="F")
+            for col in range(m):
+                i, j = rng.randrange(-1, k), rng.randrange(-1, k)  # -1 is the ground
+                if i >= 0:
+                    rhs[i, col] += 1.0
+                if j >= 0:
+                    rhs[j, col] -= 1.0
+            multi = resistance.dpotrs(factor, rhs)[0]
+            for col in range(m):
+                one = resistance.dpotrs(factor, rhs[:, col : col + 1])[0][:, 0]
+                flat = resistance.dpotrs(factor, rhs[:, col].copy())[0]
+                assert np.array_equal(multi[:, col], one) and np.array_equal(one, flat)
+
+
+def test_triangle_reports_the_first_pair_outside_float_range():
+    # R is 1e309 across the edge (0, 1) and at most 2e300 elsewhere; vertex 4 is isolated.
+    b = ConductanceGraph(5, {(0, 1): 1e-309, (1, 2): 1e-300, (2, 3): 1e-300})
+    for triple, pair in [((0, 2, 3), "0 and 3"), ((1, 0, 3), "1 and 0"), ((0, 1, 4), "0 and 1"), ((4, 0, 1), "0 and 1")]:
+        with pytest.raises(OutOfRange, match=f"between {pair} is outside"):
+            check_triangle_equality(b, *triple)
+    assert check_triangle_equality(b, 1, 2, 3).separated
+    # Every vertex is checked before the solve, so an unknown y wins over an overflowing (x, z).
+    with pytest.raises(UnknownVertex, match="vertex 9 out of range"):
+        check_triangle_equality(b, 0, 9, 2)
 
 
 def test_effective_resistance_is_bitwise_symmetric():

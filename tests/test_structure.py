@@ -6,14 +6,21 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+import graphmetry.resistance as resistance
+import graphmetry.structure as structure
 from graphmetry import (
     ConductanceGraph,
     Disconnected,
     WeightedGraph,
     NotDistinct,
     NotSeparated,
+    OutOfRange,
+    Path,
     SeparationCertificate,
+    TriangleReport,
+    UnknownVertex,
     biconnected_components,
     check_tree_theorem,
     check_triangle_equality,
@@ -29,7 +36,7 @@ from graphmetry import (
     separates,
 )
 from graphmetry.oracle import unique_induced_path
-from graphmetry.core import weights_close_array
+from graphmetry.core import weights_close, weights_close_array
 from graphmetry.pathmetric import all_pairs_metric
 from .suites import random_block_graph, random_connected_conductance, random_nontree, random_tree
 
@@ -376,3 +383,230 @@ def test_triangle_report_carries_its_separation():
     report = check_triangle_equality(k3(), 0, 1, 2)
     assert isinstance(report.separation, NotSeparated)
     assert report.separation.witness.vertices == (0, 2)
+
+
+# -- reference copies of the separation and triangle checks before the
+# output-sensitive rewrite: full searches, one solve per pair, and a
+# certificate check over every cross pair ----------------------------------
+
+
+def reference_reach(b: ConductanceGraph, start: int, banned: int) -> dict[int, int]:
+    parent = {start: start}
+    queue = [start]
+    for u in queue:
+        for v, _ in b.neighbors(u):
+            if v != banned and v not in parent:
+                parent[v] = u
+                queue.append(v)
+    return parent
+
+
+def reference_verify(b: ConductanceGraph, cert: SeparationCertificate) -> bool:
+    sx, sz = set(cert.side_x), set(cert.side_z)
+    if sx & sz:
+        return False
+    if cert.separator in sx or cert.separator in sz:
+        return False
+    return all(b.conductance(v, w) == 0.0 for v in sx for w in sz)
+
+
+def reference_separates(b: ConductanceGraph, y: int, x: int, z: int):
+    for v in (x, y, z):
+        b._check_vertex(v)
+    if len({x, y, z}) != 3:
+        raise NotDistinct("separator and endpoints must be pairwise distinct")
+    if z not in reference_reach(b, x, -1):
+        raise Disconnected(f"{b.label(x)} and {b.label(z)} are not connected")
+    parent = reference_reach(b, x, y)
+    if z in parent:
+        route = [z]
+        while route[-1] != x:
+            route.append(parent[route[-1]])
+        return NotSeparated(witness=Path(tuple(reversed(route))))
+    cert = SeparationCertificate(y, sorted(parent), sorted(reference_reach(b, z, y)), False)
+    cert.verified = reference_verify(b, cert)
+    return cert
+
+
+def reference_resistance(b: ConductanceGraph, x: int, y: int) -> float:
+    """One dipole solve with a 1-D right-hand side against the cached factor."""
+    b._check_vertex(x)
+    b._check_vertex(y)
+    system = resistance._grounded(b)
+    i = system.label[x]
+    if system.label[y] != i:
+        return math.inf
+    rhs = np.zeros(len(system.members[i]))
+    rhs[system.position[x]] = 1.0
+    rhs[system.position[y]] = -1.0
+    f = np.zeros(len(rhs))
+    with np.errstate(over="ignore", invalid="ignore"):
+        f[1:] = scipy.linalg.lapack.dpotrs(resistance._factor(b, system, i), rhs[1:])[0]
+        f -= f[system.position[y]]
+    if not np.isfinite(f).all():
+        raise OutOfRange(f"resistance between {b.label(x)} and {b.label(y)} is outside float range")
+    return float(f[system.position[x]])
+
+
+def reference_triangle(b: ConductanceGraph, x: int, y: int, z: int, table=None) -> TriangleReport:
+    if len({x, y, z}) != 3:
+        raise NotDistinct("triangle check needs three pairwise distinct vertices")
+    if table is None:
+        lhs = reference_resistance(b, x, z)
+        rhs = reference_resistance(b, x, y) + reference_resistance(b, y, z)
+    else:
+        lhs = float(table.d[x, z])
+        rhs = float(table.d[x, y]) + float(table.d[y, z])
+    if math.isinf(lhs) or math.isinf(rhs):
+        raise Disconnected("triangle check needs a connected triple")
+    separation = reference_separates(b, y, x, z)
+    return TriangleReport(lhs, rhs, weights_close(lhs, rhs), separation.separated, separation)
+
+
+def outcome(fn, *args):
+    """(report fields, separation) or (exception type, message)."""
+    try:
+        out = fn(*args)
+    except Exception as exc:  # the comparison includes which error and its text
+        return type(exc), str(exc)
+    if isinstance(out, TriangleReport):
+        return (out.lhs, out.rhs, out.equal, out.separated, out.consistent), out.separation
+    return out
+
+
+def offset_union(parts) -> dict[tuple[int, int], float]:
+    """Disjoint union of (offset, graph) parts with conductances c / 7."""
+    weights = {}
+    for start, g in parts:
+        for (u, v), c in g.b.items():
+            weights[(start + u, start + v)] = c / 7.0
+    return weights
+
+
+def pendant_tree(rng: random.Random) -> ConductanceGraph:
+    core = random_tree(rng, rng.randint(2, 25), max_c=9)
+    n = core.n + rng.randint(1, 6)
+    weights = offset_union([(0, core)])
+    for leaf in range(core.n, n):
+        weights[(rng.randrange(leaf), leaf)] = rng.randint(1, 9) / 7.0
+    return ConductanceGraph(n, weights)
+
+
+def cut_vertex_hub(rng: random.Random) -> ConductanceGraph:
+    """Vertex 0 joined to three to five blobs: deleting it leaves them apart."""
+    parts, n = [], 1
+    for _ in range(rng.randint(3, 5)):
+        blob = rng.choice((random_connected_conductance, random_block_graph, random_tree))(rng, rng.randint(1, 7), max_c=9)
+        parts.append((n, blob))
+        n += blob.n
+    weights = offset_union(parts)
+    for start, blob in parts:
+        for v in rng.sample(range(blob.n), min(blob.n, rng.randint(1, 2))):
+            weights[(0, start + v)] = rng.randint(1, 9) / 7.0
+    return ConductanceGraph(n, weights)
+
+
+def disconnected_parts(rng: random.Random) -> ConductanceGraph:
+    """Two or three components plus up to two isolated vertices."""
+    parts, n = [], 0
+    for _ in range(rng.randint(2, 3)):
+        part = rng.choice((random_connected_conductance, random_nontree))(rng, rng.randint(3, 9), max_c=9)
+        parts.append((n, part))
+        n += part.n
+    n += rng.randint(0, 2)
+    return ConductanceGraph(n, offset_union(parts))
+
+
+def overflowing_chain(rng: random.Random) -> ConductanceGraph:
+    """A path whose resistance leaves float range across its 1e-309 edges."""
+    n = rng.randint(3, 8)
+    return ConductanceGraph(n + 1, {(v, v + 1): rng.choice((1e-309, 1e-300, 2e-300)) for v in range(n - 1)})
+
+
+def triples(rng: random.Random, n: int, count: int):
+    for _ in range(count):
+        roll = rng.random()
+        if roll < 0.7 and n >= 3:
+            yield tuple(rng.sample(range(n), 3))
+        elif roll < 0.85:
+            yield tuple(rng.choice((-1, n, n + 3, *range(n))) for _ in range(3))  # out-of-range ids
+        else:
+            x, z = rng.randrange(n), rng.randrange(n)
+            yield x, x, z  # not distinct
+
+
+def test_separation_and_triangle_match_the_reference_copies():
+    rng = random.Random(163)
+    makers = (pendant_tree, cut_vertex_hub, disconnected_parts, overflowing_chain)
+    kinds, unknown_first = set(), 0
+    for i in range(320):
+        b = makers[i % 4](rng)
+        try:
+            table = resistance_matrix(b)
+        except OutOfRange:
+            table = None
+        for x, y, z in triples(rng, b.n, 8):
+            expected = outcome(reference_triangle, b, x, y, z)
+            got = outcome(check_triangle_equality, b, x, y, z)
+            if expected[0] is OutOfRange and not 0 <= y < b.n and len({x, y, z}) == 3:
+                # Every vertex is checked before the one solve, so an unknown y is
+                # reported where the pair-by-pair solves met an overflowing (x, z) first.
+                expected = outcome(b._check_vertex, y)
+                unknown_first += 1
+            assert got == expected
+            kinds.add(got[0] if isinstance(got[0], type) else type(got[1]))
+            if table is not None:
+                assert outcome(check_triangle_equality, b, x, y, z, table) == outcome(reference_triangle, b, x, y, z, table)
+            assert outcome(separates, b, y, x, z) == outcome(reference_separates, b, y, x, z)
+    assert {NotSeparated, SeparationCertificate, NotDistinct, Disconnected, UnknownVertex, OutOfRange} <= kinds
+    assert unknown_first > 0
+
+
+def test_certificate_check_matches_the_reference_on_corrupted_certificates():
+    b = bowtie()  # triangles {0, 1, 2} and {2, 3, 4}
+    cases = [
+        SeparationCertificate(2, [0, 1], [3, 4], True),  # sound
+        SeparationCertificate(2, [0, 1], [1, 3], True),  # overlapping shores
+        SeparationCertificate(2, [0, 1, 2], [3, 4], True),  # separator in a shore
+        SeparationCertificate(2, [0, 1], [2, 3, 4], True),
+        SeparationCertificate(2, [0, 1, 3], [4], True),  # one crossing edge (3, 4)
+        SeparationCertificate(2, [0, 1, 3], [], True),
+        SeparationCertificate(2, [1, 3, 4], [0], True),  # larger shore first, crossing (0, 1)
+        SeparationCertificate(2, [3, 4], [0], True),  # larger shore first, sound
+    ]
+    verdicts = [structure._verify_certificate(b, cert) for cert in cases]
+    assert verdicts == [reference_verify(b, cert) for cert in cases]
+    assert verdicts == [True, False, False, False, False, True, False, True]
+    rng = random.Random(167)
+    for _ in range(300):
+        b = random_connected_conductance(rng, rng.randint(3, 14), extra=rng.choice((0.05, 0.2)))
+        shores = [rng.sample(range(b.n), rng.randint(0, b.n // 2)) for _ in range(2)]
+        cert = SeparationCertificate(rng.randrange(b.n), *shores, True)
+        assert structure._verify_certificate(b, cert) == reference_verify(b, cert)
+
+
+def test_two_cycles_separate_without_pair_lookups(monkeypatch):
+    # Two 1000-vertex cycles sharing vertex 0.
+    n = 1999
+    weights = {(v, v + 1): 1.0 for v in range(1, n - 1) if v != 999}
+    weights.update({(0, 1): 1.0, (0, 999): 1.0, (0, 1000): 1.0, (0, n - 1): 1.0})
+    b = ConductanceGraph(n, weights)
+    lookups = []
+    original = ConductanceGraph.conductance
+
+    def counted(self, u, v):
+        lookups.append((u, v))
+        return original(self, u, v)
+
+    monkeypatch.setattr(ConductanceGraph, "conductance", counted)
+    cert = separates(b, 0, 1, 1000)
+    assert cert.verified and cert.side_x == list(range(1, 1000)) and cert.side_z == list(range(1000, n))
+    assert lookups == []
+    assert separates(b, 500, 1, 999).witness.vertices == (1, 0, 999)
+    walked = []
+    neighbors = ConductanceGraph.neighbors
+    monkeypatch.setattr(ConductanceGraph, "neighbors", lambda self, u: walked.append(u) or neighbors(self, u))
+    for shores in ([list(range(1, 1000)), [1500]], [[1500], list(range(1, 1000))]):
+        walked.clear()
+        assert structure._verify_certificate(b, SeparationCertificate(0, *shores, True))
+        assert walked == [1500]  # only the smaller shore's neighbours are read
