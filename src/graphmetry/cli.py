@@ -208,8 +208,7 @@ def _weight_graph(args: argparse.Namespace) -> WeightedGraph:
     Weight mode reads the values as lengths; conductance mode lifts b to its
     natural length weight 1/b (the tree-theorem comparison weight).
     """
-    mode = args.mode or "weight"
-    g = _load(args.file, mode)
+    g = _load(args.file, args.mode)
     if isinstance(g, ConductanceGraph):
         return inverse_conductance_weight(g)
     return g
@@ -222,8 +221,7 @@ def _conductance_graph(args: argparse.Namespace) -> ConductanceGraph:
     on finite-weight pairs (the inverse of the lift above), which must pass
     the checks a parsed conductance graph passes.
     """
-    mode = args.mode or "conductance"
-    g = _load(args.file, mode)
+    g = _load(args.file, args.mode)
     if isinstance(g, WeightedGraph):
         g = g.reciprocal(ConductanceGraph)
         problems = validate(g)
@@ -438,7 +436,7 @@ def cmd_family(args: argparse.Namespace) -> Report:
             "vertex": fam.describe(scan.vertex),
             "radius": fmt(scan.radius),
             "count": scan.count,
-            "exhausted": scan.exhausted,
+            "exhausted": False,  # families are infinite
             "verdict": scan.verdict,
         }
     return report
@@ -459,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--mode",
             choices=("weight", "conductance"),
-            default=None,
+            default=default_mode,
             help=f"how to read the values (default: {default_mode})",
         )
         p.add_argument("--json", action="store_true", help="machine-readable output")

@@ -21,7 +21,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 from .core import INFINITY, Path, WeightedGraph
 from .errors import DuplicatePath, EmptyInput, InvalidArgument, MixedStart, TooLarge, UnknownVertex
@@ -42,44 +42,39 @@ EXCEEDS_THRESHOLD = "EXCEEDS_THRESHOLD"
 
 @dataclass(frozen=True)
 class GraphFamily:
-    """A countable graph given by a vertex stream and a symmetric weight oracle.
+    """A countable graph on the naturals 0, 1, 2, ... given by a symmetric
+    weight oracle.
 
-    ``stream()`` enumerates distinct nonnegative vertex descriptors
-    deterministically; ``weight`` must be symmetric and zero exactly on
-    equal descriptors.  ``earlier(v)`` lists the neighbours of ``v`` (the
-    descriptors at finite weight from it) that ``stream()`` yields before
-    ``v``, so a truncation finds every finite pair without testing the
-    others.  Scans only ever look at budget-bounded truncations.
+    ``weight`` must be symmetric and zero exactly on equal vertices.
+    ``earlier(v)`` lists the neighbours of ``v`` (the vertices at finite
+    weight from it) below ``v``, so a truncation finds every finite pair
+    without testing the others.  Scans only ever look at budget-bounded
+    truncations.
     """
 
     name: str
-    stream: Callable[[], Iterator[int]]
     weight: Callable[[int, int], float]
     describe: Callable[[int], str]
     earlier: Callable[[int], Iterable[int]]
 
-    def truncate(self, budget: int) -> tuple[list[int], WeightedGraph]:
-        """First ``budget`` vertices and the induced finite weighted graph.
+    def truncate(self, budget: int) -> WeightedGraph:
+        """The finite weighted graph induced on ``range(budget)``.
 
-        One weight call per pair of a vertex and an earlier neighbour inside
-        the prefix: O(budget + edges).
+        One weight call per pair of a vertex and an earlier neighbour:
+        O(budget + edges).
         """
         if budget < 1:
             raise InvalidArgument("budget must be positive")
         if budget > SCAN_BUDGET_CAP:
             raise TooLarge(f"scan budget capped at {SCAN_BUDGET_CAP}")
-        vertices = list(itertools.islice(self.stream(), budget))
-        index = {v: i for i, v in enumerate(vertices)}
         weights: dict[tuple[int, int], float] = {}
-        for j, v in enumerate(vertices):
+        for v in range(budget):
             for u in self.earlier(v):
-                i = index.get(u)
-                if i is not None:
-                    w = self.weight(u, v)
-                    if math.isfinite(w):
-                        weights[(i, j)] = w
-        labels = tuple(self.describe(v) for v in vertices)
-        return vertices, WeightedGraph(len(vertices), weights, labels)
+                w = self.weight(u, v)
+                if math.isfinite(w):
+                    weights[(u, v)] = w
+        labels = tuple(self.describe(v) for v in range(budget))
+        return WeightedGraph(budget, weights, labels)
 
 
 def _tiny_floor(compute: Callable[[], float]) -> float:
@@ -132,16 +127,10 @@ def _ray_earlier(v: int) -> tuple[int, ...]:
     return () if v == 0 else (v - 1,)
 
 
-UNIT_STAR = GraphFamily(
-    "unit-star", itertools.count, _star_weight(False), _star_label, _star_earlier
-)
-DECAYING_STAR = GraphFamily(
-    "decaying-star", itertools.count, _star_weight(True), _star_label, _star_earlier
-)
-UNIT_RAY = GraphFamily("unit-ray", itertools.count, _ray_weight(False), _ray_label, _ray_earlier)
-DECAYING_RAY = GraphFamily(
-    "decaying-ray", itertools.count, _ray_weight(True), _ray_label, _ray_earlier
-)
+UNIT_STAR = GraphFamily("unit-star", _star_weight(False), _star_label, _star_earlier)
+DECAYING_STAR = GraphFamily("decaying-star", _star_weight(True), _star_label, _star_earlier)
+UNIT_RAY = GraphFamily("unit-ray", _ray_weight(False), _ray_label, _ray_earlier)
+DECAYING_RAY = GraphFamily("decaying-ray", _ray_weight(True), _ray_label, _ray_earlier)
 
 FAMILIES: dict[str, GraphFamily] = {
     f.name: f for f in (UNIT_STAR, DECAYING_STAR, UNIT_RAY, DECAYING_RAY)
@@ -166,7 +155,6 @@ class ElfReport:
     vertex: int
     radius: float
     count: int
-    exhausted: bool
     verdict: str
 
 
@@ -180,6 +168,8 @@ def _scan_threshold(budget: int, threshold: int | None, radius: float) -> int:
         raise InvalidArgument("threshold must be positive")
     if not radius >= 0:  # also rejects NaN
         raise InvalidArgument(f"radius must be nonnegative, got {radius}")
+    if budget > SCAN_BUDGET_CAP:
+        raise TooLarge(f"scan budget capped at {SCAN_BUDGET_CAP}")
     return thr
 
 
@@ -199,12 +189,9 @@ def family_ball_scan(
     infinite ball, never a proof.
     """
     thr = _scan_threshold(budget, threshold, radius)
-    vertices, g = fam.truncate(budget)
-    try:
-        src = vertices.index(center)
-    except ValueError:
+    if not 0 <= center < budget:
         raise UnknownVertex(f"center {center} not among the first {budget} vertices")
-    dist = single_source_distances(g, src)
+    dist = single_source_distances(fam.truncate(budget), center)
     found = int((dist <= radius).sum())
     verdict = EXCEEDS_THRESHOLD if found >= thr else BOUNDED_SO_FAR
     return BallScan(center=center, radius=radius, found=found, budget=budget, verdict=verdict)
@@ -219,17 +206,16 @@ def family_elf_scan(
 ) -> ElfReport:
     """Count enumerated y with direct weight w(x, y) < radius.
 
-    Scans the first ``budget`` candidates other than x itself; families are
-    infinite, so ``exhausted`` is always false and a count at threshold
-    (default: the budget) is evidence — not proof — that essential local
-    finiteness fails at x.
+    Scans the first ``budget`` vertices other than x itself; families are
+    infinite, so a count at threshold (default: the budget) is evidence —
+    not proof — that essential local finiteness fails at x.
     """
     thr = _scan_threshold(budget, threshold, radius)
-    if x < 0:  # descriptors are nonnegative; the weight is undefined off the family
+    if x < 0:  # vertices are the naturals; the weight is undefined off the family
         raise UnknownVertex(f"vertex {x} is not a vertex of {fam.name}")
     count = 0
     seen = 0
-    for y in fam.stream():
+    for y in itertools.count():
         if y == x:
             continue
         if fam.weight(x, y) < radius:
@@ -238,7 +224,7 @@ def family_elf_scan(
         if seen >= budget:
             break
     verdict = EXCEEDS_THRESHOLD if count >= thr else BOUNDED_SO_FAR
-    return ElfReport(vertex=x, radius=radius, count=count, exhausted=False, verdict=verdict)
+    return ElfReport(vertex=x, radius=radius, count=count, verdict=verdict)
 
 
 @dataclass
@@ -252,7 +238,7 @@ class PrefixExtraction:
 
 def extract_common_prefix_path(
     paths: list[Path],
-    w: WeightedGraph | Callable[[int, int], float],
+    w: WeightedGraph,
     k: int = 2,
 ) -> PrefixExtraction:
     """Follow the least next vertex that at least ``k`` paths still share.
@@ -294,13 +280,7 @@ def extract_common_prefix_path(
         prefix.append(nxt)
         mults.append(counts[nxt])
     path = Path(tuple(prefix))
-    if isinstance(w, WeightedGraph):
-        length = path_length(w, path)
-    else:
-        length = 0.0
-        for u, v in path.steps():
-            length += w(u, v)
-    return PrefixExtraction(path=path, multiplicities=mults, length=length)
+    return PrefixExtraction(path=path, multiplicities=mults, length=path_length(w, path))
 
 
 @dataclass

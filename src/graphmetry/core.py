@@ -327,10 +327,6 @@ class ConductanceGraph(Graph):
         """Positive-conductance edges as (u, v, value), u < v, sorted."""
         return [(u, v, w) for (u, v), w in self.b.items() if u != v]
 
-    def degree_sum(self, u: int) -> float:
-        """Row sum of conductances about ``u``; finite by construction."""
-        return sum(w for _, w in self.neighbors(u))
-
 
 def _parse_value(token: str, line_no: int) -> tuple[float, Fraction | None]:
     if token.lower() == "inf":
@@ -452,7 +448,7 @@ def validate(g: Graph) -> list[str]:
         elif math.isinf(w):
             report.append(f"conductance {pair} must be finite")
     if not weighted:
-        row_sums = [0.0] * g.n  # in degree_sum's order: each row adds its partners ascending
+        row_sums = [0.0] * g.n
         for u, v, w in g.edges():
             row_sums[u], row_sums[v] = row_sums[u] + w, row_sums[v] + w
         for u, total in enumerate(row_sums):

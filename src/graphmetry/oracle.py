@@ -44,18 +44,8 @@ def exact_weight(g: Graph, u: int, v: int) -> ExactWeight:
     return None if math.isinf(x) else Fraction(repr(x))
 
 
-def enumerate_simple_paths(
-    g: WeightedGraph,
-    x: int,
-    y: int,
-    include_infinite_steps: bool = False,
-) -> Iterator[Path]:
-    """All injective paths from x to y, in lexicographic vertex order.
-
-    By default only finite-weight steps are walked; with
-    ``include_infinite_steps`` every vertex pair is a step, which makes the
-    enumeration factorial and is only usable on tiny graphs.
-    """
+def enumerate_simple_paths(g: WeightedGraph, x: int, y: int) -> Iterator[Path]:
+    """All injective finite-weight paths from x to y, in lexicographic vertex order."""
     if g.n > PATH_CAP:
         raise TooLarge(f"path enumeration capped at {PATH_CAP} vertices, got {g.n}")
     if x == y:
@@ -65,13 +55,10 @@ def enumerate_simple_paths(
     on_path[x] = True
     stack: list[int] = [x]
 
-    def successors(u: int) -> list[int]:
-        if include_infinite_steps:
-            return [v for v in range(g.n) if not on_path[v]]
-        return [v for v, _ in g.neighbors(u) if not on_path[v]]
-
     def walk(u: int) -> Iterator[Path]:
-        for v in successors(u):
+        for v, _ in g.neighbors(u):
+            if on_path[v]:
+                continue
             stack.append(v)
             on_path[v] = True
             if v == y:

@@ -49,21 +49,25 @@ from .errors import (
 
 @dataclass
 class MetricTable:
-    """Symmetric all-pairs distance matrix with pseudo-metric invariants."""
+    """Symmetric all-pairs distance matrix with pseudo-metric invariants;
+    ``n`` is its side."""
 
-    n: int
     d: np.ndarray
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
         self.d = np.asarray(self.d, dtype=float)
-        if self.d.shape != (self.n, self.n):
-            raise SizeMismatch(f"expected a {self.n}x{self.n} matrix, got {self.d.shape}")
+        if self.d.ndim != 2 or self.d.shape[0] != self.d.shape[1]:
+            raise SizeMismatch(f"expected a square matrix, got {self.d.shape}")
+
+    @property
+    def n(self) -> int:
+        return len(self.d)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MetricTable):
             return NotImplemented
-        return self.n == other.n and bool(np.array_equal(self.d, other.d))
+        return bool(np.array_equal(self.d, other.d))
 
     def label(self, u: int) -> str:
         return self.labels[u] if self.labels is not None else str(u)
@@ -159,7 +163,6 @@ def _may_violate(d: np.ndarray, slack: np.ndarray) -> bool:
 class GeodesicWeight:
     """The weight that is delta on unique-geodesic pairs and inf elsewhere."""
 
-    n: int
     table: np.ndarray
     labels: tuple[str, ...] | None = None
 
@@ -395,7 +398,7 @@ def all_pairs_metric(g: WeightedGraph) -> MetricTable:
             _relax_rows(d, xs, ks)
             xs, ks = np.nonzero(d != seen)
     _check_range(g, d)
-    return MetricTable(g.n, d, g.labels)
+    return MetricTable(d, g.labels)
 
 
 def _sum_slack(n: int, d: float | np.ndarray) -> float | np.ndarray:
@@ -468,10 +471,11 @@ def geodesic_weight(t: MetricTable, graph: WeightedGraph | None = None) -> Geode
     below 1 keep their unique geodesics, a spur far shorter than the pair
     stays off it, and a gap of exactly 0 is always between.
 
-    ``graph`` must satisfy ``t == all_pairs_metric(graph)``.  Only its
-    tight edges (stored weight equal to d bitwise) are then tested: the
-    closure lowered every other finite pair through some k outside the pair
-    with fl(d[x,k] + d[k,y]) = d[x,y] at the fixpoint, so k is between and
+    ``graph`` must satisfy ``t == all_pairs_metric(graph)``; a graph whose
+    vertex count is not the table's raises SizeMismatch.  Only its tight
+    edges (stored weight equal to d bitwise) are then tested: the closure
+    lowered every other finite pair through some k outside the pair with
+    fl(d[x,k] + d[k,y]) = d[x,y] at the fixpoint, so k is between and
     the result equals testing every pair bit for bit.  Such a table also
     skips the triangle gate, which cannot fire on it: a full sweep
     left every entry unchanged, so d[x,z] <= fl(d[x,y] + d[y,z]) holds
@@ -496,6 +500,8 @@ def geodesic_weight(t: MetricTable, graph: WeightedGraph | None = None) -> Geode
             )
         xs, ys = np.nonzero(np.triu(np.isfinite(d), 1))
     else:
+        if graph.n != n:
+            raise SizeMismatch(f"graph has {graph.n} vertices, table {n}")
         keys = np.array(list(graph.weights), dtype=np.intp).reshape(-1, 2)
         xs, ys = keys[:, 0], keys[:, 1]
         stored = np.fromiter(graph.weights.values(), float, len(keys))
@@ -504,7 +510,7 @@ def geodesic_weight(t: MetricTable, graph: WeightedGraph | None = None) -> Geode
     out = np.full((n, n), INFINITY)
     np.fill_diagonal(out, 0.0)
     _tight_edge_weight(d, xs, ys, out)
-    return GeodesicWeight(n, out, t.labels)
+    return GeodesicWeight(out, t.labels)
 
 
 def _tight_edge_weight(d: np.ndarray, xs: np.ndarray, ys: np.ndarray, out: np.ndarray) -> None:

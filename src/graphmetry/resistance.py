@@ -260,7 +260,7 @@ def resistance_matrix(b: ConductanceGraph) -> MetricTable:
             x, y = np.argwhere(~np.isfinite(R))[0]
             raise _out_of_range(b, int(comp[x]), int(comp[y]))
         d[np.ix_(comp, comp)] = R
-    return MetricTable(b.n, d, b.labels)
+    return MetricTable(d, b.labels)
 
 
 def harmonic_maximizer(b: ConductanceGraph, x: int, y: int) -> PotentialFunction:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import INFINITY, ConductanceGraph, Path, WeightedGraph, weights_close, weights_close_array
 from .errors import Disconnected, NotDistinct
-from .pathmetric import MetricTable, _one_sweep_metric
+from .pathmetric import _one_sweep_metric
 from .resistance import _dipole_potentials, _grounded, components, resistance_matrix
 
 
@@ -116,34 +116,24 @@ class TriangleReport:
         return self.rhs - self.lhs
 
 
-def check_triangle_equality(
-    b: ConductanceGraph,
-    x: int,
-    y: int,
-    z: int,
-    table: MetricTable | None = None,
-) -> TriangleReport:
+def check_triangle_equality(b: ConductanceGraph, x: int, y: int, z: int) -> TriangleReport:
     """Compare R(x,z) with R(x,y) + R(y,z) and the separation test at y.
 
     Equality within :func:`weights_close` must coincide with y
-    separating x from z.  Without ``table`` the three resistances come from
-    one solve against the graph's cached grounded factor, one right-hand
-    side per pair; ``table`` may carry a precomputed resistance matrix to
-    read them from instead.  The report keeps the separation certificate
-    or witness it was decided by.
+    separating x from z.  The three resistances come from one solve
+    against the graph's cached grounded factor, one right-hand side per
+    pair.  The report keeps the separation certificate or witness it was
+    decided by.
     """
     if len({x, y, z}) != 3:
         raise NotDistinct("triangle check needs three pairwise distinct vertices")
+    for v in (x, z, y):
+        b._check_vertex(v)
     pairs = [(x, z), (x, y), (y, z)]
-    if table is None:
-        for v in (x, z, y):
-            b._check_vertex(v)
-        xz, xy, yz = (
-            INFINITY if f is None else float(f[u])
-            for f, (u, _) in zip(_dipole_potentials(b, pairs), pairs)
-        )
-    else:
-        xz, xy, yz = (float(table.d[u, v]) for u, v in pairs)
+    xz, xy, yz = (
+        INFINITY if f is None else float(f[u])
+        for f, (u, _) in zip(_dipole_potentials(b, pairs), pairs)
+    )
     lhs, rhs = xz, xy + yz
     if math.isinf(lhs) or math.isinf(rhs):
         raise Disconnected("triangle check needs a connected triple")

@@ -4,7 +4,14 @@ from __future__ import annotations
 
 import random
 
-from graphmetry import ConductanceGraph, WeightedGraph
+from graphmetry import ConductanceGraph, Path, WeightedGraph
+
+
+def complete_graph_for(paths: list[Path], w: float = 1.0) -> WeightedGraph:
+    """Weight w on every pair of the vertices 0 .. max over ``paths``: each
+    path's length is w times its step count."""
+    n = 1 + max((v for p in paths for v in p), default=0)
+    return WeightedGraph(n, {(u, v): w for u in range(n) for v in range(u + 1, n)})
 
 
 def random_weighted_graph(

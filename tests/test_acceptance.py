@@ -34,7 +34,6 @@ from graphmetry import (
     is_block_graph,
     is_tree,
     laplacian_apply,
-    resistance_matrix,
     verify_variational,
 )
 from graphmetry.oracle import (
@@ -43,6 +42,7 @@ from graphmetry.oracle import (
     unique_induced_path,
 )
 from .suites import (
+    complete_graph_for,
     random_block_graph,
     random_connected_conductance,
     random_nontree,
@@ -155,13 +155,12 @@ def test_criterion_05_triangle_equality_iff_separation(conductance_suite):
     started = time.monotonic()
     triples = 0
     for b in conductance_suite:
-        table = resistance_matrix(b)
         for x in range(b.n):
             for y in range(b.n):
                 for z in range(b.n):
                     if len({x, y, z}) != 3:
                         continue
-                    report = check_triangle_equality(b, x, y, z, table=table)
+                    report = check_triangle_equality(b, x, y, z)
                     assert report.consistent
                     if not report.separated:
                         assert report.margin > REL_TOL
@@ -271,7 +270,7 @@ def test_criterion_10_prefix_extraction():
             fresh += len(tail)
             paths.append(Path(corridor[: q + 1] + tail))
         rng.shuffle(paths)
-        out = extract_common_prefix_path(paths, lambda u, v: 1.0, k=2)
+        out = extract_common_prefix_path(paths, complete_graph_for(paths), k=2)
         got = out.path.vertices
         assert got == corridor[: len(got)]
         assert len(got) - 1 >= second_longest

@@ -1,8 +1,10 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
+import hashlib
 import json
 import math
 import random
+import re
 import threading
 import warnings
 
@@ -281,6 +283,38 @@ def test_family_unknown_name(capsys):
 def test_family_budget_cap(capsys):
     code, _, err = run(capsys, "family", "unit-star", "--radius", "2", "--budget", "5000")
     assert code == 4
+    for budget in ("5000", "2001"):
+        code, out, err = run(capsys, "family", "unit-star", "--mode", "elf", "--radius", "2", "--budget", budget)
+        assert (code, out, err) == (4, "", "error: scan budget capped at 2000\n")
+    doc = run_json(capsys, "family", "unit-star", "--mode", "elf", "--radius", "2", "--budget", "2000")
+    assert doc["results"]["scan"]["count"] == 2000
+
+
+# sha256 of each --help text, recorded with COLUMNS=80 on Python 3.11's argparse.
+HELP_DIGESTS = {
+    (): "e6c7e191e85d5467bf74d683bdd5890ceaacffe78213a1c496d882e80cd65532",
+    ("metric",): "2d049ef02727ed3c5635f0b6cc2f6942b7bd212a8aefc49c6a3f3f870a0efeaf",
+    ("geodesics",): "3f839f7d4cc5635121cd8308bf370c2a09bb9506dcb2fe8601ea6f67b3f3433c",
+    ("geodesic-weight",): "d3dbca1f7ef2f396d36f2045247bfbfcb2963eb027d14c87055c9180c1634b67",
+    ("resistance",): "e5af6d1bc9dc0a578f03a72ba200db8b3de4b67ddb9104edf1fc1a867abe6709",
+    ("characterize",): "1840a2ec3a61e0378f44eef7ad84f294e841f813c1668caeeb476c9416c8eac6",
+    ("family",): "2e105aa1ee6b4a4d4a2bc75adbe131110eb7a5f492531cc47000d61ae13674b3",
+}
+
+
+@pytest.mark.parametrize("command", sorted(HELP_DIGESTS))
+def test_help_text_is_unchanged(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_:
+        main([*command, "--help"])
+    assert exit_.value.code == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == HELP_DIGESTS[command]
+    if command and command != ("family",):
+        # The default the help names is the mode a command reads without --mode.
+        (default,) = re.findall(r"\(default: (\w+)\)", out)
+        argv = [*command, "file", "--source", "a", "--target", "b"]  # geodesics needs both
+        assert build_parser().parse_known_args(argv)[0].mode == default
 
 
 def test_output_is_deterministic(graph_file, capsys):
@@ -297,7 +331,7 @@ def test_broken_invariant_is_exit_5(graph_file, capsys, monkeypatch):
     import graphmetry.cli as cli
 
     def corrupt(b):
-        return MetricTable(b.n, np.full((b.n, b.n), -1.0))
+        return MetricTable(np.full((b.n, b.n), -1.0))
 
     monkeypatch.setattr(cli, "resistance_matrix", corrupt)
     code, _, err = run(capsys, "resistance", graph_file(K3), "--matrix")

@@ -81,7 +81,7 @@ def test_conductance_lookup_defaults():
     assert b.conductance(0, 2) == 0.0
     assert b.conductance(2, 2) == 0.0
     assert b.edges() == [(0, 1, 2.0)]
-    assert b.degree_sum(0) == 2.0 and b.degree_sum(2) == 0.0
+    assert b.neighbors(0) == [(1, 2.0)] and b.neighbors(2) == []
 
 
 def test_zero_conductance_means_no_edge():
@@ -354,4 +354,4 @@ def test_bad_arguments_raise_invalid_argument():
     with pytest.raises(InvalidArgument, match="unknown mode"):
         parse_graph("a b 1\n", mode="length")
     with pytest.raises(InvalidArgument, match="at least 2"):
-        extract_common_prefix_path([Path((0, 1))], lambda u, v: 1.0, k=1)
+        extract_common_prefix_path([Path((0, 1))], WeightedGraph(2, {(0, 1): 1.0}), k=1)

@@ -55,12 +55,9 @@ def test_enumerate_simple_paths_same_vertex():
     assert [p.vertices for p in enumerate_simple_paths(triangle(), 2, 2)] == [(2,)]
 
 
-def test_enumerate_simple_paths_infinite_steps_flag():
+def test_enumerate_simple_paths_walks_finite_steps_only():
     g = WeightedGraph(3, {(0, 1): 1.0, (1, 2): 1.0})
-    finite = [p.vertices for p in enumerate_simple_paths(g, 0, 2)]
-    assert finite == [(0, 1, 2)]
-    every = [p.vertices for p in enumerate_simple_paths(g, 0, 2, include_infinite_steps=True)]
-    assert every == [(0, 1, 2), (0, 2)]
+    assert [p.vertices for p in enumerate_simple_paths(g, 0, 2)] == [(0, 1, 2)]
 
 
 def test_enumerate_simple_paths_disconnected():

@@ -124,24 +124,25 @@ def test_metric_agrees_with_exact_oracle():
 
 
 def test_metric_table_validate_diagnostics():
-    good = MetricTable(2, np.array([[0.0, 1.0], [1.0, 0.0]]))
+    good = MetricTable(np.array([[0.0, 1.0], [1.0, 0.0]]))
     assert good.validate() == []
-    asym = MetricTable(2, np.array([[0.0, 1.0], [2.0, 0.0]]))
+    asym = MetricTable(np.array([[0.0, 1.0], [2.0, 0.0]]))
     assert any("asymmetry" in r for r in asym.validate())
-    neg = MetricTable(2, np.array([[0.0, -1.0], [-1.0, 0.0]]))
+    neg = MetricTable(np.array([[0.0, -1.0], [-1.0, 0.0]]))
     assert any("negative" in r for r in neg.validate())
-    diag = MetricTable(1, np.array([[3.0]]))
+    diag = MetricTable(np.array([[3.0]]))
     assert any("diagonal" in r for r in diag.validate())
-    tri = MetricTable(
-        3, np.array([[0.0, 1.0, 3.0], [1.0, 0.0, 1.0], [3.0, 1.0, 0.0]])
-    )
+    tri = MetricTable(np.array([[0.0, 1.0, 3.0], [1.0, 0.0, 1.0], [3.0, 1.0, 0.0]]))
     assert any("triangle" in r for r in tri.validate())
-    pseudo = MetricTable(2, np.zeros((2, 2)))
+    pseudo = MetricTable(np.zeros((2, 2)))
     assert any("pseudo metric" in r for r in pseudo.validate())
-    nan = MetricTable(2, np.array([[0.0, math.nan], [math.nan, 0.0]]))
+    nan = MetricTable(np.array([[0.0, math.nan], [math.nan, 0.0]]))
     assert any("NaN" in r for r in nan.validate())
-    with pytest.raises(SizeMismatch):
-        MetricTable(3, np.zeros((2, 2)))
+    assert MetricTable(np.zeros((3, 3))).n == 3
+    with pytest.raises(SizeMismatch, match="square"):
+        MetricTable(np.zeros((2, 3)))
+    with pytest.raises(SizeMismatch, match="square"):
+        MetricTable(np.zeros(4))
 
 
 def test_enumerate_geodesics_examples():
@@ -207,7 +208,7 @@ def test_geodesic_weight_examples():
     assert math.isinf(wc.weight(0, 2)) and math.isinf(wc.weight(1, 3))
 
     # Two points: the metric itself.
-    pair = MetricTable(2, np.array([[0.0, 5.0], [5.0, 0.0]]))
+    pair = MetricTable(np.array([[0.0, 5.0], [5.0, 0.0]]))
     assert geodesic_weight(pair).weight(0, 1) == 5.0
 
     # Unreachable pairs stay infinite.
@@ -215,10 +216,17 @@ def test_geodesic_weight_examples():
     assert math.isinf(geodesic_weight(split).weight(0, 1))
 
 
+def test_geodesic_weight_rejects_a_graph_of_another_size():
+    # A 3-vertex table with a 5-vertex graph, and the other way round.
+    small, large = p3(), WeightedGraph(5, {(i, i + 1): 1.0 for i in range(4)})
+    with pytest.raises(SizeMismatch, match="graph has 5 vertices, table 3"):
+        geodesic_weight(all_pairs_metric(small), graph=large)
+    with pytest.raises(SizeMismatch, match="graph has 3 vertices, table 5"):
+        geodesic_weight(all_pairs_metric(large), graph=small)
+
+
 def test_geodesic_weight_rejects_non_metric():
-    tri = MetricTable(
-        3, np.array([[0.0, 1.0, 3.0], [1.0, 0.0, 1.0], [3.0, 1.0, 0.0]])
-    )
+    tri = MetricTable(np.array([[0.0, 1.0, 3.0], [1.0, 0.0, 1.0], [3.0, 1.0, 0.0]]))
     with pytest.raises(InvalidMetric):
         geodesic_weight(tri)
 
@@ -617,7 +625,7 @@ def test_geodesic_weight_keeps_a_spur_far_shorter_than_its_edge(ratio):
 
 def test_geodesic_weight_rejects_an_asymmetric_table():
     # It passes the triangle gate; only the symmetry check stops it.
-    skew = MetricTable(3, np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [1.5, 1.0, 0.0]]))
+    skew = MetricTable(np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [1.5, 1.0, 0.0]]))
     assert _triangle_violation(skew.d) is None
     with pytest.raises(InvalidMetric, match="!="):
         geodesic_weight(skew)
@@ -625,7 +633,7 @@ def test_geodesic_weight_rejects_an_asymmetric_table():
 
 def test_triangle_gate_is_exact_at_infinity():
     # d(0, 2) = inf above the finite route 0 - 1 - 2 breaks the triangle inequality.
-    gap = MetricTable(3, np.array([[0.0, 1.0, INFINITY], [1.0, 0.0, 1.0], [INFINITY, 1.0, 0.0]]))
+    gap = MetricTable(np.array([[0.0, 1.0, INFINITY], [1.0, 0.0, 1.0], [INFINITY, 1.0, 0.0]]))
     assert _triangle_violation(gap.d) == (0, 1, 2)
     assert any("triangle inequality fails" in line for line in gap.validate())
     with pytest.raises(InvalidMetric):

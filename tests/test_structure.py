@@ -137,13 +137,12 @@ def test_triangle_equality_cycle():
     assert abs(report.rhs - 1.5) <= 1e-9
 
 
-def test_triangle_equality_accepts_precomputed_table():
+def test_triangle_equality_matches_the_resistance_matrix():
     b = bowtie()
-    table = resistance_matrix(b)
-    fresh = check_triangle_equality(b, 0, 2, 4)
-    reused = check_triangle_equality(b, 0, 2, 4, table=table)
-    assert fresh == reused
-    assert reused.equal and reused.separated
+    table = resistance_matrix(b).d
+    report = check_triangle_equality(b, 0, 2, 4)
+    assert (report.lhs, report.rhs) == (table[0, 4], table[0, 2] + table[2, 4])
+    assert report.equal and report.separated
 
 
 def test_triangle_equality_guards():
@@ -158,10 +157,9 @@ def test_triangle_consistency_random():
     rng = random.Random(103)
     for _ in range(40):
         b = random_connected_conductance(rng, rng.randint(3, 8))
-        table = resistance_matrix(b)
         for _ in range(10):
             x, y, z = rng.sample(range(b.n), 3)
-            report = check_triangle_equality(b, x, y, z, table=table)
+            report = check_triangle_equality(b, x, y, z)
             assert report.consistent
             if not report.separated:
                 assert report.margin > 1e-9
@@ -448,15 +446,11 @@ def reference_resistance(b: ConductanceGraph, x: int, y: int) -> float:
     return float(f[system.position[x]])
 
 
-def reference_triangle(b: ConductanceGraph, x: int, y: int, z: int, table=None) -> TriangleReport:
+def reference_triangle(b: ConductanceGraph, x: int, y: int, z: int) -> TriangleReport:
     if len({x, y, z}) != 3:
         raise NotDistinct("triangle check needs three pairwise distinct vertices")
-    if table is None:
-        lhs = reference_resistance(b, x, z)
-        rhs = reference_resistance(b, x, y) + reference_resistance(b, y, z)
-    else:
-        lhs = float(table.d[x, z])
-        rhs = float(table.d[x, y]) + float(table.d[y, z])
+    lhs = reference_resistance(b, x, z)
+    rhs = reference_resistance(b, x, y) + reference_resistance(b, y, z)
     if math.isinf(lhs) or math.isinf(rhs):
         raise Disconnected("triangle check needs a connected triple")
     separation = reference_separates(b, y, x, z)
@@ -541,10 +535,6 @@ def test_separation_and_triangle_match_the_reference_copies():
     kinds, unknown_first = set(), 0
     for i in range(320):
         b = makers[i % 4](rng)
-        try:
-            table = resistance_matrix(b)
-        except OutOfRange:
-            table = None
         for x, y, z in triples(rng, b.n, 8):
             expected = outcome(reference_triangle, b, x, y, z)
             got = outcome(check_triangle_equality, b, x, y, z)
@@ -555,8 +545,6 @@ def test_separation_and_triangle_match_the_reference_copies():
                 unknown_first += 1
             assert got == expected
             kinds.add(got[0] if isinstance(got[0], type) else type(got[1]))
-            if table is not None:
-                assert outcome(check_triangle_equality, b, x, y, z, table) == outcome(reference_triangle, b, x, y, z, table)
             assert outcome(separates, b, y, x, z) == outcome(reference_separates, b, y, x, z)
     assert {NotSeparated, SeparationCertificate, NotDistinct, Disconnected, UnknownVertex, OutOfRange} <= kinds
     assert unknown_first > 0

@@ -66,3 +66,30 @@ def test_benchmark_names_resolve_on_the_package():
     modules = {"gm": graphmetry, "gcli": graphmetry.cli}
     missing = sorted(f"{alias}.{name}" for alias, name in names if not hasattr(modules[alias], name))
     assert not missing, missing
+
+
+def test_benchmark_library_calls_keep_their_shapes():
+    # Each library call the benchmark ops make, with the same argument shapes
+    # and the result fields their checks read, on a four-cycle with a chord.
+    text = "a b 1\nb c 1\nc d 1\nd a 1\na c 3\n"
+    g = graphmetry.parse_graph(text)
+    found = graphmetry.enumerate_geodesics(g, 0, 2, cap=100)
+    assert [p.vertices for p in found.paths] == [(0, 1, 2), (0, 3, 2)] and not found.truncated
+    extraction = graphmetry.extract_common_prefix_path(found.paths, g, k=2)
+    assert extraction.path.vertices == (0,) and extraction.multiplicities == [2]
+    assert extraction.length == 0.0
+
+    b = graphmetry.parse_graph(text, mode="conductance")
+    b = graphmetry.ConductanceGraph(b.n, {**b.b, (0, 2): 1.0}, b.labels)  # an edit
+    assert b.conductance(0, 2) == 1.0 and b.labels == ("a", "b", "c", "d")
+    assert graphmetry.effective_resistance(b, 0, 2) == pytest.approx(0.5)
+    f = graphmetry.harmonic_maximizer(b, 0, 2).values
+    assert f.tolist() == pytest.approx([0.5**0.5, 0.5**1.5, 0.0, 0.5**1.5])
+    report = graphmetry.check_triangle_equality(b, 0, 1, 2)
+    assert (report.lhs, report.rhs) == pytest.approx((0.5, 1.25))
+    assert not report.equal and not report.separated and report.consistent
+    witness = graphmetry.separates(b, 1, 0, 2)
+    assert witness.witness.vertices == (0, 2)
+    pendant = graphmetry.ConductanceGraph(3, {(0, 1): 1.0, (1, 2): 1.0}, ("x", "y", "z"))
+    cert = graphmetry.separates(pendant, 1, 0, 2)
+    assert (cert.separator, cert.side_x, cert.side_z, cert.verified) == (1, [0], [2], True)
