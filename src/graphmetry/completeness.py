@@ -27,11 +27,11 @@ from .core import INFINITY, Path, WeightedGraph
 from .errors import DuplicatePath, EmptyInput, InvalidArgument, MixedStart, TooLarge, UnknownVertex
 from .pathmetric import (
     GeodesicWeight,
+    _settle,
     all_pairs_metric,
     geodesic_weight,
     is_generating,
     path_length,
-    single_source_distances,
 )
 
 SCAN_BUDGET_CAP = 2000
@@ -184,15 +184,22 @@ def family_ball_scan(
 
     Distances are computed on the budget-vertex truncated subgraph, so they
     are upper bounds on the true distances; for the builtin stars and rays
-    (unique routes) they are exact.  The verdict reports whether the count
+    (unique routes) they are exact.  Dijkstra settles vertices in
+    nondecreasing distance, so the count stops at the first one beyond
+    ``radius``; the search runs out only when the radius is inf or the ball
+    holds every reachable vertex, and only then raises OutOfRange for a
+    vertex whose distance overflows.  The verdict reports whether the count
     reached ``threshold`` (default: the budget itself) — evidence of an
     infinite ball, never a proof.
     """
     thr = _scan_threshold(budget, threshold, radius)
     if not 0 <= center < budget:
         raise UnknownVertex(f"center {center} not among the first {budget} vertices")
-    dist = single_source_distances(fam.truncate(budget), center)
-    found = int((dist <= radius).sum())
+    found = 0
+    for _, d in _settle(fam.truncate(budget), center):
+        if d > radius:
+            break
+        found += 1
     verdict = EXCEEDS_THRESHOLD if found >= thr else BOUNDED_SO_FAR
     return BallScan(center=center, radius=radius, found=found, budget=budget, verdict=verdict)
 

@@ -4,7 +4,11 @@ Everything here runs in exact rational arithmetic (:class:`~fractions.Fraction`)
 over the parsed decimal values and shares no code with the float algorithms
 it checks.  Two oracles are polynomial and back ``--oracle`` on the CLI:
 
-* :func:`brute_metric_from` runs Dijkstra over the exact weights;
+* :func:`brute_metric_from` runs Dijkstra over the exact weights of the
+  source's component, scaled once to integers by the lcm D of their
+  denominators: sums and comparisons of the integers are those of the
+  rationals times D, so each distance d/D is the rational a Fraction
+  search would return;
 * :func:`spanning_tree_resistance` reads R(x, y) = det L(-x,-y) / det L(-x)
   off the pair's component by Kirchhoff's matrix-tree theorem, with both
   determinants by fraction-free (Bareiss) elimination over integers.
@@ -92,12 +96,31 @@ def brute_metric(g: WeightedGraph, x: int, y: int) -> ExactWeight:
 
 
 def brute_metric_from(g: WeightedGraph, x: int) -> list[ExactWeight]:
-    """Exact distances from x to every vertex: Dijkstra over the exact weights."""
+    """Exact distances from x to every vertex: Dijkstra over the exact weights.
+
+    The exact weights of x's component (the pairs a walk from x over finite
+    exact weights meets) are scaled once by the lcm D of their denominators,
+    so the search adds and compares integers and returns each distance d as
+    d/D: the same rational as the Fraction sum, in the same order of steps.
+    """
     if g.n > PATH_CAP:
         raise TooLarge(f"exact path oracle capped at {PATH_CAP} vertices, got {g.n}")
-    best: list[ExactWeight] = [None] * g.n
-    best[x] = Fraction(0)
-    heap: list[tuple[Fraction, int]] = [(Fraction(0), x)]
+    exact: dict[tuple[int, int], ExactWeight] = {}
+    queue, seen = [x], {x}
+    for u in queue:  # the list grows as it is read: first in, first out
+        for v, _ in g.neighbors(u):
+            key = edge_key(u, v)
+            if key not in exact:
+                exact[key] = w = exact_weight(g, u, v)
+                if w is not None and v not in seen:
+                    seen.add(v)
+                    queue.append(v)
+    ratios = {key: w.as_integer_ratio() for key, w in exact.items() if w is not None}
+    scale = math.lcm(*{q for _, q in ratios.values()})
+    scaled = {key: p * (scale // q) for key, (p, q) in ratios.items()}
+    best: list[int | None] = [None] * g.n
+    best[x] = 0
+    heap: list[tuple[int, int]] = [(0, x)]
     done = [False] * g.n
     while heap:
         d, u = heapq.heappop(heap)
@@ -107,18 +130,18 @@ def brute_metric_from(g: WeightedGraph, x: int) -> list[ExactWeight]:
         for v, _ in g.neighbors(u):
             if done[v]:
                 continue
-            w = exact_weight(g, u, v)
+            w = scaled.get(edge_key(u, v))
             if w is None:
                 continue
             if w < 0:
                 raise NegativeWeightError(
-                    f"negative weight {w} on ({g.label(u)}, {g.label(v)})"
+                    f"negative weight {Fraction(w, scale)} on ({g.label(u)}, {g.label(v)})"
                 )
             total = d + w
             if best[v] is None or total < best[v]:
                 best[v] = total
                 heapq.heappush(heap, (total, v))
-    return best
+    return [None if d is None else Fraction(d, scale) for d in best]
 
 
 def _forest_sum(

@@ -166,6 +166,11 @@ class GeodesicWeight:
     table: np.ndarray
     labels: tuple[str, ...] | None = None
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, GeodesicWeight):
+            return NotImplemented
+        return bool(np.array_equal(self.table, other.table)) and self.labels == other.labels
+
     def weight(self, x: int, y: int) -> float:
         return float(self.table[x, y])
 

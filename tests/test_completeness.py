@@ -17,8 +17,10 @@ from graphmetry import (
     UNIT_STAR,
     DuplicatePath,
     EmptyInput,
+    GraphFamily,
     InvalidArgument,
     MixedStart,
+    OutOfRange,
     Path,
     TooLarge,
     UnknownVertex,
@@ -27,6 +29,7 @@ from graphmetry import (
     family_ball_scan,
     family_elf_scan,
     metric_components,
+    single_source_distances,
     validate,
     verify_maximal_weight,
 )
@@ -398,3 +401,32 @@ def test_elf_scan_rejects_a_negative_vertex():
     for fam in FAMILIES.values():
         with pytest.raises(UnknownVertex):
             family_elf_scan(fam, -1, 1.0, 10)
+
+
+# 0, the benchmark's radii, distances the families hit exactly, and inf.
+BALL_RADII = (0.0, 0.3183, 0.7071, 1.4142, 2.5, 1.0, 2.0, 0.75, INFINITY)
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+@pytest.mark.parametrize("budget", [1, 2, 600, 2000])
+def test_ball_scan_counts_what_the_full_search_counts(name, budget):
+    fam = FAMILIES[name]
+    g = fam.truncate(budget)
+    for center in sorted({0, 1, 17, budget - 1} & set(range(budget))):
+        dist = single_source_distances(g, center)
+        for radius in BALL_RADII:
+            scan = family_ball_scan(fam, center, radius, budget)
+            assert scan.found == int((dist <= radius).sum()), (center, radius)
+
+
+def test_ball_scan_stops_before_a_distance_beyond_float_range():
+    # A ray of 1e308 steps: vertex 2 lies at 2e308, past float range.
+    def weight(a: int, b: int) -> float:
+        return 0.0 if a == b else 1e308 if abs(a - b) == 1 else INFINITY
+
+    huge = GraphFamily("huge-ray", weight, str, lambda v: () if v == 0 else (v - 1,))
+    with pytest.raises(OutOfRange):
+        family_ball_scan(huge, 0, INFINITY, 10)
+    # The full search raised the same way; the scan now stops at vertex 1.
+    assert family_ball_scan(huge, 0, 1.0, 10).found == 1
+    assert family_ball_scan(huge, 0, 1e308, 2).found == 2

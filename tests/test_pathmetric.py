@@ -10,6 +10,7 @@ import pytest
 from graphmetry import (
     INFINITY,
     GeodesicSet,
+    GeodesicWeight,
     InvalidMetric,
     MetricTable,
     NegativeWeightError,
@@ -229,6 +230,17 @@ def test_geodesic_weight_rejects_non_metric():
     tri = MetricTable(np.array([[0.0, 1.0, 3.0], [1.0, 0.0, 1.0], [3.0, 1.0, 0.0]]))
     with pytest.raises(InvalidMetric):
         geodesic_weight(tri)
+
+
+def test_geodesic_weights_compare_by_table_and_labels():
+    zero = GeodesicWeight(np.zeros((2, 2)))
+    assert zero == zero
+    assert zero == GeodesicWeight(np.zeros((2, 2)))
+    # Two reports of one 3-vertex path: their weights are equal tables.
+    assert verify_maximal_weight(p3()) == verify_maximal_weight(p3())
+    assert zero != GeodesicWeight(np.ones((2, 2)))
+    assert zero != GeodesicWeight(np.zeros((3, 3)))
+    assert zero != GeodesicWeight(np.zeros((2, 2)), labels=("a", "b"))
 
 
 def test_geodesic_weight_regenerates_metric():
