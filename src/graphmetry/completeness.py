@@ -6,7 +6,9 @@ completeness, essential local finiteness) all hold on every finite graph, so
 only infinite graphs can tell them apart.  Infinite counterexamples (stars
 that break ball finiteness, rays whose total length converges) cannot be
 checked, only witnessed: the family scans enumerate a budget-bounded
-truncation and report evidence, never proofs.
+truncation and report evidence, never proofs.  Every family is a tree on
+the naturals rooted at 0, given by each vertex's parent and the weight of
+the step up to it.
 :func:`extract_common_prefix_path` is the finite analog of the pigeonhole
 step that extracts an infinite path from an infinite path set: level by
 level, follow the least next vertex that at least ``k`` of the paths still on
@@ -17,11 +19,10 @@ the metric and dominates the input weight.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable
 
 from .core import INFINITY, Path, WeightedGraph
 from .errors import DuplicatePath, EmptyInput, InvalidArgument, MixedStart, TooLarge, UnknownVertex
@@ -42,73 +43,52 @@ EXCEEDS_THRESHOLD = "EXCEEDS_THRESHOLD"
 
 @dataclass(frozen=True)
 class GraphFamily:
-    """A countable graph on the naturals 0, 1, 2, ... given by a symmetric
-    weight oracle.
+    """A countable tree on the naturals 0, 1, 2, ... rooted at 0.
 
-    ``weight`` must be symmetric and zero exactly on equal vertices.
-    ``earlier(v)`` lists the neighbours of ``v`` (the vertices at finite
-    weight from it) below ``v``, so a truncation finds every finite pair
-    without testing the others.  Scans only ever look at budget-bounded
-    truncations.
+    Each vertex v > 0 hangs from ``parent(v) < v`` by an edge of finite
+    positive weight ``step(v)``; no other pair of distinct vertices is
+    joined.  A custom family supplies those two functions and ``describe``
+    (a vertex's label).  Scans only ever look at budget-bounded truncations.
     """
 
     name: str
-    weight: Callable[[int, int], float]
+    parent: Callable[[int], int]
+    step: Callable[[int], float]
     describe: Callable[[int], str]
-    earlier: Callable[[int], Iterable[int]]
+
+    def weight(self, a: int, b: int) -> float:
+        """w(a, b): 0 on the diagonal, the later vertex's step when the
+        earlier one is its parent, inf otherwise."""
+        if a == b:
+            return 0.0
+        if a > b:
+            a, b = b, a
+        return self.step(b) if self.parent(b) == a else INFINITY
 
     def truncate(self, budget: int) -> WeightedGraph:
-        """The finite weighted graph induced on ``range(budget)``.
-
-        One weight call per pair of a vertex and an earlier neighbour:
-        O(budget + edges).
-        """
+        """The finite weighted graph induced on ``range(budget)``: one pass
+        over its vertices v > 0, each with the edge to its parent."""
         if budget < 1:
             raise InvalidArgument("budget must be positive")
         if budget > SCAN_BUDGET_CAP:
             raise TooLarge(f"scan budget capped at {SCAN_BUDGET_CAP}")
-        weights: dict[tuple[int, int], float] = {}
-        for v in range(budget):
-            for u in self.earlier(v):
-                w = self.weight(u, v)
-                if math.isfinite(w):
-                    weights[(u, v)] = w
+        weights = {(self.parent(v), v): self.step(v) for v in range(1, budget)}
         labels = tuple(self.describe(v) for v in range(budget))
         return WeightedGraph(budget, weights, labels)
 
 
-def _tiny_floor(compute: Callable[[], float]) -> float:
-    """Evaluate a decaying step weight, keeping it positive when it under-
-    or overflows float range (weights must stay definite off the diagonal)."""
-    try:
-        w = compute()
-    except OverflowError:
-        return 5e-324
-    return w if w > 0.0 else 5e-324
+def _tiny_floor(step: Callable[[int], float]) -> Callable[[int], float]:
+    """A decaying step weight kept positive when it under- or overflows
+    float range (weights must stay definite off the diagonal)."""
 
+    def floored(v: int) -> float:
+        try:
+            w = step(v)
+        except OverflowError:
+            return 5e-324
+        return w if w > 0.0 else 5e-324
 
-def _star_weight(decay: bool) -> Callable[[int, int], float]:
-    def w(a: int, b: int) -> float:
-        if a == b:
-            return 0.0
-        if a != 0 and b != 0:
-            return INFINITY
-        leaf = max(a, b)
-        return _tiny_floor(lambda: 1.0 / leaf) if decay else 1.0
-
-    return w
-
-
-def _ray_weight(decay: bool) -> Callable[[int, int], float]:
-    def w(a: int, b: int) -> float:
-        if a == b:
-            return 0.0
-        if abs(a - b) != 1:
-            return INFINITY
-        step = max(a, b)  # the step arriving at vertex k has weight 2^-k
-        return _tiny_floor(lambda: math.ldexp(1.0, -step)) if decay else 1.0
-
-    return w
+    return floored
 
 
 def _star_label(v: int) -> str:
@@ -119,18 +99,14 @@ def _ray_label(v: int) -> str:
     return f"x{v}"
 
 
-def _star_earlier(v: int) -> tuple[int, ...]:
-    return () if v == 0 else (0,)
-
-
-def _ray_earlier(v: int) -> tuple[int, ...]:
-    return () if v == 0 else (v - 1,)
-
-
-UNIT_STAR = GraphFamily("unit-star", _star_weight(False), _star_label, _star_earlier)
-DECAYING_STAR = GraphFamily("decaying-star", _star_weight(True), _star_label, _star_earlier)
-UNIT_RAY = GraphFamily("unit-ray", _ray_weight(False), _ray_label, _ray_earlier)
-DECAYING_RAY = GraphFamily("decaying-ray", _ray_weight(True), _ray_label, _ray_earlier)
+UNIT_STAR = GraphFamily("unit-star", lambda v: 0, lambda v: 1.0, _star_label)
+DECAYING_STAR = GraphFamily(
+    "decaying-star", lambda v: 0, _tiny_floor(lambda k: 1.0 / k), _star_label
+)
+UNIT_RAY = GraphFamily("unit-ray", lambda v: v - 1, lambda v: 1.0, _ray_label)
+DECAYING_RAY = GraphFamily(
+    "decaying-ray", lambda v: v - 1, _tiny_floor(lambda k: math.ldexp(1.0, -k)), _ray_label
+)
 
 FAMILIES: dict[str, GraphFamily] = {
     f.name: f for f in (UNIT_STAR, DECAYING_STAR, UNIT_RAY, DECAYING_RAY)
@@ -220,16 +196,8 @@ def family_elf_scan(
     thr = _scan_threshold(budget, threshold, radius)
     if x < 0:  # vertices are the naturals; the weight is undefined off the family
         raise UnknownVertex(f"vertex {x} is not a vertex of {fam.name}")
-    count = 0
-    seen = 0
-    for y in itertools.count():
-        if y == x:
-            continue
-        if fam.weight(x, y) < radius:
-            count += 1
-        seen += 1
-        if seen >= budget:
-            break
+    naturals = range(budget + (x <= budget))  # with x skipped: the first ``budget`` others
+    count = sum(1 for y in naturals if y != x and fam.weight(x, y) < radius)
     verdict = EXCEEDS_THRESHOLD if count >= thr else BOUNDED_SO_FAR
     return ElfReport(vertex=x, radius=radius, count=count, verdict=verdict)
 

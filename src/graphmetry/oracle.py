@@ -24,6 +24,7 @@ user-facing tools.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from fractions import Fraction
 from typing import Iterator
@@ -48,8 +49,9 @@ def exact_weight(g: Graph, u: int, v: int) -> ExactWeight:
     return None if math.isinf(x) else Fraction(repr(x))
 
 
-def enumerate_simple_paths(g: WeightedGraph, x: int, y: int) -> Iterator[Path]:
-    """All injective finite-weight paths from x to y, in lexicographic vertex order."""
+def enumerate_simple_paths(g: Graph, x: int, y: int) -> Iterator[Path]:
+    """All injective paths from x to y over stored pairs (finite weights,
+    positive conductances), in lexicographic vertex order."""
     if g.n > PATH_CAP:
         raise TooLarge(f"path enumeration capped at {PATH_CAP} vertices, got {g.n}")
     if x == y:
@@ -297,38 +299,19 @@ def unique_induced_path(g: ConductanceGraph, x: int, y: int) -> tuple[bool, list
     """Whether exactly one induced x-y path exists; returns up to two found.
 
     A path is induced when no edge joins two non-consecutive path vertices.
-    The search stops as soon as two induced paths are known.
+    The walk of :func:`enumerate_simple_paths` stops as soon as two induced
+    paths are known.
     """
     if g.n > PATH_CAP:
         raise TooLarge(f"path enumeration capped at {PATH_CAP} vertices, got {g.n}")
     if x == y:
         raise SameVertex("induced-path search needs two distinct vertices")
-    found: list[Path] = []
-    on_path = [False] * g.n
-    on_path[x] = True
-    stack = [x]
 
-    def induced(candidate: tuple[int, ...]) -> bool:
-        k = len(candidate)
-        for i in range(k):
-            for j in range(i + 2, k):
-                if g.conductance(candidate[i], candidate[j]) > 0:
-                    return False
-        return True
+    def induced(p: Path) -> bool:
+        v = p.vertices
+        return not any(
+            g.conductance(v[i], v[j]) > 0 for i in range(len(v)) for j in range(i + 2, len(v))
+        )
 
-    def walk(u: int) -> None:
-        for v, _ in g.neighbors(u):
-            if on_path[v] or len(found) >= 2:
-                continue
-            stack.append(v)
-            on_path[v] = True
-            if v == y:
-                if induced(tuple(stack)):
-                    found.append(Path(tuple(stack)))
-            else:
-                walk(v)
-            on_path[v] = False
-            stack.pop()
-
-    walk(x)
+    found = list(itertools.islice(filter(induced, enumerate_simple_paths(g, x, y)), 2))
     return len(found) == 1, found

@@ -35,6 +35,7 @@ from .core import (
     TAU_EQ,
     Path,
     WeightedGraph,
+    invariant_error,
     weights_close_array,
 )
 from .errors import (
@@ -472,16 +473,21 @@ def geodesic_weight(t: MetricTable, graph: WeightedGraph | None = None) -> Geode
     A strictly-between z (d(x,z) + d(z,y) = d(x,y), z distinct from both)
     witnesses a second geodesic through z, so the direct pair is no longer
     the unique one.  Betweenness allows the rounding of sums of fewer than
-    n steps, n * 2**-51 * |d(x, y)|, with no absolute floor: distances far
-    below 1 keep their unique geodesics, a spur far shorter than the pair
-    stays off it, and a gap of exactly 0 is always between.
+    n steps, n * 2**-51 * |d(x, y)|, with no absolute floor, and asks both
+    legs to be strictly shorter than d(x, y): distances far below 1 keep
+    their unique geodesics, a spur far shorter than the pair stays off it,
+    and no cycle of dropped pairs can cut a vertex off.  A gap of exactly 0
+    with one leg equal to d(x, y) and the other positive is a float sum that
+    absorbed its smaller term: OutOfRange naming the two legs on a bare
+    table, ``invariant_error(graph, ...)`` given the graph.
 
     ``graph`` must satisfy ``t == all_pairs_metric(graph)``; a graph whose
     vertex count is not the table's raises SizeMismatch.  Only its tight
     edges (stored weight equal to d bitwise) are then tested: the closure
     lowered every other finite pair through some k outside the pair with
-    fl(d[x,k] + d[k,y]) = d[x,y] at the fixpoint, so k is between and
-    the result equals testing every pair bit for bit.  Such a table also
+    fl(d[x,k] + d[k,y]) = d[x,y] at the fixpoint, so both legs are at most
+    d[x,y], and k is between unless a leg absorbed the other or is 0; short
+    of those, the result equals testing every pair bit for bit.  Such a table also
     skips the triangle gate, which cannot fire on it: a full sweep
     left every entry unchanged, so d[x,z] <= fl(d[x,y] + d[y,z]) holds
     exactly for every y, and adding the nonnegative slack cannot lower that
@@ -514,17 +520,34 @@ def geodesic_weight(t: MetricTable, graph: WeightedGraph | None = None) -> Geode
         xs, ys = xs[tight], ys[tight]
     out = np.full((n, n), INFINITY)
     np.fill_diagonal(out, 0.0)
-    _tight_edge_weight(d, xs, ys, out)
+    absorbed = _tight_edge_weight(d, xs, ys, out)
+    if absorbed is not None:
+        x, y, z = absorbed
+        if d[x, z] < d[z, y]:  # name the long leg, equal to d[x, y], first
+            x, y = y, x
+        large, small = float(d[x, z]), float(d[z, y])  # fl(large + small) == large == d[x, y]
+        message = (
+            f"distances d({t.label(x)}, {t.label(z)}) = {large!r} and "
+            f"d({t.label(z)}, {t.label(y)}) = {small!r} are too far apart for float sums: "
+            f"{large!r} + {small!r} == {large!r}"
+        )
+        raise OutOfRange(message) if graph is None else invariant_error(graph, message)
     return GeodesicWeight(out, t.labels)
 
 
-def _tight_edge_weight(d: np.ndarray, xs: np.ndarray, ys: np.ndarray, out: np.ndarray) -> None:
+def _tight_edge_weight(
+    d: np.ndarray, xs: np.ndarray, ys: np.ndarray, out: np.ndarray
+) -> tuple[int, int, int] | None:
     """Write d into ``out`` on the pairs (xs, ys), both ways, that have
     nothing between their ends.
 
     z is between x and y when d[x,z] + d[z,y] is within
-    ``_sum_slack(n, d[x,y])`` of d[x,y]; tested on a (pairs x n) block, cut
-    into slices of about 2**20 entries.
+    ``_sum_slack(n, d[x,y])`` of d[x,y] and both legs are strictly shorter
+    than d[x,y], so every dropped pair is covered by strictly shorter ones.
+    The gap is read on a (pairs x n) block, cut into slices of about 2**20
+    entries; the legs only on the entries within the slack.  Returns the
+    first (x, y, z) whose gap is exactly 0 with one leg equal to d[x,y] and
+    the other positive (a float sum that absorbed its smaller term), if any.
     """
     n = d.shape[0]
     step = max(1, (1 << 20) // max(n, 1))
@@ -533,13 +556,22 @@ def _tight_edge_weight(d: np.ndarray, xs: np.ndarray, ys: np.ndarray, out: np.nd
         dxy = d[x, y]
         with np.errstate(over="ignore"):  # a sum beyond float range is inf: z is not between
             gap = np.abs((d[x, :] + d[:, y].T) - dxy[:, None])  # gap[i, z] for z = 0 .. n-1
-        between = gap <= _sum_slack(n, dxy)[:, None]
+        near = gap <= _sum_slack(n, dxy)[:, None]
         rows = np.arange(len(x))
-        between[rows, x] = False
-        between[rows, y] = False
-        unique = ~between.any(axis=1)
+        near[rows, x] = False
+        near[rows, y] = False
+        i, z = np.nonzero(near)
+        legs = d[x[i], z], d[z, y[i]]
+        long, short = np.maximum(*legs), np.minimum(*legs)
+        absorbed = (gap[i, z] == 0) & (long == dxy[i]) & (short > 0)
+        if absorbed.any():
+            k = int(np.argmax(absorbed))
+            return int(x[i[k]]), int(y[i[k]]), int(z[k])
+        unique = np.ones(len(x), dtype=bool)
+        unique[i[long < dxy[i]]] = False
         out[x[unique], y[unique]] = dxy[unique]
         out[y[unique], x[unique]] = dxy[unique]
+    return None
 
 
 def is_generating(g: WeightedGraph, t: MetricTable) -> bool:

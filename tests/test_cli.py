@@ -712,6 +712,19 @@ def test_family_cli_contract_under_fuzzing(capsys):
     assert threading.active_count() == threads
 
 
+@pytest.mark.parametrize("big, small", [("1", "1e-15"), ("1000", "1e-12")])
+def test_geodesic_weight_keeps_two_long_edges_beside_a_short_one(graph_file, capsys, big, small):
+    # fl(big + small) > big, so every edge is the unique geodesic between its
+    # ends; each long edge has the other within the rounding slack, but not
+    # with both legs strictly shorter.
+    text = f"a b {big}\na c {big}\nb c {small}\n"
+    doc = run_json(capsys, "geodesic-weight", graph_file(text))
+    table = doc["results"]["geodesic_weight"]
+    assert table["a"]["b"] == table["a"]["c"] == fmt(float(big))
+    assert table["b"]["c"] == fmt(float(small))
+    assert doc["results"]["generates"] and doc["results"]["dominates"]
+
+
 def test_resistance_matrix_names_the_pair_beyond_float_range(graph_file, capsys):
     # R(a, b) = 1e308 is in range; only R(a, c) = 2e308 is not.
     path = graph_file(OUT_OF_RANGE["tiny"])

@@ -369,15 +369,66 @@ def test_truncate_equals_the_dense_reference(name, budget):
     assert [w.hex() for w in g.weights.values()] == [w.hex() for w in ref.weights.values()]
 
 
+def _tiny_floor(compute):
+    try:
+        w = compute()
+    except OverflowError:
+        return 5e-324
+    return w if w > 0.0 else 5e-324
+
+
+def _star_weight(decay):
+    """Reference: the star's weight as a pairwise oracle."""
+
+    def w(a, b):
+        if a == b:
+            return 0.0
+        if a != 0 and b != 0:
+            return INFINITY
+        leaf = max(a, b)
+        return _tiny_floor(lambda: 1.0 / leaf) if decay else 1.0
+
+    return w
+
+
+def _ray_weight(decay):
+    """Reference: the ray's weight as a pairwise oracle (step k costs 2^-k)."""
+
+    def w(a, b):
+        if a == b:
+            return 0.0
+        if abs(a - b) != 1:
+            return INFINITY
+        step = max(a, b)
+        return _tiny_floor(lambda: math.ldexp(1.0, -step)) if decay else 1.0
+
+    return w
+
+
+REFERENCE_WEIGHTS = {
+    "unit-star": _star_weight(False),
+    "decaying-star": _star_weight(True),
+    "unit-ray": _ray_weight(False),
+    "decaying-ray": _ray_weight(True),
+}
+
+
 @pytest.mark.parametrize("name", sorted(FAMILIES))
-def test_earlier_lists_exactly_the_earlier_neighbours(name):
+def test_weight_equals_the_pairwise_reference(name):
+    fam, ref = FAMILIES[name], REFERENCE_WEIGHTS[name]
+    far = [(10**400, 0), (10**400, 10**400 - 1), (1075, 1074), (2000, 0)]
+    pairs = [(a, b) for a in range(300) for b in range(300)] + far + [(b, a) for a, b in far]
+    for a, b in pairs:
+        # Bitwise: the same floats, not merely equal ones.
+        assert fam.weight(a, b).hex() == ref(a, b).hex(), (a, b)
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_builtins_hang_each_vertex_from_an_earlier_parent(name):
     fam = FAMILIES[name]
-    for b in range(300):
-        assert all(0 <= a < b for a in fam.earlier(b))
-    for a in range(300):
-        for b in range(a + 1, 300):
-            finite = math.isfinite(fam.weight(a, b))
-            assert finite == (a in fam.earlier(b) or b in fam.earlier(a)), (a, b)
+    for v in range(1, 2001):
+        assert 0 <= fam.parent(v) < v
+        assert 0.0 < fam.step(v) < INFINITY
 
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))
@@ -385,14 +436,14 @@ def test_truncate_calls_the_weight_linearly_often(name):
     fam = FAMILIES[name]
     calls = 0
 
-    def counting(a, b):
+    def counting(v):
         nonlocal calls
         calls += 1
-        return fam.weight(a, b)
+        return fam.step(v)
 
     budget = 2000
-    g = dataclasses.replace(fam, weight=counting).truncate(budget)
-    assert calls <= 2 * budget
+    g = dataclasses.replace(fam, step=counting).truncate(budget)
+    assert calls <= budget - 1
     assert g.weights == fam.truncate(budget).weights
 
 
@@ -421,10 +472,7 @@ def test_ball_scan_counts_what_the_full_search_counts(name, budget):
 
 def test_ball_scan_stops_before_a_distance_beyond_float_range():
     # A ray of 1e308 steps: vertex 2 lies at 2e308, past float range.
-    def weight(a: int, b: int) -> float:
-        return 0.0 if a == b else 1e308 if abs(a - b) == 1 else INFINITY
-
-    huge = GraphFamily("huge-ray", weight, str, lambda v: () if v == 0 else (v - 1,))
+    huge = GraphFamily("huge-ray", lambda v: v - 1, lambda v: 1e308, str)
     with pytest.raises(OutOfRange):
         family_ball_scan(huge, 0, INFINITY, 10)
     # The full search raised the same way; the scan now stops at vertex 1.

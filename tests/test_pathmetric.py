@@ -30,7 +30,7 @@ from graphmetry import (
     single_source_distances,
     verify_maximal_weight,
 )
-from graphmetry.core import TAU_EQ
+from graphmetry.core import TAU_EQ, invariant_error
 from graphmetry.oracle import brute_metric_from, enumerate_simple_paths, exact_path_length
 from graphmetry import pathmetric
 from graphmetry.pathmetric import _one_sweep_metric, _sum_slack, _triangle_violation
@@ -742,3 +742,72 @@ def test_triangle_gate_fires_on_an_inf_pair_with_two_finite_legs():
     d[x, z] = d[z, x] = INFINITY
     found = _triangle_violation(d)
     assert found is not None and found == ordered_triangle_scan(d)
+
+
+def mixed_scale_graph(rng: random.Random, n: int, scales: tuple[float, ...]) -> WeightedGraph:
+    """A random spanning tree plus up to 2n extra edges, each weight a scale
+    times one of 0.1, 1, 1.5 and 3."""
+    order = rng.sample(range(n), n)
+    pairs = [(order[k], order[rng.randrange(k)]) for k in range(1, n)]
+    pairs += [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 2 * n))]
+    weights = {(min(p), max(p)): rng.choice(scales) * rng.choice((0.1, 1, 1.5, 3)) for p in pairs}
+    return WeightedGraph(n, weights)
+
+
+def exact_tight_pairs(g: WeightedGraph) -> set[tuple[int, int]]:
+    """The finite pairs of the exact w_delta: no third z with exact
+    delta(x, z) + delta(z, y) = delta(x, y)."""
+    d = [brute_metric_from(g, x) for x in range(g.n)]
+    return {
+        (x, y)
+        for x in range(g.n)
+        for y in range(x + 1, g.n)
+        if d[x][y] is not None
+        and not any(
+            d[x][z] is not None and d[z][y] is not None and d[x][z] + d[z][y] == d[x][y]
+            for z in range(g.n)
+            if z != x and z != y
+        )
+    }
+
+
+def test_mixed_scale_geodesic_weight_matches_the_exact_one():
+    # Mixed scales put a third vertex within the rounding slack of long
+    # pairs it is not strictly between (on a b 1 / a c 1 / b c 1e-15, c for
+    # a-b and b for a-c); counting those would cut a off.
+    rng = random.Random(1717)
+    corpus = [(rng.randint(3, 12), (1e-12, 1.0, 1e3)) for _ in range(400)]
+    corpus += [(rng.randint(3, 12), (1e-6, 1e-3, 1.0, 1e3, 1e6)) for _ in range(100)]
+    refused = 0
+    for n, scales in corpus:
+        g = mixed_scale_graph(rng, n, scales)
+        try:
+            report = verify_maximal_weight(g)
+            if not report.passed:
+                raise invariant_error(g, "geodesic weight failed to generate or dominate")
+        except OutOfRange:  # absorbing values; InternalInvariantError fails the test
+            refused += 1
+            continue
+        table = report.weight.table
+        finite = {(x, y) for x, y in zip(*np.nonzero(np.isfinite(table))) if x < y}
+        assert finite == exact_tight_pairs(g), sorted(g.weights.items())
+    assert refused < len(corpus) // 4
+
+
+def test_absorbed_distances_on_a_bare_table_name_both_entries():
+    g = WeightedGraph(3, {(0, 1): 1.0, (1, 2): 1e-20}, labels=("a", "b", "c"))
+    t = all_pairs_metric(g)
+    with pytest.raises(OutOfRange, match=r"d\(a, c\) = 1\.0 and d\(c, b\) = 1e-20 .* 1\.0 \+ 1e-20 == 1\.0"):
+        geodesic_weight(MetricTable(t.d, t.labels))
+    # Given its graph, the same table fails through the graph's extreme values.
+    with pytest.raises(OutOfRange, match="weights 1e-20 and 1.0 are too far apart"):
+        geodesic_weight(t, graph=g)
+
+
+def test_a_zero_distance_puts_no_vertex_between():
+    # y and z at distance 0: neither is strictly between x and the other, so
+    # w_delta is the pseudo metric itself and still generates it.
+    t = MetricTable(np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
+    W = geodesic_weight(t)
+    assert np.array_equal(W.table, t.d)
+    assert is_generating(W.as_weight_graph(), t)
