@@ -36,7 +36,6 @@ from .core import (
     graph_digest,
     invariant_error,
     parse_graph,
-    validate,
 )
 from .errors import GraphmetryError, InputError, InternalInvariantError, OutOfRange, TooLarge
 from .pathmetric import (
@@ -218,15 +217,12 @@ def _conductance_graph(args: argparse.Namespace) -> ConductanceGraph:
     """Load the file for a resistance-flavored command.
 
     Conductance mode reads values as conductances; weight mode takes b = 1/w
-    on finite-weight pairs (the inverse of the lift above), which must pass
-    the checks a parsed conductance graph passes.
+    on finite-weight pairs (the inverse of the lift above), built under the
+    same rules as a parsed conductance graph.
     """
     g = _load(args.file, args.mode)
     if isinstance(g, WeightedGraph):
-        g = g.reciprocal(ConductanceGraph)
-        problems = validate(g)
-        if problems:
-            raise InputError("as conductances 1/w: " + "; ".join(problems))
+        return g.reciprocal(ConductanceGraph)
     return g
 
 

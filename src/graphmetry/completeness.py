@@ -285,7 +285,7 @@ def verify_maximal_weight(g: WeightedGraph) -> MaximalWeightReport:
     t = all_pairs_metric(g)
     W = geodesic_weight(t, graph=g)
     generates = is_generating(W.as_weight_graph(), t)
-    # Stored weights are finite (or NaN, which compares false), keys sorted.
+    # Stored weights are finite (construction checks), keys sorted.
     witnesses = [(x, y) for (x, y), w in g.weights.items() if x < y and w > W.table[x, y]]
     return MaximalWeightReport(
         generates=generates, dominates=not witnesses, witnesses=witnesses, weight=W

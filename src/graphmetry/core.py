@@ -10,6 +10,13 @@ a finite vertex set ``0 .. n-1`` with a stored value per vertex pair.
   pair; an absent entry means ``0`` (no edge).  Conductances define the
   energy form and the resistance metric.
 
+A graph is valid or it is not built: construction raises InputError with
+every :func:`validate` diagnostic (a NaN, negative or -inf weight, an inf
+or NaN or negative conductance, a conductance row sum beyond float range,
+a nonzero or conductance diagonal entry, duplicate labels).  Zero weights
+are allowed, as pseudo-metric weights; the edge-list parser still rejects
+``a b 0`` between distinct vertices.  No layer above checks values again.
+
 Extended weights are plain ``float`` values with ``math.inf`` as the
 distinguished infinity; this gives the required total order and absorbing
 addition for free.  Exact rational shadows of parsed decimal values are
@@ -155,12 +162,16 @@ class Graph:
     _adj: list[list[tuple[int, float]]] | None
 
     def _store(self, raw: Mapping[tuple[int, int], float]) -> dict[tuple[int, int], float]:
-        """Check n and the labels, normalize the pairs and ``exact``; return the pairs."""
+        """Check n and the labels, normalize the pairs and ``exact``; return the
+        pairs.  Raises InputError with every :func:`validate` diagnostic."""
         if self.n < 0:
-            raise ValueError("vertex count must be nonnegative")
+            raise InvalidArgument("vertex count must be nonnegative")
         if self.labels is not None and len(self.labels) != self.n:
-            raise ValueError("label table size must equal the vertex count")
+            raise InvalidArgument("label table size must equal the vertex count")
         self._pairs = _canonical_map(self.n, raw, drop_value=self._absent)
+        problems = validate(self)
+        if problems:
+            raise InputError("; ".join(problems))
         self.exact = {edge_key(u, v): q for (u, v), q in self.exact.items()}
         self._adj = None
         return self._pairs
@@ -229,9 +240,11 @@ class Graph:
 
         Lifts a conductance to its length 1/b and back; exact shadows carry
         over as exact reciprocals.  Raises InputError when a reciprocal is
-        outside float range (a subnormal value overflows 1/x).
+        outside float range (a zero or subnormal value overflows 1/x).
         """
-        values = {key: 1.0 / x for key, x in self._pairs.items() if key[0] != key[1]}
+        values = {
+            key: 1.0 / x if x else INFINITY for key, x in self._pairs.items() if key[0] != key[1]
+        }
         for (u, v), y in values.items():
             if not math.isfinite(y):
                 raise InputError(
@@ -414,24 +427,23 @@ def parse_graph(text: str, mode: str = "weight") -> Graph:
     labels = tuple(ids)
     n = len(labels)
     kind = WeightedGraph if mode == "weight" else ConductanceGraph
-    graph = kind(n, entries, labels, exact)
-    report = validate(graph)
-    if report:
-        raise ParseError("; ".join(report))
-    return graph
+    return kind(n, entries, labels, exact)
 
 
 def validate(g: Graph) -> list[str]:
     """Diagnostics for every violated graph invariant; empty iff all hold.
 
-    Construction keeps graphs representable even when invalid, so library
-    users can inspect what is wrong; parsing rejects any diagnosed input.
+    Construction raises InputError with these diagnostics, so a built graph
+    has none: weights are in [0, inf), conductances positive and finite with
+    finite row sums, the diagonal is zero (absent for conductances), and
+    labels are distinct.  Zero weights are pseudo-metric weights and are
+    allowed here; the edge-list parser still rejects ``a b 0``.
     """
     report: list[str] = []
     weighted = isinstance(g, WeightedGraph)
     kind = "weight" if weighted else "conductance"
     for (u, v), w in g._pairs.items():
-        if u != v and 0.0 < w < INFINITY:  # a weight stores no inf, a conductance no 0
+        if u != v and 0.0 <= w < INFINITY:  # a weight stores no inf, a conductance no 0
             continue
         pair = f"({g.label(u)}, {g.label(v)})"
         if u == v:
@@ -443,14 +455,15 @@ def validate(g: Graph) -> list[str]:
             report.append(f"{kind} {pair} is NaN")
         elif w < 0:
             report.append(f"{kind} {pair} is negative: {w}")
-        elif w == 0.0:  # only a weight stores a zero, only a conductance an inf
-            report.append(f"weight {pair} is zero off diagonal")
-        elif math.isinf(w):
+        else:  # only a conductance stores an inf
             report.append(f"conductance {pair} must be finite")
-    if not weighted:
+    # Conductances that passed the loop above and sum to less than 1e307
+    # bound every row sum, rounding included, far below float overflow.
+    if not weighted and (report or not sum(g._pairs.values()) < 1e307):
         row_sums = [0.0] * g.n
-        for u, v, w in g.edges():
-            row_sums[u], row_sums[v] = row_sums[u] + w, row_sums[v] + w
+        for (u, v), w in g._pairs.items():
+            if u != v:
+                row_sums[u], row_sums[v] = row_sums[u] + w, row_sums[v] + w
         for u, total in enumerate(row_sums):
             if math.isinf(total):
                 report.append(f"conductance row sum at {g.label(u)} is not finite")

@@ -2,7 +2,10 @@
 
 Everything here runs in exact rational arithmetic (:class:`~fractions.Fraction`)
 over the parsed decimal values and shares no code with the float algorithms
-it checks.  Two oracles are polynomial and back ``--oracle`` on the CLI:
+it checks.  It reads graphs as construction left them (:func:`core.validate`
+holds): every stored weight is finite and nonnegative, every stored
+conductance positive and finite, so no oracle checks a value again.  Two
+oracles are polynomial and back ``--oracle`` on the CLI:
 
 * :func:`brute_metric_from` runs Dijkstra over the exact weights of the
   source's component, scaled once to integers by the lcm D of their
@@ -30,7 +33,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from .core import ConductanceGraph, Graph, Path, WeightedGraph, edge_key
-from .errors import NegativeWeightError, SameVertex, TooLarge
+from .errors import SameVertex, TooLarge
 
 PATH_CAP = 12
 TREE_CAP = 8
@@ -100,24 +103,20 @@ def brute_metric(g: WeightedGraph, x: int, y: int) -> ExactWeight:
 def brute_metric_from(g: WeightedGraph, x: int) -> list[ExactWeight]:
     """Exact distances from x to every vertex: Dijkstra over the exact weights.
 
-    The exact weights of x's component (the pairs a walk from x over finite
-    exact weights meets) are scaled once by the lcm D of their denominators,
-    so the search adds and compares integers and returns each distance d as
-    d/D: the same rational as the Fraction sum, in the same order of steps.
+    The exact weights of x's component (``g.reach(x)``; every stored weight
+    is finite and nonnegative, as construction checks) are scaled once by
+    the lcm D of their denominators, so the search adds and compares
+    integers and returns each distance d as d/D: the same rational as the
+    Fraction sum, in the same order of steps.
     """
     if g.n > PATH_CAP:
         raise TooLarge(f"exact path oracle capped at {PATH_CAP} vertices, got {g.n}")
-    exact: dict[tuple[int, int], ExactWeight] = {}
-    queue, seen = [x], {x}
-    for u in queue:  # the list grows as it is read: first in, first out
-        for v, _ in g.neighbors(u):
-            key = edge_key(u, v)
-            if key not in exact:
-                exact[key] = w = exact_weight(g, u, v)
-                if w is not None and v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-    ratios = {key: w.as_integer_ratio() for key, w in exact.items() if w is not None}
+    ratios = {
+        (u, v): exact_weight(g, u, v).as_integer_ratio()
+        for u in g.reach(x)
+        for v, _ in g.neighbors(u)
+        if u < v
+    }
     scale = math.lcm(*{q for _, q in ratios.values()})
     scaled = {key: p * (scale // q) for key, (p, q) in ratios.items()}
     best: list[int | None] = [None] * g.n
@@ -132,14 +131,7 @@ def brute_metric_from(g: WeightedGraph, x: int) -> list[ExactWeight]:
         for v, _ in g.neighbors(u):
             if done[v]:
                 continue
-            w = scaled.get(edge_key(u, v))
-            if w is None:
-                continue
-            if w < 0:
-                raise NegativeWeightError(
-                    f"negative weight {Fraction(w, scale)} on ({g.label(u)}, {g.label(v)})"
-                )
-            total = d + w
+            total = d + scaled[edge_key(u, v)]
             if best[v] is None or total < best[v]:
                 best[v] = total
                 heapq.heappush(heap, (total, v))

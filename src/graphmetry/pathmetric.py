@@ -41,7 +41,6 @@ from .core import (
 from .errors import (
     InvalidArgument,
     InvalidMetric,
-    NegativeWeightError,
     OutOfRange,
     SizeMismatch,
     Unreachable,
@@ -204,9 +203,9 @@ def _out_of_range(g: WeightedGraph, x: int, y: int) -> OutOfRange:
 
 def _settle(g: WeightedGraph, x: int) -> Iterator[tuple[int, float]]:
     """Dijkstra from x: each reachable vertex with its distance, in the order
-    they settle; inf-weight pairs are not edges.  Raises OutOfRange, once
-    the search runs out, if a vertex reached over a finite edge never
-    settled: every sum offered to it overflowed to inf."""
+    they settle.  Raises OutOfRange, once the search runs out, if a vertex
+    next to a settled one never settled: every sum offered to it overflowed
+    to inf."""
     g._check_vertex(x)
     dist = [INFINITY] * g.n
     dist[x] = 0.0
@@ -219,21 +218,19 @@ def _settle(g: WeightedGraph, x: int) -> Iterator[tuple[int, float]]:
         done[u] = True
         yield u, d
         for v, w in g.neighbors(u):
-            if done[v] or math.isinf(w):
+            if done[v]:
                 continue
             nd = d + w
             if nd < dist[v]:
                 dist[v] = nd
                 heapq.heappush(heap, (nd, v))
     for v in range(g.n):
-        if not done[v]:
-            for u, w in g.neighbors(v):
-                if done[u] and w < INFINITY:  # inf and NaN pairs are not edges
-                    raise _out_of_range(g, x, v)
+        if not done[v] and any(done[u] for u, _ in g.neighbors(v)):
+            raise _out_of_range(g, x, v)
 
 
 def single_source_distances(g: WeightedGraph, x: int) -> np.ndarray:
-    """Dijkstra distances from x; inf-weight pairs are not edges."""
+    """Dijkstra distances from x; inf where no route exists."""
     dist = np.full(g.n, INFINITY)
     for u, d in _settle(g, x):
         dist[u] = d
@@ -251,22 +248,13 @@ def path_metric(g: WeightedGraph, x: int, y: int) -> float:
 
 
 def _initial_table(g: WeightedGraph) -> np.ndarray:
-    """Diagonal 0, the stored finite weight per pair, inf elsewhere."""
+    """Diagonal 0, the stored weight per pair, inf elsewhere."""
     n = g.n
     d = np.full((n, n), INFINITY)
     keys = np.array(list(g.weights), dtype=np.intp).reshape(-1, 2)
     w = np.fromiter(g.weights.values(), float, len(keys))
     u, v = keys[:, 0], keys[:, 1]
-    finite = np.isfinite(w) & (u != v)
-    negative = finite & (w < 0)
-    if negative.any():
-        # A negative weight has no shortest paths: the sweeps would run to -inf.
-        i = int(np.argmax(negative))
-        raise NegativeWeightError(
-            f"negative weight {float(w[i])} on ({g.label(int(u[i]))}, {g.label(int(v[i]))})"
-        )
-    u, v, w = u[finite], v[finite], w[finite]
-    d[u, v] = w  # one stored key per unordered pair
+    d[u, v] = w  # one stored key per unordered pair; a stored diagonal entry is 0
     d[v, u] = w
     np.fill_diagonal(d, 0.0)
     return d
@@ -288,20 +276,14 @@ def _min_plus_sweep(d: np.ndarray, via: np.ndarray, seen: np.ndarray | None = No
                 seen[k] = d[k]  # step k leaves row k as it found it: d[k,k] = 0
 
 
-def metric_components(g: WeightedGraph) -> list[list[int]]:
-    """Finite-distance classes, smallest id first; a NaN or -inf weight joins nothing."""
-    finite = {key: w for key, w in g.weights.items() if math.isfinite(w)}
-    return (WeightedGraph(g.n, finite) if len(finite) < len(g.weights) else g).components()
-
-
 def _check_range(g: WeightedGraph, d: np.ndarray) -> None:
     """Raise OutOfRange for an inf entry of a closure table between vertices
-    of one metric component, whose distance is finite but beyond float range."""
+    of one component, whose distance is finite but beyond float range."""
     infinite = np.isinf(d)
     if not infinite.any():
         return
     component = np.empty(g.n, dtype=np.intp)
-    for i, members in enumerate(metric_components(g)):
+    for i, members in enumerate(g.components()):
         component[members] = i
     xs, ys = np.nonzero(infinite & (component[:, None] == component[None, :]))
     if len(xs):
@@ -387,8 +369,8 @@ def all_pairs_metric(g: WeightedGraph) -> MetricTable:
       it are those reading an entry the pass changed.  The first pass that
       changes nothing leaves none due.
 
-    Raises NegativeWeightError on a negative finite weight and OutOfRange
-    when a distance between connected vertices is beyond float range.
+    Raises OutOfRange when a distance between connected vertices is beyond
+    float range.
     """
     d = _initial_table(g)
     exact = _sums_exact(d)
@@ -444,7 +426,7 @@ def enumerate_geodesics(g: WeightedGraph, x: int, y: int, cap: int = 64) -> Geod
     while frames and not truncated:
         neighbours, acc = frames[-1]
         for v, w in neighbours:
-            if on_path[v] or math.isinf(w):
+            if on_path[v]:
                 continue
             length = acc + w
             if length + to_y[v] > target + slack:

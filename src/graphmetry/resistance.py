@@ -16,6 +16,10 @@ edit builds a new graph with a new system.  R is checked against its
 variational description by sampling, against harmonicity of the maximizer,
 and — in the tests — against an exact spanning-forest oracle.  R is a
 metric; disconnected pairs get resistance inf.
+
+Construction already rejected every conductance that is NaN, negative or
+infinite and every row sum beyond float range (:func:`core.validate`), so
+each grounded block is finite and no query here checks the values again.
 """
 
 from __future__ import annotations
@@ -26,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .core import INFINITY, TAU_EQ, ConductanceGraph, invariant_error, validate, weights_close
-from .errors import Disconnected, InputError, OutOfRange, SameVertex, SizeMismatch
+from .core import INFINITY, TAU_EQ, ConductanceGraph, invariant_error, weights_close
+from .errors import Disconnected, InvalidArgument, OutOfRange, SameVertex, SizeMismatch
 from .pathmetric import MetricTable
 
 
@@ -42,7 +46,7 @@ class PotentialFunction:
         if self.values.ndim != 1:
             raise SizeMismatch("potential must be a flat vector")
         if not np.isfinite(self.values).all():
-            raise ValueError("potential entries must be finite")
+            raise InvalidArgument("potential entries must be finite")
 
     def __len__(self) -> int:
         return len(self.values)
@@ -156,15 +160,13 @@ def _grounded(b: ConductanceGraph) -> _GroundedSystem:
 
 def _factor(b: ConductanceGraph, system: _GroundedSystem, i: int) -> np.ndarray:
     """Cholesky factor U of component ``i``'s grounded block (A = U^T U), built
-    once.  An inf or NaN entry, which only an invalid graph has, is an
-    InputError; a failed factorization is OutOfRange when the graph's
-    conductances absorb one another in float sums, and a bug otherwise."""
+    once.  The block is finite: construction rejects inf and NaN conductances
+    and row sums beyond float range.  A failed factorization is OutOfRange
+    when the graph's conductances absorb one another in float sums, and a
+    bug otherwise."""
     factor = system._factors[i]
     if factor is None:
-        block = system.grounded_block(i)
-        if not np.isfinite(block).all():  # bare dpotrf, unlike cho_factor, does not check
-            raise InputError("; ".join(validate(b)))
-        factor, info = dpotrf(block, overwrite_a=1, clean=0)
+        factor, info = dpotrf(system.grounded_block(i), overwrite_a=1, clean=0)
         if info > 0:
             raise invariant_error(
                 b,

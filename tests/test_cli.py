@@ -3,10 +3,14 @@
 import hashlib
 import json
 import math
+import os
 import random
 import re
+import subprocess
+import sys
 import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -49,6 +53,33 @@ def test_metric_pair(graph_file, capsys):
     assert code == 0 and err == ""
     assert "command: metric" in out
     assert "distance: 2" in out
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+@pytest.mark.parametrize(
+    "launch",
+    [["-c", "from graphmetry.cli import entry; entry()"], ["-m", "graphmetry.cli"]],
+    ids=["entry", "module"],
+)
+def test_console_entry_points_print_what_main_prints(launch, graph_file, tmp_path, capsys):
+    paths = [SRC, *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+
+    def launched(*argv):
+        done = subprocess.run(
+            [sys.executable, *launch, *argv], capture_output=True, text=True, env=env, timeout=120
+        )
+        return done.returncode, done.stdout, done.stderr
+
+    argv = ("metric", graph_file(P3), "--source", "a", "--target", "c")
+    code, out, err = launched(*argv)
+    assert (code, out, err) == run(capsys, *argv)
+    assert code == 0 and "distance: 2\n" in out
+    missing = ("metric", str(tmp_path / "nope.edges"), "--all-pairs")
+    code, out, err = launched(*missing)
+    assert (code, out) == (2, "") and err.startswith("error: cannot read")
 
 
 def test_metric_pair_json(graph_file, capsys):

@@ -28,9 +28,7 @@ from graphmetry import (
     extract_common_prefix_path,
     family_ball_scan,
     family_elf_scan,
-    metric_components,
     single_source_distances,
-    validate,
     verify_maximal_weight,
 )
 from .suites import complete_graph_for, random_weighted_graph
@@ -252,8 +250,8 @@ def test_verify_maximal_weight_random():
 
 def test_metric_components():
     g = WeightedGraph(5, {(0, 1): 1.0, (2, 3): 1.0})
-    assert metric_components(g) == [[0, 1], [2, 3], [4]]
-    assert metric_components(WeightedGraph(0, {})) == []
+    assert g.components() == [[0, 1], [2, 3], [4]]
+    assert WeightedGraph(0, {}).components() == []
 
 
 def test_decaying_ray_partial_sums_stay_below_radius():
@@ -332,17 +330,6 @@ def test_scans_accept_zero_and_infinite_radius():
     assert family_ball_scan(UNIT_RAY, 0, INFINITY, 10).found == 10
     assert family_elf_scan(UNIT_RAY, 0, 0.0, 10).count == 0
     assert family_elf_scan(UNIT_RAY, 0, INFINITY, 10).count == 1
-
-
-def test_metric_components_skip_nan_weights():
-    # Construction keeps a NaN or -inf weight (validate reports it); it joins nothing.
-    g = WeightedGraph(5, {(0, 1): math.nan, (1, 2): 1.0, (3, 4): 2.0})
-    assert any("NaN" in line for line in validate(g))
-    assert metric_components(g) == [[0], [1, 2], [3, 4]]
-    assert metric_components(WeightedGraph(3, {(0, 2): math.nan})) == [[0], [1], [2]]
-    g = WeightedGraph(3, {(0, 1): -math.inf, (1, 2): 1.0})
-    assert any("negative" in line for line in validate(g))
-    assert metric_components(g) == [[0], [1, 2]]
 
 
 def dense_truncate(fam, budget):

@@ -31,6 +31,8 @@ from graphmetry import (
     weights_close,
 )
 from graphmetry.core import invariant_error, weights_close_array
+from graphmetry.oracle import brute_metric_from
+from graphmetry.pathmetric import all_pairs_metric, is_generating, path_metric
 from .suites import random_weighted_graph
 
 P3_TEXT = """
@@ -183,25 +185,150 @@ def test_parse_exact_shadow():
 
 
 def test_validate_weighted():
-    g = WeightedGraph(3, {(0, 1): -1.0, (1, 2): 0.0, (2, 2): 5.0})
-    report = validate(g)
-    assert len(report) == 3
-    assert any("negative" in r for r in report)
-    assert any("zero off diagonal" in r for r in report)
-    assert any("diagonal" in r for r in report)
+    # Construction raises every diagnostic at once; a zero weight is none of them.
+    with pytest.raises(InputError) as err:
+        WeightedGraph(3, {(0, 1): -1.0, (1, 2): 0.0, (2, 2): 5.0})
+    assert str(err.value).split("; ") == [
+        "weight (0, 1) is negative: -1.0",
+        "diagonal entry (2, 2) must be zero, got 5.0",
+    ]
     assert validate(WeightedGraph(2, {(0, 1): 1.0})) == []
+    assert validate(WeightedGraph(3, {(0, 1): 0.0, (1, 2): 1.0, (2, 2): 0.0})) == []
 
 
 def test_validate_conductance():
-    b = ConductanceGraph(2, {(0, 1): math.nan})
-    assert any("NaN" in r for r in validate(b))
+    with pytest.raises(InputError, match=r"^conductance \(0, 1\) is NaN$"):
+        ConductanceGraph(2, {(0, 1): math.nan})
     ok = ConductanceGraph(2, {(0, 1): 3.0})
     assert validate(ok) == []
 
 
 def test_validate_duplicate_labels():
-    g = WeightedGraph(2, {(0, 1): 1.0}, labels=("a", "a"))
-    assert any("duplicate" in r for r in validate(g))
+    with pytest.raises(InputError, match="^duplicate vertex labels$"):
+        WeightedGraph(2, {(0, 1): 1.0}, labels=("a", "a"))
+
+
+def expected_diagnostics(kind, n, pairs, labels):
+    """The construction rule spelled out for canonical (u <= v) ``pairs``:
+    every diagnostic in key order, then row sums, then labels."""
+    weighted = kind is WeightedGraph
+    noun = "weight" if weighted else "conductance"
+    absent = INFINITY if weighted else 0.0
+    name = (lambda u: labels[u]) if labels else str
+    out, rows = [], [0.0] * n
+    for (u, v), w in sorted(pairs.items()):
+        pair = f"({name(u)}, {name(v)})"
+        if u == v:
+            if not weighted:
+                out.append(f"diagonal conductance {pair} must be absent")
+            elif w != 0.0:
+                out.append(f"diagonal entry {pair} must be zero, got {w}")
+            continue
+        if w == absent:
+            continue
+        rows[u], rows[v] = rows[u] + w, rows[v] + w
+        if math.isnan(w):
+            out.append(f"{noun} {pair} is NaN")
+        elif w < 0:
+            out.append(f"{noun} {pair} is negative: {w}")
+        elif math.isinf(w):
+            out.append(f"conductance {pair} must be finite")
+    if not weighted:
+        out += [
+            f"conductance row sum at {name(u)} is not finite" for u in range(n) if math.isinf(rows[u])
+        ]
+    if labels and len(set(labels)) < n:
+        out.append("duplicate vertex labels")
+    return out
+
+
+def test_construction_raises_every_diagnostic_of_the_rule():
+    rng = random.Random(1801)
+    fine = {WeightedGraph: (0.0, 0.5, 1.0, 3.0, 1e308), ConductanceGraph: (0.5, 1.0, 2.0, 1e308)}
+    bad = {
+        WeightedGraph: (math.nan, -1.0, -5e-324, -math.inf),
+        ConductanceGraph: (math.nan, -1.0, math.inf, -math.inf),
+    }
+    seen, built = [], 0
+    for i in range(400):
+        kind = (WeightedGraph, ConductanceGraph)[i % 2]
+        n = rng.randint(1, 7)
+        pairs = {
+            (u, v): rng.choice(fine[kind])
+            for u in range(n)
+            for v in range(u + 1, n)
+            if rng.random() < 0.5
+        }
+        for _ in range(rng.choice((0, 0, 1, 2))):
+            u = rng.randrange(n)
+            v = u if rng.random() < 0.2 else rng.randrange(n)
+            key = (min(u, v), max(u, v))
+            pairs[key] = rng.choice((0.0, 2.0)) if u == v else rng.choice(bad[kind])
+        labels = None
+        if rng.random() < 0.5:
+            labels = tuple(f"v{u}" for u in range(n))
+            if n > 1 and rng.random() < 0.2:
+                labels = labels[:-1] + (labels[0],)
+        problems = expected_diagnostics(kind, n, pairs, labels)
+        if problems:
+            with pytest.raises(InputError) as err:
+                kind(n, pairs, labels)
+            assert str(err.value) == "; ".join(problems)
+            seen += problems
+        else:
+            assert validate(kind(n, pairs, labels)) == []
+            built += 1
+    # The sweep reaches every diagnostic, and valid graphs (zero weights included).
+    for fragment in (
+        "weight (", "conductance (", "is NaN", "negative: -inf", "negative: -5e-324",
+        "must be finite", "row sum", "diagonal entry", "diagonal conductance", "duplicate",
+    ):
+        assert any(fragment in line for line in seen), fragment
+    assert built > 100
+
+
+def test_disagreeing_layers_end_at_construction():
+    # A negative weight leaves no shortest path for any route to find.
+    with pytest.raises(InputError, match=r"^weight \(1, 2\) is negative: -5.0$"):
+        WeightedGraph(3, {(0, 1): 1.0, (1, 2): -5.0, (0, 2): 1.0})
+    # A NaN weight is neither an edge nor an absent pair.
+    with pytest.raises(InputError, match=r"^weight \(0, 1\) is NaN$"):
+        WeightedGraph(2, {(0, 1): math.nan})
+    # An inf or NaN conductance has no finite Laplacian, float or exact.
+    with pytest.raises(InputError, match=r"^conductance \(0, 1\) must be finite; conductance row sum"):
+        ConductanceGraph(3, {(0, 1): math.inf, (1, 2): 1.0})
+    with pytest.raises(InputError, match=r"^conductance \(0, 1\) is NaN$"):
+        ConductanceGraph(3, {(0, 1): math.nan, (1, 2): 1.0})
+    # A negative conductance makes the energy form indefinite.
+    with pytest.raises(InputError, match=r"^conductance \(0, 1\) is negative: -1.0$"):
+        ConductanceGraph(3, {(0, 1): -1.0, (1, 2): 1.0})
+
+
+def test_zero_weights_build_and_generate():
+    g = WeightedGraph(3, {(0, 1): 0.0, (1, 2): 1.0})
+    t = all_pairs_metric(g)
+    assert t.d.tolist() == [[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0]]
+    assert is_generating(g, t) and path_metric(g, 0, 2) == 1.0
+    assert brute_metric_from(g, 0) == [0, 0, 1]
+    assert not is_generating(WeightedGraph(3, {(0, 1): 0.0, (1, 2): 2.0}), t)
+
+
+def test_bad_sizes_raise_invalid_argument():
+    for build in (
+        lambda: WeightedGraph(-1, {}),
+        lambda: ConductanceGraph(-1, {}),
+        lambda: WeightedGraph(2, {(0, 1): 1.0}, labels=("a",)),
+        lambda: ConductanceGraph(2, {(0, 1): 1.0}, labels=("a", "b", "c")),
+    ):
+        with pytest.raises(InvalidArgument, match="nonnegative|label table size") as err:
+            build()
+        assert isinstance(err.value, ValueError)
+
+
+def test_reciprocal_refuses_a_zero_weight():
+    g = WeightedGraph(3, {(0, 1): 0.0, (1, 2): 2.0}, ("a", "b", "c"))
+    with pytest.raises(InputError, match=r"^1/0.0 on \(a, b\) is outside float range$"):
+        g.reciprocal(ConductanceGraph)
 
 
 def test_serialize_round_trip_semantics():

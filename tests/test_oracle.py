@@ -3,7 +3,6 @@
 import heapq
 import itertools
 import json
-import math
 import random
 import time
 from fractions import Fraction
@@ -12,7 +11,7 @@ import pytest
 
 from graphmetry import (
     ConductanceGraph,
-    NegativeWeightError,
+    InputError,
     SameVertex,
     TooLarge,
     WeightedGraph,
@@ -230,9 +229,9 @@ def test_dijkstra_oracle_matches_path_enumeration():
 
 
 def test_dijkstra_oracle_rejects_negative_weights():
-    g = WeightedGraph(3, {(0, 1): 1.0, (1, 2): -0.5})
-    with pytest.raises(NegativeWeightError):
-        brute_metric_from(g, 0)
+    # The oracle never sees a negative weight: construction rejects it.
+    with pytest.raises(InputError, match=r"^weight \(1, 2\) is negative: -0.5$"):
+        WeightedGraph(3, {(0, 1): 1.0, (1, 2): -0.5})
 
 
 def fraction_dijkstra(g: WeightedGraph, x: int) -> list[Fraction | None]:
@@ -250,12 +249,7 @@ def fraction_dijkstra(g: WeightedGraph, x: int) -> list[Fraction | None]:
         for v, _ in g.neighbors(u):
             if done[v]:
                 continue
-            w = exact_weight(g, u, v)
-            if w is None:
-                continue
-            if w < 0:
-                raise NegativeWeightError(f"negative weight {w} on ({g.label(u)}, {g.label(v)})")
-            total = d + w
+            total = d + exact_weight(g, u, v)
             if best[v] is None or total < best[v]:
                 best[v] = total
                 heapq.heappush(heap, (total, v))
@@ -270,9 +264,8 @@ DECIMAL_TOKENS = ("0.1", "0.25", "1", "3", "12.5", "1e-3", "7e-9", "5e-324", "1e
 
 
 def mixed_exact_graph(rng: random.Random) -> WeightedGraph:
-    """At most 12 vertices: parsed decimal shadows or bare library floats
-    (zeros included), absent pairs and isolated vertices; in some graphs two
-    more vertices joined only by a NaN, negative or -inf pair."""
+    """At most 10 vertices: parsed decimal shadows or bare library floats
+    (zeros included), absent pairs and isolated vertices."""
     n = rng.randint(1, 10)
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4]
     if rng.random() < 0.5:
@@ -283,18 +276,7 @@ def mixed_exact_graph(rng: random.Random) -> WeightedGraph:
     else:
         weights = {key: rng.choice(BARE_WEIGHTS) for key in pairs}
         exact, labels = {}, None
-    if rng.random() < 0.4:
-        weights = {**weights, (n, n + 1): rng.choice((math.nan, -0.5, -math.inf))}
-        labels = labels and labels + ("bad0", "bad1")
-        n += 2
     return WeightedGraph(n, weights, labels, exact)
-
-
-def outcome(run, g: WeightedGraph, x: int):
-    try:
-        return run(g, x)
-    except (NegativeWeightError, ValueError) as exc:
-        return type(exc), str(exc)
 
 
 def test_integer_dijkstra_matches_the_fraction_dijkstra():
@@ -302,37 +284,11 @@ def test_integer_dijkstra_matches_the_fraction_dijkstra():
     graphs = [mixed_exact_graph(rng) for _ in range(240)]
     for g in graphs:
         for x in range(g.n):
-            assert outcome(brute_metric_from, g, x) == outcome(fraction_dijkstra, g, x)
-    # The mix reaches every case: shadows, bare floats, zeros, isolated
-    # vertices, and a bad pair beside sources that never meet it.
+            assert brute_metric_from(g, x) == fraction_dijkstra(g, x)
+    # The mix reaches every case: shadows, bare floats, zeros, isolated vertices.
     assert any(g.exact for g in graphs) and any(not g.exact and g.weights for g in graphs)
     assert any(0.0 in g.weights.values() for g in graphs)
     assert any(not g.neighbors(u) for g in graphs for u in range(g.n))
-    bad = [g for g in graphs if any(not w >= 0 for w in g.weights.values())]
-    assert {str(g.weights[g.n - 2, g.n - 1]) for g in bad} == {"nan", "-0.5", "-inf"}
-    assert all(g.n <= 12 for g in graphs)
-    for g in bad:
-        for x in range(g.n - 2):
-            brute_metric_from(g, x)  # the bad pair lies outside x's component
-
-
-def test_integer_dijkstra_never_meets_a_pair_beyond_an_infinite_one():
-    # A -inf pair reads as infinite (no edge), so the NaN behind it is out of reach.
-    g = WeightedGraph(3, {(0, 1): -math.inf, (1, 2): math.nan})
-    assert brute_metric_from(g, 0) == fraction_dijkstra(g, 0) == [Fraction(0), None, None]
-    with pytest.raises(ValueError):
-        brute_metric_from(g, 1)
-
-
-def test_integer_dijkstra_names_the_negative_pair_it_meets_first():
-    # Two negative pairs: the search from 0 settles 1 before it reaches 2.
-    g = WeightedGraph(4, {(0, 1): 1.0, (1, 3): -2.0, (0, 2): 5.0, (2, 3): -0.25})
-    for x in range(4):
-        with pytest.raises(NegativeWeightError) as exc:
-            brute_metric_from(g, x)
-        with pytest.raises(NegativeWeightError) as ref:
-            fraction_dijkstra(g, x)
-        assert str(exc.value) == str(ref.value)
 
 
 def component_graph(b: ConductanceGraph, members: list[int]) -> ConductanceGraph:

@@ -11,9 +11,9 @@ from graphmetry import (
     INFINITY,
     GeodesicSet,
     GeodesicWeight,
+    InputError,
     InvalidMetric,
     MetricTable,
-    NegativeWeightError,
     OutOfRange,
     Path,
     SizeMismatch,
@@ -122,6 +122,15 @@ def test_metric_agrees_with_exact_oracle():
                     assert math.isinf(t.d[x, y])
                 else:
                     assert abs(t.d[x, y] - float(row[y])) <= 1e-9 * max(1.0, float(row[y]))
+
+
+def test_metric_table_equality_compares_the_tables():
+    d = np.array([[0.0, 1.0], [1.0, 0.0]])
+    assert MetricTable(d) == MetricTable(d.copy())
+    assert MetricTable(d) != MetricTable(2 * d)
+    assert MetricTable(d) != MetricTable(np.zeros((3, 3)))
+    assert MetricTable(d).__eq__(d) is NotImplemented
+    assert MetricTable(d) != d.tolist()
 
 
 def test_metric_table_validate_diagnostics():
@@ -330,30 +339,27 @@ def test_one_sweep_metric_is_the_fixpoint_up_to_rounding():
 
 
 def test_negative_weight_is_rejected_by_both_closures():
-    g = WeightedGraph(3, {(0, 1): -1.0, (1, 2): 2.0})
-    with pytest.raises(NegativeWeightError):
-        all_pairs_metric(g)
-    with pytest.raises(NegativeWeightError):
-        _one_sweep_metric(g)
-    with pytest.raises(NegativeWeightError):
-        is_generating(g, all_pairs_metric(p3()))
+    # Neither closure ever sees a negative weight: construction rejects it.
+    with pytest.raises(InputError, match=r"^weight \(0, 1\) is negative: -1.0$"):
+        WeightedGraph(3, {(0, 1): -1.0, (1, 2): 2.0})
 
 
 def test_negative_weight_message_names_the_first_negative_pair():
     labels = ("a", "b", "c", "d")
-    # Keys are stored sorted; a negative value on the diagonal, NaN and -inf join nothing.
-    g = WeightedGraph(
-        4,
-        {(3, 2): -1.0, (1, 2): -2.5, (0, 0): -3.0, (0, 1): math.nan, (0, 3): -math.inf},
-        labels,
-    )
-    with pytest.raises(NegativeWeightError) as err:
-        all_pairs_metric(g)
-    assert str(err.value) == "negative weight -2.5 on (b, c)"
-    fine = WeightedGraph(3, {(0, 0): -3.0, (0, 1): math.nan, (1, 2): -math.inf, (0, 2): 1.0})
-    assert np.array_equal(
-        all_pairs_metric(fine).d, [[0.0, INFINITY, 1.0], [INFINITY, 0.0, INFINITY], [1.0, INFINITY, 0.0]]
-    )
+    # Keys are stored sorted, and every bad pair is named in that order.
+    with pytest.raises(InputError) as err:
+        WeightedGraph(
+            4,
+            {(3, 2): -1.0, (1, 2): -2.5, (0, 0): -3.0, (0, 1): math.nan, (0, 3): -math.inf},
+            labels,
+        )
+    assert str(err.value).split("; ") == [
+        "diagonal entry (a, a) must be zero, got -3.0",
+        "weight (a, b) is NaN",
+        "weight (a, d) is negative: -inf",
+        "weight (b, c) is negative: -2.5",
+        "weight (c, d) is negative: -1.0",
+    ]
 
 
 def sweeps_until_unchanged(g: WeightedGraph) -> np.ndarray:
@@ -565,19 +571,19 @@ def test_closures_report_a_distance_beyond_float_range_without_a_warning():
             all_pairs_metric(HUGE)
         with pytest.raises(OutOfRange, match="between a and c"):
             _one_sweep_metric(HUGE)
-        # inf between components, or across a NaN weight, is no overflow.
+        # inf between components is no overflow.
         split = WeightedGraph(4, {(0, 1): 1e308, (2, 3): 1e308})
         assert all_pairs_metric(split).d[0, 2] == INFINITY
-        nan = WeightedGraph(3, {(0, 1): math.nan, (1, 2): 1.0})
-        assert _one_sweep_metric(nan)[0, 1] == INFINITY
+        assert _one_sweep_metric(split)[0, 2] == INFINITY
 
 
 def full_scan_weight(d: np.ndarray) -> np.ndarray:
     """w_delta by testing every z on every pair, one row at a time.
 
     The reference that both routes of ``geodesic_weight`` must equal bit for
-    bit: the same betweenness slack, n * 2**-51 * |d(x, y)|, and the same
-    sums d(x, z) + d(z, y), on every pair instead of the tight edges.
+    bit: the same betweenness slack, n * 2**-51 * |d(x, y)|, the same sums
+    d(x, z) + d(z, y), and both legs strictly shorter than d(x, y), on every
+    pair instead of the tight edges.
     """
     n = len(d)
     out = np.full((n, n), INFINITY)
@@ -589,6 +595,7 @@ def full_scan_weight(d: np.ndarray) -> np.ndarray:
             # inf - inf in columns of infinite distance; those y are skipped.
             gap = np.abs(sums - row[None, :])
         between = gap <= (n * 2.0**-51) * np.abs(row)[None, :]
+        between &= (row[:, None] < row[None, :]) & (d < row[None, :])  # strict legs
         between[x, :] = False
         np.fill_diagonal(between, False)  # z == y
         unique = ~between.any(axis=0) & np.isfinite(row)
@@ -609,6 +616,13 @@ def test_both_routes_match_the_full_scan_reference():
         # Scaling by 2**-40 is exact, so the sweep's tables keep their ties.
         small = WeightedGraph(g.n, {k: math.ldexp(w, -40) for k, w in g.weights.items()})
         assert_both_routes_match_the_full_scan(all_pairs_metric(small), small)
+    # A near-tie whose legs are as long as the pair: b - c lies within the
+    # slack of a - b and a - c, but no leg is shorter, so all three edges stay.
+    for long, short in ((1.0, 1e-15), (1000.0, 1e-12)):
+        g = WeightedGraph(3, {(0, 1): long, (0, 2): long, (1, 2): short})
+        t = all_pairs_metric(g)
+        assert_both_routes_match_the_full_scan(t, g)
+        assert np.array_equal(full_scan_weight(t.d), t.d)  # all 9 entries finite
 
 
 def test_both_routes_match_the_full_scan_on_resistance_matrices():

@@ -17,6 +17,7 @@ from graphmetry import (
     Disconnected,
     InputError,
     InternalInvariantError,
+    InvalidArgument,
     OutOfRange,
     PotentialFunction,
     SameVertex,
@@ -59,8 +60,10 @@ def test_potential_function_guards():
     assert len(f) == 2 and f[0] == 1.0
     with pytest.raises(SizeMismatch):
         PotentialFunction(np.zeros((2, 2)))
-    with pytest.raises(ValueError):
-        PotentialFunction(np.array([1.0, math.inf]))
+    for bad in (math.inf, math.nan):
+        with pytest.raises(InvalidArgument, match="finite") as err:
+            PotentialFunction(np.array([1.0, bad]))
+        assert isinstance(err.value, ValueError)  # callers catching ValueError still do
 
 
 def test_gamma_and_energy_unit_edge():
@@ -439,11 +442,9 @@ def test_absorbed_conductances_fail_the_factor_as_out_of_range():
     ids=["inf", "nan", "row-sum-overflow"],
 )
 def test_non_finite_grounded_block_is_an_input_error(pairs, message):
-    # Construction keeps such graphs; validate names what is wrong with them.
-    for query in (lambda b: effective_resistance(b, 0, 2), resistance_matrix):
-        b = ConductanceGraph(3, pairs, labels=("a", "b", "c"))
-        with pytest.raises(InputError, match=message):
-            query(b)
+    # Construction rejects such graphs, so no query ever factors a non-finite block.
+    with pytest.raises(InputError, match=message):
+        ConductanceGraph(3, pairs, labels=("a", "b", "c"))
 
 
 def test_concurrent_first_queries_agree():

@@ -221,6 +221,9 @@ def test_compatibility_examples():
     lone = compatible_resistance_weight(ConductanceGraph(1, {}))
     assert lone.compatible
 
+    with pytest.raises(Disconnected, match="compatibility check expects a connected graph"):
+        compatible_resistance_weight(ConductanceGraph(3, {(0, 1): 1.0}))
+
 
 def test_compatible_weight_regenerates_resistance():
     rng = random.Random(109)
