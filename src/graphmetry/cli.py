@@ -45,9 +45,9 @@ from .pathmetric import (
     path_metric,
 )
 from .resistance import (
+    _laplacian_at,
     effective_resistance,
     harmonic_maximizer,
-    laplacian_apply,
     resistance_matrix,
 )
 from .structure import (
@@ -71,9 +71,9 @@ class Table:
     """A labelled square float matrix in a report.
 
     Renders byte for byte as the dict of dicts ``{row: {column: fmt(value)}}``
-    would, but sorts the labels once and formats each distinct value once: a
-    w_delta table has n**2 cells and at most m + 2 distinct values.  Values
-    are distinct bitwise, so -0.0 and NaN print exactly as ``fmt`` prints them.
+    would, with no Python step per cell: the labels are sorted once, each
+    distinct value (bitwise, so -0.0 and NaN print as ``fmt`` prints them)
+    is spelled once, and the cells index into those spellings.
     """
 
     def __init__(self, labels: Sequence[str], matrix: np.ndarray) -> None:
@@ -81,22 +81,23 @@ class Table:
         self.order = sorted(range(len(labels)), key=labels.__getitem__)
         self.names = [labels[i] for i in self.order]
 
-    def rows(self, quote: str = "") -> Iterator[tuple[str, ...]]:
-        """Each row's cells as ``fmt(value)`` between ``quote`` marks, rows
-        and columns in label order.  A float's spelling never needs JSON
+    def blocks(self, quote: str = "") -> Iterator[tuple[slice, np.ndarray]]:
+        """Row blocks of about 2**16 cells, so few Python strings are alive at
+        once: each block's slice of rows and its cells, ``fmt(value)`` between
+        ``quote`` marks, in label order.  A float's spelling never needs JSON
         escaping, so ``quote='"'`` gives its JSON string."""
-        bits = np.ascontiguousarray(self.matrix, dtype=np.float64).view(np.int64)
+        n = len(self.order)
+        bits = np.asarray(self.matrix, dtype=np.float64)[np.ix_(self.order, self.order)].view(np.int64)
         distinct, codes = np.unique(bits, return_inverse=True)
         codes = codes.reshape(bits.shape)
         values = distinct.view(np.float64)
         template = (quote + "%.17g" + quote + "\0") * len(values)  # split leaves "" last
-        spelled = (template % tuple(values.tolist())).split("\0")
-        for i in np.flatnonzero(np.isinf(values)).tolist():
-            spelled[i] = f"{quote}inf{quote}"  # fmt spells -inf as inf too
-        order = np.array(self.order, dtype=np.intp)
-        for i in self.order:
-            # One row of Python ints at a time keeps the peak memory of a large table down.
-            yield tuple(map(spelled.__getitem__, codes[i, order].tolist()))
+        spelled = np.array((template % tuple(values.tolist())).split("\0"), dtype=object)
+        spelled[np.flatnonzero(np.isinf(values))] = f"{quote}inf{quote}"  # fmt spells -inf as inf too
+        step = max(1, 2**16 // max(n, 1))  # rows per block
+        for start in range(0, n, step):
+            rows = slice(start, start + step)
+            yield rows, spelled[codes[rows]]
 
 
 def _table(g: Graph, matrix: np.ndarray) -> Table:
@@ -113,19 +114,11 @@ class Report:
     diagnostics: list[str] = field(default_factory=list)
 
     def to_json(self) -> str:
-        doc = {
-            "command": self.command,
-            "input": self.input,
-            "results": self.results,
-            "diagnostics": self.diagnostics,
-        }
-        return _json(doc, "\n") + "\n"
+        return _json(vars(self), "\n") + "\n"  # the four fields, keys sorted
 
     def to_text(self) -> str:
-        lines = [f"command: {self.command}", f"input: {self.input}"]
-        lines.extend(_render("", self.results))
-        for note in self.diagnostics:
-            lines.append(f"! {note}")
+        lines = [f"command: {self.command}", f"input: {self.input}", *_render("", self.results)]
+        lines += [f"! {note}" for note in self.diagnostics]
         return "\n".join(lines) + "\n"
 
 
@@ -134,10 +127,9 @@ def _json(node: Any, outer: str) -> str:
     document, ``outer`` being the line break and indent of its closing line.
 
     The standard encoder with ``indent`` runs in pure Python; a flat dict of
-    strings (every table row) goes through the C encoder instead, with the
-    line break and indent folded into its item separator.  A :class:`Table`
-    is spelled out row by row from its distinct values.  Report keys are
-    strings.
+    strings goes through the C encoder instead, with the line break and
+    indent folded into its item separator.  A :class:`Table` is joined from
+    its cells in row blocks.  Report keys are strings.
     """
     inner = outer + "  "
     if isinstance(node, Table):
@@ -145,11 +137,18 @@ def _json(node: Any, outer: str) -> str:
             return "{}"
         cell = inner + "  "
         keys = [encode_basestring_ascii(name) + ": " for name in node.names]
-        # One %-template holds every row's keys and separators; a label's own % is doubled.
-        row = "{" + cell + ("," + cell).join(key.replace("%", "%%") + "%s" for key in keys)
-        row += inner + "}"
-        rows = [key + row % values for key, values in zip(keys, node.rows('"'))]
-        return "{" + inner + ("," + inner).join(rows) + outer + "}"
+        heads = [("," if i else "") + inner + key + "{" for i, key in enumerate(keys)]
+        columns = [("," if j else "") + cell + key for j, key in enumerate(keys)]
+        chunks = []
+        for rows, cells in node.blocks('"'):
+            # A row reads: its head, then each column's key before that column's cell, then "}".
+            pieces = np.empty((len(cells), 2 * len(keys) + 2), dtype=object)
+            pieces[:, 0] = heads[rows]
+            pieces[:, 1:-1:2] = columns
+            pieces[:, 2:-1:2] = cells
+            pieces[:, -1] = inner + "}"
+            chunks.append("".join(pieces.ravel().tolist()))
+        return "{" + "".join(chunks) + outer + "}"
     if isinstance(node, dict) and node:
         if all(isinstance(value, str) for value in node.values()):
             flat = json.dumps(node, sort_keys=True, separators=("," + inner, ": "))
@@ -166,11 +165,11 @@ def _json(node: Any, outer: str) -> str:
 
 def _render(prefix: str, node: Any) -> list[str]:
     if isinstance(node, Table):
+        heads = np.array([f"{prefix}.{name}" if prefix else name for name in node.names], dtype=object)
+        columns = np.array([f".{name}: " for name in node.names], dtype=object)
         lines: list[str] = []
-        columns = [f".{name}: " for name in node.names]
-        for name, values in zip(node.names, node.rows()):
-            head = f"{prefix}.{name}" if prefix else name
-            lines.extend([head + column + value for column, value in zip(columns, values)])
+        for rows, cells in node.blocks():
+            lines += (np.add.outer(heads[rows], columns) + cells).ravel().tolist()
         return lines
     if isinstance(node, dict):
         lines = []
@@ -333,9 +332,9 @@ def cmd_resistance(args: argparse.Namespace) -> Report:
     if args.oracle:
         report.results.update(_oracle_fields(value, oracle.spanning_tree_resistance(b, x, y)))
     if args.maximizer:
-        f = harmonic_maximizer(b, x, y)
+        f = harmonic_maximizer(b, x, y).values.tolist()
         residual = max(
-            (abs(laplacian_apply(b, f, v)) for v in range(b.n) if v not in (x, y)),
+            (abs(_laplacian_at(b, f, v)) for v in range(b.n) if v not in (x, y)),
             default=0.0,
         )
         report.results["maximizer"] = {
@@ -505,23 +504,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The first matching kind sets the exit code; any other toolkit error is a
+# well-formed query with no answer.
+EXIT_CODES = ((InputError, 2), (TooLarge, 4), (InternalInvariantError, 5), (GraphmetryError, 3))
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         report = args.run(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except TooLarge as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except InternalInvariantError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 5
-    except GraphmetryError as exc:  # a well-formed query with no answer
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    except GraphmetryError as exc:
+        code = next(code for kind, code in EXIT_CODES if isinstance(exc, kind))
+        print(f"{'internal error' if code == 5 else 'error'}: {exc}", file=sys.stderr)
+        return code
     sys.stdout.write(report.to_json() if args.json else report.to_text())
     return 0
 

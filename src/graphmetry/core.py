@@ -492,19 +492,16 @@ def serialize_graph(g: Graph) -> str:
     """Canonical edge-list text; parsing it back reproduces the graph.
 
     Values use the shortest round-tripping decimal form, so the exact
-    rational shadow survives a serialize/parse cycle.
+    rational shadow survives a serialize/parse cycle.  Construction stores
+    the pairs in sorted order, and each distinct value is spelled once.
     """
-    lines = []
-    touched = set()
-    for (u, v), w in sorted(g._pairs.items()):
-        if u == v:
-            continue
-        lines.append(f"{g.label(u)} {g.label(v)} {repr(w)}")
-        touched.add(u)
-        touched.add(v)
-    for u in range(g.n):
-        if u not in touched:
-            lines.append(f"vertex {g.label(u)}")
+    names = g.labels if g.labels is not None else [str(u) for u in range(g.n)]
+    edges = [(key, w) for key, w in g._pairs.items() if key[0] != key[1]]
+    # 0.0 == -0.0 as a key, so a zero is spelled where it stands.
+    spelled = {w: repr(w) for w in {w for _, w in edges}}
+    lines = [f"{names[u]} {names[v]} {spelled[w] if w else repr(w)}" for (u, v), w in edges]
+    touched = set().union(*(key for key, _ in edges))
+    lines += [f"vertex {names[u]}" for u in range(g.n) if u not in touched]
     return "\n".join(lines) + ("\n" if lines else "")
 
 

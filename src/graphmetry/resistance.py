@@ -73,9 +73,15 @@ def energy(b: ConductanceGraph, f: PotentialFunction | np.ndarray) -> float:
 
 def laplacian_apply(b: ConductanceGraph, f: PotentialFunction | np.ndarray, x: int) -> float:
     """Lf(x) = sum_w b(x,w) (f(x) - f(w))."""
-    values = _as_values(b, f)
-    b._check_vertex(x)
-    return float(sum(c * (values[x] - values[v]) for v, c in b.neighbors(x)))
+    return float(_laplacian_at(b, _as_values(b, f), x))
+
+
+def _laplacian_at(b: ConductanceGraph, values: list[float] | np.ndarray, x: int) -> float:
+    """Lf(x): a list of floats skips numpy's per-scalar cost, and an array gives the same bits."""
+    total = 0.0
+    for v, c in b.neighbors(x):  # checks x
+        total += c * (values[x] - values[v])
+    return total
 
 
 def laplacian_matrix(b: ConductanceGraph) -> np.ndarray:

@@ -628,6 +628,44 @@ def test_table_renders_as_its_dict_of_dicts(labels, matrix):
         assert _render(prefix, table) == _render(prefix, cells)
 
 
+TABLE_VALUES = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.5e-310, 1e308, -1e308, 1 / 3, 2.5, 7.0]
+TABLE_LABELS = ["a", "b", "é", "☃", '"q"', "back\\slash", "tab\there", "line\nbreak", "50%", "%s", "%%d", "\x7f"]
+
+
+def random_table(rng, n):
+    """A seeded table: labels mixing plain, escaped, %-bearing, non-ASCII and
+    digit names (which sort as text), over an asymmetric matrix that repeats a
+    few values and mixes in signed zeros, NaN, infinities and subnormals."""
+    labels = rng.sample([str(i) for i in range(3 * n)] + TABLE_LABELS, n)
+    pool = TABLE_VALUES + [rng.uniform(-10, 10) for _ in range(rng.choice([1, 3, 2 * n + 1]))]
+    matrix = np.array([[rng.choice(pool) for _ in range(n)] for _ in range(n)]).reshape(n, n)
+    return labels, matrix
+
+
+@pytest.mark.parametrize("seed", range(200))
+def test_random_tables_render_as_their_dict_of_dicts(seed):
+    rng = random.Random(1900 + seed)
+    n = 300 if seed % 50 == 0 else [0, 1, 2, 3, 17][seed % 5]  # n=300 spans two row blocks
+    labels, matrix = random_table(rng, n)
+    table = Table(labels, matrix)
+    cells = spelled(labels, matrix)
+    report = Report("cmd", "in", {"table": table, "z": "1"}, [])
+    reference = Report("cmd", "in", {"table": cells, "z": "1"}, [])
+    doc = {"command": "cmd", "input": "in", "results": reference.results, "diagnostics": []}
+    assert_same(report.to_json(), json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    assert_same(report.to_text(), reference.to_text())
+    assert_same(_render("top", table), _render("top", cells))
+
+
+def assert_same(got, want):
+    """got == want, reported by the first differing item: pytest's full diff
+    of two 90,000-line renderings runs for minutes."""
+    if got != want:
+        first = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+        end = first + (60 if isinstance(got, str) else 1)
+        pytest.fail(f"first difference at item {first}: {got[first:end]!r} != {want[first:end]!r}")
+
+
 OUT_OF_RANGE = {
     "subnormal": "a b 1e-320\nb c 1e-320\n",  # 1/b overflows
     "tiny": "a b 1e-308\nb c 1e-308\n",  # 1/b is finite, R(a, c) = 2e308 is not

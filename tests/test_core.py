@@ -352,6 +352,46 @@ def test_serialize_isolated_vertices():
     assert serialize_graph(WeightedGraph(0, {})) == ""
 
 
+def per_edge_serialization(g):
+    """The edge-list text spelled edge by edge: labels through ``g.label``,
+    pairs re-sorted, ``repr`` of every value."""
+    lines = []
+    touched = set()
+    for (u, v), w in sorted(g._pairs.items()):
+        if u == v:
+            continue
+        lines.append(f"{g.label(u)} {g.label(v)} {repr(w)}")
+        touched.add(u)
+        touched.add(v)
+    for u in range(g.n):
+        if u not in touched:
+            lines.append(f"vertex {g.label(u)}")
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+@pytest.mark.parametrize("kind", [WeightedGraph, ConductanceGraph])
+def test_serialization_matches_the_per_edge_spelling(kind):
+    rng = random.Random(1919)
+    values = [0.5, 2.0, 1 / 3, 1e-300, 5e-324, 1e300, 7.0]
+    if kind is WeightedGraph:
+        values += [0.0, -0.0]  # zero lengths are kept, and a zero is not a minus zero
+    for trial in range(60):
+        n = rng.randint(0, 12)
+        pairs = {}
+        for u in range(n):
+            for v in range(u + 1, n):
+                if rng.random() < 0.3:
+                    key = (u, v) if rng.random() < 0.5 else (v, u)
+                    pairs[key] = rng.choice(values)
+        if kind is WeightedGraph:
+            pairs.update({(u, u): 0.0 for u in range(n) if rng.random() < 0.2})
+        labels = None if trial % 2 else tuple(rng.sample(["a", "10", "9", "é", "x y", "0"] + [f"v{i}" for i in range(n)], n))
+        g = kind(n, pairs, labels)
+        assert serialize_graph(g) == per_edge_serialization(g)
+    g = WeightedGraph(4, {(1, 2): -0.0, (0, 1): 0.0, (2, 2): 0.0})
+    assert serialize_graph(g) == per_edge_serialization(g) == "0 1 0.0\n1 2 -0.0\nvertex 3\n"
+
+
 def test_digest_is_deterministic_and_mode_sensitive():
     g1 = parse_graph(P3_TEXT)
     g2 = parse_graph(P3_TEXT)
