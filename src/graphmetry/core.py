@@ -17,6 +17,11 @@ a nonzero or conductance diagonal entry, duplicate labels).  Zero weights
 are allowed, as pseudo-metric weights; the edge-list parser still rejects
 ``a b 0`` between distinct vertices.  No layer above checks values again.
 
+Construction is one array pass over the given map.  Vertex ids must be
+integers in ``0 .. n-1``, and a pair given both ways must carry one value
+(NaN agrees with NaN).  The stored maps are canonical, sorted dicts: each
+key ``(u, v)`` has ``u <= v``.
+
 Extended weights are plain ``float`` values with ``math.inf`` as the
 distinguished infinity; this gives the required total order and absorbing
 addition for free.  Exact rational shadows of parsed decimal values are
@@ -33,8 +38,11 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
+import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain, starmap
 from typing import TYPE_CHECKING, Iterator, Mapping, TypeVar
 
 import numpy as np
@@ -123,25 +131,68 @@ class Path:
         return zip(self.vertices[:-1], self.vertices[1:])
 
 
-def _canonical_map(
-    n: int,
-    raw: Mapping[tuple[int, int], float],
-    drop_value: float,
-) -> dict[tuple[int, int], float]:
-    """Normalize pair keys, merge symmetric duplicates, drop default entries."""
-    for u, v in raw:
-        if not (0 <= u < n and 0 <= v < n):
-            raise UnknownVertex(f"vertex pair ({u}, {v}) out of range for {n} vertices")
-    out: dict[tuple[int, int], float] = {}
-    for (u, v), value in raw.items():
-        value = float(value)
-        key = edge_key(u, v)
-        if key in out and out[key] != value and not (math.isnan(out[key]) and math.isnan(value)):
-            raise AsymmetryError(
-                f"conflicting values for pair {key}: {out[key]} vs {value}"
-            )
-        out[key] = value
-    return dict(sorted((k, w) for k, w in out.items() if w != drop_value or k[0] == k[1]))
+_ID_PAIR = struct.Struct("=qq")  # two int64 ids; pack refuses a float, a str, a 3-tuple
+
+
+def _id_array(n: int, keys: list) -> np.ndarray:
+    """The vertex pairs ``keys`` as an (m, 2) int64 array.
+
+    Raises UnknownVertex naming the first pair that is not two integer ids in
+    0 .. n-1; a float or a string is no vertex id, even when it is whole.
+    """
+    try:
+        ids = np.frombuffer(b"".join(starmap(_ID_PAIR.pack, keys)), np.int64).reshape(-1, 2)
+    except (struct.error, TypeError):
+        ids = None
+    # Read as unsigned, a negative id is beyond any vertex count.
+    if ids is None or int(ids.view(np.uint64).max(initial=0)) >= n:
+        for u, v in keys:  # the first bad pair, in the caller's order
+            try:
+                operator.index(u), operator.index(v)
+            except TypeError:
+                raise UnknownVertex(f"vertex pair ({u!r}, {v!r}) is not a pair of integer vertex ids") from None
+            if not (0 <= u < n and 0 <= v < n):
+                raise UnknownVertex(f"vertex pair ({u}, {v}) out of range for {n} vertices")
+    return ids
+
+
+def _plain(keys: list, values: list) -> bool:
+    """Whether ``keys`` are tuples of ``int`` and ``values`` are ``float``
+    (no subclass, no numpy scalar): what a stored dict holds."""
+    m = len(keys)
+    return (
+        operator.countOf(map(type, values), float) == m
+        and operator.countOf(map(type, keys), tuple) == m
+        and operator.countOf(map(type, chain.from_iterable(keys)), int) == 2 * m
+    )
+
+
+def _lo_hi(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The least and the greatest id of each pair."""
+    return np.minimum(ids[:, 0], ids[:, 1]), np.maximum(ids[:, 0], ids[:, 1])
+
+
+def _merge(ids: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Canonical (lo, hi, value) rows of the pairs ``ids`` with values ``w``,
+    sorted by (lo, hi), one row per pair: of equal values (NaN equals NaN,
+    0.0 equals -0.0) the last one given.  Raises AsymmetryError for the first
+    value, in the caller's order, that differs from the one before it."""
+    lo, hi = _lo_hi(ids)
+    if ((lo[1:] > lo[:-1]) | ((lo[1:] == lo[:-1]) & (hi[1:] > hi[:-1]))).all():
+        return lo, hi, w  # already sorted, no pair twice
+    order = np.lexsort((hi, lo))  # stable: equal pairs keep the caller's order
+    lo, hi, w = lo[order], hi[order], w[order]
+    same = (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])
+    if not same.any():
+        return lo, hi, w
+    clash = (same & (w[1:] != w[:-1]) & ~(np.isnan(w[1:]) & np.isnan(w[:-1]))).nonzero()[0] + 1
+    if len(clash):
+        r = clash[np.argmin(order[clash])]
+        raise AsymmetryError(
+            f"conflicting values for pair {(int(lo[r]), int(hi[r]))}: {float(w[r - 1])} vs {float(w[r])}"
+        )
+    last = np.concatenate((~same, [True]))
+    return lo[last], hi[last], w[last]
 
 
 class Graph:
@@ -159,6 +210,8 @@ class Graph:
     exact: dict[tuple[int, int], Fraction]
     _absent: float  # the value of a pair with no stored entry
     _pairs: dict[tuple[int, int], float]  # the subclass's stored pairs
+    _ends: np.ndarray  # the stored pairs' (u, v) rows, in stored order
+    _values: np.ndarray  # their values
     _adj: list[list[tuple[int, float]]] | None
 
     def _store(self, raw: Mapping[tuple[int, int], float]) -> dict[tuple[int, int], float]:
@@ -168,11 +221,38 @@ class Graph:
             raise InvalidArgument("vertex count must be nonnegative")
         if self.labels is not None and len(self.labels) != self.n:
             raise InvalidArgument("label table size must equal the vertex count")
-        self._pairs = _canonical_map(self.n, raw, drop_value=self._absent)
+        keys, values = list(raw), list(raw.values())
+        ids = _id_array(self.n, keys)
+        try:
+            w = np.fromiter(map(float, values), float, len(values))
+        except Exception:
+            # float() refused a value: a conflict between the pairs before it comes first
+            before: list[float] = []
+            for x in values:
+                try:
+                    before.append(float(x))
+                except Exception:
+                    break
+            _merge(ids[: len(before)], np.array(before, float))
+            raise
+        lo, hi, w = _merge(ids, w)
+        keep = (w != self._absent) | (lo == hi)
+        if not keep.all():
+            lo, hi, w = lo[keep], hi[keep], w[keep]
+        if len(w) == len(keys) and (lo == ids[:, 0]).all() and (hi == ids[:, 1]).all() and _plain(keys, values):
+            # Canonical and sorted already, as dict(g.b) with one value changed
+            # is: the copy keeps the caller's key tuples instead of making new ones.
+            self._pairs, self._ends = dict(raw), ids
+        else:
+            self._pairs = dict(zip(zip(lo.tolist(), hi.tolist()), w.tolist()))
+            self._ends = np.array((lo, hi)).T
+        self._values = w
+        self._ends.flags.writeable = self._values.flags.writeable = False
         problems = validate(self)
         if problems:
             raise InputError("; ".join(problems))
-        self.exact = {edge_key(u, v): q for (u, v), q in self.exact.items()}
+        lo, hi = _lo_hi(_id_array(self.n, list(self.exact)))
+        self.exact = dict(zip(zip(lo.tolist(), hi.tolist()), self.exact.values()))
         self._adj = None
         return self._pairs
 
@@ -189,15 +269,16 @@ class Graph:
     def neighbors(self, u: int) -> list[tuple[int, float]]:
         """Stored partners of ``u`` with their values, in ascending vertex order."""
         if self._adj is None:
-            adj: list[list[tuple[int, float]]] = [[] for _ in range(self.n)]
-            for (a, c), w in self._pairs.items():
-                if a == c:
-                    continue
-                adj[a].append((c, w))
-                adj[c].append((a, w))
-            for lst in adj:
-                lst.sort()
-            self._adj = adj
+            lo, hi = self._ends.T
+            off = lo != hi
+            lo, hi, w = lo[off], hi[off], self._values[off]
+            # A stable sort by vertex puts the partners below it (pairs (c, u),
+            # stored by ascending c) before those above it (pairs (u, c)).
+            ends = np.concatenate((hi, lo))
+            order = np.argsort(ends, kind="stable")
+            pairs = list(zip(np.concatenate((lo, hi))[order].tolist(), np.concatenate((w, w))[order].tolist()))
+            bounds = np.cumsum(np.bincount(ends, minlength=self.n)).tolist()
+            self._adj = [pairs[a:b] for a, b in zip([0, *bounds], bounds)]
         self._check_vertex(u)
         return self._adj[u]
 
@@ -442,22 +523,29 @@ def validate(g: Graph) -> list[str]:
     report: list[str] = []
     weighted = isinstance(g, WeightedGraph)
     kind = "weight" if weighted else "conductance"
-    for (u, v), w in g._pairs.items():
-        if u != v and 0.0 <= w < INFINITY:  # a weight stores no inf, a conductance no 0
-            continue
-        pair = f"({g.label(u)}, {g.label(v)})"
-        if u == v:
-            if not weighted:
-                report.append(f"diagonal conductance {pair} must be absent")
-            elif w != 0.0:
-                report.append(f"diagonal entry {pair} must be zero, got {w}")
-        elif math.isnan(w):
-            report.append(f"{kind} {pair} is NaN")
-        elif w < 0:
-            report.append(f"{kind} {pair} is negative: {w}")
-        else:  # only a conductance stores an inf
-            report.append(f"conductance {pair} must be finite")
-    # Conductances that passed the loop above and sum to less than 1e307
+    lo, hi = g._ends.T
+    values = g._values
+    stray = lo == hi  # a diagonal entry; a weight graph may store a zero there
+    if weighted:
+        stray &= values != 0.0
+    # The pair loop names each bad pair; it runs only when some pair is bad.
+    if not ((0.0 <= values) & (values < INFINITY) & ~stray).all():
+        for (u, v), w in g._pairs.items():
+            if u != v and 0.0 <= w < INFINITY:  # a weight stores no inf, a conductance no 0
+                continue
+            pair = f"({g.label(u)}, {g.label(v)})"
+            if u == v:
+                if not weighted:
+                    report.append(f"diagonal conductance {pair} must be absent")
+                elif w != 0.0:
+                    report.append(f"diagonal entry {pair} must be zero, got {w}")
+            elif math.isnan(w):
+                report.append(f"{kind} {pair} is NaN")
+            elif w < 0:
+                report.append(f"{kind} {pair} is negative: {w}")
+            else:  # only a conductance stores an inf
+                report.append(f"conductance {pair} must be finite")
+    # Conductances that passed the test above and sum to less than 1e307
     # bound every row sum, rounding included, far below float overflow.
     if not weighted and (report or not sum(g._pairs.values()) < 1e307):
         row_sums = [0.0] * g.n

@@ -26,6 +26,7 @@ user-facing tools.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
@@ -49,7 +50,13 @@ def exact_weight(g: Graph, u: int, v: int) -> ExactWeight:
     if key in g.exact:
         return g.exact[key]
     x = g._pairs.get(key, g._absent)
-    return None if math.isinf(x) else Fraction(repr(x))
+    return None if math.isinf(x) else _decimal_shadow(x)
+
+
+@functools.lru_cache(maxsize=4096)
+def _decimal_shadow(x: float) -> Fraction:
+    """The rational a float's shortest decimal spells, parsed once per value."""
+    return Fraction(repr(x))
 
 
 def enumerate_simple_paths(g: Graph, x: int, y: int) -> Iterator[Path]:

@@ -251,11 +251,9 @@ def _initial_table(g: WeightedGraph) -> np.ndarray:
     """Diagonal 0, the stored weight per pair, inf elsewhere."""
     n = g.n
     d = np.full((n, n), INFINITY)
-    keys = np.array(list(g.weights), dtype=np.intp).reshape(-1, 2)
-    w = np.fromiter(g.weights.values(), float, len(keys))
-    u, v = keys[:, 0], keys[:, 1]
-    d[u, v] = w  # one stored key per unordered pair; a stored diagonal entry is 0
-    d[v, u] = w
+    u, v = g._ends.T
+    d[u, v] = g._values  # one stored key per unordered pair; a stored diagonal entry is 0
+    d[v, u] = g._values
     np.fill_diagonal(d, 0.0)
     return d
 
@@ -495,10 +493,8 @@ def geodesic_weight(t: MetricTable, graph: WeightedGraph | None = None) -> Geode
     else:
         if graph.n != n:
             raise SizeMismatch(f"graph has {graph.n} vertices, table {n}")
-        keys = np.array(list(graph.weights), dtype=np.intp).reshape(-1, 2)
-        xs, ys = keys[:, 0], keys[:, 1]
-        stored = np.fromiter(graph.weights.values(), float, len(keys))
-        tight = (xs != ys) & (stored == d[xs, ys])
+        xs, ys = graph._ends.T
+        tight = (xs != ys) & (graph._values == d[xs, ys])
         xs, ys = xs[tight], ys[tight]
     out = np.full((n, n), INFINITY)
     np.fill_diagonal(out, 0.0)

@@ -122,13 +122,11 @@ class _GroundedSystem:
         self.position = position
         # Edge arrays in edges() order, grouped by component with a stable
         # sort so each group keeps that order, in component positions.
-        edges = b.edges()
-        ends = np.array([(u, v) for u, v, _ in edges], dtype=np.intp).reshape(-1, 2)
-        weights = np.array([c for _, _, c in edges], dtype=float)
+        ends = b._ends  # a conductance graph stores no diagonal pair
         group = np.array(label, dtype=np.intp)[ends[:, 0]]
         order = np.argsort(group, kind="stable")
         self._ends = np.array(position, dtype=np.intp)[ends[order]]
-        self._weights = weights[order]
+        self._weights = b._values[order]
         self._starts = np.concatenate(
             ([0], np.cumsum(np.bincount(group, minlength=len(members))))
         )

@@ -1,7 +1,11 @@
 """Tests for graph construction, parsing, validation, and serialization."""
 
+import collections
+import copy
 import math
+import operator
 import random
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -30,10 +34,11 @@ from graphmetry import (
     validate,
     weights_close,
 )
-from graphmetry.core import invariant_error, weights_close_array
+from graphmetry.core import edge_key, invariant_error, weights_close_array
 from graphmetry.oracle import brute_metric_from
-from graphmetry.pathmetric import all_pairs_metric, is_generating, path_metric
-from .suites import random_weighted_graph
+from graphmetry.pathmetric import _initial_table, all_pairs_metric, is_generating, path_metric
+from graphmetry.resistance import _GroundedSystem, resistance_matrix
+from .suites import random_connected_conductance, random_weighted_graph
 
 P3_TEXT = """
 # unit path on three vertices
@@ -522,3 +527,276 @@ def test_bad_arguments_raise_invalid_argument():
         parse_graph("a b 1\n", mode="length")
     with pytest.raises(InvalidArgument, match="at least 2"):
         extract_common_prefix_path([Path((0, 1))], WeightedGraph(2, {(0, 1): 1.0}), k=1)
+
+
+# -- construction: the array pass against the per-pair reference -----------------
+
+
+def reference_canonical_map(n, raw, drop_value):
+    """The per-pair construction pass construction used to run, with the
+    integer-id rule: normalize keys, merge symmetric duplicates, drop default
+    entries.  Ids are stored as ``int``."""
+    for u, v in raw:
+        try:
+            operator.index(u), operator.index(v)
+        except TypeError:
+            raise UnknownVertex(f"vertex pair ({u!r}, {v!r}) is not a pair of integer vertex ids") from None
+        if not (0 <= u < n and 0 <= v < n):
+            raise UnknownVertex(f"vertex pair ({u}, {v}) out of range for {n} vertices")
+    out = {}
+    for (u, v), value in raw.items():
+        value = float(value)
+        key = edge_key(operator.index(u), operator.index(v))
+        if key in out and out[key] != value and not (math.isnan(out[key]) and math.isnan(value)):
+            raise AsymmetryError(f"conflicting values for pair {key}: {out[key]} vs {value}")
+        out[key] = value
+    return dict(sorted((k, w) for k, w in out.items() if w != drop_value or k[0] == k[1]))
+
+
+def reference_validate(weighted, n, pairs, labels):
+    """The per-pair diagnostic loop of ``validate``, over a canonical map."""
+    name = (lambda u: labels[u]) if labels is not None else str
+    report = []
+    kind = "weight" if weighted else "conductance"
+    for (u, v), w in pairs.items():
+        if u != v and 0.0 <= w < INFINITY:
+            continue
+        pair = f"({name(u)}, {name(v)})"
+        if u == v:
+            if not weighted:
+                report.append(f"diagonal conductance {pair} must be absent")
+            elif w != 0.0:
+                report.append(f"diagonal entry {pair} must be zero, got {w}")
+        elif math.isnan(w):
+            report.append(f"{kind} {pair} is NaN")
+        elif w < 0:
+            report.append(f"{kind} {pair} is negative: {w}")
+        else:
+            report.append(f"conductance {pair} must be finite")
+    if not weighted:
+        row_sums = [0.0] * n
+        for (u, v), w in pairs.items():
+            if u != v:
+                row_sums[u], row_sums[v] = row_sums[u] + w, row_sums[v] + w
+        report += [f"conductance row sum at {name(u)} is not finite" for u in range(n) if math.isinf(row_sums[u])]
+    if labels is not None and len(set(labels)) != len(labels):
+        report.append("duplicate vertex labels")
+    return report
+
+
+def reference_build(kind, n, raw, labels, exact):
+    """(stored pairs, exact) as the per-pair reference builds them, or the error it raises."""
+    weighted = kind is WeightedGraph
+    try:
+        pairs = reference_canonical_map(n, raw, INFINITY if weighted else 0.0)
+        problems = reference_validate(weighted, n, pairs, labels)
+        if problems:
+            raise InputError("; ".join(problems))
+        reference_canonical_map(n, dict.fromkeys(exact, 1.0), None)  # the ids of the shadows
+        return pairs, {edge_key(operator.index(u), operator.index(v)): q for (u, v), q in exact.items()}
+    except Exception as error:  # noqa: BLE001 - the error is the expected outcome
+        return error
+
+
+def float_bits(values):
+    return [struct.pack("<d", w) for w in values]
+
+
+def random_raw_map(rng, kind):
+    """A raw construction map with every shape the pass must handle."""
+    weighted = kind is WeightedGraph
+    n = rng.choice((0, 1, 2, 3, 4, 5, 8))
+    drop = INFINITY if weighted else 0.0
+    values = [
+        0.0, -0.0, 1.0, 0.5, 2.0, 1 / 3, 5e-324, 1e308, 1e300, -1.0, math.nan, math.inf, -math.inf,
+        drop, drop, 3, 0, -2, Fraction(1, 3), Fraction(0), "1.5", "inf", "-0", "nan",
+        np.float64(2.0), np.float32(0.1), np.int64(3), np.float64(math.nan), np.float64(-0.0),
+    ]
+    rare = ["abc", None, 1 + 2j, 10**400]
+    ids = [np.int64, np.int32, int, int, int, int]
+    raw = {}
+    for _ in range(rng.choice((0, 1, 3, 6, 10, 16)) if n else rng.choice((0, 0, 1))):
+        u, v = rng.randrange(max(n, 1)), rng.randrange(max(n, 1))
+        if n and rng.random() < 0.3:
+            u = v = rng.randrange(n)  # a diagonal entry
+        if rng.random() < 0.04:
+            u = rng.choice((-1, n, n + 3))
+        to = rng.choice(ids)
+        key = (to(u), to(v))
+        if rng.random() < 0.03:
+            key = rng.choice(((0.5, 1), (0.0, 1.0), ("0", 1), (u, np.float64(v)), (u, Fraction(v))))
+        value = rng.choice(values) if rng.random() > 0.02 else rng.choice(rare)
+        raw[key] = value
+        if rng.random() < 0.3:  # the symmetric duplicate: equal, conflicting, both NaN, -0.0 by 0.0
+            twin = value if rng.random() < 0.6 else rng.choice((math.nan, -0.0, 0.0, 1.0, 2.0, "2"))
+            raw[key[::-1]] = twin
+    labels = None
+    if rng.random() < 0.4:
+        labels = tuple(f"v{u}" for u in range(n))
+        if n > 1 and rng.random() < 0.2:
+            labels = labels[:-1] + (labels[0],)
+    exact = {}
+    if rng.random() < 0.3 and n:
+        for _ in range(rng.randint(1, 3)):
+            u, v = rng.randrange(n), rng.randrange(n)
+            exact[(u, v) if rng.random() < 0.7 else (v, u)] = Fraction(rng.randint(1, 9), 7)
+        if rng.random() < 0.1:
+            exact[(0, n)] = Fraction(1)  # a shadow of a vertex the graph has not
+    return n, raw, labels, exact
+
+
+@pytest.mark.parametrize("kind", [WeightedGraph, ConductanceGraph])
+def test_the_array_pass_builds_what_the_per_pair_pass_built(kind):
+    rng = random.Random(2020 if kind is WeightedGraph else 2021)
+    outcomes = collections.Counter()
+    for trial in range(600):
+        n, raw, labels, exact = random_raw_map(rng, kind)
+        if trial % 50 == 0:
+            raw = dict(sorted(raw.items(), key=repr))  # another key order
+        expected = reference_build(kind, n, dict(raw), labels, dict(exact))
+        try:
+            g = kind(n, dict(raw), labels, dict(exact))
+        except Exception as error:  # noqa: BLE001 - compared with the reference's error
+            assert isinstance(expected, Exception), (raw, error)
+            assert (type(error), str(error)) == (type(expected), str(expected)), raw
+            outcomes[type(error).__name__] += 1
+            continue
+        assert not isinstance(expected, Exception), (raw, expected)
+        pairs, shadows = expected
+        stored = g._pairs
+        assert list(stored) == list(pairs), raw
+        assert float_bits(stored.values()) == float_bits(pairs.values()), raw
+        assert {type(x) for key in stored for x in key} <= {int}
+        assert list(g.exact.items()) == list(shadows.items())
+        assert g._ends.tolist() == [list(key) for key in pairs]
+        assert float_bits(g._values.tolist()) == float_bits(pairs.values())
+        outcomes["built"] += 1
+    # Every way a build ends is reached, valid graphs included.
+    for name in ("built", "InputError", "AsymmetryError", "UnknownVertex", "ValueError", "TypeError"):
+        assert outcomes[name] >= 3, (name, outcomes)
+
+
+def test_the_first_refused_value_loses_to_an_earlier_conflict():
+    with pytest.raises(AsymmetryError, match=r"^conflicting values for pair \(0, 1\): 1.0 vs 2.0$"):
+        WeightedGraph(3, {(0, 1): 1.0, (1, 0): 2.0, (1, 2): "abc"})
+    with pytest.raises(ValueError, match="could not convert string to float: 'abc'"):
+        WeightedGraph(3, {(0, 1): 1.0, (1, 2): "abc", (1, 0): 2.0})
+    with pytest.raises(TypeError, match="NoneType"):  # numpy alone would read None as NaN
+        ConductanceGraph(3, {(0, 1): 1.0, (1, 2): None})
+    assert WeightedGraph(3, {(0, 1): -0.0, (1, 0): 0.0}).weights == {(0, 1): 0.0}
+    assert struct.pack("<d", WeightedGraph(3, {(1, 0): 0.0, (0, 1): -0.0}).weights[0, 1]) == struct.pack("<d", -0.0)
+
+
+@pytest.mark.parametrize("key", [(0.5, 1), (0.0, 1.0), ("0", 1), (np.float64(0.0), 1), (0, Fraction(1))])
+def test_a_vertex_id_must_be_an_integer(key):
+    for kind in (WeightedGraph, ConductanceGraph):
+        with pytest.raises(UnknownVertex, match=r"is not a pair of integer vertex ids$"):
+            kind(2, {key: 1.0})
+        with pytest.raises(UnknownVertex, match=r"is not a pair of integer vertex ids$"):
+            kind(2, {(0, 1): 1.0}, exact={key: Fraction(1)})
+
+
+def test_numpy_integer_ids_are_stored_as_int():
+    raw = {(np.int64(1), np.int64(0)): 2.0, (np.int32(1), np.int32(2)): 3.0}
+    g = WeightedGraph(3, raw, exact={(np.int64(2), np.int64(1)): Fraction(3)})
+    assert g == WeightedGraph(3, {(0, 1): 2.0, (1, 2): 3.0})
+    assert {type(x) for key in (*g.weights, *g.exact) for x in key} == {int}
+    assert graph_digest(g) == graph_digest(WeightedGraph(3, {(0, 1): 2.0, (1, 2): 3.0}))
+
+
+def test_a_built_graph_shares_nothing_with_its_input():
+    rng = random.Random(77)
+    b0 = random_connected_conductance(rng, 30)
+    raw = dict(b0.b)
+    key = next(iter(raw))
+    raw[key] = raw[key] + 1.0  # an edit, as a session makes it
+    b = ConductanceGraph(b0.n, raw, b0.labels)
+    before = (dict(b.b), list(b.b), b._ends.copy(), b._values.copy(), resistance_matrix(b).d.copy())
+    raw[key] = 99.0
+    raw[(0, b.n - 1)] = 5.0
+    del raw[next(iter(raw))]
+    raw.clear()
+    assert (dict(b.b), list(b.b)) == before[:2]
+    assert np.array_equal(b._ends, before[2]) and np.array_equal(b._values, before[3])
+    assert b.conductance(*key) == b0.conductance(*key) + 1.0
+    assert not b._ends.flags.writeable and not b._values.flags.writeable
+    b._grounded = None  # the next query rebuilds the factors from the graph alone
+    assert resistance_matrix(b).d.tobytes() == before[4].tobytes()
+
+
+def dict_initial_table(g):
+    """The closure's start table as read off the stored dict."""
+    d = np.full((g.n, g.n), INFINITY)
+    keys = np.array(list(g.weights), dtype=np.intp).reshape(-1, 2)
+    w = np.fromiter(g.weights.values(), float, len(keys))
+    d[keys[:, 0], keys[:, 1]] = w
+    d[keys[:, 1], keys[:, 0]] = w
+    np.fill_diagonal(d, 0.0)
+    return d
+
+
+def dict_neighbors(g):
+    """Adjacency lists appended pair by pair off the stored dict, then sorted."""
+    adj = [[] for _ in range(g.n)]
+    for (a, c), w in g._pairs.items():
+        if a != c:
+            adj[a].append((c, w))
+            adj[c].append((a, w))
+    return [sorted(lst) for lst in adj]
+
+
+def dict_edge_arrays(b, system):
+    """The grounded system's edge arrays built off ``b.edges()``."""
+    edges = b.edges()
+    ends = np.array([(u, v) for u, v, _ in edges], dtype=np.intp).reshape(-1, 2)
+    weights = np.array([c for _, _, c in edges], dtype=float)
+    order = np.argsort(np.array(system.label, dtype=np.intp)[ends[:, 0]], kind="stable")
+    return np.array(system.position, dtype=np.intp)[ends[order]], weights[order]
+
+
+def bitwise(pairs):
+    return [(v, struct.pack("<d", w)) for v, w in pairs]
+
+
+def with_components(rng, kind, n, parts):
+    """A graph of ``kind`` whose vertices fall into ``parts`` random blocks, each
+    block connected; keys given in random orientation and order."""
+    cut = sorted(rng.sample(range(1, n), parts - 1)) if parts > 1 else []
+    blocks = [range(a, b) for a, b in zip([0, *cut], [*cut, n])]
+    perm = rng.sample(range(n), n)
+    raw = {}
+    for block in blocks:
+        vs = [perm[i] for i in block]
+        for i in range(1, len(vs)):
+            raw[(vs[i], vs[rng.randrange(i)])] = rng.choice((0.5, 1.0, 2.0, 1 / 3, 3.0))
+        for _ in range(len(vs)):
+            u, v = rng.choice(vs), rng.choice(vs)
+            if u != v and (v, u) not in raw:
+                raw[(u, v)] = rng.choice((0.25, 1.0, 7.0))
+    if kind is WeightedGraph:
+        raw.update({(u, u): 0.0 for u in range(n) if rng.random() < 0.1})
+    items = list(raw.items())
+    rng.shuffle(items)
+    return kind(n, dict(items))
+
+
+@pytest.mark.parametrize("kind", [WeightedGraph, ConductanceGraph])
+def test_the_array_consumers_read_what_the_dict_holds(kind):
+    rng = random.Random(4242)
+    for trial in range(60):
+        parts = 1 + trial % 3
+        g = with_components(rng, kind, rng.randint(parts + 1, 40), parts)
+        assert len(g.components()) == parts
+        g._adj = None
+        assert [bitwise(g.neighbors(u)) for u in range(g.n)] == [bitwise(lst) for lst in dict_neighbors(g)]
+        if kind is WeightedGraph:
+            assert _initial_table(g).tobytes() == dict_initial_table(g).tobytes()
+            continue
+        system = _GroundedSystem(g)
+        ends, weights = dict_edge_arrays(g, system)
+        assert np.array_equal(system._ends, ends) and weights.tobytes() == system._weights.tobytes()
+        reference = copy.copy(system)
+        reference._ends, reference._weights = ends, weights
+        for i, members in enumerate(system.members):
+            if len(members) > 1:
+                assert system.grounded_block(i).tobytes() == reference.grounded_block(i).tobytes()

@@ -21,6 +21,7 @@ from graphmetry import (
 from graphmetry.cli import main
 from graphmetry.oracle import (
     _bareiss_det,
+    _decimal_shadow,
     brute_metric,
     brute_metric_from,
     enumerate_simple_paths,
@@ -46,6 +47,19 @@ def test_exact_weight_prefers_parsed_shadow():
     # repr() recovers the decimal the float was parsed from.
     assert exact_weight(bare, 0, 1) == Fraction(1, 10)
     assert exact_weight(WeightedGraph(2, {}), 0, 1) is None
+
+
+def test_exact_weight_spells_each_float_once_as_its_repr():
+    values = [0.1, 1 / 3, 5e-324, 1e308, 2.0, 0.0, -0.0, 1e-300, 0.1 + 0.2]
+    g = WeightedGraph(10, {(0, v): w for v, w in enumerate(values, 1)})
+    before = _decimal_shadow.cache_info()
+    for _ in range(3):
+        assert [exact_weight(g, 0, v) for v in range(1, 10)] == [Fraction(repr(w)) for w in values]
+    after = _decimal_shadow.cache_info()
+    # -0.0 shares 0.0's entry (both are Fraction(0)); every later call is a hit.
+    assert after.misses - before.misses <= len(values) - 1
+    assert after.hits - before.hits >= 2 * len(values)
+    assert _decimal_shadow.cache_info().maxsize is not None
 
 
 def test_enumerate_simple_paths_triangle():
