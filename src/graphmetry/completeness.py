@@ -8,7 +8,11 @@ that break ball finiteness, rays whose total length converges) cannot be
 checked, only witnessed: the family scans enumerate a budget-bounded
 truncation and report evidence, never proofs.  Every family is a tree on
 the naturals rooted at 0, given by each vertex's parent and the weight of
-the step up to it.
+the step up to it.  The ball scan reads a truncation as that tree (one
+``parent``, ``step`` and ``describe`` call per vertex) and walks it out from
+the center; the elf scan reads parents and steps directly.
+:meth:`GraphFamily.truncate` remains the library's view of a truncation as a
+:class:`WeightedGraph`.
 :func:`extract_common_prefix_path` is the finite analog of the pigeonhole
 step that extracts an infinite path from an infinite path set: level by
 level, follow the least next vertex that at least ``k`` of the paths still on
@@ -20,20 +24,14 @@ the metric and dominates the input weight.
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable
 
 from .core import INFINITY, Path, WeightedGraph
-from .errors import DuplicatePath, EmptyInput, InvalidArgument, MixedStart, TooLarge, UnknownVertex
-from .pathmetric import (
-    GeodesicWeight,
-    _settle,
-    all_pairs_metric,
-    geodesic_weight,
-    is_generating,
-    path_length,
-)
+from .errors import DuplicatePath, EmptyInput, InvalidArgument, MixedStart, OutOfRange, TooLarge, UnknownVertex
+from .pathmetric import GeodesicWeight, all_pairs_metric, geodesic_weight, is_generating, path_length
 
 SCAN_BUDGET_CAP = 2000
 
@@ -58,7 +56,11 @@ class GraphFamily:
 
     def weight(self, a: int, b: int) -> float:
         """w(a, b): 0 on the diagonal, the later vertex's step when the
-        earlier one is its parent, inf otherwise."""
+        earlier one is its parent, inf otherwise.  Raises UnknownVertex for a
+        negative vertex: the vertices are the naturals."""
+        for u in (a, b):
+            if u < 0:
+                raise UnknownVertex(f"vertex {u} is not a vertex of {self.name}")
         if a == b:
             return 0.0
         if a > b:
@@ -149,6 +151,49 @@ def _scan_threshold(budget: int, threshold: int | None, radius: float) -> int:
     return thr
 
 
+def _refused(fam: GraphFamily, budget: int, problem: str) -> InvalidArgument:
+    """The error for values the walk cannot use: construction's own, raised
+    by :meth:`GraphFamily.truncate`, where it refuses them; otherwise
+    InvalidArgument naming ``problem``."""
+    fam.truncate(budget)
+    return InvalidArgument(f"{fam.name}: {problem}")
+
+
+def _rooted_tree(fam: GraphFamily, budget: int) -> tuple[list, list[float], list[list[int]], list]:
+    """The truncation to ``range(budget)`` as a rooted tree: per vertex its
+    parent, its step and its children, and its label (vertex 0 has no parent
+    and no step).
+
+    Makes the calls :meth:`GraphFamily.truncate` makes, in its order: one
+    ``parent`` and one ``step`` per v = 1 ... budget-1, then one ``describe``
+    per vertex.  Values construction refuses (a NaN or negative step,
+    duplicate labels, a parent that is no vertex of the truncation) raise
+    truncate's error; a parent outside [0, v) that construction accepts
+    breaks the contract and raises InvalidArgument.
+    """
+    parent, step = fam.parent, fam.step
+    ups, steps = [-1], [0.0]
+    kids: list[list[int]] = [[] for _ in range(budget)]
+    for v in range(1, budget):
+        p = parent(v)
+        ups.append(p)
+        steps.append(step(v))
+        try:
+            if 0 <= p < v:
+                kids[p].append(v)
+                continue
+        except TypeError:  # a parent that no integer compares with, or no index
+            pass
+        raise _refused(fam, budget, f"parent({v}) = {p!r} is not in [0, {v})")
+    labels = [fam.describe(v) for v in range(budget)]
+    w = list(map(float, steps))
+    if not all(map((0.0).__le__, w)):
+        raise _refused(fam, budget, "a step is NaN or negative")
+    if len(set(labels)) < budget:
+        raise _refused(fam, budget, "duplicate vertex labels")
+    return ups, w, kids, labels
+
+
 def family_ball_scan(
     fam: GraphFamily,
     center: int,
@@ -158,24 +203,43 @@ def family_ball_scan(
 ) -> BallScan:
     """Count vertices at distance <= radius from center within a truncation.
 
-    Distances are computed on the budget-vertex truncated subgraph, so they
-    are upper bounds on the true distances; for the builtin stars and rays
-    (unique routes) they are exact.  Dijkstra settles vertices in
-    nondecreasing distance, so the count stops at the first one beyond
-    ``radius``; the search runs out only when the radius is inf or the ball
-    holds every reachable vertex, and only then raises OutOfRange for a
-    vertex whose distance overflows.  The verdict reports whether the count
-    reached ``threshold`` (default: the budget itself) — evidence of an
-    infinite ball, never a proof.
+    Distances are taken in the budget-vertex truncation, so they are upper
+    bounds on the true distances; for the builtin stars and rays (unique
+    routes) they are exact.  The truncation is read as a tree in one pass
+    (:meth:`GraphFamily.truncate` stays the library's view of it as a
+    graph), and a stack walk out from the center gives each vertex its
+    neighbour's distance plus one step: the float sum a shortest-path
+    search forms on a tree.  An ``inf`` step is no edge.  A vertex whose
+    distance overflows raises OutOfRange, naming the least such vertex,
+    only when no vertex lies at a finite distance beyond the radius: only
+    then would a search in nondecreasing distance run out.  The verdict
+    reports whether the count reached ``threshold`` (default: the budget
+    itself) — evidence of an infinite ball, never a proof.
     """
     thr = _scan_threshold(budget, threshold, radius)
     if not 0 <= center < budget:
         raise UnknownVertex(f"center {center} not among the first {budget} vertices")
-    found = 0
-    for _, d in _settle(fam.truncate(budget), center):
-        if d > radius:
-            break
+    ups, w, kids, labels = _rooted_tree(fam, budget)
+    limit = radius if radius < INFINITY else sys.float_info.max  # an overflowed sum is never inside
+    found, beyond, over = 0, False, []
+    stack = [(center, 0.0, -1)]
+    while stack:
+        u, d, came = stack.pop()
         found += 1
+        # The center and its ancestors step up as well as down.
+        near = [ups[u], *kids[u]] if u and ups[u] != came else kids[u]
+        for v in near:
+            if v != came:
+                s = w[v if v > u else u]  # an edge's step is its later end's
+                nd = d + s
+                if nd <= limit:
+                    stack.append((v, nd, u))
+                elif nd < INFINITY:
+                    beyond = True
+                elif s < INFINITY:  # an overflowed sum, not an absent edge
+                    over.append(v)
+    if over and not beyond:
+        raise OutOfRange(f"distance between {labels[center]} and {labels[min(over)]} is outside float range")
     verdict = EXCEEDS_THRESHOLD if found >= thr else BOUNDED_SO_FAR
     return BallScan(center=center, radius=radius, found=found, budget=budget, verdict=verdict)
 
@@ -191,13 +255,17 @@ def family_elf_scan(
 
     Scans the first ``budget`` vertices other than x itself; families are
     infinite, so a count at threshold (default: the budget) is evidence —
-    not proof — that essential local finiteness fails at x.
+    not proof — that essential local finiteness fails at x.  Of the y below
+    x only x's parent is joined to it; of those above, the ones hanging
+    from x: one ``parent`` call per y, and a ``step`` call per neighbour.
     """
     thr = _scan_threshold(budget, threshold, radius)
     if x < 0:  # vertices are the naturals; the weight is undefined off the family
         raise UnknownVertex(f"vertex {x} is not a vertex of {fam.name}")
-    naturals = range(budget + (x <= budget))  # with x skipped: the first ``budget`` others
-    count = sum(1 for y in naturals if y != x and fam.weight(x, y) < radius)
+    end = budget + (x <= budget)  # range(end) with x skipped: the first ``budget`` others
+    parent, step = fam.parent, fam.step
+    count = int(x > 0 and parent(x) in range(min(x, end)) and step(x) < radius)
+    count += sum(1 for y in range(x + 1, end) if parent(y) == x and step(y) < radius)
     verdict = EXCEEDS_THRESHOLD if count >= thr else BOUNDED_SO_FAR
     return ElfReport(vertex=x, radius=radius, count=count, verdict=verdict)
 

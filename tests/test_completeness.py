@@ -1,8 +1,11 @@
 """Tests for completeness evidence, family scans, and prefix extraction."""
 
 import dataclasses
+import functools
 import math
 import random
+import re
+from collections import Counter
 
 import pytest
 
@@ -15,9 +18,13 @@ from graphmetry import (
     INFINITY,
     UNIT_RAY,
     UNIT_STAR,
+    AsymmetryError,
+    BallScan,
     DuplicatePath,
+    ElfReport,
     EmptyInput,
     GraphFamily,
+    InputError,
     InvalidArgument,
     MixedStart,
     OutOfRange,
@@ -31,6 +38,9 @@ from graphmetry import (
     single_source_distances,
     verify_maximal_weight,
 )
+from graphmetry.completeness import SCAN_BUDGET_CAP, _scan_threshold
+from graphmetry.pathmetric import _settle
+
 from .suites import complete_graph_for, random_weighted_graph
 
 
@@ -465,3 +475,168 @@ def test_ball_scan_stops_before_a_distance_beyond_float_range():
     # The full search raised the same way; the scan now stops at vertex 1.
     assert family_ball_scan(huge, 0, 1.0, 10).found == 1
     assert family_ball_scan(huge, 0, 1e308, 2).found == 2
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_weight_rejects_a_negative_vertex(name):
+    # A ray's parent(0) is -1, so weight(-1, 0) once read as the step up to x0.
+    fam = FAMILIES[name]
+    for a, b in [(-1, 0), (0, -1), (-1, 5), (5, -1), (-1, -1), (-3, 2000)]:
+        with pytest.raises(UnknownVertex, match=f"vertex {min(a, b)} is not a vertex of {name}"):
+            fam.weight(a, b)
+
+
+@functools.cache
+def _truncation(fam, budget):
+    return fam.truncate(budget)
+
+
+def reference_ball_scan(fam, center, radius, budget, threshold=None):
+    """The ball scan as a search of the built truncation: Dijkstra on
+    ``fam.truncate(budget)``, stopped at the first vertex beyond the radius."""
+    thr = _scan_threshold(budget, threshold, radius)
+    if not 0 <= center < budget:
+        raise UnknownVertex(f"center {center} not among the first {budget} vertices")
+    found = 0
+    for _, d in _settle(_truncation(fam, budget), center):
+        if d > radius:
+            break
+        found += 1
+    verdict = EXCEEDS_THRESHOLD if found >= thr else BOUNDED_SO_FAR
+    return BallScan(center=center, radius=radius, found=found, budget=budget, verdict=verdict)
+
+
+def reference_elf_scan(fam, x, radius, budget, threshold=None):
+    """The elf scan as the family's weight read for every enumerated y."""
+    thr = _scan_threshold(budget, threshold, radius)
+    if x < 0:
+        raise UnknownVertex(f"vertex {x} is not a vertex of {fam.name}")
+    naturals = range(budget + (x <= budget))
+    count = sum(1 for y in naturals if y != x and fam.weight(x, y) < radius)
+    verdict = EXCEEDS_THRESHOLD if count >= thr else BOUNDED_SO_FAR
+    return ElfReport(vertex=x, radius=radius, count=count, verdict=verdict)
+
+
+def outcome(scan, *args):
+    """A scan's result, or its exception's type and message."""
+    try:
+        return scan(*args)
+    except Exception as e:  # noqa: BLE001 -- the exception is the outcome compared
+        return type(e), str(e)
+
+
+def _tabled(name, parents, steps, describe=str):
+    return GraphFamily(name, parents.__getitem__, steps.__getitem__, describe)
+
+
+def _scan_families():
+    """Families beyond the builtins: a binary heap, a seeded random tree,
+    steps at the edges of float range, and values construction refuses."""
+    rng = random.Random(2114)
+    top = SCAN_BUDGET_CAP
+    # inf is no edge; 1e308 + 1e308 overflows, 1.7e308 is finite and beyond 1e308
+    odd = [1.0, 0.0, 5e-324, 1e308, 1.7e308, INFINITY]
+    random_parent = [-1] + [rng.randrange(v) for v in range(1, top)]
+    random_step = [0.0] + [rng.choice([rng.random(), rng.choice(odd)]) for _ in range(1, top)]
+    ray = [-1] + list(range(top - 1))
+    fams = [
+        GraphFamily("heap", lambda v: (v - 1) // 2, lambda v: 1.0 / (1 + v % 7), str),
+        _tabled("random-tree", random_parent, random_step),
+        _tabled("odd-steps-ray", ray, [odd[v % 6] for v in range(top)]),
+        _tabled("odd-steps-heap", [(v - 1) // 2 for v in range(top)], [odd[v % 3 + 1] for v in range(top)]),
+        GraphFamily("huge-ray", lambda v: v - 1, lambda v: 1e308, str),
+        GraphFamily("nan-step", lambda v: v - 1, lambda v: math.nan if v == 5 else 1.0, str),
+        GraphFamily("negative-step", lambda v: 0, lambda v: -1.0 if v == 7 else 0.5, str),
+        GraphFamily("duplicate-labels", lambda v: (v - 1) // 2, lambda v: 1.0, lambda v: str(v % 10)),
+    ]
+    return list(FAMILIES.values()) + fams
+
+
+def _centers(budget):
+    deep_leaf = (1 << (budget.bit_length() - 1)) - 1  # leftmost of a heap's last level
+    return sorted({0, 1, 17, budget - 1, deep_leaf} & set(range(budget)))
+
+
+# The benchmark's radii and more; 1e308 holds a vertex next to an overflow.
+SCAN_RADII = BALL_RADII + (1e308,)
+
+
+@pytest.mark.parametrize("budget", [1, 2, 600, 2000])
+def test_ball_scan_equals_the_search_of_the_truncation(budget):
+    for fam in _scan_families():
+        for center in _centers(budget):
+            for radius in SCAN_RADII:
+                for threshold in (None, 3):
+                    args = (fam, center, radius, budget, threshold)
+                    expected = outcome(reference_ball_scan, *args)
+                    assert outcome(family_ball_scan, *args) == expected, (fam.name, args[1:])
+
+
+@pytest.mark.parametrize("budget", [1, 2, 600, 2000])
+def test_elf_scan_equals_the_pairwise_count(budget):
+    # The elf count reads no truncation, so a parent at or after v is no error.
+    strays = [
+        GraphFamily("stray-up", lambda v: v + 1 if v % 3 else v - 1, lambda v: 0.5, str),
+        GraphFamily("stray-loop", lambda v: v, lambda v: 0.5, str),
+    ]
+    for fam in _scan_families() + strays:
+        for x in _centers(budget) + [budget, budget + 1]:
+            for radius in SCAN_RADII:
+                for threshold in (None, 3):
+                    args = (fam, x, radius, budget, threshold)
+                    expected = outcome(reference_elf_scan, *args)
+                    assert outcome(family_elf_scan, *args) == expected, (fam.name, args[1:])
+
+
+@pytest.mark.parametrize(
+    "parent, error",
+    [
+        # Construction refuses these truncations: the scan raises its error.
+        (lambda v: v + 5, UnknownVertex),  # a parent beyond the budget
+        (lambda v: -1 if v == 9 else v - 1, UnknownVertex),
+        (lambda v: 2.0 if v == 9 else v - 1, UnknownVertex),  # no integer id
+        (lambda v: v, InputError),  # a loop, with a nonzero step
+        (lambda v: 4 if v == 3 else v - 1, AsymmetryError),  # (3, 4) twice, at two steps
+        # Construction accepts these, but the walk cannot use them.
+        (lambda v: 4 if v == 3 else 0, InvalidArgument),
+        (lambda v: v + 1 if v < 20 else 0, InvalidArgument),
+    ],
+)
+def test_ball_scan_rejects_a_parent_outside_the_earlier_vertices(parent, error):
+    fam = GraphFamily("stray", parent, lambda v: 1.0 / v, str)
+    try:
+        fam.truncate(600)
+    except Exception as e:  # noqa: BLE001 -- the scan must raise this same error
+        assert type(e) is error
+        expected = f"^{re.escape(str(e))}$"
+    else:
+        assert error is InvalidArgument
+        v = next(v for v in range(1, 600) if not 0 <= parent(v) < v)
+        expected = re.escape(f"stray: parent({v}) = {parent(v)} is not in [0, {v})")
+    for center in (0, 3, 599):
+        with pytest.raises(error, match=expected):
+            family_ball_scan(fam, center, INFINITY, 600)
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES) + ["huge-ray"])
+def test_ball_scan_reads_each_vertex_once(name):
+    fam = FAMILIES.get(name) or GraphFamily(name, lambda v: v - 1, lambda v: 1e308, str)
+    calls = Counter()
+
+    def counted(kind, f):
+        def call(v):
+            calls[kind, v] += 1
+            return f(v)
+
+        return call
+
+    fam = GraphFamily(name, counted("parent", fam.parent), counted("step", fam.step), counted("describe", fam.describe))
+    budget = 2000
+    for center in _centers(budget):
+        for radius in SCAN_RADII:
+            calls.clear()
+            outcome(family_ball_scan, fam, center, radius, budget)
+            assert set(calls.values()) == {1}
+            for kind in ("parent", "step"):
+                assert {v for k, v in calls if k == kind} == set(range(1, budget))
+            assert {v for k, v in calls if k == "describe"} == set(range(budget))
