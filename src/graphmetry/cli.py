@@ -31,6 +31,7 @@ from . import oracle
 from .completeness import FAMILIES, family_ball_scan, family_elf_scan, verify_maximal_weight
 from .core import (
     ConductanceGraph,
+    G,
     Graph,
     WeightedGraph,
     graph_digest,
@@ -54,7 +55,6 @@ from .structure import (
     check_tree_theorem,
     check_triangle_equality,
     compatible_resistance_weight,
-    inverse_conductance_weight,
     is_block_graph,
 )
 
@@ -187,42 +187,25 @@ def _render(prefix: str, node: Any) -> list[str]:
     return [f"{prefix}: {node}"]
 
 
-def _load(path: str, mode: str) -> Graph:
+def _graph(args: argparse.Namespace, kind: type[G]) -> G:
+    """Load the file as a ``kind`` graph.
+
+    A file read in the other mode is lifted by 1/x, under the rules of a
+    parsed graph: a conductance b to its natural length weight 1/b (the
+    tree-theorem comparison weight), a weight w to the conductance 1/w on
+    its finite-weight pairs.
+    """
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(args.file, encoding="utf-8") as handle:
             text = handle.read()
     except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
+        raise InputError(f"cannot read {args.file}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise InputError(
-            f"cannot read {path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+            f"cannot read {args.file}: not UTF-8 text ({exc.reason} at byte {exc.start})"
         ) from exc
-    return parse_graph(text, mode=mode)
-
-
-def _weight_graph(args: argparse.Namespace) -> WeightedGraph:
-    """Load the file for a metric-flavored command.
-
-    Weight mode reads the values as lengths; conductance mode lifts b to its
-    natural length weight 1/b (the tree-theorem comparison weight).
-    """
-    g = _load(args.file, args.mode)
-    if isinstance(g, ConductanceGraph):
-        return inverse_conductance_weight(g)
-    return g
-
-
-def _conductance_graph(args: argparse.Namespace) -> ConductanceGraph:
-    """Load the file for a resistance-flavored command.
-
-    Conductance mode reads values as conductances; weight mode takes b = 1/w
-    on finite-weight pairs (the inverse of the lift above), built under the
-    same rules as a parsed conductance graph.
-    """
-    g = _load(args.file, args.mode)
-    if isinstance(g, WeightedGraph):
-        return g.reciprocal(ConductanceGraph)
-    return g
+    g = parse_graph(text, mode=args.mode)
+    return g if isinstance(g, kind) else g.reciprocal(kind)
 
 
 def _exact_text(q: Fraction | None) -> str:
@@ -248,7 +231,7 @@ def _path_text(g, p) -> str:
 
 
 def cmd_metric(args: argparse.Namespace) -> Report:
-    g = _weight_graph(args)
+    g = _graph(args, WeightedGraph)
     report = Report("metric", graph_digest(g))
     if args.all_pairs:
         t = all_pairs_metric(g)
@@ -276,7 +259,7 @@ def cmd_metric(args: argparse.Namespace) -> Report:
 
 
 def cmd_geodesics(args: argparse.Namespace) -> Report:
-    g = _weight_graph(args)
+    g = _graph(args, WeightedGraph)
     report = Report("geodesics", graph_digest(g))
     x, y = g.resolve(args.source), g.resolve(args.target)
     found = enumerate_geodesics(g, x, y, cap=args.cap)
@@ -289,7 +272,7 @@ def cmd_geodesics(args: argparse.Namespace) -> Report:
 
 
 def cmd_geodesic_weight(args: argparse.Namespace) -> Report:
-    g = _weight_graph(args)
+    g = _graph(args, WeightedGraph)
     report = Report("geodesic-weight", graph_digest(g))
     maximality = verify_maximal_weight(g)
     if not maximality.passed:
@@ -304,7 +287,7 @@ def cmd_geodesic_weight(args: argparse.Namespace) -> Report:
 
 
 def cmd_resistance(args: argparse.Namespace) -> Report:
-    b = _conductance_graph(args)
+    b = _graph(args, ConductanceGraph)
     report = Report("resistance", graph_digest(b))
     if args.matrix:
         table = resistance_matrix(b)
@@ -346,7 +329,7 @@ def cmd_resistance(args: argparse.Namespace) -> Report:
 
 
 def cmd_characterize(args: argparse.Namespace) -> Report:
-    b = _conductance_graph(args)
+    b = _graph(args, ConductanceGraph)
     report = Report("characterize", graph_digest(b))
     if not (args.tree or args.block or args.triangle):
         raise InputError("characterize needs --tree, --block, or --triangle X Y Z")

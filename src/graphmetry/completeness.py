@@ -29,7 +29,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .core import INFINITY, Path, WeightedGraph
+from .core import INFINITY, Path, WeightedGraph, _first_text, _index
 from .errors import DuplicatePath, EmptyInput, InvalidArgument, MixedStart, OutOfRange, TooLarge, UnknownVertex
 from .pathmetric import GeodesicWeight, all_pairs_metric, geodesic_weight, is_generating, path_length
 
@@ -56,15 +56,11 @@ class GraphFamily:
 
     def weight(self, a: int, b: int) -> float:
         """w(a, b): 0 on the diagonal, the later vertex's step when the
-        earlier one is its parent, inf otherwise.  Raises UnknownVertex for a
-        negative vertex: the vertices are the naturals."""
-        for u in (a, b):
-            if u < 0:
-                raise UnknownVertex(f"vertex {u} is not a vertex of {self.name}")
+        earlier one is its parent, inf otherwise.  Raises UnknownVertex for
+        anything but a natural: the vertices are the naturals."""
+        a, b = sorted((_natural(self, a), _natural(self, b)))
         if a == b:
             return 0.0
-        if a > b:
-            a, b = b, a
         return self.step(b) if self.parent(b) == a else INFINITY
 
     def truncate(self, budget: int) -> WeightedGraph:
@@ -77,6 +73,15 @@ class GraphFamily:
         weights = {(self.parent(v), v): self.step(v) for v in range(1, budget)}
         labels = tuple(self.describe(v) for v in range(budget))
         return WeightedGraph(budget, weights, labels)
+
+
+def _natural(fam: GraphFamily, u: int) -> int:
+    """``u`` as a vertex of ``fam``: a natural, read as construction reads a
+    vertex id; UnknownVertex otherwise."""
+    i = _index(u)
+    if i is None or i < 0:
+        raise UnknownVertex(f"vertex {u!r} is not a vertex of {fam.name}")
+    return i
 
 
 def _tiny_floor(step: Callable[[int], float]) -> Callable[[int], float]:
@@ -166,8 +171,8 @@ def _rooted_tree(fam: GraphFamily, budget: int) -> tuple[list, list[float], list
 
     Makes the calls :meth:`GraphFamily.truncate` makes, in its order: one
     ``parent`` and one ``step`` per v = 1 ... budget-1, then one ``describe``
-    per vertex.  Values construction refuses (a NaN or negative step,
-    duplicate labels, a parent that is no vertex of the truncation) raise
+    per vertex.  Values construction refuses (a step that is text, NaN or
+    negative, duplicate labels, a parent that is no vertex of the truncation) raise
     truncate's error; a parent outside [0, v) that construction accepts
     breaks the contract and raises InvalidArgument.
     """
@@ -187,8 +192,9 @@ def _rooted_tree(fam: GraphFamily, budget: int) -> tuple[list, list[float], list
         raise _refused(fam, budget, f"parent({v}) = {p!r} is not in [0, {v})")
     labels = [fam.describe(v) for v in range(budget)]
     w = list(map(float, steps))
-    if not all(map((0.0).__le__, w)):
-        raise _refused(fam, budget, "a step is NaN or negative")
+    # float() returns a float itself, so only steps of other types make w differ.
+    if not all(map((0.0).__le__, w)) or (w != steps and _first_text(steps) >= 0):
+        raise _refused(fam, budget, "a step is NaN, negative or text")
     if len(set(labels)) < budget:
         raise _refused(fam, budget, "duplicate vertex labels")
     return ups, w, kids, labels
@@ -217,8 +223,9 @@ def family_ball_scan(
     itself) — evidence of an infinite ball, never a proof.
     """
     thr = _scan_threshold(budget, threshold, radius)
-    if not 0 <= center < budget:
-        raise UnknownVertex(f"center {center} not among the first {budget} vertices")
+    if _index(center) not in range(budget):
+        raise UnknownVertex(f"center {center!r} not among the first {budget} vertices")
+    center = _index(center)
     ups, w, kids, labels = _rooted_tree(fam, budget)
     limit = radius if radius < INFINITY else sys.float_info.max  # an overflowed sum is never inside
     found, beyond, over = 0, False, []
@@ -260,8 +267,7 @@ def family_elf_scan(
     from x: one ``parent`` call per y, and a ``step`` call per neighbour.
     """
     thr = _scan_threshold(budget, threshold, radius)
-    if x < 0:  # vertices are the naturals; the weight is undefined off the family
-        raise UnknownVertex(f"vertex {x} is not a vertex of {fam.name}")
+    x = _natural(fam, x)  # the weight is undefined off the family
     end = budget + (x <= budget)  # range(end) with x skipped: the first ``budget`` others
     parent, step = fam.parent, fam.step
     count = int(x > 0 and parent(x) in range(min(x, end)) and step(x) < radius)

@@ -18,8 +18,10 @@ are allowed, as pseudo-metric weights; the edge-list parser still rejects
 ``a b 0`` between distinct vertices.  No layer above checks values again.
 
 Construction is one array pass over the given map.  Vertex ids must be
-integers in ``0 .. n-1``, and a pair given both ways must carry one value
-(NaN agrees with NaN).  The stored maps are canonical, sorted dicts: each
+integers in ``0 .. n-1`` (what ``operator.index`` accepts: a float or a
+string is no id, even when whole), the one rule every vertex argument
+follows.  A value is a number, never text, even when float() reads it, and
+a pair given both ways must carry one value (NaN agrees with NaN).  The stored maps are canonical, sorted dicts: each
 key ``(u, v)`` has ``u <= v``.
 
 Extended weights are plain ``float`` values with ``math.inf`` as the
@@ -57,6 +59,7 @@ from .errors import (
     NegativeWeightError,
     OutOfRange,
     ParseError,
+    SameVertex,
     UnknownVertex,
 )
 
@@ -156,15 +159,29 @@ def _id_array(n: int, keys: list) -> np.ndarray:
     return ids
 
 
-def _plain(keys: list, values: list) -> bool:
-    """Whether ``keys`` are tuples of ``int`` and ``values`` are ``float``
-    (no subclass, no numpy scalar): what a stored dict holds."""
+def _index(u: object) -> int | None:
+    """``u`` as construction reads a vertex id (``operator.index``), or None:
+    a float or a string is no vertex id, even when whole."""
+    try:
+        return operator.index(u)
+    except TypeError:
+        return None
+
+
+def _plain(keys: list) -> bool:
+    """Whether ``keys`` are tuples of ``int`` (no subclass, no numpy scalar),
+    as the keys of a stored dict are."""
     m = len(keys)
     return (
-        operator.countOf(map(type, values), float) == m
-        and operator.countOf(map(type, keys), tuple) == m
+        operator.countOf(map(type, keys), tuple) == m
         and operator.countOf(map(type, chain.from_iterable(keys)), int) == 2 * m
     )
+
+
+def _first_text(values: list) -> int:
+    """Index of the first value that is text, -1 if none: a str or bytes is
+    no value, even when float() reads one."""
+    return next((i for i, x in enumerate(values) if isinstance(x, (str, bytes))), -1)
 
 
 def _lo_hi(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -223,6 +240,7 @@ class Graph:
             raise InvalidArgument("label table size must equal the vertex count")
         keys, values = list(raw), list(raw.values())
         ids = _id_array(self.n, keys)
+        floats = operator.countOf(map(type, values), float) == len(values)
         try:
             w = np.fromiter(map(float, values), float, len(values))
         except Exception:
@@ -236,10 +254,13 @@ class Graph:
             _merge(ids[: len(before)], np.array(before, float))
             raise
         lo, hi, w = _merge(ids, w)
+        text = -1 if floats else _first_text(values)  # after float()'s refusals and the conflicts
+        if text >= 0:
+            raise InvalidArgument(f"pair {keys[text]!r}: text {values[text]!r} is not a value")
         keep = (w != self._absent) | (lo == hi)
         if not keep.all():
             lo, hi, w = lo[keep], hi[keep], w[keep]
-        if len(w) == len(keys) and (lo == ids[:, 0]).all() and (hi == ids[:, 1]).all() and _plain(keys, values):
+        if len(w) == len(keys) and (lo == ids[:, 0]).all() and (hi == ids[:, 1]).all() and floats and _plain(keys):
             # Canonical and sorted already, as dict(g.b) with one value changed
             # is: the copy keeps the caller's key tuples instead of making new ones.
             self._pairs, self._ends = dict(raw), ids
@@ -269,16 +290,14 @@ class Graph:
     def neighbors(self, u: int) -> list[tuple[int, float]]:
         """Stored partners of ``u`` with their values, in ascending vertex order."""
         if self._adj is None:
-            lo, hi = self._ends.T
-            off = lo != hi
-            lo, hi, w = lo[off], hi[off], self._values[off]
-            # A stable sort by vertex puts the partners below it (pairs (c, u),
-            # stored by ascending c) before those above it (pairs (u, c)).
-            ends = np.concatenate((hi, lo))
-            order = np.argsort(ends, kind="stable")
-            pairs = list(zip(np.concatenate((lo, hi))[order].tolist(), np.concatenate((w, w))[order].tolist()))
-            bounds = np.cumsum(np.bincount(ends, minlength=self.n)).tolist()
-            self._adj = [pairs[a:b] for a, b in zip([0, *bounds], bounds)]
+            # The pairs are sorted, so each list fills in ascending order: the
+            # partners below a vertex (pairs (c, u), by ascending c) come first.
+            adj: list[list[tuple[int, float]]] = [[] for _ in range(self.n)]
+            for (a, b), w in self._pairs.items():
+                if a != b:
+                    adj[a].append((b, w))
+                    adj[b].append((a, w))
+            self._adj = adj
         self._check_vertex(u)
         return self._adj[u]
 
@@ -342,14 +361,14 @@ class Graph:
     def resolve(self, token: str | int) -> int:
         """Vertex id of a label or index token.
 
-        An ``int`` is always an index.  A string is a label on a labelled
+        Anything but a string is an index.  A string is a label on a labelled
         graph and nothing else, so on the labelled graph ``a b 1 / b c 1``
         the token ``"2"`` is unknown rather than vertex ``c``; only an
         unlabelled graph reads a string of ASCII digits as an index.
         """
-        if isinstance(token, int):
+        if not isinstance(token, str):
             self._check_vertex(token)
-            return token
+            return operator.index(token)
         if self.labels is not None:
             if token in self.labels:
                 return self.labels.index(token)
@@ -360,8 +379,22 @@ class Graph:
         raise UnknownVertex(f"unknown vertex {token!r}")
 
     def _check_vertex(self, u: int) -> None:
-        if not (0 <= u < self.n):
+        """Raise UnknownVertex unless ``u`` is an integer vertex id (see
+        :func:`_index`) in 0 .. n-1."""
+        if type(u) is int and 0 <= u < self.n:
+            return
+        i = _index(u)
+        if i is None:
+            raise UnknownVertex(f"vertex {u!r} is not an integer vertex id")
+        if not 0 <= i < self.n:
             raise UnknownVertex(f"vertex {u} out of range for {self.n} vertices")
+
+    def _check_pair(self, x: int, y: int, what: str) -> None:
+        """Check both vertices; raise SameVertex when they are one."""
+        self._check_vertex(x)
+        self._check_vertex(y)
+        if x == y:
+            raise SameVertex(f"{what} needs two distinct vertices")
 
 
 G = TypeVar("G", bound=Graph)

@@ -7,14 +7,14 @@ holds): every stored weight is finite and nonnegative, every stored
 conductance positive and finite, so no oracle checks a value again.  Two
 oracles are polynomial and back ``--oracle`` on the CLI:
 
-* :func:`brute_metric_from` runs Dijkstra over the exact weights of the
-  source's component, scaled once to integers by the lcm D of their
-  denominators: sums and comparisons of the integers are those of the
-  rationals times D, so each distance d/D is the rational a Fraction
-  search would return;
+* :func:`brute_metric_from` runs Dijkstra over the source's component;
 * :func:`spanning_tree_resistance` reads R(x, y) = det L(-x,-y) / det L(-x)
   off the pair's component by Kirchhoff's matrix-tree theorem, with both
   determinants by fraction-free (Bareiss) elimination over integers.
+
+Both read the component's exact values scaled once to integers by the lcm D
+of their denominators: integer sums and comparisons are those of the
+rationals times D, so each result is the rational Fractions would give.
 
 The rest are definitional enumerators, exponential by design and kept as
 slow checks of the two above: :func:`enumerate_simple_paths` and
@@ -42,14 +42,19 @@ TREE_CAP = 8
 ExactWeight = Fraction | None  # None spells +infinity in the exact lane.
 
 
+def _cap(g: Graph, cap: int, what: str) -> None:
+    if g.n > cap:
+        raise TooLarge(f"{what} capped at {cap} vertices, got {g.n}")
+
+
 def exact_weight(g: Graph, u: int, v: int) -> ExactWeight:
     """w(u, v) (or b(u, v)) as an exact rational, or None for infinity."""
+    x = g._value(u, v)  # checks u and v
     if u == v:
         return Fraction(0)
     key = edge_key(u, v)
     if key in g.exact:
         return g.exact[key]
-    x = g._pairs.get(key, g._absent)
     return None if math.isinf(x) else _decimal_shadow(x)
 
 
@@ -59,11 +64,26 @@ def _decimal_shadow(x: float) -> Fraction:
     return Fraction(repr(x))
 
 
+def _scaled_component(g: Graph, x: int) -> tuple[dict[int, int], dict[tuple[int, int], int], int]:
+    """x's component (``g.reach(x)``), the exact value of each of its stored
+    pairs times D, and D: the lcm of those values' denominators."""
+    seen = g.reach(x)
+    ratios = {
+        (u, v): (g.exact[u, v] if (u, v) in g.exact else _decimal_shadow(c)).as_integer_ratio()
+        for u in seen
+        for v, c in g.neighbors(u)
+        if u < v
+    }
+    scale = math.lcm(*{q for _, q in ratios.values()})
+    return seen, {key: p * (scale // q) for key, (p, q) in ratios.items()}, scale
+
+
 def enumerate_simple_paths(g: Graph, x: int, y: int) -> Iterator[Path]:
     """All injective paths from x to y over stored pairs (finite weights,
     positive conductances), in lexicographic vertex order."""
-    if g.n > PATH_CAP:
-        raise TooLarge(f"path enumeration capped at {PATH_CAP} vertices, got {g.n}")
+    _cap(g, PATH_CAP, "path enumeration")
+    g._check_vertex(x)
+    g._check_vertex(y)
     if x == y:
         yield Path((x,))
         return
@@ -110,22 +130,13 @@ def brute_metric(g: WeightedGraph, x: int, y: int) -> ExactWeight:
 def brute_metric_from(g: WeightedGraph, x: int) -> list[ExactWeight]:
     """Exact distances from x to every vertex: Dijkstra over the exact weights.
 
-    The exact weights of x's component (``g.reach(x)``; every stored weight
-    is finite and nonnegative, as construction checks) are scaled once by
-    the lcm D of their denominators, so the search adds and compares
-    integers and returns each distance d as d/D: the same rational as the
-    Fraction sum, in the same order of steps.
+    The search adds and compares the scaled exact weights of x's component
+    (every stored weight is finite and nonnegative, as construction checks)
+    and returns each distance d as d/D: the same rational as the Fraction
+    sum, in the same order of steps.
     """
-    if g.n > PATH_CAP:
-        raise TooLarge(f"exact path oracle capped at {PATH_CAP} vertices, got {g.n}")
-    ratios = {
-        (u, v): exact_weight(g, u, v).as_integer_ratio()
-        for u in g.reach(x)
-        for v, _ in g.neighbors(u)
-        if u < v
-    }
-    scale = math.lcm(*{q for _, q in ratios.values()})
-    scaled = {key: p * (scale // q) for key, (p, q) in ratios.items()}
+    _cap(g, PATH_CAP, "exact path oracle")
+    _, scaled, scale = _scaled_component(g, x)
     best: list[int | None] = [None] * g.n
     best[x] = 0
     heap: list[tuple[int, int]] = [(0, x)]
@@ -210,8 +221,7 @@ def _forest_sum(
 
 def spanning_tree_sum(g: ConductanceGraph) -> Fraction:
     """Weighted count of spanning trees (sum of edge-conductance products)."""
-    if g.n > TREE_CAP:
-        raise TooLarge(f"tree enumeration capped at {TREE_CAP} vertices, got {g.n}")
+    _cap(g, TREE_CAP, "tree enumeration")
     if g.n == 0:
         return Fraction(1)
     edges = [(u, v, exact_weight(g, u, v)) for u, v, _ in g.edges()]
@@ -220,8 +230,9 @@ def spanning_tree_sum(g: ConductanceGraph) -> Fraction:
 
 def two_forest_sum(g: ConductanceGraph, x: int, y: int) -> Fraction:
     """Weighted count of 2-tree spanning forests separating x from y."""
-    if g.n > TREE_CAP:
-        raise TooLarge(f"tree enumeration capped at {TREE_CAP} vertices, got {g.n}")
+    _cap(g, TREE_CAP, "tree enumeration")
+    g._check_vertex(x)
+    g._check_vertex(y)
     if x == y:
         raise SameVertex("the separated vertices must be distinct")
     edges = [(u, v, exact_weight(g, u, v)) for u, v, _ in g.edges()]
@@ -257,32 +268,23 @@ def _bareiss_det(m: list[list[int]]) -> int:
 def spanning_tree_resistance(g: ConductanceGraph, x: int, y: int) -> ExactWeight:
     """Exact effective resistance on the component of x, by the matrix-tree theorem.
 
-    With L the component's Laplacian scaled by the lcm D of the exact
-    conductances' denominators (so its entries are integers),
-    R(x, y) = D * det L(-x,-y) / det L(-x): the two-forest sum over the
-    spanning-tree sum, here without enumerating either.  Unrelated
-    components do not enter; None when x and y are not connected.
+    With L the component's Laplacian over the scaled exact conductances
+    (so its entries are integers), R(x, y) = D * det L(-x,-y) / det L(-x):
+    the two-forest sum over the spanning-tree sum, here without enumerating
+    either.  Unrelated components do not enter; None when x and y are not
+    connected.
     """
-    if x == y:
-        raise SameVertex("resistance needs two distinct vertices")
+    g._check_pair(x, y, "resistance")
     # The enumerators' cap and message, so --oracle stops at the same sizes.
-    if g.n > TREE_CAP:
-        raise TooLarge(f"tree enumeration capped at {TREE_CAP} vertices, got {g.n}")
-    seen = g.reach(x)
+    _cap(g, TREE_CAP, "tree enumeration")
+    seen, scaled, scale = _scaled_component(g, x)
     if y not in seen:
         return None
-    comp = sorted(seen)
-    index = {v: i for i, v in enumerate(comp)}
-    edges = [
-        (index[u], index[v], exact_weight(g, u, v))
-        for u, v, _ in g.edges()
-        if u in index
-    ]
-    scale = math.lcm(*(c.denominator for _, _, c in edges))
-    k = len(comp)
+    index = {v: i for i, v in enumerate(sorted(seen))}
+    k = len(index)
     lap = [[0] * k for _ in range(k)]
-    for i, j, c in edges:
-        e = c.numerator * (scale // c.denominator)
+    for (u, v), e in scaled.items():
+        i, j = index[u], index[v]
         lap[i][j] -= e
         lap[j][i] -= e
         lap[i][i] += e
@@ -301,10 +303,8 @@ def unique_induced_path(g: ConductanceGraph, x: int, y: int) -> tuple[bool, list
     The walk of :func:`enumerate_simple_paths` stops as soon as two induced
     paths are known.
     """
-    if g.n > PATH_CAP:
-        raise TooLarge(f"path enumeration capped at {PATH_CAP} vertices, got {g.n}")
-    if x == y:
-        raise SameVertex("induced-path search needs two distinct vertices")
+    _cap(g, PATH_CAP, "path enumeration")
+    g._check_pair(x, y, "induced-path search")
 
     def induced(p: Path) -> bool:
         v = p.vertices

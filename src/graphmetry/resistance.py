@@ -31,7 +31,7 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .core import INFINITY, TAU_EQ, ConductanceGraph, invariant_error, weights_close
-from .errors import Disconnected, InvalidArgument, OutOfRange, SameVertex, SizeMismatch
+from .errors import Disconnected, InvalidArgument, OutOfRange, SizeMismatch
 from .pathmetric import MetricTable
 
 
@@ -229,10 +229,7 @@ def _out_of_range(b: ConductanceGraph, x: int, y: int) -> OutOfRange:
 
 def effective_resistance(b: ConductanceGraph, x: int, y: int) -> float:
     """R(x, y) = f(x) for the unit dipole potential; inf when x, y are not connected."""
-    b._check_vertex(x)
-    b._check_vertex(y)
-    if x == y:
-        raise SameVertex("resistance needs two distinct vertices")
+    b._check_pair(x, y, "resistance")
     (values,) = _dipole_potentials(b, [(x, y)])
     if values is None:
         return INFINITY
@@ -274,10 +271,7 @@ def harmonic_maximizer(b: ConductanceGraph, x: int, y: int) -> PotentialFunction
 
     Normalized so Q(f) = 1 and f(x) > f(y); then (f(y) - f(x))^2 = R(x, y).
     """
-    b._check_vertex(x)
-    b._check_vertex(y)
-    if x == y:
-        raise SameVertex("harmonic maximizer needs two distinct vertices")
+    b._check_pair(x, y, "harmonic maximizer")
     (values,) = _dipole_potentials(b, [(x, y)])
     if values is None:
         raise Disconnected(f"{b.label(x)} and {b.label(y)} are not connected")
@@ -312,10 +306,7 @@ def verify_variational(
     ranges over potentials with Q(f) > 0 — and the harmonic maximizer must
     attain the bound within tolerance.
     """
-    b._check_vertex(x)
-    b._check_vertex(y)
-    if x == y:
-        raise SameVertex("the variational quotient needs two distinct vertices")
+    b._check_pair(x, y, "the variational quotient")
     resistance = effective_resistance(b, x, y)
     if math.isinf(resistance):
         raise Disconnected(f"{b.label(x)} and {b.label(y)} are not connected")

@@ -146,7 +146,12 @@ def check_triangle_equality(b: ConductanceGraph, x: int, y: int, z: int) -> Tria
 
 def is_tree(b: ConductanceGraph) -> bool:
     """Connected and acyclic: edge count n - 1 with a single component."""
-    return len(components(b)) <= 1 and len(b.edges()) == max(b.n - 1, 0)
+    return len(components(b)) <= 1 and len(b.b) == max(b.n - 1, 0)
+
+
+def _check_connected(b: ConductanceGraph, check: str) -> None:
+    if len(components(b)) > 1:
+        raise Disconnected(f"{check} expects a connected graph")
 
 
 def biconnected_components(b: ConductanceGraph) -> list[list[int]]:
@@ -208,8 +213,7 @@ def is_block_graph(b: ConductanceGraph) -> tuple[bool, list[int] | None]:
     path (the definitional form, used as the oracle in tests).  Returns the
     first offending block when the answer is no.
     """
-    if len(components(b)) > 1:
-        raise Disconnected("block-graph recognition expects a connected graph")
+    _check_connected(b, "block-graph recognition")
     for block in biconnected_components(b):
         for i, u in enumerate(block):
             for v in block[i + 1 :]:
@@ -239,8 +243,7 @@ def compatible_resistance_weight(b: ConductanceGraph) -> CompatibilityCertificat
     weight; INCOMPATIBLE with a pair where the shortest-path value differs
     from the resistance.  The verdict matches block-graph recognition.
     """
-    if len(components(b)) > 1:
-        raise Disconnected("compatibility check expects a connected graph")
+    _check_connected(b, "compatibility check")
     R = resistance_matrix(b)
     weights = {(u, v): float(R.d[u, v]) for u, v, _ in b.edges()}
     w_graph = WeightedGraph(b.n, weights, b.labels)
@@ -277,8 +280,7 @@ class TreeTheoremReport:
 
 def check_tree_theorem(b: ConductanceGraph) -> TreeTheoremReport:
     """Compare delta_{1/b} with the resistance matrix entrywise."""
-    if len(components(b)) > 1:
-        raise Disconnected("tree theorem check expects a connected graph")
+    _check_connected(b, "tree theorem check")
     d = _one_sweep_metric(inverse_conductance_weight(b))
     R = resistance_matrix(b).d
     upper = np.triu_indices(b.n, 1)

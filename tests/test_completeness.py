@@ -7,6 +7,7 @@ import random
 import re
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from graphmetry import (
@@ -640,3 +641,30 @@ def test_ball_scan_reads_each_vertex_once(name):
             for kind in ("parent", "step"):
                 assert {v for k, v in calls if k == kind} == set(range(1, budget))
             assert {v for k, v in calls if k == "describe"} == set(range(budget))
+
+
+@pytest.mark.parametrize("text", ["0.5", b"0.5"], ids=repr)
+def test_a_text_step_is_refused_like_a_nan_step(text):
+    fam = GraphFamily("text-ray", lambda v: v - 1, lambda v: text if v == 3 else 1.0, str)
+    message = rf"^pair \(2, 3\): text {re.escape(repr(text))} is not a value$"
+    with pytest.raises(InvalidArgument, match=message):
+        fam.truncate(5)
+    for budget in (5, 600):
+        with pytest.raises(InvalidArgument, match=message):
+            family_ball_scan(fam, 0, 2.0, budget)
+    assert family_ball_scan(fam, 0, 2.0, 3).found == 3  # vertex 3 is beyond this truncation
+    numbers = GraphFamily("int-ray", lambda v: v - 1, lambda v: 1 if v % 2 else 1.0, str)
+    assert family_ball_scan(numbers, 0, 2.0, 600).found == 3
+
+
+def test_family_vertices_are_the_naturals_as_construction_reads_ids():
+    assert UNIT_RAY.weight(np.int64(2), 3) == 1.0 and UNIT_RAY.weight(True, 2) == 1.0
+    for bad in (2.0, 1.5, "a", -1, None):
+        with pytest.raises(UnknownVertex, match=rf"^vertex {re.escape(repr(bad))} is not a vertex of unit-ray$"):
+            UNIT_RAY.weight(bad, 3)
+        with pytest.raises(UnknownVertex, match=rf"^vertex {re.escape(repr(bad))} is not a vertex of unit-ray$"):
+            family_elf_scan(UNIT_RAY, bad, 2.0, 10)
+        with pytest.raises(UnknownVertex, match=rf"^center {re.escape(repr(bad))} not among the first 10 vertices$"):
+            family_ball_scan(UNIT_RAY, bad, 2.0, 10)
+    assert family_ball_scan(UNIT_RAY, np.int64(2), 1.0, 10).found == 3
+    assert family_elf_scan(UNIT_RAY, np.int64(2), 2.0, 10).count == 2

@@ -5,6 +5,7 @@ import copy
 import math
 import operator
 import random
+import re
 import struct
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ import graphmetry
 
 from graphmetry import (
     INFINITY,
+    UNIT_RAY,
     AsymmetryError,
     ConductanceGraph,
     DiagonalError,
@@ -27,15 +29,34 @@ from graphmetry import (
     Path,
     UnknownVertex,
     WeightedGraph,
+    check_triangle_equality,
+    effective_resistance,
+    enumerate_geodesics,
     extract_common_prefix_path,
+    family_ball_scan,
+    family_elf_scan,
     graph_digest,
+    harmonic_maximizer,
+    laplacian_apply,
     parse_graph,
+    path_length,
+    separates,
     serialize_graph,
+    single_source_distances,
     validate,
+    verify_variational,
     weights_close,
 )
 from graphmetry.core import edge_key, invariant_error, weights_close_array
-from graphmetry.oracle import brute_metric_from
+from graphmetry.oracle import (
+    brute_metric,
+    brute_metric_from,
+    enumerate_simple_paths,
+    exact_weight,
+    spanning_tree_resistance,
+    two_forest_sum,
+    unique_induced_path,
+)
 from graphmetry.pathmetric import _initial_table, all_pairs_metric, is_generating, path_metric
 from graphmetry.resistance import _GroundedSystem, resistance_matrix
 from .suites import random_connected_conductance, random_weighted_graph
@@ -589,6 +610,9 @@ def reference_build(kind, n, raw, labels, exact):
     weighted = kind is WeightedGraph
     try:
         pairs = reference_canonical_map(n, raw, INFINITY if weighted else 0.0)
+        for key, value in raw.items():  # text is no value, even when float() reads one
+            if isinstance(value, (str, bytes)):
+                raise InvalidArgument(f"pair {key!r}: text {value!r} is not a value")
         problems = reference_validate(weighted, n, pairs, labels)
         if problems:
             raise InputError("; ".join(problems))
@@ -800,3 +824,98 @@ def test_the_array_consumers_read_what_the_dict_holds(kind):
         for i, members in enumerate(system.members):
             if len(members) > 1:
                 assert system.grounded_block(i).tobytes() == reference.grounded_block(i).tobytes()
+
+
+# -- one vertex rule, one value rule ----------------------------------------------
+
+
+def vertex_calls(bad):
+    """Every public call that takes a vertex, on 3-vertex graphs (a family for
+    the family layer), with ``bad`` in one vertex slot."""
+    w = WeightedGraph(3, {(0, 1): 1.0, (1, 2): 2.0})
+    b = ConductanceGraph(3, {(0, 1): 1.0, (1, 2): 2.0})
+    return {
+        "weight": lambda: w.weight(bad, 0),
+        "weight on the diagonal": lambda: w.weight(bad, bad),
+        "conductance": lambda: b.conductance(0, bad),
+        "neighbors": lambda: w.neighbors(bad),
+        "reach": lambda: b.reach(bad),
+        "label": lambda: w.label(bad),
+        "resolve": lambda: w.resolve(bad),
+        "path_length": lambda: path_length(w, Path((0, bad))),
+        "single_source_distances": lambda: single_source_distances(w, bad),
+        "path_metric": lambda: path_metric(w, 0, bad),
+        "enumerate_geodesics": lambda: enumerate_geodesics(w, bad, 0),
+        "extract_common_prefix_path": lambda: extract_common_prefix_path([Path((0, bad)), Path((0, bad, 1))], w),
+        "laplacian_apply": lambda: laplacian_apply(b, np.zeros(3), bad),
+        "effective_resistance": lambda: effective_resistance(b, bad, 0),
+        "harmonic_maximizer": lambda: harmonic_maximizer(b, 0, bad),
+        "verify_variational": lambda: verify_variational(b, bad, 2),
+        "separates": lambda: separates(b, bad, 0, 1),
+        "check_triangle_equality": lambda: check_triangle_equality(b, 0, 1, bad),
+        "exact_weight": lambda: exact_weight(w, 0, bad),
+        "enumerate_simple_paths": lambda: list(enumerate_simple_paths(w, bad, 2)),
+        "brute_metric": lambda: brute_metric(w, 0, bad),
+        "brute_metric_from": lambda: brute_metric_from(w, bad),
+        "two_forest_sum": lambda: two_forest_sum(b, bad, 2),
+        "spanning_tree_resistance": lambda: spanning_tree_resistance(b, 0, bad),
+        "unique_induced_path": lambda: unique_induced_path(b, bad, 2),
+        "GraphFamily.weight": lambda: UNIT_RAY.weight(bad, 3),
+        "family_ball_scan": lambda: family_ball_scan(UNIT_RAY, bad, 2.0, 10),
+        "family_elf_scan": lambda: family_elf_scan(UNIT_RAY, bad, 2.0, 10),
+    }
+
+
+@pytest.mark.parametrize("bad", [1.5, 2.0, "a", -1], ids=repr)
+def test_every_vertex_taking_call_reads_a_vertex_as_construction_does(bad):
+    wrong = {}
+    for name, call in vertex_calls(bad).items():
+        try:
+            call()
+            wrong[name] = "accepted"
+        except UnknownVertex:
+            pass
+        except Exception as error:  # noqa: BLE001 - any other outcome is the failure
+            wrong[name] = repr(error)
+    assert wrong == {}
+
+
+def test_integer_vertex_ids_of_other_types_are_vertices():
+    w = WeightedGraph(3, {(0, 1): 1.0, (1, 2): 2.0})
+    assert w.weight(np.int64(1), 2) == 2.0 and w.label(np.int32(2)) == "2"
+    assert w.resolve(np.int64(1)) == 1 and type(w.resolve(np.int64(1))) is int
+    assert path_metric(w, np.int64(0), 2) == 3.0
+    with pytest.raises(UnknownVertex, match=r"^vertex 3 out of range for 3 vertices$"):
+        w.weight(np.int64(3), 0)
+    with pytest.raises(UnknownVertex, match=r"^vertex 2.0 is not an integer vertex id$"):
+        w.weight(0, 2.0)
+
+
+@pytest.mark.parametrize("kind", [WeightedGraph, ConductanceGraph])
+@pytest.mark.parametrize("text", ["1.5", b"1.5", " 2 ", "inf", "nan"], ids=repr)
+def test_text_is_not_a_value(kind, text):
+    with pytest.raises(InvalidArgument, match=rf"^pair \(1, 0\): text {re.escape(repr(text))} is not a value$"):
+        kind(3, {(1, 2): 1.0, (1, 0): text})
+
+
+def test_text_keeps_the_precedence_of_refused_values_and_conflicts():
+    # float()'s own refusals and any conflict come first, as before; the text rule
+    # comes before the value diagnostics.
+    with pytest.raises(ValueError, match=r"^could not convert string to float: 'abc'$"):
+        WeightedGraph(3, {(0, 1): "1.5", (1, 2): "abc"})
+    with pytest.raises(AsymmetryError, match=r"^conflicting values for pair \(1, 2\): 1.0 vs 2.0$"):
+        WeightedGraph(3, {(0, 1): "1.5", (1, 2): 1.0, (2, 1): 2.0})
+    with pytest.raises(InvalidArgument, match=r"^pair \(1, 2\): text '1' is not a value$"):
+        ConductanceGraph(3, {(0, 1): -1.0, (1, 2): "1"})
+    assert WeightedGraph(2, {(0, 1): np.float64(1.5)}).weights == {(0, 1): 1.5}
+
+
+def test_a_map_of_floats_runs_no_text_scan(monkeypatch):
+    def refuse(values):
+        raise AssertionError("scanned a map of floats for text")
+
+    monkeypatch.setattr(graphmetry.core, "_first_text", refuse)
+    g = WeightedGraph(3, {(1, 0): 1.0, (1, 2): 2.0})
+    assert WeightedGraph(3, dict(g.weights)) == g
+    with pytest.raises(AssertionError, match="scanned"):
+        WeightedGraph(3, {(0, 1): 1})

@@ -14,6 +14,7 @@ from graphmetry import (
     InputError,
     SameVertex,
     TooLarge,
+    UnknownVertex,
     WeightedGraph,
     components,
     parse_graph,
@@ -389,3 +390,41 @@ def test_oracles_are_polynomial_on_complete_graphs(tmp_path, capsys, argv, n):
     oracle = json.loads(capsys.readouterr().out)["results"]["oracle"]
     assert code == 0 and len(oracle) == n
     assert elapsed < 2.0
+
+
+def test_the_oracles_check_their_vertices():
+    w = WeightedGraph(3, {(0, 1): 1.0, (1, 2): 1.0})
+    b = ConductanceGraph(3, {(0, 1): 1.0, (1, 2): 1.0})
+    calls = {
+        "spanning_tree_resistance": lambda: spanning_tree_resistance(b, 0, 99),
+        "brute_metric": lambda: brute_metric(w, 0, 99),
+        "brute_metric_from": lambda: brute_metric_from(w, 99),
+        "two_forest_sum": lambda: two_forest_sum(b, 0, 99),
+        "unique_induced_path": lambda: unique_induced_path(b, 0, 99),
+        "enumerate_simple_paths": lambda: list(enumerate_simple_paths(w, 0, 99)),
+        "exact_weight": lambda: exact_weight(b, 99, 0),
+    }
+    for name, call in calls.items():
+        with pytest.raises(UnknownVertex, match=r"^vertex 99 out of range for 3 vertices$"):
+            call()
+
+
+def test_valid_vertices_keep_the_same_vertex_and_cap_order():
+    b = ConductanceGraph(3, {(0, 1): 1.0, (1, 2): 1.0})
+    tree9 = ConductanceGraph(9, {(i, i + 1): 1.0 for i in range(8)})
+    path13 = WeightedGraph(13, {(i, i + 1): 1.0 for i in range(12)})
+    cases = [
+        (lambda: spanning_tree_resistance(tree9, 4, 4), SameVertex, "resistance needs two distinct vertices"),
+        (lambda: spanning_tree_resistance(tree9, 0, 4), TooLarge, "tree enumeration capped at 8 vertices, got 9"),
+        (lambda: two_forest_sum(tree9, 4, 4), TooLarge, "tree enumeration capped at 8 vertices, got 9"),
+        (lambda: two_forest_sum(b, 1, 1), SameVertex, "the separated vertices must be distinct"),
+        (lambda: unique_induced_path(path13, 4, 4), TooLarge, "path enumeration capped at 12 vertices, got 13"),
+        (lambda: unique_induced_path(b, 1, 1), SameVertex, "induced-path search needs two distinct vertices"),
+        (lambda: list(enumerate_simple_paths(path13, 0, 99)), TooLarge, "path enumeration capped at 12 vertices, got 13"),
+        (lambda: brute_metric_from(path13, 99), TooLarge, "exact path oracle capped at 12 vertices, got 13"),
+        (lambda: spanning_tree_sum(tree9), TooLarge, "tree enumeration capped at 8 vertices, got 9"),
+    ]
+    for call, kind, message in cases:
+        with pytest.raises(kind, match=f"^{message}$"):
+            call()
+    assert [p.vertices for p in enumerate_simple_paths(b, 1, 1)] == [(1,)]
