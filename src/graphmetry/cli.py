@@ -73,7 +73,11 @@ class Table:
     Renders byte for byte as the dict of dicts ``{row: {column: fmt(value)}}``
     would, with no Python step per cell: the labels are sorted once, each
     distinct value (bitwise, so -0.0 and NaN print as ``fmt`` prints them)
-    is spelled once, and the cells index into those spellings.
+    is spelled once, and the cells index into those spellings.  A large
+    table's values in ``%.17g``'s fixed-notation range get their exact 17
+    digits from array arithmetic (:func:`_fixed_17g`); every other value,
+    and every value of a small table, goes through ``%`` itself.  Both
+    routes give ``%.17g``'s bytes.
     """
 
     def __init__(self, labels: Sequence[str], matrix: np.ndarray) -> None:
@@ -81,23 +85,129 @@ class Table:
         self.order = sorted(range(len(labels)), key=labels.__getitem__)
         self.names = [labels[i] for i in self.order]
 
-    def blocks(self, quote: str = "") -> Iterator[tuple[slice, np.ndarray]]:
+    def blocks(self) -> Iterator[tuple[slice, np.ndarray]]:
         """Row blocks of about 2**16 cells, so few Python strings are alive at
-        once: each block's slice of rows and its cells, ``fmt(value)`` between
-        ``quote`` marks, in label order.  A float's spelling never needs JSON
-        escaping, so ``quote='"'`` gives its JSON string."""
+        once: each block's slice of rows and its cells, ``fmt(value)``, in
+        label order.  A float's spelling never needs JSON escaping."""
         n = len(self.order)
         bits = np.asarray(self.matrix, dtype=np.float64)[np.ix_(self.order, self.order)].view(np.int64)
         distinct, codes = np.unique(bits, return_inverse=True)
         codes = codes.reshape(bits.shape)
-        values = distinct.view(np.float64)
-        template = (quote + "%.17g" + quote + "\0") * len(values)  # split leaves "" last
-        spelled = np.array((template % tuple(values.tolist())).split("\0"), dtype=object)
-        spelled[np.flatnonzero(np.isinf(values))] = f"{quote}inf{quote}"  # fmt spells -inf as inf too
+        spelled = _spell(distinct)
         step = max(1, 2**16 // max(n, 1))  # rows per block
         for start in range(0, n, step):
             rows = slice(start, start + step)
             yield rows, spelled[codes[rows]]
+
+
+# The doubles nearest 1e-4, 1e-3, ..., 1e17.  None lies below its power of
+# ten, so a double x is in decade X (10**X <= x < 10**(X+1)) exactly when it
+# lies between _DECADES[X + 4] and _DECADES[X + 5].
+_DECADES = np.array([float(f"1e{k}") for k in range(-4, 18)])
+# ``%.17g`` writes x in fixed notation when 1e-4 <= x < 1e17 (no double below
+# 1e-4 rounds up to it in 17 digits): the positive floats whose bits lie in
+# [_FIXED_BITS[0], _FIXED_BITS[1]).
+_FIXED_BITS = _DECADES[[0, -1]].view(np.int64)
+# The kernel's fixed cost (about 60 us) beats ``%`` (about 0.5 us a value)
+# from about 200 such values (best of 300 runs, 2-vCPU x86 VM); below this
+# many, ``%`` spells them all.
+_KERNEL_MIN = 300
+_POW10 = np.array([float(10**k) for k in range(21)])  # exact: 10**k for k <= 22
+
+
+@functools.cache
+def _chunk_words() -> np.ndarray:
+    """The ASCII of each 4-digit chunk 0000..9999 as one little-endian word,
+    then again with the chunk's trailing zeros as NUL bytes; built on the
+    kernel's first use, so small tables never pay for it."""
+    i = np.arange(10000, dtype=np.uint32)
+    plain = stripped = np.uint32(0)
+    for k in range(4):  # k = 0 is the leading digit, the word's first byte
+        char = (i // 10 ** (3 - k) % 10 + 48) << np.uint32(8 * k)
+        plain = plain + char
+        stripped = stripped + np.where(i % 10 ** (4 - k) == 0, 0, char)  # zeros from k on
+    words = np.concatenate((plain, stripped)).astype("<u4")  # bytes in reading order
+    words.flags.writeable = False
+    return words
+
+
+def _spell(distinct: np.ndarray) -> np.ndarray:
+    """``fmt`` of the floats whose int64 bits are ``distinct`` (ascending),
+    as an object array.
+
+    The ascending bits put the positive floats in ascending order, so the
+    values in fixed-notation range are one slice; when it holds at least
+    ``_KERNEL_MIN`` values, :func:`_fixed_17g` spells it.  The rest (zeros,
+    negatives, subnormals, tiny and huge values, inf, NaN) go through one
+    ``%`` template, which gives the same bytes.
+    """
+    values = distinct.view(np.float64)
+    lo, hi = np.searchsorted(distinct, _FIXED_BITS).tolist()
+    if hi - lo < _KERNEL_MIN:
+        lo = hi = 0
+    rest = values[:lo].tolist() + values[hi:].tolist()
+    spelled = np.array(("%.17g\0" * len(rest) % tuple(rest)).split("\0"), dtype=object)  # "" last
+    if hi > lo:
+        spelled = np.insert(spelled, lo, _fixed_17g(values[lo:hi]))
+    spelled[np.flatnonzero(np.isinf(values))] = "inf"  # fmt spells -inf as inf too
+    return spelled
+
+
+def _fixed_17g(v: np.ndarray) -> list[str]:
+    """``'%.17g' % x`` for each x of ``v``, ascending floats in [1e-4, 1e17).
+
+    For x in decade X, the 17 digits are N = round(x * 10**p), half to
+    even, with p = 16 - X, so that x * 10**p lies in [1e16, 1e17).  Dekker's
+    product t + e = x * 10**p, with Veltkamp's 2**27 + 1 split, is exact
+    (10**p is exact for p <= 22), and t >= 1e16 > 2**53 is an even integer,
+    so N = t + rint(e) rounds as ``%`` does.  N never reaches 10**17: that
+    takes an x within 5e-18 (relative) below a power of ten, and the double
+    below each power of ten in range is more than 5e-17 below it.  Fixed
+    notation then places the point by X; the values are ascending, so each
+    decade is one run of rows.
+    """
+    starts = np.searchsorted(v, _DECADES).tolist()  # where each decade's run starts
+    s = _POW10[np.repeat(np.arange(20, -1, -1), np.diff(starts))]
+    t = v * s
+    c = 134217729.0 * v
+    vh = c - (c - v)
+    vl = v - vh
+    c = 134217729.0 * s
+    sh = c - (c - s)
+    sl = s - sh
+    e = ((vh * sh - t) + vh * sl + vl * sh) + vl * sl
+    N = t.astype(np.int64) + np.rint(e).astype(np.int64)
+    # Five chunks of N (1 + 4 * 4 digits) to their ASCII words; a chunk with
+    # only zero chunks after it takes the word with its trailing zeros as NULs.
+    hi, lo = np.divmod(N, 10**8)
+    chunks = np.empty((len(N), 5), np.uint32)
+    chunks[:, 0], rest = np.divmod(hi.astype(np.uint32), 10**8)
+    chunks[:, 1], chunks[:, 2] = np.divmod(rest, 10**4)
+    chunks[:, 3], chunks[:, 4] = np.divmod(lo.astype(np.uint32), 10**4)
+    last = np.ones((len(N), 5), bool)
+    for j in (3, 2, 1, 0):
+        np.logical_and(last[:, j + 1], chunks[:, j + 1] == 0, out=last[:, j])
+    chunks += last * np.uint32(10000)
+    digits = _chunk_words()[chunks].view(np.uint8)[:, 3:]  # (len, 17), past chunk 0's "000"
+    # Lay each row out in fixed notation; the NULs (stripped zeros, padding)
+    # drop out when the rows are joined, and a point with no digit after it
+    # is a NUL too.  A row holds at most 22 characters ("0.000" and 17
+    # digits); the last column ends it.
+    out = np.zeros((len(N), 23), np.uint8)
+    for x, a, b in zip(range(-4, 17), starts, starts[1:]):
+        if a == b:
+            continue
+        if x >= 0:
+            np.maximum(digits[a:b, : x + 1], 48, out=out[a:b, : x + 1])  # integer zeros stay
+            if x < 16:
+                out[a:b, x + 1] = np.minimum(digits[a:b, x + 1], 1) * 46
+                out[a:b, x + 2 : 18] = digits[a:b, x + 1 :]
+        else:
+            head = np.frombuffer(b"0." + b"0" * (-x - 1), np.uint8)
+            out[a:b, : len(head)] = head
+            out[a:b, len(head) : len(head) + 17] = digits[a:b]
+    out[:, -1] = 10
+    return out[out != 0].tobytes().decode("ascii").split("\n")[:-1]
 
 
 def _table(g: Graph, matrix: np.ndarray) -> Table:
@@ -129,7 +239,9 @@ def _json(node: Any, outer: str) -> str:
     The standard encoder with ``indent`` runs in pure Python; a flat dict of
     strings goes through the C encoder instead, with the line break and
     indent folded into its item separator.  A :class:`Table` is joined from
-    its cells in row blocks.  Report keys are strings.
+    its cells in row blocks, each cell between the quote marks that end
+    the piece before it and start the piece after it.  Report keys are
+    strings.
     """
     inner = outer + "  "
     if isinstance(node, Table):
@@ -138,15 +250,15 @@ def _json(node: Any, outer: str) -> str:
         cell = inner + "  "
         keys = [encode_basestring_ascii(name) + ": " for name in node.names]
         heads = [("," if i else "") + inner + key + "{" for i, key in enumerate(keys)]
-        columns = [("," if j else "") + cell + key for j, key in enumerate(keys)]
+        columns = [('",' if j else "") + cell + key + '"' for j, key in enumerate(keys)]
         chunks = []
-        for rows, cells in node.blocks('"'):
+        for rows, cells in node.blocks():
             # A row reads: its head, then each column's key before that column's cell, then "}".
             pieces = np.empty((len(cells), 2 * len(keys) + 2), dtype=object)
             pieces[:, 0] = heads[rows]
             pieces[:, 1:-1:2] = columns
             pieces[:, 2:-1:2] = cells
-            pieces[:, -1] = inner + "}"
+            pieces[:, -1] = '"' + inner + "}"
             chunks.append("".join(pieces.ravel().tolist()))
         return "{" + "".join(chunks) + outer + "}"
     if isinstance(node, dict) and node:

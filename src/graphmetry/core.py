@@ -168,6 +168,17 @@ def _index(u: object) -> int | None:
         return None
 
 
+def _vertex(u: object, n: int) -> int:
+    """``u`` as a vertex id: an integer id (see :func:`_index`) in 0 .. n-1,
+    or UnknownVertex."""
+    i = _index(u)
+    if i is None:
+        raise UnknownVertex(f"vertex {u!r} is not an integer vertex id")
+    if not 0 <= i < n:
+        raise UnknownVertex(f"vertex {u} out of range for {n} vertices")
+    return i
+
+
 def _plain(keys: list) -> bool:
     """Whether ``keys`` are tuples of ``int`` (no subclass, no numpy scalar),
     as the keys of a stored dict are."""
@@ -342,6 +353,13 @@ class Graph:
         over as exact reciprocals.  Raises InputError when a reciprocal is
         outside float range (a zero or subnormal value overflows 1/x).
         """
+        values = self._reciprocals()
+        exact = {key: 1 / self.exact[key] for key in values if key in self.exact}
+        return kind(self.n, values, self.labels, exact)
+
+    def _reciprocals(self) -> dict[tuple[int, int], float]:
+        """1/x on every stored pair x off the diagonal, without the shadows;
+        InputError as in :meth:`reciprocal`."""
         values = {
             key: 1.0 / x if x else INFINITY for key, x in self._pairs.items() if key[0] != key[1]
         }
@@ -351,8 +369,7 @@ class Graph:
                     f"1/{self._pairs[u, v]!r} on ({self.label(u)}, {self.label(v)}) "
                     "is outside float range"
                 )
-        exact = {key: 1 / self.exact[key] for key in values if key in self.exact}
-        return kind(self.n, values, self.labels, exact)
+        return values
 
     def label(self, u: int) -> str:
         self._check_vertex(u)
@@ -379,15 +396,9 @@ class Graph:
         raise UnknownVertex(f"unknown vertex {token!r}")
 
     def _check_vertex(self, u: int) -> None:
-        """Raise UnknownVertex unless ``u`` is an integer vertex id (see
-        :func:`_index`) in 0 .. n-1."""
-        if type(u) is int and 0 <= u < self.n:
-            return
-        i = _index(u)
-        if i is None:
-            raise UnknownVertex(f"vertex {u!r} is not an integer vertex id")
-        if not 0 <= i < self.n:
-            raise UnknownVertex(f"vertex {u} out of range for {self.n} vertices")
+        """Raise UnknownVertex unless ``u`` is a vertex (see :func:`_vertex`)."""
+        if type(u) is not int or not 0 <= u < self.n:
+            _vertex(u, self.n)
 
     def _check_pair(self, x: int, y: int, what: str) -> None:
         """Check both vertices; raise SameVertex when they are one."""

@@ -35,6 +35,7 @@ from .core import (
     TAU_EQ,
     Path,
     WeightedGraph,
+    _vertex,
     invariant_error,
     weights_close_array,
 )
@@ -70,6 +71,7 @@ class MetricTable:
         return bool(np.array_equal(self.d, other.d))
 
     def label(self, u: int) -> str:
+        u = _vertex(u, self.n)
         return self.labels[u] if self.labels is not None else str(u)
 
     def validate(self) -> list[str]:
@@ -172,7 +174,8 @@ class GeodesicWeight:
         return bool(np.array_equal(self.table, other.table)) and self.labels == other.labels
 
     def weight(self, x: int, y: int) -> float:
-        return float(self.table[x, y])
+        n = len(self.table)
+        return float(self.table[_vertex(x, n), _vertex(y, n)])
 
     def as_weight_graph(self) -> WeightedGraph:
         return _table_weight_graph(self.table, self.labels)

@@ -11,11 +11,12 @@ use and kept on the graph: the components, and for each multi-vertex
 component one Cholesky factor of its Laplacian block grounded at its least
 vertex.  R(x, y) and the harmonic maximizer are one dipole solve each
 (unit current in at x and out at y, then f(y) = 0 and R = f(x)); the
-all-pairs table inverts the grounded block.  Graphs are immutable, so an
-edit builds a new graph with a new system.  R is checked against its
-variational description by sampling, against harmonicity of the maximizer,
-and — in the tests — against an exact spanning-forest oracle.  R is a
-metric; disconnected pairs get resistance inf.
+all-pairs table inverts the grounded block, and the structure checks keep
+it with the factors.  Graphs are immutable, so an edit builds a new graph
+with a new system.  R is checked against its variational description by
+sampling, against harmonicity of the maximizer, and — in the tests —
+against an exact spanning-forest oracle.  R is a metric; disconnected
+pairs get resistance inf.
 
 Construction already rejected every conductance that is NaN, negative or
 infinite and every row sum beyond float range (:func:`core.validate`), so
@@ -100,7 +101,8 @@ def laplacian_matrix(b: ConductanceGraph) -> np.ndarray:
 
 
 class _GroundedSystem:
-    """The components of one conductance graph and their grounded factors.
+    """The components of one conductance graph, their grounded factors, and
+    the all-pairs resistance table once the structure checks ask for it.
 
     Each vertex gets a component label (components are numbered by their
     least vertex) and a position in its sorted component.  The Laplacian
@@ -131,6 +133,7 @@ class _GroundedSystem:
             ([0], np.cumsum(np.bincount(group, minlength=len(members))))
         )
         self._factors: list[np.ndarray | None] = [None] * len(members)
+        self._table: np.ndarray | None = None  # all-pairs R, once the structure checks ask
 
     def grounded_block(self, i: int) -> np.ndarray:
         """Laplacian block of component ``i`` without its least vertex's row and column.
@@ -242,12 +245,32 @@ def resistance_matrix(b: ConductanceGraph) -> MetricTable:
     From each component's cached factor, grounded at its least vertex g:
     invert the grounded Laplacian to G and read off
     R(i, j) = G[i,i] + G[j,j] - 2 G[i,j] (with G extended by zeros at g).
-    The Green-matrix route keeps the table exactly symmetric.  Raises
+    The Green-matrix route keeps the table exactly symmetric.  When the
+    structure checks have kept the table on this graph
+    (:func:`_resistance_table`), it is handed out as a copy; otherwise it
+    is built and not kept, so a graph asked once pays no copy.  Raises
     OutOfRange when R on a connected pair is outside float range.
     """
+    system = _grounded(b)
+    kept = system._table
+    return MetricTable(_green_table(b, system) if kept is None else kept.copy(), b.labels)
+
+
+def _resistance_table(b: ConductanceGraph) -> np.ndarray:
+    """The all-pairs table of :func:`resistance_matrix`, built once per graph
+    and kept read-only beside the factors, for callers that only read it:
+    the tree and block-graph checks on one graph share one build."""
+    system = _grounded(b)
+    if system._table is None:
+        table = _green_table(b, system)
+        table.flags.writeable = False
+        system._table = table
+    return system._table
+
+
+def _green_table(b: ConductanceGraph, system: _GroundedSystem) -> np.ndarray:
     d = np.full((b.n, b.n), INFINITY)
     np.fill_diagonal(d, 0.0)
-    system = _grounded(b)
     for i, comp in enumerate(system.members):
         if len(comp) == 1:
             continue
@@ -263,7 +286,7 @@ def resistance_matrix(b: ConductanceGraph) -> MetricTable:
             x, y = np.argwhere(~np.isfinite(R))[0]
             raise _out_of_range(b, int(comp[x]), int(comp[y]))
         d[np.ix_(comp, comp)] = R
-    return MetricTable(d, b.labels)
+    return d
 
 
 def harmonic_maximizer(b: ConductanceGraph, x: int, y: int) -> PotentialFunction:

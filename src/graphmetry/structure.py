@@ -19,7 +19,7 @@ import numpy as np
 from .core import INFINITY, ConductanceGraph, Path, WeightedGraph, weights_close, weights_close_array
 from .errors import Disconnected, NotDistinct
 from .pathmetric import _one_sweep_metric
-from .resistance import _dipole_potentials, _grounded, components, resistance_matrix
+from .resistance import _dipole_potentials, _grounded, _resistance_table, components
 
 
 @dataclass
@@ -244,11 +244,11 @@ def compatible_resistance_weight(b: ConductanceGraph) -> CompatibilityCertificat
     from the resistance.  The verdict matches block-graph recognition.
     """
     _check_connected(b, "compatibility check")
-    R = resistance_matrix(b)
-    weights = {(u, v): float(R.d[u, v]) for u, v, _ in b.edges()}
+    R = _resistance_table(b)
+    weights = {(u, v): float(R[u, v]) for u, v, _ in b.edges()}
     w_graph = WeightedGraph(b.n, weights, b.labels)
     d = _one_sweep_metric(w_graph)
-    differ = np.triu(~weights_close_array(d, R.d), 1)
+    differ = np.triu(~weights_close_array(d, R), 1)
     if differ.any():
         x, y = np.argwhere(differ)[0]  # first pair x < y in row-major order
         return CompatibilityCertificate(
@@ -279,10 +279,14 @@ class TreeTheoremReport:
 
 
 def check_tree_theorem(b: ConductanceGraph) -> TreeTheoremReport:
-    """Compare delta_{1/b} with the resistance matrix entrywise."""
+    """Compare delta_{1/b} with the resistance matrix entrywise.
+
+    Only the float sweep reads the weight 1/b, so it is built without the
+    exact shadows :func:`inverse_conductance_weight` carries.
+    """
     _check_connected(b, "tree theorem check")
-    d = _one_sweep_metric(inverse_conductance_weight(b))
-    R = resistance_matrix(b).d
+    d = _one_sweep_metric(WeightedGraph(b.n, b._reciprocals(), b.labels))
+    R = _resistance_table(b)
     upper = np.triu_indices(b.n, 1)
     equal = bool(weights_close_array(d[upper], R[upper]).all())
     return TreeTheoremReport(is_tree=is_tree(b), metrics_equal=equal)

@@ -10,13 +10,15 @@ import subprocess
 import sys
 import threading
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from graphmetry import ConductanceGraph, GraphmetryError, MetricTable
-from graphmetry.cli import Report, Table, _render, build_parser, fmt, main
+import graphmetry.cli as cli
+from graphmetry.cli import _KERNEL_MIN, Report, Table, _fixed_17g, _render, _spell, build_parser, fmt, main
 from graphmetry.completeness import MaximalWeightReport
 from .suites import random_block_graph, random_nontree, random_tree
 
@@ -642,11 +644,22 @@ def random_table(rng, n):
     return labels, matrix
 
 
-@pytest.mark.parametrize("seed", range(200))
+def in_kernel_range(matrix) -> int:
+    """How many distinct values of ``matrix`` lie in %.17g's fixed-notation range."""
+    values = np.unique(np.asarray(matrix, dtype=float))
+    return int(((values >= 1e-4) & (values < 1e17)).sum())
+
+
+@pytest.mark.parametrize("seed", range(201))
 def test_random_tables_render_as_their_dict_of_dicts(seed):
     rng = random.Random(1900 + seed)
     n = 300 if seed % 50 == 0 else [0, 1, 2, 3, 17][seed % 5]  # n=300 spans two row blocks
     labels, matrix = random_table(rng, n)
+    if seed == 200:  # values across every decade, enough of them for the digit kernel
+        spread = [s * 10 ** rng.uniform(-6, 18) for s in rng.choices([1, 1, 1, -1], k=1200)]
+        matrix = np.array([rng.choice(TABLE_VALUES + spread) for _ in range(40 * 40)]).reshape(40, 40)
+        labels = rng.sample([str(i) for i in range(120)] + TABLE_LABELS, 40)
+        assert in_kernel_range(matrix) >= _KERNEL_MIN
     table = Table(labels, matrix)
     cells = spelled(labels, matrix)
     report = Report("cmd", "in", {"table": table, "z": "1"}, [])
@@ -655,6 +668,73 @@ def test_random_tables_render_as_their_dict_of_dicts(seed):
     assert_same(report.to_json(), json.dumps(doc, sort_keys=True, indent=2) + "\n")
     assert_same(report.to_text(), reference.to_text())
     assert_same(_render("top", table), _render("top", cells))
+
+
+def kernel_inputs() -> dict[str, np.ndarray]:
+    """Doubles in %.17g's fixed-notation range [1e-4, 1e17) where 17 correct
+    digits are hardest to get, by kind."""
+    rng = np.random.default_rng(2500)
+    powers = np.array([float(Fraction(10) ** k) for k in range(-4, 18)])
+    below = np.nextafter(powers, 0)
+    ties = [1e15 + 0.25, 1e15 + 0.75, 2.0**52 + 0.5]
+    for x in range(-4, 16):
+        # m / 2**(17 - x) for odd m: times 10**(16 - x) it ends in exactly .5, a tie at 17 digits
+        scale = 2 ** (17 - x)
+        lo = math.ceil(Fraction(10) ** x * scale)
+        hi = min(math.floor(Fraction(10) ** (x + 1) * scale), 2**53)
+        ties += ((rng.integers(lo // 2, hi // 2, 200) * 2 + 1) / scale).tolist()
+    return {
+        "binades": np.ldexp(1 + rng.random((71, 300)), np.arange(-14, 57)[:, None]).ravel(),
+        "powers of ten and neighbours": np.concatenate([powers, below, np.nextafter(powers, np.inf)]),
+        "half-way ties": np.array(ties),
+        "below a power of ten": np.concatenate([below - k * np.spacing(below) for k in range(50)]),
+        "integers": np.r_[rng.integers(1, 2**53, 3000), 2**53, 2**53 - 1, 10**16, 10**16 - 1].astype(float),
+        "short decimals": np.concatenate([np.round(rng.uniform(0, 1000, 300), k) for k in range(1, 9)]),
+    }
+
+
+KERNEL_INPUTS = kernel_inputs()
+BINADES = KERNEL_INPUTS["binades"]
+SEEDED_IN_RANGE = np.unique(BINADES[(BINADES >= 1e-4) & (BINADES < 1e17)])
+
+
+@pytest.mark.parametrize("kind", list(KERNEL_INPUTS))
+def test_fixed_notation_kernel_spells_as_percent_17g(kind):
+    values = np.unique(KERNEL_INPUTS[kind])
+    values = values[(values >= 1e-4) & (values < 1e17)]
+    assert len(values) >= 40
+    assert _fixed_17g(values) == ["%.17g" % v for v in values.tolist()]
+    # Through a table, quoted in JSON and bare in text, beside enough seeded
+    # values that the table takes the kernel's route.
+    cells = np.concatenate([values, SEEDED_IN_RANGE[:_KERNEL_MIN]])
+    side = math.isqrt(len(cells)) + 1
+    matrix = np.resize(cells, (side, side))  # repeats the cells to fill it
+    labels = [f"v{i}" for i in range(side)]
+    assert in_kernel_range(matrix) >= _KERNEL_MIN
+    table = Report("cmd", "in", {"t": Table(labels, matrix)})
+    reference = Report("cmd", "in", {"t": spelled(labels, matrix)})
+    doc = {"command": "cmd", "input": "in", "results": reference.results, "diagnostics": []}
+    assert_same(table.to_json(), json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    assert_same(table.to_text(), reference.to_text())
+
+
+@pytest.mark.parametrize("in_range", [_KERNEL_MIN - 1, _KERNEL_MIN, _KERNEL_MIN + 1])
+def test_values_at_the_range_ends_and_the_size_selection(monkeypatch, in_range):
+    kernel_sizes = []
+
+    def counted(v):
+        kernel_sizes.append(len(v))
+        return _fixed_17g(v)
+
+    monkeypatch.setattr(cli, "_fixed_17g", counted)
+    ends = [1e-4, np.nextafter(1e-4, 1.0), np.nextafter(1e17, 0.0)]  # in range
+    outside = [np.nextafter(1e-4, 0.0), 1e17, np.nextafter(1e17, np.inf), 0.0, -0.0, 5e-324, 1e-13,
+               1.7e308, math.inf, -math.inf, math.nan, -1e-4, -1.0, -1e16]
+    middle = SEEDED_IN_RANGE[: in_range - len(ends)]
+    bits = np.unique(np.concatenate([ends, outside, middle]).view(np.int64))
+    values = bits.view(np.float64).tolist()
+    assert _spell(bits)[: len(values)].tolist() == [fmt(v) for v in values]
+    assert kernel_sizes == ([in_range] if in_range >= _KERNEL_MIN else [])
 
 
 def assert_same(got, want):

@@ -29,6 +29,7 @@ from graphmetry import (
     Path,
     UnknownVertex,
     WeightedGraph,
+    all_pairs_metric,
     check_triangle_equality,
     effective_resistance,
     enumerate_geodesics,
@@ -36,6 +37,7 @@ from graphmetry import (
     family_ball_scan,
     family_elf_scan,
     graph_digest,
+    geodesic_weight,
     harmonic_maximizer,
     laplacian_apply,
     parse_graph,
@@ -831,9 +833,11 @@ def test_the_array_consumers_read_what_the_dict_holds(kind):
 
 def vertex_calls(bad):
     """Every public call that takes a vertex, on 3-vertex graphs (a family for
-    the family layer), with ``bad`` in one vertex slot."""
+    the family layer, the tables of one for the table types), with ``bad``
+    in one vertex slot."""
     w = WeightedGraph(3, {(0, 1): 1.0, (1, 2): 2.0})
     b = ConductanceGraph(3, {(0, 1): 1.0, (1, 2): 2.0})
+    table = all_pairs_metric(w)
     return {
         "weight": lambda: w.weight(bad, 0),
         "weight on the diagonal": lambda: w.weight(bad, bad),
@@ -860,6 +864,9 @@ def vertex_calls(bad):
         "two_forest_sum": lambda: two_forest_sum(b, bad, 2),
         "spanning_tree_resistance": lambda: spanning_tree_resistance(b, 0, bad),
         "unique_induced_path": lambda: unique_induced_path(b, bad, 2),
+        "MetricTable.label": lambda: table.label(bad),
+        "GeodesicWeight.weight": lambda: geodesic_weight(table).weight(bad, 0),
+        "GeodesicWeight.weight, second vertex": lambda: geodesic_weight(table).weight(0, bad),
         "GraphFamily.weight": lambda: UNIT_RAY.weight(bad, 3),
         "family_ball_scan": lambda: family_ball_scan(UNIT_RAY, bad, 2.0, 10),
         "family_elf_scan": lambda: family_elf_scan(UNIT_RAY, bad, 2.0, 10),

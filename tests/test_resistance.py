@@ -31,7 +31,10 @@ from graphmetry import (
     parse_graph,
     laplacian_matrix,
     resistance_matrix,
+    check_tree_theorem,
     check_triangle_equality,
+    compatible_resistance_weight,
+    is_tree,
     verify_variational,
 )
 from graphmetry.cli import main
@@ -292,6 +295,40 @@ def test_one_factorization_per_component_shared_by_every_query(factorizations):
     effective_resistance(b2, 0, 2)
     effective_resistance(b2, 2, 0)
     assert len(factorizations) == 3
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1].shape)
+        return scipy.linalg.lapack.dpotrs(*args, **kwargs)
+
+    monkeypatch.setattr(resistance, "dpotrs", counted)
+    return calls
+
+
+def test_resistance_matrix_after_the_checks_factors_and_solves_nothing(factorizations, solves):
+    b = random_connected_conductance(random.Random(143), 12)
+    reference = resistance_matrix(b).d
+    assert resistance._grounded(b)._table is None  # a graph asked once keeps no table
+    check_tree_theorem(b)
+    assert len(factorizations) == 1 and len(solves) == 2
+    first = resistance_matrix(b)
+    assert len(factorizations) == 1 and len(solves) == 2
+    assert first.d.tobytes() == reference.tobytes() and first.labels == b.labels
+    first.d[0, 1] = first.d[1, 0] = -1.0  # a caller's edit stays in its own copy
+    assert resistance_matrix(b).d.tobytes() == reference.tobytes()
+    assert compatible_resistance_weight(b).compatible == is_tree(b) and len(solves) == 2
+
+
+def test_tree_and_block_checks_share_one_resistance_table(solves):
+    # characterize --tree --block runs both on one graph.
+    b = random_connected_conductance(random.Random(141), 30)
+    check_tree_theorem(b)
+    compatible_resistance_weight(b)
+    assert solves == [(29, 29)]
 
 
 def test_queries_in_one_component_factor_only_that_component(factorizations):
