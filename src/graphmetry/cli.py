@@ -45,12 +45,7 @@ from .pathmetric import (
     path_length,
     path_metric,
 )
-from .resistance import (
-    _laplacian_at,
-    effective_resistance,
-    harmonic_maximizer,
-    resistance_matrix,
-)
+from .resistance import effective_resistance, harmonic_maximizer, laplacian, resistance_matrix
 from .structure import (
     check_tree_theorem,
     check_triangle_equality,
@@ -427,11 +422,9 @@ def cmd_resistance(args: argparse.Namespace) -> Report:
     if args.oracle:
         report.results.update(_oracle_fields(value, oracle.spanning_tree_resistance(b, x, y)))
     if args.maximizer:
-        f = harmonic_maximizer(b, x, y).values.tolist()
-        residual = max(
-            (abs(_laplacian_at(b, f, v)) for v in range(b.n) if v not in (x, y)),
-            default=0.0,
-        )
+        potential = harmonic_maximizer(b, x, y).values
+        residual = max(np.delete(np.abs(laplacian(b, potential)), [x, y]).tolist(), default=0.0)
+        f = potential.tolist()
         report.results["maximizer"] = {
             "potential": {b.label(v): fmt(f[v]) for v in range(b.n)},
             "residual": fmt(residual),

@@ -26,7 +26,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -563,5 +563,17 @@ def is_generating(g: WeightedGraph, t: MetricTable) -> bool:
     """
     if g.n != t.n:
         raise SizeMismatch(f"graph has {g.n} vertices, table {t.n}")
-    return bool(weights_close_array(_one_sweep_metric(g), t.d).all())
+    return _first_mismatch(g, lambda: t.d) is None
 
+
+def _first_mismatch(g: WeightedGraph, table: Callable[[], np.ndarray]) -> tuple[int, int] | None:
+    """The first pair in row-major order where delta_w and ``table()`` differ by
+    more than TAU_EQ (x < y on a symmetric table with a zero diagonal), or None:
+    every "w generates delta" check.  The table is read after the sweep, so the
+    sweep's OutOfRange comes before any error building the table raises."""
+    d = _one_sweep_metric(g)
+    differ = ~weights_close_array(d, table())
+    if not differ.any():
+        return None
+    x, y = np.argwhere(differ)[0]
+    return int(x), int(y)

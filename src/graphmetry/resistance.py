@@ -4,7 +4,8 @@ The quadratic form Q(f) = 1/2 sum_{x,y} b(x,y) (f(x) - f(y))^2 counts each
 edge once; its Laplacian is Lf(v) = sum_w b(v,w) (f(v) - f(w)).  The
 effective resistance R(x, y) is the supremum of (f(y) - f(x))^2 over
 potentials of unit energy; :func:`energy` and :func:`verify_variational`
-state that definition.
+state that definition.  Q, Lf and L each come from one kernel over the edge
+arrays; the maximizer's residual is max |Lf| off its two terminals.
 
 Every resistance query reads one grounded system per graph, built on first
 use and kept on the graph: the components, and for each multi-vertex
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .core import INFINITY, TAU_EQ, ConductanceGraph, invariant_error, weights_close
+from .core import INFINITY, TAU_EQ, ConductanceGraph, _vertex, invariant_error, weights_close
 from .errors import Disconnected, InvalidArgument, OutOfRange, SizeMismatch
 from .pathmetric import MetricTable
 
@@ -65,38 +66,42 @@ def _as_values(b: ConductanceGraph, f: PotentialFunction | np.ndarray) -> np.nda
 
 def energy(b: ConductanceGraph, f: PotentialFunction | np.ndarray) -> float:
     """Q(f) = sum over edges of b(u,v) (f(u) - f(v))^2."""
+    return float(_energy(b, _as_values(b, f)))
+
+
+def _energy(b: ConductanceGraph, f: np.ndarray) -> np.ndarray:
+    """Q along the last axis of ``f``: of one potential, or of each sample in a stack."""
+    u, v = b._ends.T
+    return (b._values * (f[..., u] - f[..., v]) ** 2).sum(axis=-1)
+
+
+def laplacian(b: ConductanceGraph, f: PotentialFunction | np.ndarray) -> np.ndarray:
+    """Lf at every vertex: one bincount over the edges, which sums each
+    vertex's terms in ascending-neighbour order."""
     values = _as_values(b, f)
-    total = 0.0
-    for u, v, c in b.edges():
-        total += c * (values[u] - values[v]) ** 2
-    return float(total)
+    ends = b._ends
+    with np.errstate(over="ignore", invalid="ignore"):  # silent, as Python floats are
+        terms = b._values[:, None] * (values[ends] - values[ends[:, ::-1]])
+        return np.bincount(ends.ravel(), terms.ravel(), b.n)
 
 
 def laplacian_apply(b: ConductanceGraph, f: PotentialFunction | np.ndarray, x: int) -> float:
     """Lf(x) = sum_w b(x,w) (f(x) - f(w))."""
-    return float(_laplacian_at(b, _as_values(b, f), x))
+    return float(laplacian(b, f)[_vertex(x, b.n)])
 
 
-def _laplacian_at(b: ConductanceGraph, values: list[float] | np.ndarray, x: int) -> float:
-    """Lf(x): a list of floats skips numpy's per-scalar cost, and an array gives the same bits."""
-    total = 0.0
-    for v, c in b.neighbors(x):  # checks x
-        total += c * (values[x] - values[v])
-    return total
+def _row_sums(ends: np.ndarray, c: np.ndarray, n: int) -> np.ndarray:
+    """Each vertex's conductances summed in edges() order: the Laplacian diagonal."""
+    return np.bincount(ends.ravel(), np.repeat(c, 2), n)
 
 
 def laplacian_matrix(b: ConductanceGraph) -> np.ndarray:
-    """Dense Laplacian L = diag(row sums) - conductance matrix.
-
-    The resistance queries do not build it; they factor per-component
-    grounded blocks with the same entries.
-    """
+    """Dense Laplacian L = diag(row sums) - conductance matrix.  The queries
+    factor grounded blocks with the same entries instead (:func:`_row_sums`)."""
+    u, v = b._ends.T
     L = np.zeros((b.n, b.n))
-    for u, v, c in b.edges():
-        L[u, v] -= c
-        L[v, u] -= c
-        L[u, u] += c
-        L[v, v] += c
+    L[u, v] = L[v, u] = -b._values
+    L[np.diag_indices(b.n)] = _row_sums(b._ends, b._values, b.n)
     return L
 
 
@@ -138,21 +143,18 @@ class _GroundedSystem:
     def grounded_block(self, i: int) -> np.ndarray:
         """Laplacian block of component ``i`` without its least vertex's row and column.
 
-        The entries equal those of ``laplacian_matrix`` bit for bit: the
-        diagonal sums each vertex's conductances in edges() order.  The
-        block is symmetric and Fortran-ordered, so LAPACK can factor it in
-        place.
+        The entries equal those of ``laplacian_matrix`` bit for bit: both
+        take the diagonal from :func:`_row_sums`.  The block is symmetric
+        and Fortran-ordered, so LAPACK can factor it in place.
         """
         k = len(self.members[i]) - 1
         lo, hi = self._starts[i], self._starts[i + 1]
-        ends, c = self._ends[lo:hi] - 1, self._weights[lo:hi]  # the ground is -1
-        diag = np.bincount(ends.ravel() + 1, np.repeat(c, 2), k + 1)[1:]
-        inner = (ends >= 0).all(axis=1)
-        u, v, c = ends[inner, 0], ends[inner, 1], c[inner]
+        ends, c = self._ends[lo:hi], self._weights[lo:hi]
+        inner = (ends > 0).all(axis=1)  # the edges off the ground, position 0
+        u, v = ends[inner].T - 1
         A = np.zeros((k, k), order="F")
-        A[u, v] = -c
-        A[v, u] = -c
-        A[np.arange(k), np.arange(k)] = diag
+        A[u, v] = A[v, u] = -c[inner]
+        A[np.diag_indices(k)] = _row_sums(ends, c, k + 1)[1:]
         return A
 
 
@@ -234,9 +236,7 @@ def effective_resistance(b: ConductanceGraph, x: int, y: int) -> float:
     """R(x, y) = f(x) for the unit dipole potential; inf when x, y are not connected."""
     b._check_pair(x, y, "resistance")
     (values,) = _dipole_potentials(b, [(x, y)])
-    if values is None:
-        return INFINITY
-    return float(values[x])
+    return INFINITY if values is None else float(values[x])
 
 
 def resistance_matrix(b: ConductanceGraph) -> MetricTable:
@@ -289,18 +289,23 @@ def _green_table(b: ConductanceGraph, system: _GroundedSystem) -> np.ndarray:
     return d
 
 
+def _unit_dipole(b: ConductanceGraph, x: int, y: int, what: str) -> np.ndarray:
+    """The unit dipole potential f of x and y, R(x, y) = f(x); or Disconnected."""
+    b._check_pair(x, y, what)
+    (values,) = _dipole_potentials(b, [(x, y)])
+    if values is None:
+        raise Disconnected(f"{b.label(x)} and {b.label(y)} are not connected")
+    return values
+
+
 def harmonic_maximizer(b: ConductanceGraph, x: int, y: int) -> PotentialFunction:
     """The unit-energy potential attaining R: harmonic off {x, y}.
 
     Normalized so Q(f) = 1 and f(x) > f(y); then (f(y) - f(x))^2 = R(x, y).
     """
-    b._check_pair(x, y, "harmonic maximizer")
-    (values,) = _dipole_potentials(b, [(x, y)])
-    if values is None:
-        raise Disconnected(f"{b.label(x)} and {b.label(y)} are not connected")
-    resistance = values[x]
+    values = _unit_dipole(b, x, y, "harmonic maximizer")
     # Q(v) equals the injected current times the potential gap, i.e. R itself.
-    return PotentialFunction(values / math.sqrt(resistance))
+    return PotentialFunction(values / math.sqrt(values[x]))
 
 
 @dataclass
@@ -329,33 +334,27 @@ def verify_variational(
     ranges over potentials with Q(f) > 0 — and the harmonic maximizer must
     attain the bound within tolerance.
     """
-    b._check_pair(x, y, "the variational quotient")
-    resistance = effective_resistance(b, x, y)
-    if math.isinf(resistance):
-        raise Disconnected(f"{b.label(x)} and {b.label(y)} are not connected")
+    if trials < 1:
+        raise InvalidArgument("trials must be positive")
+    values = _unit_dipole(b, x, y, "the variational quotient")
+    resistance = float(values[x])
     rng = np.random.default_rng(seed)
     samples = rng.standard_normal((trials, b.n))
-    edges = b.edges()
-    q = np.zeros(trials)
-    for u, v, c in edges:
-        q += c * (samples[:, u] - samples[:, v]) ** 2
+    q = _energy(b, samples)
     gap2 = (samples[:, y] - samples[:, x]) ** 2
     alive = q > 1e-300
     skipped = int(trials - alive.sum())
     quotients = gap2[alive] / q[alive]
     max_quotient = float(quotients.max()) if quotients.size else 0.0
     bound_holds = bool((quotients <= resistance * (1.0 + TAU_EQ)).all())
-    f = harmonic_maximizer(b, x, y)
-    fq = energy(b, f)
-    fgap2 = (f[y] - f[x]) ** 2
-    maximizer_quotient = fgap2 / fq
-    maximizer_attains = weights_close(maximizer_quotient, resistance)
+    f = values / math.sqrt(resistance)
+    maximizer_quotient = float((f[y] - f[x]) ** 2 / _energy(b, f))
     return VariationalReport(
         resistance=resistance,
         max_quotient=max_quotient,
         bound_holds=bound_holds,
         maximizer_quotient=maximizer_quotient,
-        maximizer_attains=maximizer_attains,
+        maximizer_attains=weights_close(maximizer_quotient, resistance),
         trials=trials,
         skipped=skipped,
     )

@@ -14,11 +14,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .core import INFINITY, ConductanceGraph, Path, WeightedGraph, weights_close, weights_close_array
+from .core import INFINITY, ConductanceGraph, Path, WeightedGraph, weights_close
 from .errors import Disconnected, NotDistinct
-from .pathmetric import _one_sweep_metric
+from .pathmetric import _first_mismatch
 from .resistance import _dipole_potentials, _grounded, _resistance_table, components
 
 
@@ -247,13 +245,9 @@ def compatible_resistance_weight(b: ConductanceGraph) -> CompatibilityCertificat
     R = _resistance_table(b)
     weights = {(u, v): float(R[u, v]) for u, v, _ in b.edges()}
     w_graph = WeightedGraph(b.n, weights, b.labels)
-    d = _one_sweep_metric(w_graph)
-    differ = np.triu(~weights_close_array(d, R), 1)
-    if differ.any():
-        x, y = np.argwhere(differ)[0]  # first pair x < y in row-major order
-        return CompatibilityCertificate(
-            verdict="INCOMPATIBLE", counterexample=(int(x), int(y))
-        )
+    pair = _first_mismatch(w_graph, lambda: R)
+    if pair is not None:
+        return CompatibilityCertificate(verdict="INCOMPATIBLE", counterexample=pair)
     return CompatibilityCertificate(verdict="COMPATIBLE", weight=w_graph)
 
 
@@ -285,8 +279,6 @@ def check_tree_theorem(b: ConductanceGraph) -> TreeTheoremReport:
     exact shadows :func:`inverse_conductance_weight` carries.
     """
     _check_connected(b, "tree theorem check")
-    d = _one_sweep_metric(WeightedGraph(b.n, b._reciprocals(), b.labels))
-    R = _resistance_table(b)
-    upper = np.triu_indices(b.n, 1)
-    equal = bool(weights_close_array(d[upper], R[upper]).all())
+    w_graph = WeightedGraph(b.n, b._reciprocals(), b.labels)
+    equal = _first_mismatch(w_graph, lambda: _resistance_table(b)) is None
     return TreeTheoremReport(is_tree=is_tree(b), metrics_equal=equal)

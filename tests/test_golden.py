@@ -24,6 +24,16 @@ DIGESTS = {
     # Text tables, recorded while tables were still rendered as dicts of dicts.
     ("metric", "--all-pairs"): "048d279df7615a8ed8703cefbaae2e126bc6d56102e0a2564aed45c95768eb24",
     ("resistance", "--matrix"): "76f98f1344d409ddcc18c26ffe8fab21d8b157ed3be06bbdc073a1ec051df4ef",
+    # Recorded while the maximizer's residual still summed Lf vertex by vertex
+    # in a Python loop; the residual's last bits pin its summation order.
+    ("resistance", "--pair", "0", "33", "--maximizer", "--json"): "dc73454c5846b591c01d6ca879094b11defdec7d43752a24a41ed58e0a7f2eae",
+    ("resistance", "--pair", "0", "33", "--maximizer"): "991010cc38cb9671962a23624d60f26d1216205cba2e022a173215adfbdd30fb",
+    ("resistance", "--pair", "0", "33", "--maximizer", "--mode", "weight", "--json"): "6c2a3947d9bfd8433990b290b01ce72fe0e3db534ebe2db174a1a28342e6a64b",
+    ("resistance", "--pair", "0", "33", "--maximizer", "--mode", "weight"): "ad96eaa4d4ce7ee70ec7a59d8cf9fe9fe22de4bf58bd178a1dcbe60c1c57138e",
+    ("characterize", "--triangle", "0", "17", "33", "--json"): "db19e13ad7a80db5b6665826ba6673a07bc73c73a586132131f02ddd02efdb99",
+    ("characterize", "--triangle", "0", "17", "33"): "fbde9602dee62fe71d7b8c882ce225f5103d8d5b54a524df2a57f9e065bef978",
+    ("characterize", "--triangle", "0", "17", "33", "--mode", "weight", "--json"): "bebd7d48bcf640e4ca878efb4b48bf813d9073f32372666ea188a09579368b7e",
+    ("characterize", "--triangle", "0", "17", "33", "--mode", "weight"): "ff997c819bd1e51c66e4cc48f7328ffcd339f6729ab4a9425d97936b424e9c22",
 }
 
 

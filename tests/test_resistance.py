@@ -27,6 +27,7 @@ from graphmetry import (
     effective_resistance,
     energy,
     harmonic_maximizer,
+    laplacian,
     laplacian_apply,
     parse_graph,
     laplacian_matrix,
@@ -115,6 +116,43 @@ def test_laplacian_matrix_structure():
             assert math.isclose(applied[x], laplacian_apply(b, f, x), rel_tol=1e-10, abs_tol=1e-12)
         # The energy is the Laplacian quadratic form.
         assert math.isclose(energy(b, f), float(f @ L @ f), rel_tol=1e-10, abs_tol=1e-12)
+
+
+def loop_laplacian(b: ConductanceGraph, f: list[float]) -> list[float]:
+    """Lf(x) summed over b.neighbors(x) in order: the reference for the bincount."""
+    out = []
+    for x in range(b.n):
+        total = 0.0
+        for v, c in b.neighbors(x):
+            total += c * (f[x] - f[v])
+        out.append(total)
+    return out
+
+
+def loop_laplacian_matrix(b: ConductanceGraph) -> np.ndarray:
+    L = np.zeros((b.n, b.n))
+    for u, v, c in b.edges():
+        L[u, v] -= c
+        L[v, u] -= c
+        L[u, u] += c
+        L[v, v] += c
+    return L
+
+
+def test_edge_array_kernels_match_the_loops():
+    # Lf and L sum the same terms in the same order as the loops, so they agree
+    # bit for bit; Q sums its edge terms in another order, within m ulps.
+    rng = random.Random(300)
+    for _ in range(40):
+        n = rng.randint(2, 60)
+        scaled = random_connected_conductance(rng, n, extra=rng.choice([0.05, 0.3]))
+        b = ConductanceGraph(n, {key: c * 10.0 ** rng.randint(-6, 6) for key, c in scaled.b.items()})
+        f = harmonic_maximizer(b, 0, n - 1).values
+        assert laplacian(b, f).tobytes() == np.array(loop_laplacian(b, f.tolist())).tobytes()
+        assert laplacian_matrix(b).tobytes() == loop_laplacian_matrix(b).tobytes()
+        g = np.array([rng.uniform(-1, 1) for _ in range(n)])
+        q = sum(c * (g[u] - g[v]) ** 2 for u, v, c in b.edges())
+        assert math.isclose(energy(b, g), q, rel_tol=len(b.b) * 2.0**-52)
 
 
 def test_components():
@@ -245,6 +283,26 @@ def test_verify_variational_guards():
         verify_variational(k3(), 0, 0)
     with pytest.raises(Disconnected):
         verify_variational(ConductanceGraph(3, {(0, 1): 1.0}), 0, 2)
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_verify_variational_needs_a_sample(trials):
+    # No samples is no evidence: it must not pass, nor fail inside numpy.
+    with pytest.raises(InvalidArgument, match="^trials must be positive$"):
+        verify_variational(k3(), 0, 1, trials=trials)
+
+
+def test_verify_variational_solves_one_dipole(monkeypatch):
+    solves = []
+    original = resistance._dipole_potentials
+
+    def counted(b, pairs):
+        solves.append(pairs)
+        return original(b, pairs)
+
+    monkeypatch.setattr(resistance, "_dipole_potentials", counted)
+    report = verify_variational(c4(), 0, 2, trials=50, seed=3)
+    assert report.passed and solves == [[(0, 2)]]
 
 
 def test_verify_variational_random_sweep():
