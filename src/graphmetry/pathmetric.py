@@ -251,27 +251,35 @@ def path_metric(g: WeightedGraph, x: int, y: int) -> float:
 
 
 def _initial_table(g: WeightedGraph) -> np.ndarray:
-    """Diagonal 0, the stored weight per pair, inf elsewhere."""
+    """Diagonal 0, the stored weight per pair, inf elsewhere; no entry is -0.0."""
     n = g.n
     d = np.full((n, n), INFINITY)
     u, v = g._ends.T
-    d[u, v] = g._values  # one stored key per unordered pair; a stored diagonal entry is 0
-    d[v, u] = g._values
-    np.fill_diagonal(d, 0.0)
+    d[u, v] = d[v, u] = g._values + 0.0  # one key per pair; -0.0 + 0.0 is +0.0
+    np.fill_diagonal(d, 0.0)  # a stored diagonal entry is 0
     return d
 
 
-def _min_plus_sweep(d: np.ndarray, via: np.ndarray, seen: np.ndarray | None = None) -> None:
-    """One Floyd-Warshall pass over k = 0 .. n-1, in place; ``via`` is scratch.
+def _min_plus_sweep(d: np.ndarray, seen: np.ndarray | None = None) -> None:
+    """One Floyd-Warshall pass over k = 0 .. n-1, in place, on a symmetric d.
 
     Step k applies every update d[x,y] <- min(d[x,y], fl(d[x,k] + d[k,y]))
     at once; with ``seen``, row k of it receives row k of d as step k read
     it.  A sum beyond float range becomes inf without a warning;
     :func:`_check_range` reports it once the closure is done.
+    d stays symmetric, so column k is row k, r, and the outer sum is one BLAS
+    rank-2 product [r 1][1; r]: r[x]*1 + 1*r[y] has two exact products and
+    rounds once, to the broadcast add's fl(r[x] + r[y]); no entry is -0.0, so
+    no sign hangs on the accumulator.  0 * inf in OpenBLAS's zero-padded edge
+    tiles raises ``invalid`` in lanes it never stores.
     """
-    with np.errstate(over="ignore"):
-        for k in range(d.shape[0]):
-            np.add(d[:, k, None], d[None, k, :], out=via)
+    via = np.empty_like(d)
+    ends = np.ones((3, len(d)))  # rows 1, r, 1
+    left, right = ends[1:].T, ends[:2]  # [r 1] and [1; r]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(len(d)):
+            ends[1] = d[k]
+            np.matmul(left, right, out=via)
             np.minimum(d, via, out=d)
             if seen is not None:
                 seen[k] = d[k]  # step k leaves row k as it found it: d[k,k] = 0
@@ -299,7 +307,7 @@ def _one_sweep_metric(g: WeightedGraph) -> np.ndarray:
     :func:`all_pairs_metric`, so the table is never printed or fed back in.
     """
     d = _initial_table(g)
-    _min_plus_sweep(d, np.empty_like(d))
+    _min_plus_sweep(d)
     _check_range(g, d)
     return d
 
@@ -375,11 +383,10 @@ def all_pairs_metric(g: WeightedGraph) -> MetricTable:
     """
     d = _initial_table(g)
     exact = _sums_exact(d)
-    via = np.empty_like(d)
-    _min_plus_sweep(d, via)
+    _min_plus_sweep(d)
     if not exact:
         seen = np.empty_like(d)
-        _min_plus_sweep(d, via, seen)
+        _min_plus_sweep(d, seen)
         # Row update (x, k) is due where d[k,x] changed after step k read it.
         xs, ks = np.nonzero(d != seen.T)
         while len(xs):

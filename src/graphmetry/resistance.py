@@ -69,10 +69,10 @@ def energy(b: ConductanceGraph, f: PotentialFunction | np.ndarray) -> float:
     return float(_energy(b, _as_values(b, f)))
 
 
-def _energy(b: ConductanceGraph, f: np.ndarray) -> np.ndarray:
-    """Q along the last axis of ``f``: of one potential, or of each sample in a stack."""
+def _energy(b: ConductanceGraph, f: np.ndarray, exponent: int = 0) -> np.ndarray:
+    """Q along the last axis of ``f`` (a potential or a stack), on conductances times 2**exponent."""
     u, v = b._ends.T
-    return (b._values * (f[..., u] - f[..., v]) ** 2).sum(axis=-1)
+    return (np.ldexp(b._values, exponent) * (f[..., u] - f[..., v]) ** 2).sum(axis=-1)
 
 
 def laplacian(b: ConductanceGraph, f: PotentialFunction | np.ndarray) -> np.ndarray:
@@ -322,7 +322,7 @@ class VariationalReport:
 
     @property
     def passed(self) -> bool:
-        return self.bound_holds and self.maximizer_attains
+        return self.skipped < self.trials and self.bound_holds and self.maximizer_attains
 
 
 def verify_variational(
@@ -332,7 +332,9 @@ def verify_variational(
 
     Near-constant samples (vanishing energy) are excluded — the supremum
     ranges over potentials with Q(f) > 0 — and the harmonic maximizer must
-    attain the bound within tolerance.
+    attain the bound within tolerance; a run with no sample left fails.  The
+    energies read conductances scaled into [1/2, 1) by a power of two: the
+    cut-off is unit-free, and the reported figures keep their bits.
     """
     if trials < 1:
         raise InvalidArgument("trials must be positive")
@@ -340,13 +342,14 @@ def verify_variational(
     resistance = float(values[x])
     rng = np.random.default_rng(seed)
     samples = rng.standard_normal((trials, b.n))
-    q = _energy(b, samples)
+    exponent = -int(np.frexp(b._values.max())[1])
+    q = _energy(b, samples, exponent)
     gap2 = (samples[:, y] - samples[:, x]) ** 2
     alive = q > 1e-300
     skipped = int(trials - alive.sum())
     quotients = gap2[alive] / q[alive]
-    max_quotient = float(quotients.max()) if quotients.size else 0.0
-    bound_holds = bool((quotients <= resistance * (1.0 + TAU_EQ)).all())
+    max_quotient = float(np.ldexp(quotients.max(), exponent)) if quotients.size else 0.0
+    bound_holds = max_quotient <= resistance * (1.0 + TAU_EQ)
     f = values / math.sqrt(resistance)
     maximizer_quotient = float((f[y] - f[x]) ** 2 / _energy(b, f))
     return VariationalReport(

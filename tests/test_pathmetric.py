@@ -410,6 +410,74 @@ def test_closure_equals_sweeps_until_unchanged_bitwise():
         assert np.array_equal(all_pairs_metric(g).d, sweeps_until_unchanged(g)), seed
 
 
+def reference_min_plus_sweep(d: np.ndarray, seen: np.ndarray | None = None) -> None:
+    """The sweep by its definition: step k's outer sum as a broadcast add of
+    column k and row k, one rounding per entry."""
+    via = np.empty_like(d)
+    with np.errstate(over="ignore"):
+        for k in range(d.shape[0]):
+            np.add(d[:, k, None], d[None, k, :], out=via)
+            np.minimum(d, via, out=d)
+            if seen is not None:
+                seen[k] = d[k]
+
+
+def bits(a: np.ndarray) -> np.ndarray:
+    return a.view(np.int64)  # tells -0.0 from 0.0
+
+
+def sweep_start_tables():
+    """Start tables for the sweep kernel: the closure cases before and after
+    one sweep, mostly-inf tables, sums beyond float range, subnormal and zero
+    weights, the smallest sides and a side large enough for threaded BLAS."""
+    for seed in range(250):
+        d = pathmetric._initial_table(closure_case(seed))
+        yield d
+        once = d.copy()
+        reference_min_plus_sweep(once)
+        yield once
+    rng = random.Random(61)
+    for n in (5, 17, 40, 97):
+        yield pathmetric._initial_table(
+            random_sparse_weighted_graph(rng, n, degree=0.8, parts=max(1, n // 4))
+        )
+    for weights in ((1e308,), (1e308, 1.7e308, 3.0), (5e-324, 0.0), (0.0, 1.0, 5e-324)):
+        g = random_sparse_weighted_graph(rng, 30, degree=3.0, parts=2)
+        yield pathmetric._initial_table(
+            WeightedGraph(g.n, {e: rng.choice(weights) for e in g.weights})
+        )
+    yield pathmetric._initial_table(HUGE)
+    for n in (0, 1, 2):
+        yield pathmetric._initial_table(WeightedGraph(n, {(0, 1): 2.5} if n == 2 else {}))
+    shape = random_sparse_weighted_graph(rng, 300, degree=6.0, parts=2)
+    yield pathmetric._initial_table(
+        WeightedGraph(300, {e: 10 ** rng.uniform(-6, 6) for e in shape.weights})
+    )
+
+
+def test_min_plus_sweep_equals_the_broadcast_reference_bitwise():
+    count = 0
+    for d in sweep_start_tables():
+        want, got = d.copy(), d.copy()
+        want_seen, got_seen = np.full_like(d, np.nan), np.full_like(d, np.nan)
+        reference_min_plus_sweep(want, want_seen)
+        pathmetric._min_plus_sweep(got, got_seen)
+        assert np.array_equal(bits(got), bits(want)), len(d)
+        assert np.array_equal(bits(got_seen), bits(want_seen)), len(d)
+        count += 1
+    assert count == 2 * 250 + 4 + 4 + 1 + 3 + 1
+
+
+def test_no_closure_entry_is_negative_zero():
+    # A stored -0.0 weight keeps its bits in the graph but enters every table as +0.0.
+    g = WeightedGraph(4, {(0, 1): -0.0, (1, 2): -0.0, (2, 3): 1.0, (0, 2): 5.0})
+    assert math.copysign(1.0, g.weights[(0, 1)]) == -1.0
+    t = all_pairs_metric(g)
+    assert t.d[1, 1] == 0.0 and t.d[0, 2] == 0.0 and t.d[0, 3] == 1.0
+    for table in (t.d, _one_sweep_metric(g), geodesic_weight(t, graph=g).table):
+        assert not np.signbit(table).any()
+
+
 @pytest.mark.parametrize("total, sweeps", [(2**52 - 1, 1), (2**52, 1), (2**52 + 1, 2)])
 def test_integer_sums_up_to_2_52_stop_after_one_sweep(monkeypatch, total, sweeps):
     # A path a-b-c-d and a chord a-c, the four weights summing to ``total``.

@@ -292,6 +292,30 @@ def test_verify_variational_needs_a_sample(trials):
         verify_variational(k3(), 0, 1, trials=trials)
 
 
+@pytest.mark.parametrize("exponent", [-1000, 1000])
+def test_verify_variational_does_not_depend_on_the_unit(exponent):
+    rng = random.Random(31)
+    # The last edge scales to 1; at 2**-1000 an absolute cut-off dropped 99 of 100 samples.
+    graphs = [unit_edge(), k3(), c4(), ConductanceGraph(2, {(0, 1): 2.0**-exponent})]
+    graphs += [random_connected_conductance(rng, rng.randint(2, 8)) for _ in range(5)]
+    for b in graphs:
+        scaled = ConductanceGraph(b.n, {(u, v): math.ldexp(c, exponent) for u, v, c in b.edges()})
+        report = verify_variational(b, 0, 1, trials=100, seed=5)
+        other = verify_variational(scaled, 0, 1, trials=100, seed=5)
+        assert (other.skipped, other.passed) == (report.skipped, report.passed) == (0, True)
+
+
+def test_verify_variational_fails_without_a_surviving_sample(monkeypatch):
+    class Constant:
+        def standard_normal(self, shape):
+            return np.ones(shape)
+
+    monkeypatch.setattr(resistance.np.random, "default_rng", lambda seed: Constant())
+    report = verify_variational(k3(), 0, 1, trials=20)
+    assert report.skipped == 20 and report.bound_holds and report.maximizer_attains
+    assert not report.passed
+
+
 def test_verify_variational_solves_one_dipole(monkeypatch):
     solves = []
     original = resistance._dipole_potentials
