@@ -4,21 +4,25 @@ Commands mirror the library: ``metric``, ``geodesics``, ``geodesic-weight``,
 ``resistance``, ``characterize``, and ``family``.  Output is deterministic:
 ``--json`` emits one sorted-key document with floats fixed to 17 significant
 digits (``inf`` spelled out, rationals as ``p/q``); otherwise a plain
-key-per-line rendering of the same tree.
+key-per-line rendering of the same tree.  Both stream by table row blocks.
 
-Exit codes: 0 success, 2 input error (parse/validation, unknown family,
-values floats cannot resolve), 3 query error (any other toolkit error:
-unknown vertex, unreachable, disconnected, bad pair), 4 cap exceeded (exact
-oracles and scans are size-capped), 5 internal invariant breach (a
-theorem-backed post-hoc check failed; that is a bug, not bad input).
+Exit codes: 0 success (also when the reader closes the pipe early), 1 output
+not written (a full device, a label the output encoding cannot spell), 2
+input error (parse/validation, unknown family, values floats cannot resolve),
+3 query error (any other toolkit error: unknown vertex, unreachable,
+disconnected, bad pair), 4 cap exceeded (exact oracles and scans are
+size-capped), 5 internal invariant breach (a theorem-backed post-hoc check
+failed; that is a bug, not bad input).
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -66,13 +70,13 @@ class Table:
     """A labelled square float matrix in a report.
 
     Renders byte for byte as the dict of dicts ``{row: {column: fmt(value)}}``
-    would, with no Python step per cell: the labels are sorted once, each
-    distinct value (bitwise, so -0.0 and NaN print as ``fmt`` prints them)
-    is spelled once, and the cells index into those spellings.  A large
-    table's values in ``%.17g``'s fixed-notation range get their exact 17
-    digits from array arithmetic (:func:`_fixed_17g`); every other value,
-    and every value of a small table, goes through ``%`` itself.  Both
-    routes give ``%.17g``'s bytes.
+    would, with no Python step per cell, one row block at a time: the labels
+    are sorted once; in each block each distinct value (bitwise, so -0.0 and
+    NaN print as ``fmt`` prints them) is spelled once, and the cells index
+    into those spellings.  A block's values in ``%.17g``'s fixed-notation
+    range get their exact 17 digits from array arithmetic (:func:`_fixed_17g`)
+    when there are enough of them; every other value goes through ``%``
+    itself.  Both routes give ``%.17g``'s bytes.
     """
 
     def __init__(self, labels: Sequence[str], matrix: np.ndarray) -> None:
@@ -81,18 +85,16 @@ class Table:
         self.names = [labels[i] for i in self.order]
 
     def blocks(self) -> Iterator[tuple[slice, np.ndarray]]:
-        """Row blocks of about 2**16 cells, so few Python strings are alive at
-        once: each block's slice of rows and its cells, ``fmt(value)``, in
-        label order.  A float's spelling never needs JSON escaping."""
+        """Row blocks of about 2**16 cells (one block up to n = 256), so only
+        one block's spellings are alive at a time: each block's slice of rows
+        and its cells, ``fmt(value)``, in label order.  A float's spelling
+        never needs JSON escaping."""
         n = len(self.order)
-        bits = np.asarray(self.matrix, dtype=np.float64)[np.ix_(self.order, self.order)].view(np.int64)
-        distinct, codes = np.unique(bits, return_inverse=True)
-        codes = codes.reshape(bits.shape)
-        spelled = _spell(distinct)
+        matrix = np.asarray(self.matrix, dtype=np.float64)
         step = max(1, 2**16 // max(n, 1))  # rows per block
         for start in range(0, n, step):
             rows = slice(start, start + step)
-            yield rows, spelled[codes[rows]]
+            yield rows, _spell(matrix[np.ix_(self.order[rows], self.order)].view(np.int64))
 
 
 # The doubles nearest 1e-4, 1e-3, ..., 1e17.  None lies below its power of
@@ -126,16 +128,17 @@ def _chunk_words() -> np.ndarray:
     return words
 
 
-def _spell(distinct: np.ndarray) -> np.ndarray:
-    """``fmt`` of the floats whose int64 bits are ``distinct`` (ascending),
-    as an object array.
+def _spell(bits: np.ndarray) -> np.ndarray:
+    """``fmt`` of each float whose int64 bits are in ``bits``, as an object
+    array of the same shape; each distinct value is spelled once.
 
-    The ascending bits put the positive floats in ascending order, so the
-    values in fixed-notation range are one slice; when it holds at least
-    ``_KERNEL_MIN`` values, :func:`_fixed_17g` spells it.  The rest (zeros,
-    negatives, subnormals, tiny and huge values, inf, NaN) go through one
-    ``%`` template, which gives the same bytes.
+    The distinct bits in ascending order put the positive floats in
+    ascending order, so the values in fixed-notation range are one slice;
+    when it holds at least ``_KERNEL_MIN`` values, :func:`_fixed_17g` spells
+    it.  The rest (zeros, negatives, subnormals, tiny and huge values, inf,
+    NaN) go through one ``%`` template, which gives the same bytes.
     """
+    distinct, codes = np.unique(bits, return_inverse=True)
     values = distinct.view(np.float64)
     lo, hi = np.searchsorted(distinct, _FIXED_BITS).tolist()
     if hi - lo < _KERNEL_MIN:
@@ -145,7 +148,7 @@ def _spell(distinct: np.ndarray) -> np.ndarray:
     if hi > lo:
         spelled = np.insert(spelled, lo, _fixed_17g(values[lo:hi]))
     spelled[np.flatnonzero(np.isinf(values))] = "inf"  # fmt spells -inf as inf too
-    return spelled
+    return spelled[codes.reshape(bits.shape)]
 
 
 def _fixed_17g(v: np.ndarray) -> list[str]:
@@ -172,6 +175,7 @@ def _fixed_17g(v: np.ndarray) -> list[str]:
     sl = s - sh
     e = ((vh * sh - t) + vh * sl + vl * sh) + vl * sl
     N = t.astype(np.int64) + np.rint(e).astype(np.int64)
+    del s, t, c, vh, vl, sh, sl, e  # a large block's render peaks below: free these first
     # Five chunks of N (1 + 4 * 4 digits) to their ASCII words; a chunk with
     # only zero chunks after it takes the word with its trailing zeros as NULs.
     hi, lo = np.divmod(N, 10**8)
@@ -184,11 +188,12 @@ def _fixed_17g(v: np.ndarray) -> list[str]:
         np.logical_and(last[:, j + 1], chunks[:, j + 1] == 0, out=last[:, j])
     chunks += last * np.uint32(10000)
     digits = _chunk_words()[chunks].view(np.uint8)[:, 3:]  # (len, 17), past chunk 0's "000"
+    del N, hi, lo, rest, chunks, last
     # Lay each row out in fixed notation; the NULs (stripped zeros, padding)
     # drop out when the rows are joined, and a point with no digit after it
     # is a NUL too.  A row holds at most 22 characters ("0.000" and 17
     # digits); the last column ends it.
-    out = np.zeros((len(N), 23), np.uint8)
+    out = np.zeros((len(digits), 23), np.uint8)
     for x, a, b in zip(range(-4, 17), starts, starts[1:]):
         if a == b:
             continue
@@ -218,35 +223,44 @@ class Report:
     results: dict[str, Any] = field(default_factory=dict)
     diagnostics: list[str] = field(default_factory=list)
 
+    def chunks(self, as_json: bool) -> Iterator[str]:
+        """The JSON or text rendering in pieces to write one by one, so no
+        whole-document string is built: a piece of 2**12 characters or more (a
+        large :class:`Table`'s row block) comes alone, a run of smaller ones joined."""
+        if as_json:
+            pieces = itertools.chain(_json(vars(self), "\n"), ["\n"])  # the four fields, keys sorted
+        else:
+            notes = [f"! {note}\n" for note in self.diagnostics]
+            pieces = itertools.chain([f"command: {self.command}\ninput: {self.input}\n"], _render("", self.results), notes)
+        for large, run in itertools.groupby(pieces, key=lambda piece: len(piece) >= 2**12):
+            yield from run if large else ["".join(run)]
+
     def to_json(self) -> str:
-        return _json(vars(self), "\n") + "\n"  # the four fields, keys sorted
+        return "".join(self.chunks(as_json=True))
 
     def to_text(self) -> str:
-        lines = [f"command: {self.command}", f"input: {self.input}", *_render("", self.results)]
-        lines += [f"! {note}" for note in self.diagnostics]
-        return "\n".join(lines) + "\n"
+        return "".join(self.chunks(as_json=False))
 
 
-def _json(node: Any, outer: str) -> str:
-    """``json.dumps(node, sort_keys=True, indent=2)`` for a node nested in a
-    document, ``outer`` being the line break and indent of its closing line.
+def _json(node: Any, outer: str) -> Iterator[str]:
+    """``json.dumps(node, sort_keys=True, indent=2)`` in pieces, for a node
+    nested in a document, ``outer`` being the line break and indent of its
+    closing line.
 
-    The standard encoder with ``indent`` runs in pure Python; a flat dict of
-    strings goes through the C encoder instead, with the line break and
-    indent folded into its item separator.  A :class:`Table` is joined from
-    its cells in row blocks, each cell between the quote marks that end
-    the piece before it and start the piece after it.  Report keys are
-    strings.
+    The standard encoder with ``indent`` runs in pure Python; a dict or list
+    of strings, numbers and booleans goes through the C encoder instead, as
+    one piece, with the line break and indent folded into its item
+    separator.  A :class:`Table` is one piece per row block, joined from its
+    cells, each cell between the quote marks that end the piece before it and
+    start the piece after it.  Report keys are strings.
     """
     inner = outer + "  "
-    if isinstance(node, Table):
-        if not node.names:
-            return "{}"
+    keyed = isinstance(node, dict)
+    if isinstance(node, Table) and node.names:
         cell = inner + "  "
         keys = [encode_basestring_ascii(name) + ": " for name in node.names]
-        heads = [("," if i else "") + inner + key + "{" for i, key in enumerate(keys)]
+        heads = [("," if i else "{") + inner + key + "{" for i, key in enumerate(keys)]
         columns = [('",' if j else "") + cell + key + '"' for j, key in enumerate(keys)]
-        chunks = []
         for rows, cells in node.blocks():
             # A row reads: its head, then each column's key before that column's cell, then "}".
             pieces = np.empty((len(cells), 2 * len(keys) + 2), dtype=object)
@@ -254,44 +268,41 @@ def _json(node: Any, outer: str) -> str:
             pieces[:, 1:-1:2] = columns
             pieces[:, 2:-1:2] = cells
             pieces[:, -1] = '"' + inner + "}"
-            chunks.append("".join(pieces.ravel().tolist()))
-        return "{" + "".join(chunks) + outer + "}"
-    if isinstance(node, dict) and node:
-        if all(isinstance(value, str) for value in node.values()):
-            flat = json.dumps(node, sort_keys=True, separators=("," + inner, ": "))
-            return "{" + inner + flat[1:-1] + outer + "}"
-        items = [
-            encode_basestring_ascii(key) + ": " + _json(value, inner)
-            for key, value in sorted(node.items())
-        ]
-        return "{" + inner + ("," + inner).join(items) + outer + "}"
-    if isinstance(node, list) and node:
-        return "[" + inner + ("," + inner).join(_json(item, inner) for item in node) + outer + "]"
-    return json.dumps(node)
+            yield "".join(pieces.ravel().tolist())
+        yield outer + "}"
+    elif not isinstance(node, (dict, list)) or not node:
+        yield "{}" if isinstance(node, Table) else json.dumps(node)
+    elif all(isinstance(value, (str, int, float)) for value in (node.values() if keyed else node)):
+        flat = json.dumps(node, sort_keys=True, separators=("," + inner, ": "))
+        yield flat[0] + inner + flat[1:-1] + outer + flat[-1]
+    else:
+        opening, closing = "{}" if keyed else "[]"
+        for i, (key, value) in enumerate(sorted(node.items()) if keyed else enumerate(node)):
+            yield ("," if i else opening) + inner + (encode_basestring_ascii(key) + ": " if keyed else "")
+            yield from _json(value, inner)
+        yield outer + closing
 
 
-def _render(prefix: str, node: Any) -> list[str]:
+def _render(prefix: str, node: Any) -> Iterator[str]:
+    """The text rendering in pieces, each line with its line break: one piece
+    per line, and one per :class:`Table` row block."""
     if isinstance(node, Table):
         heads = np.array([f"{prefix}.{name}" if prefix else name for name in node.names], dtype=object)
         columns = np.array([f".{name}: " for name in node.names], dtype=object)
-        lines: list[str] = []
         for rows, cells in node.blocks():
-            lines += (np.add.outer(heads[rows], columns) + cells).ravel().tolist()
-        return lines
-    if isinstance(node, dict):
-        lines = []
+            yield "\n".join((np.add.outer(heads[rows], columns) + cells).ravel().tolist()) + "\n"
+    elif isinstance(node, dict):
         for key in sorted(node):
-            child = f"{prefix}.{key}" if prefix else str(key)
-            lines.extend(_render(child, node[key]))
-        return lines
-    if isinstance(node, list):
-        if all(not isinstance(item, (dict, list)) for item in node):
-            return [f"{prefix}: [{', '.join(str(i) for i in node)}]"]
-        lines = []
+            child, value = f"{prefix}.{key}" if prefix else str(key), node[key]
+            if isinstance(value, (Table, dict, list)):
+                yield from _render(child, value)
+            else:
+                yield f"{child}: {value}\n"  # a scalar line, with no generator of its own
+    elif isinstance(node, list) and any(isinstance(item, (dict, list)) for item in node):
         for i, item in enumerate(node):
-            lines.extend(_render(f"{prefix}[{i}]", item))
-        return lines
-    return [f"{prefix}: {node}"]
+            yield from _render(f"{prefix}[{i}]", item)
+    else:
+        yield f"{prefix}: [{', '.join(map(str, node))}]\n" if isinstance(node, list) else f"{prefix}: {node}\n"
 
 
 def _graph(args: argparse.Namespace, kind: type[G]) -> G:
@@ -606,7 +617,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         code = next(code for kind, code in EXIT_CODES if isinstance(exc, kind))
         print(f"{'internal error' if code == 5 else 'error'}: {exc}", file=sys.stderr)
         return code
-    sys.stdout.write(report.to_json() if args.json else report.to_text())
+    try:
+        sys.stdout.writelines(report.chunks(args.json))  # each chunk written as it is made
+        sys.stdout.flush()
+    except (OSError, UnicodeEncodeError) as exc:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # so the exit's flush cannot fail again
+        if isinstance(exc, BrokenPipeError):
+            return 0  # the reader stopped early: not an error
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -144,7 +144,9 @@ def _may_violate(d: np.ndarray, slack: np.ndarray) -> bool:
     """Whether _triangle_violation's test can fire on a table with no NaN, no
     negative entry and a zero diagonal.  Monotone rounding clears each pair
     with d[x,z] <= fl(fl(r + c) + slack) for r, c the least off-diagonal
-    entries of row x and column z; the rest are tested on every y."""
+    entries of row x and column z; the rest are tested on every y in chunks
+    of 2**16 sums: row x, plus column z as a row of d's transposed copy, plus
+    the slack, in place and in the test's order."""
     off = np.where(np.eye(len(d), dtype=bool), INFINITY, d)
     with np.errstate(over="ignore"):  # a sum beyond float range is inf: no violation
         survive = d > (off.min(axis=1)[:, None] + off.min(axis=0)) + slack
@@ -153,10 +155,14 @@ def _may_violate(d: np.ndarray, slack: np.ndarray) -> bool:
             finite = np.isfinite(d).astype(np.float32)  # counts up to n are exact
             survive[gap] = (finite @ finite)[gap] > 0
         xs, zs = np.nonzero(survive)
-        step = max(1, (1 << 20) // len(d))
+        columns = d.T.copy()
+        step = max(1, (1 << 16) // len(d))
         for lo in range(0, len(xs), step):
             x, z = xs[lo : lo + step], zs[lo : lo + step]
-            if (d[x, z][:, None] > d[x, :] + d[:, z].T + slack[x, z][:, None]).any():
+            sums = d[x]
+            sums += columns[z]
+            sums += slack[x, z][:, None]
+            if (d[x, z][:, None] > sums).any():
                 return True
     return False
 

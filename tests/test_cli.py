@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -551,6 +552,53 @@ def test_to_json_matches_the_indented_encoder(results, diagnostics):
     assert report.to_json() == json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
+def launched(*argv, **kwargs):
+    """``python -m graphmetry.cli argv`` in a child process, ``src`` on its path."""
+    paths = [SRC, *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths), **kwargs.pop("env", {})}
+    return subprocess.Popen([sys.executable, "-m", "graphmetry.cli", *argv], env=env, **kwargs)
+
+
+# 999 leaves: a 40 MB --matrix report, far past a pipe's buffer, whose
+# triangle check has no pair to test.
+STAR = "".join(f"hub v{i} {1 + i % 7}\n" for i in range(1, 1000))
+
+
+@pytest.mark.parametrize("mode", [["--json"], []], ids=["json", "text"])
+def test_a_reader_that_closes_early_ends_the_command_quietly(graph_file, mode):
+    child = launched("resistance", graph_file(STAR), "--matrix", *mode, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    head = child.stdout.read(10)
+    child.stdout.close()
+    err = child.stderr.read()
+    child.stderr.close()
+    assert (child.wait(timeout=120), err) == (0, b"")
+    assert head == (b'{\n  "comma' if mode else b"command: r")
+
+
+def unwritable(argv, stdout, env=None):
+    child = launched(*argv, stdout=stdout, stderr=subprocess.PIPE, env=env or {}, text=True)
+    err = child.communicate(timeout=120)[1]
+    return child.returncode, err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("mode", [["--json"], []], ids=["json", "text"])
+def test_a_full_device_is_a_write_error(graph_file, mode):
+    with open("/dev/full", "w") as full:
+        code, err = unwritable(["metric", graph_file(P3), "--all-pairs", *mode], full)
+    assert code == 1
+    assert err.startswith("error: cannot write output: ") and err.count("\n") == 1, err
+
+
+def test_an_unencodable_label_is_a_write_error(graph_file):
+    path = graph_file("é b 1\nb c 2\n")
+    ascii_only = {"PYTHONIOENCODING": "ascii"}
+    code, err = unwritable(["metric", path, "--all-pairs"], subprocess.DEVNULL, ascii_only)
+    assert code == 1
+    assert err.startswith("error: cannot write output: ") and err.count("\n") == 1, err
+    assert unwritable(["metric", path, "--all-pairs", "--json"], subprocess.DEVNULL, ascii_only) == (0, "")
+
+
 def test_non_utf8_file_is_input_error(tmp_path, capsys):
     path = tmp_path / "latin.edges"
     path.write_bytes(b"a b \xff\xfe1\n")
@@ -627,7 +675,7 @@ def test_table_renders_as_its_dict_of_dicts(labels, matrix):
     assert report.to_json() == json.dumps(doc, sort_keys=True, indent=2) + "\n"
     assert report.to_text() == reference.to_text()
     for prefix in ("", "top"):
-        assert _render(prefix, table) == _render(prefix, cells)
+        assert "".join(_render(prefix, table)) == "".join(_render(prefix, cells))
 
 
 TABLE_VALUES = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.5e-310, 1e308, -1e308, 1 / 3, 2.5, 7.0]
@@ -650,7 +698,13 @@ def in_kernel_range(matrix) -> int:
     return int(((values >= 1e-4) & (values < 1e17)).sum())
 
 
-@pytest.mark.parametrize("seed", range(201))
+def block_values(table: Table) -> list[np.ndarray]:
+    """The values of each of ``table``'s row blocks, in label order."""
+    matrix = np.asarray(table.matrix, dtype=float)
+    return [matrix[np.ix_(table.order[rows], table.order)] for rows, _ in table.blocks()]
+
+
+@pytest.mark.parametrize("seed", range(202))
 def test_random_tables_render_as_their_dict_of_dicts(seed):
     rng = random.Random(1900 + seed)
     n = 300 if seed % 50 == 0 else [0, 1, 2, 3, 17][seed % 5]  # n=300 spans two row blocks
@@ -660,6 +714,15 @@ def test_random_tables_render_as_their_dict_of_dicts(seed):
         matrix = np.array([rng.choice(TABLE_VALUES + spread) for _ in range(40 * 40)]).reshape(40, 40)
         labels = rng.sample([str(i) for i in range(120)] + TABLE_LABELS, 40)
         assert in_kernel_range(matrix) >= _KERNEL_MIN
+    if seed == 201:  # the kernel spells one row block, % the next, and one value lies in both
+        labels = random_table(rng, 300)[0]
+        matrix = np.array(rng.choices(TABLE_VALUES, k=300 * 300)).reshape(300, 300)
+        order = Table(labels, matrix).order
+        matrix[order[:2]] = SEEDED_IN_RANGE[:600].reshape(2, 300)
+        matrix[order[-1], order[0]] = SEEDED_IN_RANGE[0]
+        first, *_, last = block_values(Table(labels, matrix))
+        assert in_kernel_range(first) >= _KERNEL_MIN > in_kernel_range(last)
+        assert SEEDED_IN_RANGE[0] in first and SEEDED_IN_RANGE[0] in last
     table = Table(labels, matrix)
     cells = spelled(labels, matrix)
     report = Report("cmd", "in", {"table": table, "z": "1"}, [])
@@ -667,7 +730,21 @@ def test_random_tables_render_as_their_dict_of_dicts(seed):
     doc = {"command": "cmd", "input": "in", "results": reference.results, "diagnostics": []}
     assert_same(report.to_json(), json.dumps(doc, sort_keys=True, indent=2) + "\n")
     assert_same(report.to_text(), reference.to_text())
-    assert_same(_render("top", table), _render("top", cells))
+    assert_same("".join(_render("top", table)), "".join(_render("top", cells)))
+
+
+def test_a_large_table_renders_in_bounded_memory():
+    rng = np.random.default_rng(600)
+    report = Report("cmd", "in", {"table": Table([f"v{i}" for i in range(600)], rng.random((600, 600)))})
+    tracemalloc.start()
+    try:
+        for as_json in (True, False):
+            tracemalloc.reset_peak()
+            sizes = [len(chunk) for chunk in report.chunks(as_json)]  # no chunk kept
+            peak = tracemalloc.get_traced_memory()[1]
+            assert sum(sizes) > 8e6 and max(sizes) < 4e6 and peak < 35e6, (as_json, max(sizes), peak)
+    finally:
+        tracemalloc.stop()
 
 
 def kernel_inputs() -> dict[str, np.ndarray]:

@@ -804,6 +804,25 @@ def triangle_gate_case(seed: int) -> np.ndarray:
     return d
 
 
+def chunked_triangle_gate_cases() -> list[np.ndarray]:
+    """An n = 300 path metric whose prefilter survivors span several chunks
+    of the gate's test: as it is, with a pair of late rows made longer on both
+    sides (a violation only past the first chunk), and with that entry made
+    longer or shorter on one side only."""
+    d = all_pairs_metric(random_sparse_weighted_graph(random.Random(28), 300)).d
+    n, step = len(d), 2**16 // len(d)  # the gate's pairs per chunk
+    off = np.where(np.eye(n, dtype=bool), INFINITY, d)
+    survivors = np.argwhere(np.isfinite(d) & (d > off.min(axis=1)[:, None] + off.min(axis=0) + TAU_EQ * d))
+    assert len(survivors) > 3 * step
+    late = survivors[2 * step, 0]  # rows after it start past the second chunk
+    x, z = next((x, z) for x, z in reversed(survivors.tolist()) if min(x, z) > late)
+    longer, one_side_longer, one_side_shorter = d.copy(), d.copy(), d.copy()
+    longer[x, z] = longer[z, x] = one_side_longer[x, z] = 3 * d[x, z]
+    one_side_shorter[x, z] = 0.5 * d[x, z]
+    assert ordered_triangle_scan(d) is None and ordered_triangle_scan(longer) is not None
+    return [d, longer, one_side_longer, one_side_shorter]
+
+
 def test_triangle_gate_equals_the_ordered_scan():
     # Counts of (clean table, violated): clean tables take the prefilter.
     counts = {(clean, fired): 0 for clean in (False, True) for fired in (False, True)}
@@ -814,6 +833,8 @@ def test_triangle_gate_equals_the_ordered_scan():
         clean = bool(len(d) and (d >= 0).all() and not np.diagonal(d).any())
         counts[clean, expected is not None] += 1
     assert min(counts.values()) > 100, counts
+    for d in chunked_triangle_gate_cases():
+        assert _triangle_violation(d) == ordered_triangle_scan(d)
 
 
 def test_triangle_gate_fires_on_an_inf_pair_with_two_finite_legs():
