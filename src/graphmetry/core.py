@@ -621,11 +621,17 @@ def invariant_error(g: Graph, message: str) -> GraphmetryError:
 
 
 def serialize_graph(g: Graph) -> str:
-    """Canonical edge-list text; parsing it back reproduces the graph.
+    """Canonical edge-list text: the stored pairs in vertex-id order, then
+    the isolated vertices.
 
-    Values use the shortest round-tripping decimal form, so the exact
-    rational shadow survives a serialize/parse cycle.  Construction stores
-    the pairs in sorted order, and each distinct value is spelled once.
+    Values use the shortest round-tripping decimal form, so a value (and its
+    exact rational shadow) survives a serialize/parse cycle.  Construction
+    stores the pairs in sorted order, and each distinct value is spelled
+    once.  The graph itself need not survive one: parsing numbers vertices
+    by first appearance, so ids out of that order come back renumbered
+    (``a b 1 / c d 1 / a d 1`` as ``(a, b, d, c)``, ``vertex z / a b 1`` as
+    ``(a, b, z)``), and a zero weight, or a label that holds whitespace or
+    ``#``, does not parse back at all.
     """
     names = g.labels if g.labels is not None else [str(u) for u in range(g.n)]
     edges = [(key, w) for key, w in g._pairs.items() if key[0] != key[1]]
@@ -638,7 +644,13 @@ def serialize_graph(g: Graph) -> str:
 
 
 def graph_digest(g: Graph) -> str:
-    """Content hash of the parsed graph (over its canonical serialization)."""
+    """SHA-256 of the graph's kind and :func:`serialize_graph` text.
+
+    It identifies the graph with its vertex numbering, which for a parsed
+    graph is the file's order of first appearance: the same edges named in
+    another order get another digest, as can the graph's serialization
+    parsed back.
+    """
     kind = "weight" if isinstance(g, WeightedGraph) else "conductance"
     payload = f"{kind}\n{serialize_graph(g)}".encode()
     return hashlib.sha256(payload).hexdigest()

@@ -22,19 +22,44 @@ pairs get resistance inf.
 Construction already rejected every conductance that is NaN, negative or
 infinite and every row sum beyond float range (:func:`core.validate`), so
 each grounded block is finite and no query here checks the values again.
+
+The factors come from LAPACK's ``dpotrf`` and ``dpotrs`` in
+``scipy.linalg.lapack``, which this module loads at its first
+factorization, not at import: ``import graphmetry`` loads numpy only, and
+the path-metric commands never load scipy.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .core import INFINITY, TAU_EQ, ConductanceGraph, _vertex, invariant_error, weights_close
 from .errors import Disconnected, InvalidArgument, OutOfRange, SizeMismatch
 from .pathmetric import MetricTable
+
+_LAPACK = ("dpotrf", "dpotrs")
+
+
+def __getattr__(name: str):
+    """Bind scipy's Cholesky factor and solve into the module on first access
+    (PEP 562).  A name already set on the module, such as a counting wrapper,
+    is kept."""
+    if name not in _LAPACK:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from scipy.linalg import lapack
+
+    for routine in _LAPACK:
+        globals().setdefault(routine, getattr(lapack, routine))
+    return globals()[name]
+
+
+# Factor and solve calls read dpotrf and dpotrs as attributes of this module,
+# so the first one binds them and a name set on the module is the one called.
+_module = sys.modules[__name__]
 
 
 @dataclass
@@ -175,7 +200,7 @@ def _factor(b: ConductanceGraph, system: _GroundedSystem, i: int) -> np.ndarray:
     bug otherwise."""
     factor = system._factors[i]
     if factor is None:
-        factor, info = dpotrf(system.grounded_block(i), overwrite_a=1, clean=0)
+        factor, info = _module.dpotrf(system.grounded_block(i), overwrite_a=1, clean=0)
         if info > 0:
             raise invariant_error(
                 b,
@@ -217,7 +242,7 @@ def _dipole_potentials(b: ConductanceGraph, pairs: list[tuple[int, int]]) -> lis
     rhs[ys, columns] = -1.0
     f = np.zeros_like(rhs)
     with np.errstate(over="ignore", invalid="ignore"):
-        f[1:] = dpotrs(_factor(b, system, i), rhs[1:], overwrite_b=1)[0]
+        f[1:] = _module.dpotrs(_factor(b, system, i), rhs[1:], overwrite_b=1)[0]
         f -= f[ys, columns]
     finite = np.isfinite(f).all(axis=0)
     for col, k in enumerate(connected):
@@ -276,7 +301,7 @@ def _green_table(b: ConductanceGraph, system: _GroundedSystem) -> np.ndarray:
             continue
         R = np.empty((len(comp), len(comp)))
         with np.errstate(over="ignore", invalid="ignore"):
-            G = dpotrs(_factor(b, system, i), np.eye(len(comp) - 1, order="F"), overwrite_b=1)[0]
+            G = _module.dpotrs(_factor(b, system, i), np.eye(len(comp) - 1, order="F"), overwrite_b=1)[0]
             G = 0.5 * G + 0.5 * G.T  # halving first keeps a large G[k,k] in range
             g = np.diag(G)
             R[1:, 1:] = g[:, None] + g[None, :] - 2.0 * G

@@ -428,6 +428,24 @@ def test_digest_is_deterministic_and_mode_sensitive():
     assert graph_digest(g1) != graph_digest(b)
 
 
+def test_digest_and_serialization_keep_the_file_numbering():
+    # Parsing numbers vertices by first appearance, so a graph whose ids
+    # are out of that order comes back renumbered, unequal, and with
+    # another digest.
+    g = parse_graph("a b 1\nc d 1\na d 1\n")
+    h = parse_graph(serialize_graph(g))
+    assert g.labels == ("a", "b", "c", "d") and h.labels == ("a", "b", "d", "c")
+    assert (g == h) is False and graph_digest(g) != graph_digest(h)
+    assert parse_graph(serialize_graph(parse_graph("vertex z\na b 1"))).labels == ("a", "b", "z")
+    for g in (
+        WeightedGraph(2, {(0, 1): 0.0}),
+        WeightedGraph(2, {(0, 1): 1.0}, ("a b", "c")),
+        WeightedGraph(2, {(0, 1): 1.0}, ("a#", "c")),
+    ):
+        with pytest.raises(ParseError):
+            parse_graph(serialize_graph(g))
+
+
 def test_weights_close_extended():
     assert weights_close(INFINITY, INFINITY)
     assert not weights_close(INFINITY, 10.0)
