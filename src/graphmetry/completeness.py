@@ -29,7 +29,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .core import INFINITY, Path, WeightedGraph, _first_text, _index
+from .core import INFINITY, Path, WeightedGraph, _count, _first_text, _index
 from .errors import DuplicatePath, EmptyInput, InvalidArgument, MixedStart, OutOfRange, TooLarge, UnknownVertex
 from .pathmetric import GeodesicWeight, all_pairs_metric, geodesic_weight, is_generating, path_length
 
@@ -66,8 +66,7 @@ class GraphFamily:
     def truncate(self, budget: int) -> WeightedGraph:
         """The finite weighted graph induced on ``range(budget)``: one pass
         over its vertices v > 0, each with the edge to its parent."""
-        if budget < 1:
-            raise InvalidArgument("budget must be positive")
+        budget = _count(budget, "budget")
         if budget > SCAN_BUDGET_CAP:
             raise TooLarge(f"scan budget capped at {SCAN_BUDGET_CAP}")
         weights = {(self.parent(v), v): self.step(v) for v in range(1, budget)}
@@ -141,19 +140,16 @@ class ElfReport:
     verdict: str
 
 
-def _scan_threshold(budget: int, threshold: int | None, radius: float) -> int:
-    """Check a scan's arguments; the count that means EXCEEDS_THRESHOLD
-    (default: the budget itself)."""
-    if budget < 1:
-        raise InvalidArgument("budget must be positive")
-    thr = budget if threshold is None else threshold
-    if thr < 1:
-        raise InvalidArgument("threshold must be positive")
+def _scan_counts(budget: int, threshold: int | None, radius: float) -> tuple[int, int]:
+    """Check a scan's arguments; the budget, and the count that means
+    EXCEEDS_THRESHOLD (default: the budget itself)."""
+    budget = _count(budget, "budget")
+    thr = budget if threshold is None else _count(threshold, "threshold")
     if not radius >= 0:  # also rejects NaN
         raise InvalidArgument(f"radius must be nonnegative, got {radius}")
     if budget > SCAN_BUDGET_CAP:
         raise TooLarge(f"scan budget capped at {SCAN_BUDGET_CAP}")
-    return thr
+    return budget, thr
 
 
 def _refused(fam: GraphFamily, budget: int, problem: str) -> InvalidArgument:
@@ -222,7 +218,7 @@ def family_ball_scan(
     reports whether the count reached ``threshold`` (default: the budget
     itself) — evidence of an infinite ball, never a proof.
     """
-    thr = _scan_threshold(budget, threshold, radius)
+    budget, thr = _scan_counts(budget, threshold, radius)
     if _index(center) not in range(budget):
         raise UnknownVertex(f"center {center!r} not among the first {budget} vertices")
     center = _index(center)
@@ -266,7 +262,7 @@ def family_elf_scan(
     x only x's parent is joined to it; of those above, the ones hanging
     from x: one ``parent`` call per y, and a ``step`` call per neighbour.
     """
-    thr = _scan_threshold(budget, threshold, radius)
+    budget, thr = _scan_counts(budget, threshold, radius)
     x = _natural(fam, x)  # the weight is undefined off the family
     end = budget + (x <= budget)  # range(end) with x skipped: the first ``budget`` others
     parent, step = fam.parent, fam.step
@@ -300,8 +296,7 @@ def extract_common_prefix_path(
     longest input length.  Each level reads each surviving path once, so the
     descent costs O(total input length).
     """
-    if k < 2:
-        raise InvalidArgument("multiplicity threshold must be at least 2")
+    k = _count(k, "multiplicity threshold", 2)
     if not paths:
         raise EmptyInput("need at least one path")
     seen: set[tuple[int, ...]] = set()

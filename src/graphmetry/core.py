@@ -45,7 +45,7 @@ import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, starmap
-from typing import TYPE_CHECKING, Iterator, Mapping, TypeVar
+from typing import Iterator, Mapping, TypeVar
 
 import numpy as np
 
@@ -62,9 +62,6 @@ from .errors import (
     SameVertex,
     UnknownVertex,
 )
-
-if TYPE_CHECKING:
-    from .resistance import _GroundedSystem
 
 INFINITY: float = math.inf
 
@@ -168,6 +165,18 @@ def _index(u: object) -> int | None:
         return None
 
 
+def _count(value: object, name: str, least: int = 1) -> int:
+    """``value`` as a count argument (a cap, a budget, a number of trials):
+    an integer, read as a vertex id is (see :func:`_index`), of at least
+    ``least``; InvalidArgument otherwise."""
+    i = _index(value)
+    if i is None:
+        raise InvalidArgument(f"{name} must be an integer, got {value!r}")
+    if i < least:
+        raise InvalidArgument(f"{name} must be positive" if least == 1 else f"{name} must be at least {least}")
+    return i
+
+
 def _vertex(u: object, n: int) -> int:
     """``u`` as a vertex id: an integer id (see :func:`_index`) in 0 .. n-1,
     or UnknownVertex."""
@@ -241,6 +250,7 @@ class Graph:
     _ends: np.ndarray  # the stored pairs' (u, v) rows, in stored order
     _values: np.ndarray  # their values
     _adj: list[list[tuple[int, float]]] | None
+    _grounded: object | None  # a conductance graph's grounded system, built by resistance on first use
 
     def _store(self, raw: Mapping[tuple[int, int], float]) -> dict[tuple[int, int], float]:
         """Check n and the labels, normalize the pairs and ``exact``; return the
@@ -285,7 +295,7 @@ class Graph:
             raise InputError("; ".join(problems))
         lo, hi = _lo_hi(_id_array(self.n, list(self.exact)))
         self.exact = dict(zip(zip(lo.tolist(), hi.tolist()), self.exact.values()))
-        self._adj = None
+        self._adj = self._grounded = None
         return self._pairs
 
     def _value(self, u: int, v: int) -> float:
@@ -384,8 +394,7 @@ class Graph:
         unlabelled graph reads a string of ASCII digits as an index.
         """
         if not isinstance(token, str):
-            self._check_vertex(token)
-            return operator.index(token)
+            return _vertex(token, self.n)
         if self.labels is not None:
             if token in self.labels:
                 return self.labels.index(token)
@@ -448,11 +457,6 @@ class ConductanceGraph(Graph):
     labels: tuple[str, ...] | None = None
     exact: dict[tuple[int, int], Fraction] = field(
         default_factory=dict, compare=False, repr=False
-    )
-    # Components and grounded Cholesky factors, built by the resistance
-    # module on first use and shared by every resistance query.
-    _grounded: _GroundedSystem | None = field(
-        default=None, init=False, repr=False, compare=False
     )
     _absent = 0.0
 
@@ -592,16 +596,19 @@ def validate(g: Graph) -> list[str]:
     # Conductances that passed the test above and sum to less than 1e307
     # bound every row sum, rounding included, far below float overflow.
     if not weighted and (report or not sum(g._pairs.values()) < 1e307):
-        row_sums = [0.0] * g.n
-        for (u, v), w in g._pairs.items():
-            if u != v:
-                row_sums[u], row_sums[v] = row_sums[u] + w, row_sums[v] + w
-        for u, total in enumerate(row_sums):
-            if math.isinf(total):
-                report.append(f"conductance row sum at {g.label(u)} is not finite")
+        edge = ~stray  # a diagonal conductance is reported above, not summed
+        for u in np.flatnonzero(np.isinf(_row_sums(g._ends[edge], values[edge], g.n))).tolist():
+            report.append(f"conductance row sum at {g.label(u)} is not finite")
     if g.labels is not None and len(set(g.labels)) != len(g.labels):
         report.append("duplicate vertex labels")
     return report
+
+
+def _row_sums(ends: np.ndarray, c: np.ndarray, n: int) -> np.ndarray:
+    """Each vertex's conductances summed in stored-pair order, which is
+    edges() order: the Laplacian diagonal and the row sums :func:`validate`
+    checks.  ``ends`` holds no diagonal pair."""
+    return np.bincount(ends.ravel(), np.repeat(c, 2), n)
 
 
 def invariant_error(g: Graph, message: str) -> GraphmetryError:

@@ -33,7 +33,7 @@ import math
 from fractions import Fraction
 from typing import Iterator
 
-from .core import ConductanceGraph, Graph, Path, WeightedGraph, edge_key
+from .core import ConductanceGraph, Graph, Path, WeightedGraph, _vertex, edge_key
 from .errors import SameVertex, TooLarge
 
 PATH_CAP = 12
@@ -82,8 +82,7 @@ def enumerate_simple_paths(g: Graph, x: int, y: int) -> Iterator[Path]:
     """All injective paths from x to y over stored pairs (finite weights,
     positive conductances), in lexicographic vertex order."""
     _cap(g, PATH_CAP, "path enumeration")
-    g._check_vertex(x)
-    g._check_vertex(y)
+    x, y = _vertex(x, g.n), _vertex(y, g.n)
     if x == y:
         yield Path((x,))
         return

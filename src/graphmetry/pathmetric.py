@@ -35,17 +35,12 @@ from .core import (
     TAU_EQ,
     Path,
     WeightedGraph,
+    _count,
     _vertex,
     invariant_error,
     weights_close_array,
 )
-from .errors import (
-    InvalidArgument,
-    InvalidMetric,
-    OutOfRange,
-    SizeMismatch,
-    Unreachable,
-)
+from .errors import InvalidMetric, OutOfRange, SizeMismatch, Unreachable
 
 
 @dataclass
@@ -418,10 +413,8 @@ def enumerate_geodesics(g: WeightedGraph, x: int, y: int, cap: int = 64) -> Geod
     only when it exceeds delta_w by more than that bound.  Stops after
     ``cap`` paths and sets the truncation flag.
     """
-    if cap < 1:
-        raise InvalidArgument("cap must be positive")
-    g._check_vertex(x)
-    g._check_vertex(y)
+    cap = _count(cap, "cap")
+    x, y = _vertex(x, g.n), _vertex(y, g.n)
     target = path_metric(g, x, y)
     if math.isinf(target):
         raise Unreachable(f"no finite-weight path from {g.label(x)} to {g.label(y)}")
@@ -488,13 +481,18 @@ def geodesic_weight(t: MetricTable, graph: WeightedGraph | None = None) -> Geode
     left every entry unchanged, so d[x,z] <= fl(d[x,y] + d[y,z]) holds
     exactly for every y, and adding the nonnegative slack cannot lower that
     sum (rounding is monotone; the table holds no NaN, or the closure would
-    not have stopped).  Without ``graph`` the table must be symmetric and
-    pass the triangle gate (InvalidMetric otherwise), and every finite pair
+    not have stopped).  Without ``graph`` the table must hold no NaN, be
+    symmetric and pass the triangle gate (InvalidMetric otherwise, naming
+    the first NaN pair in row-major order), and every finite pair
     above the diagonal is tested: each is a tight edge of the table itself.
     """
     n, d = t.n, t.d
     if graph is None:
-        asymmetric = (d != d.T) & (d == d)  # NaN in both places is not an asymmetry
+        nan = np.isnan(d)
+        if nan.any():
+            x, y = np.argwhere(nan)[0]
+            raise InvalidMetric(f"d({t.label(x)}, {t.label(y)}) is NaN")
+        asymmetric = d != d.T
         if asymmetric.any():
             x, y = np.argwhere(asymmetric)[0]
             raise InvalidMetric(f"d({t.label(x)}, {t.label(y)}) != d({t.label(y)}, {t.label(x)})")

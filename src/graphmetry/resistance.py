@@ -23,43 +23,23 @@ Construction already rejected every conductance that is NaN, negative or
 infinite and every row sum beyond float range (:func:`core.validate`), so
 each grounded block is finite and no query here checks the values again.
 
-The factors come from LAPACK's ``dpotrf`` and ``dpotrs`` in
-``scipy.linalg.lapack``, which this module loads at its first
-factorization, not at import: ``import graphmetry`` loads numpy only, and
+Every factorization is one ``dpotrf`` call in :func:`_factor` and every
+solve one ``dpotrs`` call in :func:`_solve`.  Each is a plain import from
+``scipy.linalg.lapack`` where it is called, so scipy loads at the first
+factor or solve, not at import: ``import graphmetry`` loads numpy only, and
 the path-metric commands never load scipy.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import INFINITY, TAU_EQ, ConductanceGraph, _vertex, invariant_error, weights_close
+from .core import INFINITY, TAU_EQ, ConductanceGraph, _count, _row_sums, _vertex, invariant_error, weights_close
 from .errors import Disconnected, InvalidArgument, OutOfRange, SizeMismatch
 from .pathmetric import MetricTable
-
-_LAPACK = ("dpotrf", "dpotrs")
-
-
-def __getattr__(name: str):
-    """Bind scipy's Cholesky factor and solve into the module on first access
-    (PEP 562).  A name already set on the module, such as a counting wrapper,
-    is kept."""
-    if name not in _LAPACK:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from scipy.linalg import lapack
-
-    for routine in _LAPACK:
-        globals().setdefault(routine, getattr(lapack, routine))
-    return globals()[name]
-
-
-# Factor and solve calls read dpotrf and dpotrs as attributes of this module,
-# so the first one binds them and a name set on the module is the one called.
-_module = sys.modules[__name__]
 
 
 @dataclass
@@ -113,11 +93,6 @@ def laplacian(b: ConductanceGraph, f: PotentialFunction | np.ndarray) -> np.ndar
 def laplacian_apply(b: ConductanceGraph, f: PotentialFunction | np.ndarray, x: int) -> float:
     """Lf(x) = sum_w b(x,w) (f(x) - f(w))."""
     return float(laplacian(b, f)[_vertex(x, b.n)])
-
-
-def _row_sums(ends: np.ndarray, c: np.ndarray, n: int) -> np.ndarray:
-    """Each vertex's conductances summed in edges() order: the Laplacian diagonal."""
-    return np.bincount(ends.ravel(), np.repeat(c, 2), n)
 
 
 def laplacian_matrix(b: ConductanceGraph) -> np.ndarray:
@@ -200,7 +175,9 @@ def _factor(b: ConductanceGraph, system: _GroundedSystem, i: int) -> np.ndarray:
     bug otherwise."""
     factor = system._factors[i]
     if factor is None:
-        factor, info = _module.dpotrf(system.grounded_block(i), overwrite_a=1, clean=0)
+        from scipy.linalg.lapack import dpotrf
+
+        factor, info = dpotrf(system.grounded_block(i), overwrite_a=1, clean=0)
         if info > 0:
             raise invariant_error(
                 b,
@@ -209,6 +186,15 @@ def _factor(b: ConductanceGraph, system: _GroundedSystem, i: int) -> np.ndarray:
             )
         system._factors[i] = factor
     return factor
+
+
+def _solve(b: ConductanceGraph, system: _GroundedSystem, i: int, rhs: np.ndarray) -> np.ndarray:
+    """A^-1 rhs for component ``i``'s grounded block A, one right-hand side per
+    column of ``rhs``, which the solve may overwrite.  LAPACK raises no numpy
+    warning: a solution beyond float range comes back as inf or NaN."""
+    from scipy.linalg.lapack import dpotrs
+
+    return dpotrs(_factor(b, system, i), rhs, overwrite_b=1)[0]
 
 
 def components(b: ConductanceGraph) -> list[list[int]]:
@@ -241,8 +227,8 @@ def _dipole_potentials(b: ConductanceGraph, pairs: list[tuple[int, int]]) -> lis
     rhs[xs, columns] = 1.0
     rhs[ys, columns] = -1.0
     f = np.zeros_like(rhs)
+    f[1:] = _solve(b, system, i, rhs[1:])
     with np.errstate(over="ignore", invalid="ignore"):
-        f[1:] = _module.dpotrs(_factor(b, system, i), rhs[1:], overwrite_b=1)[0]
         f -= f[ys, columns]
     finite = np.isfinite(f).all(axis=0)
     for col, k in enumerate(connected):
@@ -300,8 +286,8 @@ def _green_table(b: ConductanceGraph, system: _GroundedSystem) -> np.ndarray:
         if len(comp) == 1:
             continue
         R = np.empty((len(comp), len(comp)))
+        G = _solve(b, system, i, np.eye(len(comp) - 1, order="F"))
         with np.errstate(over="ignore", invalid="ignore"):
-            G = _module.dpotrs(_factor(b, system, i), np.eye(len(comp) - 1, order="F"), overwrite_b=1)[0]
             G = 0.5 * G + 0.5 * G.T  # halving first keeps a large G[k,k] in range
             g = np.diag(G)
             R[1:, 1:] = g[:, None] + g[None, :] - 2.0 * G
@@ -361,8 +347,7 @@ def verify_variational(
     energies read conductances scaled into [1/2, 1) by a power of two: the
     cut-off is unit-free, and the reported figures keep their bits.
     """
-    if trials < 1:
-        raise InvalidArgument("trials must be positive")
+    trials = _count(trials, "trials")
     values = _unit_dipole(b, x, y, "the variational quotient")
     resistance = float(values[x])
     rng = np.random.default_rng(seed)

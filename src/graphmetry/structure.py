@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .core import INFINITY, ConductanceGraph, Path, WeightedGraph, weights_close
+from .core import INFINITY, ConductanceGraph, Path, WeightedGraph, _vertex, weights_close
 from .errors import Disconnected, NotDistinct
 from .pathmetric import _first_mismatch
 from .resistance import _dipole_potentials, _grounded, _resistance_table, components
@@ -57,8 +57,7 @@ def separates(
     shore, a second search from z gives z's shore, and the certificate is
     re-checked before it is returned.
     """
-    for v in (x, y, z):
-        b._check_vertex(v)
+    x, y, z = (_vertex(v, b.n) for v in (x, y, z))
     if len({x, y, z}) != 3:
         raise NotDistinct("separator and endpoints must be pairwise distinct")
     label = _grounded(b).label

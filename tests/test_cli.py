@@ -474,17 +474,17 @@ def test_characterize_triangle_separates_once(graph_file, capsys, monkeypatch):
 
 
 def test_characterize_triangle_factors_once_and_solves_once(graph_file, capsys, monkeypatch):
-    import graphmetry.resistance as resistance
+    import scipy.linalg.lapack
 
     calls = []
     for name in ("dpotrf", "dpotrs"):
-        original = getattr(resistance, name)
+        original = getattr(scipy.linalg.lapack, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
             calls.append((_name, args[-1].shape))
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(resistance, name, counted)
+        monkeypatch.setattr(scipy.linalg.lapack, name, counted)
     for text, k in ((P3, 2), (K3, 2), (C4, 3)):  # k: the grounded block's size
         calls.clear()
         run_json(capsys, "characterize", graph_file(text), "--triangle", "a", "b", "c")

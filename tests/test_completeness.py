@@ -39,7 +39,7 @@ from graphmetry import (
     single_source_distances,
     verify_maximal_weight,
 )
-from graphmetry.completeness import SCAN_BUDGET_CAP, _scan_threshold
+from graphmetry.completeness import SCAN_BUDGET_CAP, _scan_counts
 from graphmetry.pathmetric import _settle
 
 from .suites import complete_graph_for, random_weighted_graph
@@ -495,7 +495,7 @@ def _truncation(fam, budget):
 def reference_ball_scan(fam, center, radius, budget, threshold=None):
     """The ball scan as a search of the built truncation: Dijkstra on
     ``fam.truncate(budget)``, stopped at the first vertex beyond the radius."""
-    thr = _scan_threshold(budget, threshold, radius)
+    budget, thr = _scan_counts(budget, threshold, radius)
     if not 0 <= center < budget:
         raise UnknownVertex(f"center {center} not among the first {budget} vertices")
     found = 0
@@ -509,7 +509,7 @@ def reference_ball_scan(fam, center, radius, budget, threshold=None):
 
 def reference_elf_scan(fam, x, radius, budget, threshold=None):
     """The elf scan as the family's weight read for every enumerated y."""
-    thr = _scan_threshold(budget, threshold, radius)
+    budget, thr = _scan_counts(budget, threshold, radius)
     if x < 0:
         raise UnknownVertex(f"vertex {x} is not a vertex of {fam.name}")
     naturals = range(budget + (x <= budget))

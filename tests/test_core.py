@@ -7,6 +7,7 @@ import operator
 import random
 import re
 import struct
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -49,7 +50,7 @@ from graphmetry import (
     verify_variational,
     weights_close,
 )
-from graphmetry.core import edge_key, invariant_error, weights_close_array
+from graphmetry.core import _row_sums, edge_key, invariant_error, weights_close_array
 from graphmetry.oracle import (
     brute_metric,
     brute_metric_from,
@@ -625,6 +626,39 @@ def reference_validate(weighted, n, pairs, labels):
     return report
 
 
+def test_row_sum_diagnostics_follow_the_per_pair_loop():
+    # Rows near the top of float range: max + 2**969 + 2**969 is finite in
+    # that order and inf in the reverse one, so a row's verdict can hang on
+    # the order of its terms.  Construction names the rows the per-pair loop
+    # of reference_validate names, in its order, and a built graph's row sums
+    # are that loop's bit for bit.
+    rng = random.Random(1813)
+    top = sys.float_info.max
+    near = (top / 2, top / 3, top / 4, math.nextafter(top / 2, INFINITY), top, 2.0**969, 1e300, 1.0)
+    overflowed = built = order_dependent = 0
+    for _ in range(400):
+        n = rng.randint(2, 9)
+        pairs = {(u, v): rng.choice(near) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.6}
+        labels = tuple(f"v{u}" for u in rng.sample(range(n), n)) if rng.random() < 0.5 else None
+        rows, backwards = [0.0] * n, [0.0] * n
+        for (u, v), w in pairs.items():
+            rows[u], rows[v] = rows[u] + w, rows[v] + w
+        for (u, v), w in reversed(pairs.items()):
+            backwards[u], backwards[v] = backwards[u] + w, backwards[v] + w
+        order_dependent += sum(math.isinf(r) != math.isinf(r2) for r, r2 in zip(rows, backwards))
+        problems = reference_validate(False, n, pairs, labels)
+        if problems:
+            with pytest.raises(InputError) as err:
+                ConductanceGraph(n, pairs, labels)
+            assert str(err.value) == "; ".join(problems)
+            overflowed += 1
+        else:
+            b = ConductanceGraph(n, pairs, labels)
+            assert float_bits(_row_sums(b._ends, b._values, n)) == float_bits(rows)
+            built += 1
+    assert overflowed > 100 and built > 100 and order_dependent > 0
+
+
 def reference_build(kind, n, raw, labels, exact):
     """(stored pairs, exact) as the per-pair reference builds them, or the error it raises."""
     weighted = kind is WeightedGraph
@@ -910,10 +944,57 @@ def test_integer_vertex_ids_of_other_types_are_vertices():
     assert w.weight(np.int64(1), 2) == 2.0 and w.label(np.int32(2)) == "2"
     assert w.resolve(np.int64(1)) == 1 and type(w.resolve(np.int64(1))) is int
     assert path_metric(w, np.int64(0), 2) == 3.0
+    # Results hold plain ints, whatever type the caller's ids have.
+    (path,) = enumerate_geodesics(w, np.int64(0), np.int32(2)).paths
+    assert path.vertices == (0, 1, 2) and all(type(v) is int for v in path)
+    (alone,) = enumerate_geodesics(w, np.int64(1), np.int64(1)).paths
+    assert all(type(v) is int for v in alone)
+    cut = separates(ConductanceGraph(3, {(0, 1): 1.0, (1, 2): 2.0}), True, np.int64(0), 2)
+    assert cut.separator == 1 and type(cut.separator) is int
+    assert all(type(v) is int for v in (*cut.side_x, *cut.side_z))
+    b = ConductanceGraph(4, {(0, 1): 1.0, (1, 2): 2.0, (2, 3): 1.0, (0, 3): 1.0})
+    witness = separates(b, np.int64(1), np.int64(0), np.int32(2)).witness
+    assert witness.vertices == (0, 3, 2) and all(type(v) is int for v in witness)
+    report = check_triangle_equality(b, np.int64(0), np.int64(1), np.int64(2))
+    assert all(type(v) is int for v in report.separation.witness)
     with pytest.raises(UnknownVertex, match=r"^vertex 3 out of range for 3 vertices$"):
         w.weight(np.int64(3), 0)
     with pytest.raises(UnknownVertex, match=r"^vertex 2.0 is not an integer vertex id$"):
         w.weight(0, 2.0)
+
+
+def count_calls(count):
+    """Every public call that takes a count, with ``count`` in its count slot."""
+    w = WeightedGraph(3, {(0, 1): 1.0, (1, 2): 2.0})
+    b = ConductanceGraph(3, {(0, 1): 1.0, (1, 2): 2.0})
+    paths = [Path((0, 1)), Path((0, 1, 2))]
+    return {
+        "enumerate_geodesics cap": lambda: enumerate_geodesics(w, 0, 2, cap=count),
+        "verify_variational trials": lambda: verify_variational(b, 0, 2, trials=count),
+        "family_ball_scan budget": lambda: family_ball_scan(UNIT_RAY, 0, 2.0, count),
+        "family_ball_scan threshold": lambda: family_ball_scan(UNIT_RAY, 0, 2.0, 10, count),
+        "family_elf_scan budget": lambda: family_elf_scan(UNIT_RAY, 0, 2.0, count),
+        "family_elf_scan threshold": lambda: family_elf_scan(UNIT_RAY, 0, 2.0, 10, count),
+        "GraphFamily.truncate": lambda: UNIT_RAY.truncate(count),
+        "extract_common_prefix_path k": lambda: extract_common_prefix_path(paths, w, k=count),
+    }
+
+
+@pytest.mark.parametrize("call", list(count_calls(None)))
+@pytest.mark.parametrize("bad", [2.5, 3.0, "3", b"3", None], ids=repr)
+def test_every_count_is_an_integer_or_invalid_argument(call, bad):
+    if bad is None and call.endswith("threshold"):
+        assert count_calls(bad)[call]().verdict  # None is the default threshold
+        return
+    with pytest.raises(InvalidArgument, match=rf" must be an integer, got {re.escape(repr(bad))}$"):
+        count_calls(bad)[call]()
+
+
+def test_integer_counts_of_other_types_are_counts():
+    for call in count_calls(np.int64(2)).values():
+        call()
+    scan = family_ball_scan(UNIT_RAY, 0, 2.0, np.int64(10))
+    assert scan.budget == 10 and type(scan.budget) is int
 
 
 @pytest.mark.parametrize("kind", [WeightedGraph, ConductanceGraph])

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 import warnings
 
 import numpy as np
@@ -723,6 +724,22 @@ def test_geodesic_weight_rejects_an_asymmetric_table():
     assert _triangle_violation(skew.d) is None
     with pytest.raises(InvalidMetric, match="!="):
         geodesic_weight(skew)
+
+
+@pytest.mark.parametrize(
+    "nan_at, named",
+    [([(0, 2), (2, 0)], "d(0, 2) is NaN"), ([(1, 1)], "d(1, 1) is NaN"), ([(2, 0), (1, 1)], "d(1, 1) is NaN")],
+)
+def test_bare_geodesic_weight_rejects_a_table_with_nan(nan_at, named):
+    # validate() says "matrix contains NaN"; the bare weight names the first
+    # NaN pair in row-major order, before any asymmetry it makes.
+    d = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
+    for x, y in nan_at:
+        d[x, y] = math.nan
+    t = MetricTable(d)
+    assert t.validate() == ["matrix contains NaN"]
+    with pytest.raises(InvalidMetric, match=rf"^{re.escape(named)}$"):
+        geodesic_weight(t)
 
 
 def test_triangle_gate_is_exact_at_infinity():
