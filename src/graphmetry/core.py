@@ -188,6 +188,12 @@ def _vertex(u: object, n: int) -> int:
     return i
 
 
+def _check_labels(labels: tuple[str, ...] | None, n: int) -> None:
+    """InvalidArgument unless ``labels`` is None or names exactly n vertices."""
+    if labels is not None and len(labels) != n:
+        raise InvalidArgument("label table size must equal the vertex count")
+
+
 def _plain(keys: list) -> bool:
     """Whether ``keys`` are tuples of ``int`` (no subclass, no numpy scalar),
     as the keys of a stored dict are."""
@@ -257,8 +263,7 @@ class Graph:
         pairs.  Raises InputError with every :func:`validate` diagnostic."""
         if self.n < 0:
             raise InvalidArgument("vertex count must be nonnegative")
-        if self.labels is not None and len(self.labels) != self.n:
-            raise InvalidArgument("label table size must equal the vertex count")
+        _check_labels(self.labels, self.n)
         keys, values = list(raw), list(raw.values())
         ids = _id_array(self.n, keys)
         floats = operator.countOf(map(type, values), float) == len(values)

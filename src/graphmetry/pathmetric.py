@@ -35,6 +35,7 @@ from .core import (
     TAU_EQ,
     Path,
     WeightedGraph,
+    _check_labels,
     _count,
     _vertex,
     invariant_error,
@@ -55,6 +56,7 @@ class MetricTable:
         self.d = np.asarray(self.d, dtype=float)
         if self.d.ndim != 2 or self.d.shape[0] != self.d.shape[1]:
             raise SizeMismatch(f"expected a square matrix, got {self.d.shape}")
+        _check_labels(self.labels, self.n)
 
     @property
     def n(self) -> int:
@@ -73,37 +75,44 @@ class MetricTable:
         """Diagnostics for violated pseudo-metric invariants (empty iff valid).
 
         Zero off-diagonal entries are legal in a pseudo metric but worth
-        surfacing, so they are reported as well.
+        surfacing, so they are reported as well (on a table with no NaN).
         """
-        report: list[str] = []
+        report = list(self._violations())
         d = self.d
-        if np.isnan(d).any():
-            report.append("matrix contains NaN")
-            return report
-        for x in range(self.n):
-            if d[x, x] != 0.0:
-                report.append(f"diagonal entry at {self.label(x)} is {d[x, x]}, not 0")
-        if not np.array_equal(d, d.T):
-            x, y = np.argwhere(d != d.T)[0]
-            report.append(f"asymmetry at ({self.label(x)}, {self.label(y)})")
-        if (d < 0).any():
-            x, y = np.argwhere(d < 0)[0]
-            report.append(f"negative entry at ({self.label(x)}, {self.label(y)})")
-        viol = _triangle_violation(d)
-        if viol is not None:
-            x, y, z = viol
-            report.append(
-                f"triangle inequality fails: d({self.label(x)}, {self.label(z)}) > "
-                f"d({self.label(x)}, {self.label(y)}) + d({self.label(y)}, {self.label(z)})"
-            )
         finite_zero = (d == 0) & ~np.eye(self.n, dtype=bool)
-        if finite_zero.any():
+        if finite_zero.any() and not np.isnan(d).any():
             x, y = np.argwhere(finite_zero)[0]
             report.append(
                 f"zero distance between distinct vertices ({self.label(x)}, {self.label(y)}) "
                 "(pseudo metric, not definite)"
             )
         return report
+
+    def _violations(self) -> Iterator[str]:
+        """Each violated invariant in order: the first NaN entry in row-major
+        order (and then nothing else), each nonzero diagonal entry, and the
+        first asymmetric, negative and triangle-violating entries."""
+        d = self.d
+        nan = np.isnan(d)
+        if nan.any():
+            x, y = np.argwhere(nan)[0]
+            yield f"d({self.label(x)}, {self.label(y)}) is NaN"
+            return
+        for x in np.flatnonzero(np.diagonal(d)):
+            yield f"diagonal entry at {self.label(x)} is {d[x, x]}, not 0"
+        if not np.array_equal(d, d.T):
+            x, y = np.argwhere(d != d.T)[0]
+            yield f"asymmetry at ({self.label(x)}, {self.label(y)})"
+        if (d < 0).any():
+            x, y = np.argwhere(d < 0)[0]
+            yield f"negative entry at ({self.label(x)}, {self.label(y)})"
+        viol = _triangle_violation(d)
+        if viol is not None:
+            x, y, z = viol
+            yield (
+                f"triangle inequality fails: d({self.label(x)}, {self.label(z)}) > "
+                f"d({self.label(x)}, {self.label(y)}) + d({self.label(y)}, {self.label(z)})"
+            )
 
     def as_weight_graph(self) -> WeightedGraph:
         """Reinterpret the table as a weight function (metric-as-weight)."""
@@ -119,47 +128,40 @@ def _table_weight_graph(table: np.ndarray, labels: tuple[str, ...] | None) -> We
 
 def _triangle_violation(d: np.ndarray) -> tuple[int, int, int] | None:
     """First (x, y, z), by y and then by (x, z), with d[x,z] > d[x,y] + d[y,z]
-    by more than TAU_EQ times d[x,z] (by anything when d[x,z] is inf), if any."""
+    by more than TAU_EQ times d[x,z] (by anything when d[x,z] is inf), if any.
+    With no NaN, no negative entry and a zero diagonal, monotone rounding
+    clears each pair with d[x,z] <= fl(fl(r + c) + slack), r and c the least
+    off-diagonal entries of row x and column z, and each inf pair with no y
+    finite on both legs.  The other pairs are tested on every y in chunks of
+    2**16 sums (row x, plus column z as a row of d.T, plus the slack, in the
+    test's order), each chunk naming its least (y, x, z) hit."""
     n = d.shape[0]
     slack = TAU_EQ * np.abs(d)
     slack[np.isinf(d)] = 0.0  # exact at infinity, as in weights_close
-    if n > 0 and (d >= 0).all() and not np.diagonal(d).any() and not _may_violate(d, slack):
-        return None
+    hits = []
     with np.errstate(over="ignore", invalid="ignore"):  # +inf or NaN sums never violate
-        for y in range(n):
-            sums = d[:, y, None] + d[None, y, :]
-            bad = d > sums + slack
-            if bad.any():
-                x, z = np.argwhere(bad)[0]
-                return int(x), int(y), int(z)
-    return None
-
-
-def _may_violate(d: np.ndarray, slack: np.ndarray) -> bool:
-    """Whether _triangle_violation's test can fire on a table with no NaN, no
-    negative entry and a zero diagonal.  Monotone rounding clears each pair
-    with d[x,z] <= fl(fl(r + c) + slack) for r, c the least off-diagonal
-    entries of row x and column z; the rest are tested on every y in chunks
-    of 2**16 sums: row x, plus column z as a row of d's transposed copy, plus
-    the slack, in place and in the test's order."""
-    off = np.where(np.eye(len(d), dtype=bool), INFINITY, d)
-    with np.errstate(over="ignore"):  # a sum beyond float range is inf: no violation
-        survive = d > (off.min(axis=1)[:, None] + off.min(axis=0)) + slack
-        gap = survive & np.isinf(d)
-        if gap.any():
-            finite = np.isfinite(d).astype(np.float32)  # counts up to n are exact
-            survive[gap] = (finite @ finite)[gap] > 0
-        xs, zs = np.nonzero(survive)
+        if n > 0 and (d >= 0).all() and not np.diagonal(d).any():
+            off = np.where(np.eye(n, dtype=bool), INFINITY, d)
+            scan = d > (off.min(axis=1)[:, None] + off.min(axis=0)) + slack
+            gap = scan & np.isinf(d)
+            if gap.any():
+                finite = np.isfinite(d).astype(np.float32)  # counts up to n are exact
+                scan[gap] = (finite @ finite)[gap] > 0
+        else:
+            scan = np.ones((n, n), dtype=bool)
+        xs, zs = np.nonzero(scan)
         columns = d.T.copy()
-        step = max(1, (1 << 16) // len(d))
+        step = max(1, (1 << 16) // max(n, 1))
         for lo in range(0, len(xs), step):
             x, z = xs[lo : lo + step], zs[lo : lo + step]
             sums = d[x]
             sums += columns[z]
             sums += slack[x, z][:, None]
-            if (d[x, z][:, None] > sums).any():
-                return True
-    return False
+            hit = d[x, z][:, None] > sums
+            if hit.any():
+                y, i = np.argwhere(hit.T)[0]
+                hits.append((int(x[i]), int(y), int(z[i])))
+    return min(hits, key=lambda xyz: (xyz[1], xyz), default=None)  # least y, then (x, z)
 
 
 @dataclass
@@ -168,6 +170,9 @@ class GeodesicWeight:
 
     table: np.ndarray
     labels: tuple[str, ...] | None = None
+
+    def __post_init__(self) -> None:
+        _check_labels(self.labels, len(self.table))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GeodesicWeight):
@@ -476,33 +481,20 @@ def geodesic_weight(t: MetricTable, graph: WeightedGraph | None = None) -> Geode
     lowered every other finite pair through some k outside the pair with
     fl(d[x,k] + d[k,y]) = d[x,y] at the fixpoint, so both legs are at most
     d[x,y], and k is between unless a leg absorbed the other or is 0; short
-    of those, the result equals testing every pair bit for bit.  Such a table also
-    skips the triangle gate, which cannot fire on it: a full sweep
-    left every entry unchanged, so d[x,z] <= fl(d[x,y] + d[y,z]) holds
-    exactly for every y, and adding the nonnegative slack cannot lower that
-    sum (rounding is monotone; the table holds no NaN, or the closure would
-    not have stopped).  Without ``graph`` the table must hold no NaN, be
-    symmetric and pass the triangle gate (InvalidMetric otherwise, naming
-    the first NaN pair in row-major order), and every finite pair
-    above the diagonal is tested: each is a tight edge of the table itself.
+    of those, the result equals testing every pair bit for bit.  Such a
+    table skips the gate below, which it passes: at the fixpoint
+    d[x,z] <= fl(d[x,y] + d[y,z]) holds exactly for every y.
+
+    Without ``graph`` the table must pass :meth:`MetricTable.validate`,
+    zero distances allowed (InvalidMetric carrying its first violation
+    otherwise), and every finite pair above the diagonal is tested: each is
+    a tight edge of the table itself.
     """
     n, d = t.n, t.d
     if graph is None:
-        nan = np.isnan(d)
-        if nan.any():
-            x, y = np.argwhere(nan)[0]
-            raise InvalidMetric(f"d({t.label(x)}, {t.label(y)}) is NaN")
-        asymmetric = d != d.T
-        if asymmetric.any():
-            x, y = np.argwhere(asymmetric)[0]
-            raise InvalidMetric(f"d({t.label(x)}, {t.label(y)}) != d({t.label(y)}, {t.label(x)})")
-        viol = _triangle_violation(d)
-        if viol is not None:
-            x, y, z = viol
-            raise InvalidMetric(
-                f"d({t.label(x)}, {t.label(z)}) > d({t.label(x)}, {t.label(y)}) "
-                f"+ d({t.label(y)}, {t.label(z)})"
-            )
+        problem = next(t._violations(), None)
+        if problem is not None:
+            raise InvalidMetric(problem)
         xs, ys = np.nonzero(np.triu(np.isfinite(d), 1))
     else:
         if graph.n != n:

@@ -122,10 +122,9 @@ def check_triangle_equality(b: ConductanceGraph, x: int, y: int, z: int) -> Tria
     pair.  The report keeps the separation certificate or witness it was
     decided by.
     """
+    x, z, y = (_vertex(v, b.n) for v in (x, z, y))
     if len({x, y, z}) != 3:
         raise NotDistinct("triangle check needs three pairwise distinct vertices")
-    for v in (x, z, y):
-        b._check_vertex(v)
     pairs = [(x, z), (x, y), (y, z)]
     xz, xy, yz = (
         INFINITY if f is None else float(f[u])

@@ -13,6 +13,7 @@ from graphmetry import (
     GeodesicSet,
     GeodesicWeight,
     InputError,
+    InvalidArgument,
     InvalidMetric,
     MetricTable,
     OutOfRange,
@@ -722,7 +723,7 @@ def test_geodesic_weight_rejects_an_asymmetric_table():
     # It passes the triangle gate; only the symmetry check stops it.
     skew = MetricTable(np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [1.5, 1.0, 0.0]]))
     assert _triangle_violation(skew.d) is None
-    with pytest.raises(InvalidMetric, match="!="):
+    with pytest.raises(InvalidMetric, match="asymmetry"):
         geodesic_weight(skew)
 
 
@@ -731,15 +732,35 @@ def test_geodesic_weight_rejects_an_asymmetric_table():
     [([(0, 2), (2, 0)], "d(0, 2) is NaN"), ([(1, 1)], "d(1, 1) is NaN"), ([(2, 0), (1, 1)], "d(1, 1) is NaN")],
 )
 def test_bare_geodesic_weight_rejects_a_table_with_nan(nan_at, named):
-    # validate() says "matrix contains NaN"; the bare weight names the first
-    # NaN pair in row-major order, before any asymmetry it makes.
+    # validate() and the bare weight name the first NaN pair in row-major
+    # order, before any asymmetry it makes.
     d = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
     for x, y in nan_at:
         d[x, y] = math.nan
     t = MetricTable(d)
-    assert t.validate() == ["matrix contains NaN"]
+    assert t.validate() == [named]
     with pytest.raises(InvalidMetric, match=rf"^{re.escape(named)}$"):
         geodesic_weight(t)
+
+
+@pytest.mark.parametrize(
+    "d, named",
+    [([[1.0, 1.0], [1.0, 0.0]], "diagonal entry at 0 is 1.0, not 0"), ([[0.0, -1.0], [-1.0, 0.0]], "negative entry at (0, 1)")],
+)
+def test_bare_geodesic_weight_raises_the_first_violation_validate_names(d, named):
+    # The bare gate is validate(): a nonzero diagonal is not let through, and
+    # a negative entry is named before the triangle failure it makes.
+    t = MetricTable(np.array(d))
+    assert t.validate()[0] == named
+    with pytest.raises(InvalidMetric, match=rf"^{re.escape(named)}$"):
+        geodesic_weight(t)
+
+
+@pytest.mark.parametrize("kind", [MetricTable, GeodesicWeight])
+def test_tables_reject_a_label_table_of_another_size(kind):
+    with pytest.raises(InvalidArgument, match="^label table size must equal the vertex count$"):
+        kind(np.zeros((2, 2)), ("a",))
+    assert kind(np.zeros((2, 2)), ("a", "b")).labels == ("a", "b")
 
 
 def test_triangle_gate_is_exact_at_infinity():

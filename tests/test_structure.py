@@ -148,6 +148,10 @@ def test_triangle_equality_matches_the_resistance_matrix():
 def test_triangle_equality_guards():
     with pytest.raises(NotDistinct):
         check_triangle_equality(k3(), 0, 1, 1)
+    # Each vertex is read before the distinctness test, as separates does.
+    for x, y, z in ((1.0, 1, 2), (0, 0, 99)):
+        with pytest.raises(UnknownVertex):
+            check_triangle_equality(k3(), x, y, z)
     split = ConductanceGraph(4, {(0, 1): 1.0, (2, 3): 1.0})
     with pytest.raises(Disconnected):
         check_triangle_equality(split, 0, 1, 2)
@@ -450,6 +454,8 @@ def reference_resistance(b: ConductanceGraph, x: int, y: int) -> float:
 
 
 def reference_triangle(b: ConductanceGraph, x: int, y: int, z: int) -> TriangleReport:
+    for v in (x, z, y):
+        b._check_vertex(v)
     if len({x, y, z}) != 3:
         raise NotDistinct("triangle check needs three pairwise distinct vertices")
     lhs = reference_resistance(b, x, z)
@@ -535,22 +541,15 @@ def triples(rng: random.Random, n: int, count: int):
 def test_separation_and_triangle_match_the_reference_copies():
     rng = random.Random(163)
     makers = (pendant_tree, cut_vertex_hub, disconnected_parts, overflowing_chain)
-    kinds, unknown_first = set(), 0
+    kinds = set()
     for i in range(320):
         b = makers[i % 4](rng)
         for x, y, z in triples(rng, b.n, 8):
-            expected = outcome(reference_triangle, b, x, y, z)
             got = outcome(check_triangle_equality, b, x, y, z)
-            if expected[0] is OutOfRange and not 0 <= y < b.n and len({x, y, z}) == 3:
-                # Every vertex is checked before the one solve, so an unknown y is
-                # reported where the pair-by-pair solves met an overflowing (x, z) first.
-                expected = outcome(b._check_vertex, y)
-                unknown_first += 1
-            assert got == expected
+            assert got == outcome(reference_triangle, b, x, y, z)
             kinds.add(got[0] if isinstance(got[0], type) else type(got[1]))
             assert outcome(separates, b, y, x, z) == outcome(reference_separates, b, y, x, z)
     assert {NotSeparated, SeparationCertificate, NotDistinct, Disconnected, UnknownVertex, OutOfRange} <= kinds
-    assert unknown_first > 0
 
 
 def test_certificate_check_matches_the_reference_on_corrupted_certificates():
