@@ -30,10 +30,8 @@ addition for free.  Exact rational shadows of parsed decimal values are
 kept alongside the float pipeline so the brute-force oracles never
 inherit rounding error.
 
-The base class holds what the two share: neighbour lists, breadth-first
-reach and components, label resolution, and the reciprocal 1/x that turns
-one reading into the other.  Both graph classes are immutable after
-construction and safe to read from any number of concurrent workers.
+Both graph classes are immutable after construction and safe to read from
+any number of concurrent workers.
 """
 
 from __future__ import annotations
@@ -45,7 +43,7 @@ import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, starmap
-from typing import Iterator, Mapping, TypeVar
+from typing import Iterator, Mapping, NamedTuple, TypeVar
 
 import numpy as np
 
@@ -238,6 +236,13 @@ def _merge(ids: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
     return lo[last], hi[last], w[last]
 
 
+class Components(NamedTuple):
+    """Each vertex's component number, and each component's sorted vertices."""
+
+    component: list[int]
+    members: list[list[int]]
+
+
 class Graph:
     """Finite vertex set ``0 .. n-1`` with one stored value per unordered pair.
 
@@ -256,6 +261,7 @@ class Graph:
     _ends: np.ndarray  # the stored pairs' (u, v) rows, in stored order
     _values: np.ndarray  # their values
     _adj: list[list[tuple[int, float]]] | None
+    _components: Components | None  # the component labelling, built on first use
     _grounded: object | None  # a conductance graph's grounded system, built by resistance on first use
 
     def _store(self, raw: Mapping[tuple[int, int], float]) -> dict[tuple[int, int], float]:
@@ -300,7 +306,7 @@ class Graph:
             raise InputError("; ".join(problems))
         lo, hi = _lo_hi(_id_array(self.n, list(self.exact)))
         self.exact = dict(zip(zip(lo.tolist(), hi.tolist()), self.exact.values()))
-        self._adj = self._grounded = None
+        self._adj = self._components = self._grounded = None
         return self._pairs
 
     def _value(self, u: int, v: int) -> float:
@@ -352,14 +358,22 @@ class Graph:
         return parent
 
     def components(self) -> list[list[int]]:
-        """Connected components, each sorted, ordered by least vertex."""
-        out: list[list[int]] = []
-        seen: set[int] = set()
-        for s in range(self.n):
-            if s not in seen:
-                out.append(sorted(self.reach(s)))
-                seen.update(out[-1])
-        return out
+        """Connected components, each sorted, ordered by least vertex: fresh lists."""
+        return [list(members) for members in self._labelling().members]
+
+    def _labelling(self) -> Components:
+        """The components numbered by least vertex, built on first use and kept
+        on the graph: every layer that asks about connectivity reads them."""
+        if self._components is None:
+            component = [-1] * self.n
+            members: list[list[int]] = []
+            for s in range(self.n):
+                if component[s] < 0:
+                    members.append(sorted(self.reach(s)))
+                    for v in members[-1]:
+                        component[v] = len(members) - 1
+            self._components = Components(component, members)
+        return self._components
 
     def reciprocal(self, kind: type[G]) -> G:
         """A ``kind`` graph with value 1/x on every stored pair x of this one.

@@ -43,6 +43,9 @@ from .core import (
 )
 from .errors import InvalidMetric, OutOfRange, SizeMismatch, Unreachable
 
+# Entries per temporary block of the chunked table kernels: cache-sized, whatever n is.
+_CHUNK = 1 << 16
+
 
 @dataclass
 class MetricTable:
@@ -133,8 +136,8 @@ def _triangle_violation(d: np.ndarray) -> tuple[int, int, int] | None:
     clears each pair with d[x,z] <= fl(fl(r + c) + slack), r and c the least
     off-diagonal entries of row x and column z, and each inf pair with no y
     finite on both legs.  The other pairs are tested on every y in chunks of
-    2**16 sums (row x, plus column z as a row of d.T, plus the slack, in the
-    test's order), each chunk naming its least (y, x, z) hit."""
+    ``_CHUNK`` sums (row x, plus column z as a row of d.T, plus the slack, in
+    the test's order), each chunk naming its least (y, x, z) hit."""
     n = d.shape[0]
     slack = TAU_EQ * np.abs(d)
     slack[np.isinf(d)] = 0.0  # exact at infinity, as in weights_close
@@ -151,7 +154,7 @@ def _triangle_violation(d: np.ndarray) -> tuple[int, int, int] | None:
             scan = np.ones((n, n), dtype=bool)
         xs, zs = np.nonzero(scan)
         columns = d.T.copy()
-        step = max(1, (1 << 16) // max(n, 1))
+        step = max(1, _CHUNK // max(n, 1))
         for lo in range(0, len(xs), step):
             x, z = xs[lo : lo + step], zs[lo : lo + step]
             sums = d[x]
@@ -297,9 +300,7 @@ def _check_range(g: WeightedGraph, d: np.ndarray) -> None:
     infinite = np.isinf(d)
     if not infinite.any():
         return
-    component = np.empty(g.n, dtype=np.intp)
-    for i, members in enumerate(g.components()):
-        component[members] = i
+    component = np.array(g._labelling().component, dtype=np.intp)
     xs, ys = np.nonzero(infinite & (component[:, None] == component[None, :]))
     if len(xs):
         raise _out_of_range(g, int(xs[0]), int(ys[0]))
@@ -334,10 +335,10 @@ def _relax_rows(d: np.ndarray, xs: np.ndarray, ks: np.ndarray) -> None:
     then d <- min(d, d.T), so that a symmetric ``d`` stays symmetric.
 
     ``xs`` must be sorted: the candidate rows of one x are reduced together
-    with ``np.minimum.reduceat``, in cache-sized slices of about 2**15 entries.
+    with ``np.minimum.reduceat``, in slices of about ``_CHUNK`` entries.
     """
     n = d.shape[0]
-    step = max(1, (1 << 15) // n)
+    step = max(1, _CHUNK // n)
     with np.errstate(over="ignore"):  # a sum beyond float range is inf, as in a sweep
         for lo in range(0, len(xs), step):
             x, k = xs[lo : lo + step], ks[lo : lo + step]
@@ -528,13 +529,13 @@ def _tight_edge_weight(
     z is between x and y when d[x,z] + d[z,y] is within
     ``_sum_slack(n, d[x,y])`` of d[x,y] and both legs are strictly shorter
     than d[x,y], so every dropped pair is covered by strictly shorter ones.
-    The gap is read on a (pairs x n) block, cut into slices of about 2**20
+    The gap is read on a (pairs x n) block in slices of about ``_CHUNK``
     entries; the legs only on the entries within the slack.  Returns the
     first (x, y, z) whose gap is exactly 0 with one leg equal to d[x,y] and
     the other positive (a float sum that absorbed its smaller term), if any.
     """
     n = d.shape[0]
-    step = max(1, (1 << 20) // max(n, 1))
+    step = max(1, _CHUNK // max(n, 1))
     for lo in range(0, len(xs), step):
         x, y = xs[lo : lo + step], ys[lo : lo + step]
         dxy = d[x, y]

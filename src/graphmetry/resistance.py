@@ -8,16 +8,15 @@ state that definition.  Q, Lf and L each come from one kernel over the edge
 arrays; the maximizer's residual is max |Lf| off its two terminals.
 
 Every resistance query reads one grounded system per graph, built on first
-use and kept on the graph: the components, and for each multi-vertex
-component one Cholesky factor of its Laplacian block grounded at its least
-vertex.  R(x, y) and the harmonic maximizer are one dipole solve each
-(unit current in at x and out at y, then f(y) = 0 and R = f(x)); the
-all-pairs table inverts the grounded block, and the structure checks keep
-it with the factors.  Graphs are immutable, so an edit builds a new graph
-with a new system.  R is checked against its variational description by
-sampling, against harmonicity of the maximizer, and — in the tests —
-against an exact spanning-forest oracle.  R is a metric; disconnected
-pairs get resistance inf.
+use and kept on the graph: over the graph's component labelling, one
+Cholesky factor per multi-vertex component of its Laplacian block grounded
+at its least vertex.  R(x, y) and the harmonic maximizer are one dipole
+solve each (unit current in at x and out at y, then f(y) = 0 and
+R = f(x)); the all-pairs table inverts the grounded block.  Graphs are
+immutable, so an edit builds a new graph with a new system.  R is checked
+against its variational description by sampling, against harmonicity of
+the maximizer, and — in the tests — against an exact spanning-forest
+oracle.  R is a metric; disconnected pairs get resistance inf.
 
 Construction already rejected every conductance that is NaN, negative or
 infinite and every row sum beyond float range (:func:`core.validate`), so
@@ -34,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -106,39 +106,39 @@ def laplacian_matrix(b: ConductanceGraph) -> np.ndarray:
 
 
 class _GroundedSystem:
-    """The components of one conductance graph, their grounded factors, and
-    the all-pairs resistance table once the structure checks ask for it.
+    """The grounded factors of one conductance graph, over the graph's
+    component labelling (:meth:`Graph._labelling`).
 
-    Each vertex gets a component label (components are numbered by their
-    least vertex) and a position in its sorted component.  The Laplacian
+    Each vertex gets a position in its sorted component.  The Laplacian
     block of a multi-vertex component, grounded at its least vertex, is
     Cholesky-factored on first use and kept.  The system holds arrays only,
-    never the graph, so it makes no reference cycle; each part is built in
+    never the graph, so it makes no reference cycle; each factor is built in
     full before it is stored, so racing readers at worst build it twice.
     """
 
     def __init__(self, b: ConductanceGraph) -> None:
-        label = [0] * b.n
-        position = [0] * b.n
-        members = b.components()
-        for i, comp in enumerate(members):
-            for j, v in enumerate(comp):
-                label[v], position[v] = i, j
-        self.members = [np.array(comp, dtype=np.intp) for comp in members]
-        self.label = label
-        self.position = position
+        component, members = b._labelling()
+        # The vertices component by component, each component ascending: a
+        # component is a slice of them, and a vertex's position is its index
+        # within that slice.
+        self._vertices = np.fromiter(chain.from_iterable(members), np.intp, b.n)
+        self._offsets = np.fromiter(accumulate(map(len, members), initial=0), np.intp, len(members) + 1)
+        ranks = chain.from_iterable(map(range, map(len, members)))
+        self.position = np.empty(b.n, dtype=np.intp)
+        self.position[self._vertices] = np.fromiter(ranks, np.intp, b.n)
         # Edge arrays in edges() order, grouped by component with a stable
         # sort so each group keeps that order, in component positions.
         ends = b._ends  # a conductance graph stores no diagonal pair
-        group = np.array(label, dtype=np.intp)[ends[:, 0]]
+        group = np.array(component, dtype=np.intp)[ends[:, 0]]
         order = np.argsort(group, kind="stable")
-        self._ends = np.array(position, dtype=np.intp)[ends[order]]
+        self._ends = self.position[ends[order]]
         self._weights = b._values[order]
-        self._starts = np.concatenate(
-            ([0], np.cumsum(np.bincount(group, minlength=len(members))))
-        )
+        self._starts = np.concatenate(([0], np.cumsum(np.bincount(group, minlength=len(members)))))
         self._factors: list[np.ndarray | None] = [None] * len(members)
-        self._table: np.ndarray | None = None  # all-pairs R, once the structure checks ask
+
+    def members(self, i: int) -> np.ndarray:
+        """Component ``i``'s vertices in ascending order, a view."""
+        return self._vertices[self._offsets[i] : self._offsets[i + 1]]
 
     def grounded_block(self, i: int) -> np.ndarray:
         """Laplacian block of component ``i`` without its least vertex's row and column.
@@ -147,7 +147,7 @@ class _GroundedSystem:
         take the diagonal from :func:`_row_sums`.  The block is symmetric
         and Fortran-ordered, so LAPACK can factor it in place.
         """
-        k = len(self.members[i]) - 1
+        k = len(self.members(i)) - 1
         lo, hi = self._starts[i], self._starts[i + 1]
         ends, c = self._ends[lo:hi], self._weights[lo:hi]
         inner = (ends > 0).all(axis=1)  # the edges off the ground, position 0
@@ -181,7 +181,7 @@ def _factor(b: ConductanceGraph, system: _GroundedSystem, i: int) -> np.ndarray:
         if info > 0:
             raise invariant_error(
                 b,
-                f"grounded Laplacian of the component of {b.label(system.members[i][0])} is not "
+                f"grounded Laplacian of the component of {b.label(int(system.members(i)[0]))} is not "
                 "positive definite; this is a bug",
             )
         system._factors[i] = factor
@@ -199,7 +199,7 @@ def _solve(b: ConductanceGraph, system: _GroundedSystem, i: int, rhs: np.ndarray
 
 def components(b: ConductanceGraph) -> list[list[int]]:
     """Connected components of the positive-conductance edge set, sorted."""
-    return [m.tolist() for m in _grounded(b).members]
+    return b.components()
 
 
 def _dipole_potentials(b: ConductanceGraph, pairs: list[tuple[int, int]]) -> list[np.ndarray | None]:
@@ -212,17 +212,17 @@ def _dipole_potentials(b: ConductanceGraph, pairs: list[tuple[int, int]]) -> lis
     [f(y), f(x)], so the shift to f(y) = 0 cancels nothing.  Raises
     OutOfRange for the first pair with a potential outside float range.
     """
-    system = _grounded(b)
-    label, position = system.label, system.position
-    connected = [k for k, (x, y) in enumerate(pairs) if label[x] == label[y]]
+    component = b._labelling().component
+    connected = [k for k, (x, y) in enumerate(pairs) if component[x] == component[y]]
     out: list[np.ndarray | None] = [None] * len(pairs)
     if not connected:
         return out
-    i = label[pairs[connected[0]][0]]
-    members = system.members[i]
+    system = _grounded(b)
+    i = component[pairs[connected[0]][0]]
+    members = system.members(i)
     columns = np.arange(len(connected))
-    xs = [position[pairs[k][0]] for k in connected]
-    ys = [position[pairs[k][1]] for k in connected]
+    xs = system.position[[pairs[k][0] for k in connected]]
+    ys = system.position[[pairs[k][1] for k in connected]]
     rhs = np.zeros((len(members), len(connected)), order="F")
     rhs[xs, columns] = 1.0
     rhs[ys, columns] = -1.0
@@ -251,38 +251,19 @@ def effective_resistance(b: ConductanceGraph, x: int, y: int) -> float:
 
 
 def resistance_matrix(b: ConductanceGraph) -> MetricTable:
-    """All-pairs effective resistance as a MetricTable.
+    """All-pairs effective resistance as a MetricTable, a new table per call.
 
     From each component's cached factor, grounded at its least vertex g:
     invert the grounded Laplacian to G and read off
     R(i, j) = G[i,i] + G[j,j] - 2 G[i,j] (with G extended by zeros at g).
-    The Green-matrix route keeps the table exactly symmetric.  When the
-    structure checks have kept the table on this graph
-    (:func:`_resistance_table`), it is handed out as a copy; otherwise it
-    is built and not kept, so a graph asked once pays no copy.  Raises
+    The Green-matrix route keeps the table exactly symmetric.  Raises
     OutOfRange when R on a connected pair is outside float range.
     """
     system = _grounded(b)
-    kept = system._table
-    return MetricTable(_green_table(b, system) if kept is None else kept.copy(), b.labels)
-
-
-def _resistance_table(b: ConductanceGraph) -> np.ndarray:
-    """The all-pairs table of :func:`resistance_matrix`, built once per graph
-    and kept read-only beside the factors, for callers that only read it:
-    the tree and block-graph checks on one graph share one build."""
-    system = _grounded(b)
-    if system._table is None:
-        table = _green_table(b, system)
-        table.flags.writeable = False
-        system._table = table
-    return system._table
-
-
-def _green_table(b: ConductanceGraph, system: _GroundedSystem) -> np.ndarray:
     d = np.full((b.n, b.n), INFINITY)
     np.fill_diagonal(d, 0.0)
-    for i, comp in enumerate(system.members):
+    for i in range(len(system._factors)):
+        comp = system.members(i)
         if len(comp) == 1:
             continue
         R = np.empty((len(comp), len(comp)))
@@ -297,7 +278,7 @@ def _green_table(b: ConductanceGraph, system: _GroundedSystem) -> np.ndarray:
             x, y = np.argwhere(~np.isfinite(R))[0]
             raise _out_of_range(b, int(comp[x]), int(comp[y]))
         d[np.ix_(comp, comp)] = R
-    return d
+    return MetricTable(d, b.labels)
 
 
 def _unit_dipole(b: ConductanceGraph, x: int, y: int, what: str) -> np.ndarray:

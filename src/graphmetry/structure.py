@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from .core import INFINITY, ConductanceGraph, Path, WeightedGraph, _vertex, weights_close
 from .errors import Disconnected, NotDistinct
 from .pathmetric import _first_mismatch
-from .resistance import _dipole_potentials, _grounded, _resistance_table, components
+from .resistance import _dipole_potentials, resistance_matrix
 
 
 @dataclass
@@ -60,8 +60,8 @@ def separates(
     x, y, z = (_vertex(v, b.n) for v in (x, y, z))
     if len({x, y, z}) != 3:
         raise NotDistinct("separator and endpoints must be pairwise distinct")
-    label = _grounded(b).label
-    if label[x] != label[z]:
+    component = b._labelling().component
+    if component[x] != component[z]:
         raise Disconnected(f"{b.label(x)} and {b.label(z)} are not connected")
     parent = b.reach(x, banned=y, stop=z)
     if z in parent:
@@ -142,11 +142,11 @@ def check_triangle_equality(b: ConductanceGraph, x: int, y: int, z: int) -> Tria
 
 def is_tree(b: ConductanceGraph) -> bool:
     """Connected and acyclic: edge count n - 1 with a single component."""
-    return len(components(b)) <= 1 and len(b.b) == max(b.n - 1, 0)
+    return len(b._labelling().members) <= 1 and len(b.b) == max(b.n - 1, 0)
 
 
 def _check_connected(b: ConductanceGraph, check: str) -> None:
-    if len(components(b)) > 1:
+    if len(b._labelling().members) > 1:
         raise Disconnected(f"{check} expects a connected graph")
 
 
@@ -240,7 +240,7 @@ def compatible_resistance_weight(b: ConductanceGraph) -> CompatibilityCertificat
     from the resistance.  The verdict matches block-graph recognition.
     """
     _check_connected(b, "compatibility check")
-    R = _resistance_table(b)
+    R = resistance_matrix(b).d
     weights = {(u, v): float(R[u, v]) for u, v, _ in b.edges()}
     w_graph = WeightedGraph(b.n, weights, b.labels)
     pair = _first_mismatch(w_graph, lambda: R)
@@ -278,5 +278,5 @@ def check_tree_theorem(b: ConductanceGraph) -> TreeTheoremReport:
     """
     _check_connected(b, "tree theorem check")
     w_graph = WeightedGraph(b.n, b._reciprocals(), b.labels)
-    equal = _first_mismatch(w_graph, lambda: _resistance_table(b)) is None
+    equal = _first_mismatch(w_graph, lambda: resistance_matrix(b).d) is None
     return TreeTheoremReport(is_tree=is_tree(b), metrics_equal=equal)

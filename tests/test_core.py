@@ -21,6 +21,7 @@ from graphmetry import (
     AsymmetryError,
     ConductanceGraph,
     DiagonalError,
+    Disconnected,
     InputError,
     InternalInvariantError,
     InvalidArgument,
@@ -32,6 +33,7 @@ from graphmetry import (
     WeightedGraph,
     all_pairs_metric,
     check_triangle_equality,
+    components,
     effective_resistance,
     enumerate_geodesics,
     extract_common_prefix_path,
@@ -40,6 +42,8 @@ from graphmetry import (
     graph_digest,
     geodesic_weight,
     harmonic_maximizer,
+    is_block_graph,
+    is_tree,
     laplacian_apply,
     parse_graph,
     path_length,
@@ -828,7 +832,7 @@ def dict_edge_arrays(b, system):
     edges = b.edges()
     ends = np.array([(u, v) for u, v, _ in edges], dtype=np.intp).reshape(-1, 2)
     weights = np.array([c for _, _, c in edges], dtype=float)
-    order = np.argsort(np.array(system.label, dtype=np.intp)[ends[:, 0]], kind="stable")
+    order = np.argsort(np.array(b._labelling().component, dtype=np.intp)[ends[:, 0]], kind="stable")
     return np.array(system.position, dtype=np.intp)[ends[order]], weights[order]
 
 
@@ -875,9 +879,93 @@ def test_the_array_consumers_read_what_the_dict_holds(kind):
         assert np.array_equal(system._ends, ends) and weights.tobytes() == system._weights.tobytes()
         reference = copy.copy(system)
         reference._ends, reference._weights = ends, weights
-        for i, members in enumerate(system.members):
+        for i, members in enumerate(g._labelling().members):
             if len(members) > 1:
                 assert system.grounded_block(i).tobytes() == reference.grounded_block(i).tobytes()
+
+
+# -- one component labelling per graph --------------------------------------------
+
+
+def bfs_components(g):
+    """Components by breadth-first search over the stored dict, each sorted,
+    ordered by least vertex."""
+    adj = [[] for _ in range(g.n)]
+    for u, v in g._pairs:
+        if u != v:
+            adj[u].append(v)
+            adj[v].append(u)
+    seen = [False] * g.n
+    out = []
+    for s in range(g.n):
+        if seen[s]:
+            continue
+        seen[s] = True
+        queue, found = collections.deque([s]), []
+        while queue:
+            u = queue.popleft()
+            found.append(u)
+            for v in adj[u]:
+                if not seen[v]:
+                    seen[v] = True
+                    queue.append(v)
+        out.append(sorted(found))
+    return out
+
+
+def labelling_cases(kind):
+    """n = 0, isolated vertices only, and seeded graphs of one to n components."""
+    rng = random.Random(5151)
+    yield kind(0, {})
+    yield kind(5, {})
+    for _ in range(40):
+        n = rng.randint(1, 60)
+        yield with_components(rng, kind, n, rng.randint(1, n))
+
+
+@pytest.mark.parametrize("kind", [WeightedGraph, ConductanceGraph])
+def test_components_match_a_breadth_first_reference(kind):
+    for g in labelling_cases(kind):
+        expected = bfs_components(g)
+        assert g.components() == expected
+        component, members = g._labelling()
+        assert members == expected and len(component) == g.n
+        assert all(component[v] == i for i, m in enumerate(expected) for v in m)
+        if kind is ConductanceGraph:
+            assert components(g) == expected
+
+
+@pytest.mark.parametrize("kind", [WeightedGraph, ConductanceGraph])
+def test_components_are_fresh_lists_on_every_call(kind):
+    g = with_components(random.Random(12), kind, 20, 4)
+    calls = [g.components] + ([lambda: components(g)] if kind is ConductanceGraph else [])
+    for call in calls:
+        first = call()
+        expected = copy.deepcopy(first)
+        first[0].append(99)
+        first[1].clear()
+        first.pop()
+        assert call() == expected == g._labelling().members
+
+
+def test_connectivity_questions_build_no_grounded_system():
+    # A 4-cycle 0-1-2-3, a path 4-5-6 and the isolated vertex 7.
+    b = ConductanceGraph(8, {(0, 1): 1.0, (1, 2): 2.0, (2, 3): 1.0, (0, 3): 3.0, (4, 5): 1.0, (5, 6): 2.0})
+    assert separates(b, 5, 4, 6).separated and not separates(b, 1, 0, 2).separated
+    with pytest.raises(Disconnected):
+        separates(b, 1, 0, 4)
+    with pytest.raises(Disconnected):
+        is_block_graph(b)
+    assert not is_tree(b)
+    assert components(b) == b.components() == [[0, 1, 2, 3], [4, 5, 6], [7]]
+    assert b._grounded is None
+    rng = random.Random(31)
+    fresh = random_connected_conductance(rng, 12)
+    for _ in range(20):
+        separates(fresh, *rng.sample(range(12), 3))
+    is_tree(fresh)
+    is_block_graph(fresh)
+    assert fresh._grounded is None
 
 
 # -- one vertex rule, one value rule ----------------------------------------------

@@ -952,3 +952,14 @@ def test_a_zero_distance_puts_no_vertex_between():
     W = geodesic_weight(t)
     assert np.array_equal(W.table, t.d)
     assert is_generating(W.as_weight_graph(), t)
+
+
+def test_the_range_check_names_the_first_overflowing_pair_inside_a_component():
+    # Components {a, c}, {b, e, f} and {d}: inf pairs between components come
+    # first in row-major order, and (b, f) is the first one inside a component.
+    g = WeightedGraph(6, {(0, 2): 1.0, (1, 4): 1e308, (4, 5): 1e308}, labels=tuple("abcdef"))
+    for closure in (all_pairs_metric, _one_sweep_metric):
+        with pytest.raises(OutOfRange, match="distance between b and f is outside float range"):
+            closure(g)
+    with pytest.raises(OutOfRange, match="between b and f"):
+        is_generating(g, all_pairs_metric(WeightedGraph(6, {}, labels=g.labels)))

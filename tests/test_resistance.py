@@ -40,7 +40,7 @@ from graphmetry import (
 )
 from graphmetry.cli import main
 from graphmetry.oracle import spanning_tree_resistance
-from .suites import random_connected_conductance
+from .suites import random_connected_conductance, random_tree
 
 
 def unit_edge() -> ConductanceGraph:
@@ -393,26 +393,28 @@ def solves(monkeypatch):
     return calls
 
 
-def test_resistance_matrix_after_the_checks_factors_and_solves_nothing(factorizations, solves):
-    b = random_connected_conductance(random.Random(143), 12)
-    reference = resistance_matrix(b).d
-    assert resistance._grounded(b)._table is None  # a graph asked once keeps no table
-    check_tree_theorem(b)
-    assert len(factorizations) == 1 and len(solves) == 2
-    first = resistance_matrix(b)
-    assert len(factorizations) == 1 and len(solves) == 2
-    assert first.d.tobytes() == reference.tobytes() and first.labels == b.labels
-    first.d[0, 1] = first.d[1, 0] = -1.0  # a caller's edit stays in its own copy
-    assert resistance_matrix(b).d.tobytes() == reference.tobytes()
-    assert compatible_resistance_weight(b).compatible == is_tree(b) and len(solves) == 2
+def test_a_callers_edit_to_the_resistance_table_never_reaches_a_later_call(factorizations):
+    for b in (random_tree(random.Random(143), 12), random_connected_conductance(random.Random(143), 12)):
+        reference = resistance_matrix(b).d.copy()
+        verdicts = (check_tree_theorem(b), compatible_resistance_weight(b))
+        assert verdicts[0].is_tree == verdicts[0].metrics_equal == verdicts[1].compatible == is_tree(b)
+        for _ in range(2):
+            table = resistance_matrix(b)
+            assert table.d.tobytes() == reference.tobytes() and table.labels == b.labels
+            table.d[0, 1] = table.d[1, 0] = -1.0  # a caller's edit stays in its own table
+            table.d[2:, 3] = 0.0
+            assert resistance_matrix(b).d.tobytes() == reference.tobytes()
+            assert (check_tree_theorem(b), compatible_resistance_weight(b)) == verdicts
+    assert factorizations == [(11, 11), (11, 11)]  # one factor per graph
 
 
-def test_tree_and_block_checks_share_one_resistance_table(solves):
-    # characterize --tree --block runs both on one graph.
+def test_tree_and_block_checks_factor_once_and_solve_twice(factorizations, solves):
+    # characterize --tree --block runs both on one graph; each reads its own table.
     b = random_connected_conductance(random.Random(141), 30)
     check_tree_theorem(b)
     compatible_resistance_weight(b)
-    assert solves == [(29, 29)]
+    assert factorizations == [(29, 29)]
+    assert solves == [(29, 29), (29, 29)]
 
 
 def test_queries_in_one_component_factor_only_that_component(factorizations):

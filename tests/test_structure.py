@@ -437,11 +437,12 @@ def reference_resistance(b: ConductanceGraph, x: int, y: int) -> float:
     """One dipole solve with a 1-D right-hand side against the cached factor."""
     b._check_vertex(x)
     b._check_vertex(y)
-    system = resistance._grounded(b)
-    i = system.label[x]
-    if system.label[y] != i:
+    component, members = b._labelling()
+    i = component[x]
+    if component[y] != i:
         return math.inf
-    rhs = np.zeros(len(system.members[i]))
+    system = resistance._grounded(b)
+    rhs = np.zeros(len(members[i]))
     rhs[system.position[x]] = 1.0
     rhs[system.position[y]] = -1.0
     f = np.zeros(len(rhs))
