@@ -8,15 +8,15 @@ state that definition.  Q, Lf and L each come from one kernel over the edge
 arrays; the maximizer's residual is max |Lf| off its two terminals.
 
 Every resistance query reads one grounded system per graph, built on first
-use and kept on the graph: over the graph's component labelling, one
-Cholesky factor per multi-vertex component of its Laplacian block grounded
-at its least vertex.  R(x, y) and the harmonic maximizer are one dipole
-solve each (unit current in at x and out at y, then f(y) = 0 and
-R = f(x)); the all-pairs table inverts the grounded block.  Graphs are
-immutable, so an edit builds a new graph with a new system.  R is checked
-against its variational description by sampling, against harmonicity of
-the maximizer, and — in the tests — against an exact spanning-forest
-oracle.  R is a metric; disconnected pairs get resistance inf.
+use and kept on the graph: the Laplacian blocks of its components, grounded
+at their least vertices and assembled at once, one (c, k, k) stack per
+component size, and one Cholesky factor per block.  R(x, y) and the harmonic
+maximizer are one dipole solve each (unit current in at x and out at y, then
+f(y) = 0 and R = f(x)); the all-pairs table reads R off one stack of inverted
+blocks at a time.  Graphs are immutable, so an edit builds a new graph with a
+new system.  R is checked against its variational description by sampling,
+against harmonicity of the maximizer, and — in the tests — against an exact
+spanning-forest oracle.  R is a metric; disconnected pairs get resistance inf.
 
 Construction already rejected every conductance that is NaN, negative or
 infinite and every row sum beyond float range (:func:`core.validate`), so
@@ -32,8 +32,9 @@ the path-metric commands never load scipy.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import accumulate, chain, groupby
 
 import numpy as np
 
@@ -106,18 +107,21 @@ def laplacian_matrix(b: ConductanceGraph) -> np.ndarray:
 
 
 class _GroundedSystem:
-    """The grounded factors of one conductance graph, over the graph's
-    component labelling (:meth:`Graph._labelling`).
+    """The grounded blocks and factors of one conductance graph, over the
+    graph's component labelling (:meth:`Graph._labelling`).
 
-    Each vertex gets a position in its sorted component.  The Laplacian
-    block of a multi-vertex component, grounded at its least vertex, is
-    Cholesky-factored on first use and kept.  The system holds arrays only,
-    never the graph, so it makes no reference cycle; each factor is built in
-    full before it is stored, so racing readers at worst build it twice.
+    Each vertex gets a position in its sorted component.  The blocks lie in
+    one flat buffer, the components ordered by size and then by least
+    vertex, so the c components of k + 1 vertices are one (c, k, k) stack.
+    A block is Cholesky-factored in place on first use, under a lock, and
+    the factor is kept.  The system holds arrays only, never the graph, so
+    it makes no reference cycle.
     """
 
+    _lock = threading.Lock()  # one thread at a time factors a block in place
+
     def __init__(self, b: ConductanceGraph) -> None:
-        component, members = b._labelling()
+        members = b._labelling().members
         # The vertices component by component, each component ascending: a
         # component is a slice of them, and a vertex's position is its index
         # within that slice.
@@ -126,36 +130,38 @@ class _GroundedSystem:
         ranks = chain.from_iterable(map(range, map(len, members)))
         self.position = np.empty(b.n, dtype=np.intp)
         self.position[self._vertices] = np.fromiter(ranks, np.intp, b.n)
-        # Edge arrays in edges() order, grouped by component with a stable
-        # sort so each group keeps that order, in component positions.
-        ends = b._ends  # a conductance graph stores no diagonal pair
-        group = np.array(component, dtype=np.intp)[ends[:, 0]]
-        order = np.argsort(group, kind="stable")
-        self._ends = self.position[ends[order]]
-        self._weights = b._values[order]
-        self._starts = np.concatenate(([0], np.cumsum(np.bincount(group, minlength=len(members)))))
+        # Per size class, its (c, k + 1) vertices and where its stack starts;
+        # in the t-th block, v's row starts at _row[v] = start + t k^2 + (position[v] - 1) k.
+        self._classes: list[tuple[np.ndarray, int]] = []
+        self._row = np.empty(b.n, dtype=np.intp)
+        start = 0
+        for size, group in groupby(sorted(members, key=len), len):
+            if size > 1:
+                vertices, k = np.array(list(group), dtype=np.intp), size - 1
+                self._row[vertices] = start - k + k * np.add.outer(k * np.arange(len(vertices)), np.arange(size))
+                self._classes.append((vertices, start))
+                start += len(vertices) * k * k
+        # Entry (u, v) sits at _row[u] + position[v] - 1; the diagonal holds
+        # the row sums of :func:`_row_sums`, as in ``laplacian_matrix``.
+        col = self.position - 1
+        inner = col >= 0
+        self._diagonal = (self._row + col)[inner]
+        self._blocks = np.zeros(start)
+        self._blocks[self._diagonal] = _row_sums(b._ends, b._values, b.n)[inner]
+        edge = inner[b._ends].all(axis=1)
+        (u, v), c = b._ends[edge].T, -b._values[edge]
+        self._blocks[self._row[u] + col[v]] = self._blocks[self._row[v] + col[u]] = c
         self._factors: list[np.ndarray | None] = [None] * len(members)
 
     def members(self, i: int) -> np.ndarray:
         """Component ``i``'s vertices in ascending order, a view."""
         return self._vertices[self._offsets[i] : self._offsets[i + 1]]
 
-    def grounded_block(self, i: int) -> np.ndarray:
-        """Laplacian block of component ``i`` without its least vertex's row and column.
-
-        The entries equal those of ``laplacian_matrix`` bit for bit: both
-        take the diagonal from :func:`_row_sums`.  The block is symmetric
-        and Fortran-ordered, so LAPACK can factor it in place.
-        """
-        k = len(self.members(i)) - 1
-        lo, hi = self._starts[i], self._starts[i + 1]
-        ends, c = self._ends[lo:hi], self._weights[lo:hi]
-        inner = (ends > 0).all(axis=1)  # the edges off the ground, position 0
-        u, v = ends[inner].T - 1
-        A = np.zeros((k, k), order="F")
-        A[u, v] = A[v, u] = -c[inner]
-        A[np.diag_indices(k)] = _row_sums(ends, c, k + 1)[1:]
-        return A
+    def block(self, i: int, flat: np.ndarray) -> np.ndarray:
+        """Component ``i``'s block of ``flat``, laid out as the blocks: a Fortran-ordered view."""
+        members = self.members(i)
+        k, start = len(members) - 1, self._row[members[1]]
+        return flat[start : start + k * k].reshape(k, k).T
 
 
 def _grounded(b: ConductanceGraph) -> _GroundedSystem:
@@ -172,20 +178,19 @@ def _factor(b: ConductanceGraph, system: _GroundedSystem, i: int) -> np.ndarray:
     once.  The block is finite: construction rejects inf and NaN conductances
     and row sums beyond float range.  A failed factorization is OutOfRange
     when the graph's conductances absorb one another in float sums, and a
-    bug otherwise."""
-    factor = system._factors[i]
-    if factor is None:
-        from scipy.linalg.lapack import dpotrf
+    bug otherwise; it zeroes the block, so every later attempt fails alike."""
+    from scipy.linalg.lapack import dpotrf
 
-        factor, info = dpotrf(system.grounded_block(i), overwrite_a=1, clean=0)
-        if info > 0:
-            raise invariant_error(
-                b,
-                f"grounded Laplacian of the component of {b.label(int(system.members(i)[0]))} is not "
-                "positive definite; this is a bug",
-            )
-        system._factors[i] = factor
-    return factor
+    with system._lock:
+        if system._factors[i] is None:
+            block = system.block(i, system._blocks)
+            factor, info = dpotrf(block, overwrite_a=1, clean=0)
+            if info > 0:
+                block[...] = 0.0
+                where = f"the component of {b.label(int(system.members(i)[0]))}"
+                raise invariant_error(b, f"grounded Laplacian of {where} is not positive definite; this is a bug")
+            system._factors[i] = factor
+        return system._factors[i]
 
 
 def _solve(b: ConductanceGraph, system: _GroundedSystem, i: int, rhs: np.ndarray) -> np.ndarray:
@@ -254,30 +259,39 @@ def resistance_matrix(b: ConductanceGraph) -> MetricTable:
     """All-pairs effective resistance as a MetricTable, a new table per call.
 
     From each component's cached factor, grounded at its least vertex g:
-    invert the grounded Laplacian to G and read off
-    R(i, j) = G[i,i] + G[j,j] - 2 G[i,j] (with G extended by zeros at g).
-    The Green-matrix route keeps the table exactly symmetric.  Raises
-    OutOfRange when R on a connected pair is outside float range.
+    invert the grounded Laplacian to G, one solve per component, and read off
+    R(i, j) = G[i,i] + G[j,j] - 2 G[i,j] (with G extended by zeros at g) for
+    one stack at a time; this Green-matrix route keeps the table exactly
+    symmetric.  Raises OutOfRange for the first pair with R outside float
+    range in the component with the least vertex.
     """
     system = _grounded(b)
     d = np.full((b.n, b.n), INFINITY)
     np.fill_diagonal(d, 0.0)
-    for i in range(len(system._factors)):
-        comp = system.members(i)
-        if len(comp) == 1:
-            continue
-        R = np.empty((len(comp), len(comp)))
-        G = _solve(b, system, i, np.eye(len(comp) - 1, order="F"))
+    G = np.zeros_like(system._blocks)  # laid out as the blocks, each solved in place against the identity
+    G[system._diagonal] = 1.0
+    for i in np.flatnonzero(np.diff(system._offsets) > 1).tolist():
+        rhs = system.block(i, G)
+        rhs[...] = _solve(b, system, i, rhs)
+    outside = []
+    for vertices, start in system._classes:
+        c, k = len(vertices), vertices.shape[1] - 1
+        X = G[start : start + c * k * k].reshape(c, k, k)  # each G transposed, which the symmetrization undoes
+        R = np.empty((c, k + 1, k + 1))
         with np.errstate(over="ignore", invalid="ignore"):
-            G = 0.5 * G + 0.5 * G.T  # halving first keeps a large G[k,k] in range
-            g = np.diag(G)
-            R[1:, 1:] = g[:, None] + g[None, :] - 2.0 * G
-        R[0, 1:] = R[1:, 0] = g + 0.0  # (0 + G[k,k]) - 2 * 0, with G = 0 at the ground
-        np.fill_diagonal(R, 0.0)
+            X *= 0.5  # halving first keeps a large G[k,k] in range
+            S = X + X.transpose(0, 2, 1)
+            g = np.diagonal(S, axis1=1, axis2=2)
+            np.add(g[:, :, None], g[:, None, :], out=R[:, 1:, 1:])
+            R[:, 1:, 1:] -= np.multiply(S, 2.0, out=X)  # X's halves are spent
+        R[:, 0, 1:] = R[:, 1:, 0] = g + 0.0  # (0 + G[k,k]) - 2 * 0, with G = 0 at the ground
+        R.reshape(c, -1)[:, :: k + 2] = 0.0
         if not np.isfinite(R).all():
-            x, y = np.argwhere(~np.isfinite(R))[0]
-            raise _out_of_range(b, int(comp[x]), int(comp[y]))
-        d[np.ix_(comp, comp)] = R
+            t, x, y = np.argwhere(~np.isfinite(R))[0]
+            outside.append(tuple(vertices[t, [0, x, y]].tolist()))
+        d[vertices[:, :, None], vertices[:, None, :]] = R
+    if outside:
+        raise _out_of_range(b, *min(outside)[1:])
     return MetricTable(d, b.labels)
 
 

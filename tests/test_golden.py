@@ -102,6 +102,43 @@ def test_oracle_output_matches_recorded_digest(tmp_path, capsys, argv):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def many_small_components() -> str:
+    """Twenty-five components of 2-5 vertices, each a random spanning tree plus
+    seeded chords, and a few isolated vertices, 0.01-grid values.  The lines
+    are shuffled, so vertex ids interleave across components and sizes."""
+    rng = random.Random(2533)
+    lines = []
+    for comp in range(25):
+        names = [f"k{comp}v{i}" for i in range(rng.randint(2, 5))]
+        for i in range(1, len(names)):
+            parent = rng.randrange(i)
+            for j in range(i):
+                if j == parent or rng.random() < 0.4:
+                    lines.append(f"{names[j]} {names[i]} {_hundredths(rng)}\n")
+        if rng.random() < 0.25:
+            lines.append(f"vertex k{comp}z\n")
+    rng.shuffle(lines)
+    return "".join(lines)
+
+
+# Recorded while resistance_matrix still assembled, factored and inverted one
+# component at a time; the size-class stacks must print the same bytes.
+COMPONENT_DIGESTS = {
+    ("resistance", "--matrix", "--json"): "09ecb7b1d00da98e02d76c5aa36918100cdefef644589cde5eba910a23bbdb7b",
+    ("resistance", "--matrix"): "540c359a74bb843d2b155200d42d398d70f4f7f4406754be67ee4ab938177ae9",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(COMPONENT_DIGESTS))
+def test_many_small_components_match_recorded_digest(tmp_path, capsys, argv):
+    path = tmp_path / "components.edges"
+    path.write_text(many_small_components())
+    code = main([argv[0], str(path), *argv[1:]])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == COMPONENT_DIGESTS[argv]
+
+
 def two_blocks_at_cut_vertex() -> str:
     """Two six-vertex blocks sharing the cut vertex ``c``: a Hamiltonian cycle
     per block plus seeded chords, 0.01-grid values, so several routes tie in

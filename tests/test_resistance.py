@@ -10,6 +10,7 @@ import weakref
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.linalg.lapack import dpotrf as lapack_dpotrf, dpotrs as lapack_dpotrs
 
 import graphmetry.resistance as resistance
 from graphmetry import (
@@ -39,6 +40,7 @@ from graphmetry import (
     verify_variational,
 )
 from graphmetry.cli import main
+from graphmetry.core import _row_sums
 from graphmetry.oracle import spanning_tree_resistance
 from .suites import random_connected_conductance, random_tree
 
@@ -424,15 +426,115 @@ def test_queries_in_one_component_factor_only_that_component(factorizations):
     assert factorizations == [(2, 2)]
 
 
+def scattered_components(rng: random.Random, parts: int, max_size: int = 7) -> ConductanceGraph:
+    """``parts`` components of 1 to ``max_size`` vertices under a random vertex
+    numbering, each a spanning tree plus chords, with conductances c/7 so that
+    row sums are inexact."""
+    sizes = [rng.randint(1, max_size) for _ in range(parts)]
+    perm = list(range(sum(sizes)))
+    rng.shuffle(perm)
+    pairs, start = {}, 0
+    for size in sizes:
+        vs = perm[start : start + size]
+        start += size
+        for i in range(1, size):
+            for j in {rng.randrange(i), rng.randrange(i)}:
+                pairs[(min(vs[i], vs[j]), max(vs[i], vs[j]))] = rng.randint(1, 20) / 7.0
+    return ConductanceGraph(len(perm), pairs)
+
+
+def per_component_resistance_table(b: ConductanceGraph):
+    """The all-pairs table as ``resistance_matrix`` built it one component at a
+    time: each grounded block from its own row sums, one ``dpotrf``, one
+    ``dpotrs`` against the identity, the Green formula and an ``np.ix_``
+    scatter.  Returns the table, each component's factor (None for a single
+    vertex) and the ``dpotrf`` shapes in call order."""
+    component, members = b._labelling()
+    position = np.empty(b.n, dtype=np.intp)
+    for comp in members:
+        position[comp] = np.arange(len(comp))
+    group = np.array(component, dtype=np.intp)[b._ends[:, 0]]
+    d = np.full((b.n, b.n), math.inf)
+    np.fill_diagonal(d, 0.0)
+    factors, shapes = [], []
+    for i, comp in enumerate(members):
+        if len(comp) == 1:
+            factors.append(None)
+            continue
+        k = len(comp) - 1
+        ends, c = position[b._ends[group == i]], b._values[group == i]  # edges() order
+        inner = (ends > 0).all(axis=1)
+        u, v = ends[inner].T - 1
+        A = np.zeros((k, k), order="F")
+        A[u, v] = A[v, u] = -c[inner]
+        A[np.diag_indices(k)] = _row_sums(ends, c, k + 1)[1:]
+        shapes.append(A.shape)
+        factor, info = lapack_dpotrf(A, overwrite_a=1, clean=0)
+        assert info == 0
+        factors.append(factor)
+        G = lapack_dpotrs(factor, np.eye(k, order="F"), overwrite_b=1)[0]
+        R = np.empty((k + 1, k + 1))
+        G = 0.5 * G + 0.5 * G.T
+        g = np.diag(G)
+        R[1:, 1:] = g[:, None] + g[None, :] - 2.0 * G
+        R[0, 1:] = R[1:, 0] = g + 0.0
+        np.fill_diagonal(R, 0.0)
+        assert np.isfinite(R).all()
+        d[np.ix_(comp, comp)] = R
+    return d, factors, shapes
+
+
+def test_resistance_table_and_factors_equal_the_per_component_loop_bitwise(factorizations):
+    rng = random.Random(157)
+    graphs = [ConductanceGraph(1, {}), ConductanceGraph(3, {}), scattered_components(rng, 1)]
+    graphs += [ConductanceGraph(b.n, {key: c / 7.0 for key, c in b.b.items()})
+               for b in (random_connected_conductance(rng, n, max_c=20) for n in (2, 9, 40))]
+    graphs += [scattered_components(rng, parts) for parts in (2, 3, 5, 17, 40, 80) for _ in range(3)]
+    for b in graphs:
+        d, factors, shapes = per_component_resistance_table(b)
+        factorizations.clear()
+        assert resistance_matrix(b).d.tobytes() == d.tobytes()
+        assert factorizations == shapes
+        kept = b._grounded._factors
+        assert [f is None for f in kept] == [f is None for f in factors]
+        assert all(f is None or f.tobytes() == g.tobytes() for f, g in zip(kept, factors))
+
+
+def test_errors_name_the_component_the_per_component_loop_named(monkeypatch):
+    # Two paths on conductance 1e-308 and an isolated h: R is 1e308 across one
+    # edge and beyond float range across two, in both paths.  The component
+    # of a, the least vertex, is named whether it is the larger (a-c-d-f beside
+    # b-e-g) or the smaller (a-e-g beside b-c-d-f).
+    for path, pair in [((0, 2, 3, 5), "a and d"), ((0, 4, 6), "a and g")]:
+        other = [v for v in range(1, 7) if v not in path]
+        pairs = {(u, v): 1e-308 for route in (path, other) for u, v in zip(route, route[1:])}
+        with pytest.raises(OutOfRange, match=f"between {pair} is outside"):
+            resistance_matrix(ConductanceGraph(8, pairs, labels=tuple("abcdefgh")))
+
+    def broken(a, **kwargs):
+        return a, 1
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", broken)
+    b = ConductanceGraph(7, {(0, 2): 1.0, (2, 3): 1.0, (3, 5): 1.0, (1, 4): 1.0}, labels=tuple("abcdefg"))
+    with pytest.raises(InternalInvariantError, match="component of a is not"):
+        resistance_matrix(b)
+    with pytest.raises(InternalInvariantError, match="component of b is not"):
+        effective_resistance(b, 4, 1)
+
+
 def test_grounded_block_matches_the_laplacian_bit_for_bit():
     rng = random.Random(131)
-    for _ in range(10):
-        b = random_connected_conductance(rng, rng.randint(2, 12), max_c=7)
-        weights = {key: c / 7.0 for key, c in b.b.items()}  # inexact sums
-        b = ConductanceGraph(b.n, weights)
+    graphs = [random_connected_conductance(rng, rng.randint(2, 12), max_c=7) for _ in range(10)]
+    graphs = [ConductanceGraph(b.n, {key: c / 7.0 for key, c in b.b.items()}) for b in graphs]  # inexact sums
+    graphs += [scattered_components(rng, rng.randint(1, 30)) for _ in range(10)]
+    for b in graphs:
         L = laplacian_matrix(b)
-        block = resistance._grounded(b).grounded_block(0)
-        assert np.array_equal(block, L[1:, 1:])
+        system = resistance._grounded(b)
+        for i, members in enumerate(b._labelling().members):
+            if len(members) > 1:
+                block = system.block(i, system._blocks)
+                assert block.flags.f_contiguous
+                assert block.tobytes() == L[np.ix_(members[1:], members[1:])].tobytes()
 
 
 def test_raw_lapack_calls_equal_cho_factor_and_cho_solve_bitwise():
@@ -440,8 +542,8 @@ def test_raw_lapack_calls_equal_cho_factor_and_cho_solve_bitwise():
     for k in range(1, 61):
         b = random_connected_conductance(rng, k + 1, max_c=9)
         b = ConductanceGraph(b.n, {key: c / rng.choice((1.0, 7.0, 10.0)) for key, c in b.b.items()})
-        block = resistance._grounded(b).grounded_block(0)
-        reference = scipy.linalg.cho_factor(block)
+        system = resistance._grounded(b)
+        reference = scipy.linalg.cho_factor(system.block(0, system._blocks))
         factor = resistance._factor(b, resistance._grounded(b), 0)
         assert np.array_equal(factor, reference[0])
         rhs = np.zeros(k)
@@ -551,8 +653,11 @@ def test_failed_factorization_is_an_internal_error(monkeypatch, tmp_path, capsys
 def test_absorbed_conductances_fail_the_factor_as_out_of_range():
     # fl(1e308 + 10) = 1e308: the grounded block is singular in floats.
     b = ConductanceGraph(3, {(0, 1): 10.0, (1, 2): 1e308})
-    with pytest.raises(OutOfRange, match="10.0 and 1e[+]308"):
-        effective_resistance(b, 0, 2)
+    for _ in range(2):  # the failed factor leaves no half-factored block to retry
+        with pytest.raises(OutOfRange, match="10.0 and 1e[+]308"):
+            effective_resistance(b, 0, 2)
+        with pytest.raises(OutOfRange, match="10.0 and 1e[+]308"):
+            resistance_matrix(b)
 
 
 @pytest.mark.parametrize(
@@ -571,29 +676,36 @@ def test_non_finite_grounded_block_is_an_input_error(pairs, message):
 
 
 def test_concurrent_first_queries_agree():
-    base = random_connected_conductance(random.Random(151), 40)
-    pairs = [(x, y) for x in range(0, 40, 7) for y in range(1, 40, 9) if x != y]
-    expected = [effective_resistance(base, x, y) for x, y in pairs]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(5):
-            shared = ConductanceGraph(base.n, base.b)
-            results, errors = [None] * 8, []
+    # Eight threads race to the first factors of one shared graph, with one
+    # component or with many that share one buffer of blocks; half of them
+    # ask for the table first and half for the pairs.
+    rng = random.Random(151)
+    for base in (random_connected_conductance(rng, 40), scattered_components(rng, 30)):
+        pairs = [(x, y) for x in range(0, base.n, 7) for y in range(1, base.n, 9) if x != y]
+        expected = ([effective_resistance(base, x, y) for x, y in pairs], resistance_matrix(base).d.tobytes())
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                shared = ConductanceGraph(base.n, base.b)
+                start, results, errors = threading.Barrier(8), [None] * 8, []
 
-            def work(k):
-                try:
-                    results[k] = [effective_resistance(shared, x, y) for x, y in pairs]
-                except Exception as exc:  # reported below
-                    errors.append(exc)
+                def work(k):
+                    try:
+                        start.wait()
+                        table = resistance_matrix(shared).d.tobytes() if k % 2 else None
+                        values = [effective_resistance(shared, x, y) for x, y in pairs]
+                        results[k] = (values, table or resistance_matrix(shared).d.tobytes())
+                    except Exception as exc:  # reported below
+                        errors.append(exc)
 
-            threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=30)
-            assert not any(t.is_alive() for t in threads)
-            assert errors == []
-            assert all(r == expected for r in results)
-    finally:
-        sys.setswitchinterval(interval)
+                threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30)
+                assert not any(t.is_alive() for t in threads)
+                assert errors == []
+                assert all(r == expected for r in results)
+        finally:
+            sys.setswitchinterval(interval)
