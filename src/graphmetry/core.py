@@ -502,9 +502,12 @@ def _parse_value(token: str, line_no: int) -> tuple[float, Fraction | None]:
         # Only the literal token spells infinity; 1e999 style overflow is
         # rejected so the exact shadow stays faithful.
         raise ParseError(f"line {line_no}: overflowing value {token!r}; use 'inf'")
-    if value < 0:
+    frac = Fraction(token)
+    if frac.numerator < 0:  # the token's sign: -1e-400 is negative, though its float is -0.0
         raise NegativeWeightError(f"line {line_no}: negative value {token!r}")
-    return value, Fraction(token)
+    if not value and frac:  # likewise underflow, which would drop a conductance or zero a weight
+        raise ParseError(f"line {line_no}: underflowing value {token!r}")
+    return value, frac
 
 
 def parse_graph(text: str, mode: str = "weight") -> Graph:
@@ -521,28 +524,22 @@ def parse_graph(text: str, mode: str = "weight") -> Graph:
     if mode not in ("weight", "conductance"):
         raise InvalidArgument(f"unknown mode {mode!r}")
     ids: dict[str, int] = {}
-
-    def vid(label: str) -> int:
-        if label not in ids:
-            ids[label] = len(ids)
-        return ids[label]
-
     entries: dict[tuple[int, int], float] = {}
     exact: dict[tuple[int, int], Fraction] = {}
     # One parse (and one Fraction) per distinct value token; a bad token is
     # never stored, so it fails on its own line.
     parsed: dict[str, tuple[float, Fraction | None]] = {}
     for line_no, raw_line in enumerate(text.splitlines(), 1):
-        line = raw_line.split("#", 1)[0].strip()
-        if not line:
+        tokens = raw_line.split("#", 1)[0].split()
+        if not tokens:
             continue
-        tokens = line.split()
         if len(tokens) == 2 and tokens[0] == "vertex":
-            vid(tokens[1])
+            ids.setdefault(tokens[1], len(ids))
             continue
         if len(tokens) != 3:
             raise ParseError(f"line {line_no}: expected '<label> <label> <value>', got {raw_line!r}")
-        u, v = vid(tokens[0]), vid(tokens[1])
+        u = ids.setdefault(tokens[0], len(ids))
+        v = ids.setdefault(tokens[1], len(ids))
         value_frac = parsed.get(tokens[2])
         if value_frac is None:
             value_frac = parsed[tokens[2]] = _parse_value(tokens[2], line_no)
@@ -563,12 +560,11 @@ def parse_graph(text: str, mode: str = "weight") -> Graph:
         if mode == "conductance" and math.isinf(value):
             raise ParseError(f"line {line_no}: conductances must be finite")
         key = edge_key(u, v)
-        if key in entries and entries[key] != value:
+        if entries.setdefault(key, value) != value:
             raise AsymmetryError(
                 f"line {line_no}: pair ({tokens[0]}, {tokens[1]}) redeclared "
                 f"with conflicting value {tokens[2]}"
             )
-        entries[key] = value
         if frac is not None:
             exact[key] = frac
 

@@ -64,18 +64,21 @@ def _decimal_shadow(x: float) -> Fraction:
     return Fraction(repr(x))
 
 
-def _scaled_component(g: Graph, x: int) -> tuple[dict[int, int], dict[tuple[int, int], int], int]:
-    """x's component (``g.reach(x)``), the exact value of each of its stored
-    pairs times D, and D: the lcm of those values' denominators."""
-    seen = g.reach(x)
+def _scaled_component(g: Graph, x: int) -> tuple[list[int], dict[tuple[int, int], int], int]:
+    """x's component (its sorted vertices, from the kept labelling), the exact
+    value of each of its stored pairs times D, and D: the lcm of those
+    values' denominators."""
+    g._check_vertex(x)  # a negative x would index the labelling from its end
+    labelling = g._labelling()
+    members = labelling.members[labelling.component[x]]
     ratios = {
         (u, v): (g.exact[u, v] if (u, v) in g.exact else _decimal_shadow(c)).as_integer_ratio()
-        for u in seen
+        for u in members
         for v, c in g.neighbors(u)
         if u < v
     }
     scale = math.lcm(*{q for _, q in ratios.values()})
-    return seen, {key: p * (scale // q) for key, (p, q) in ratios.items()}, scale
+    return members, {key: p * (scale // q) for key, (p, q) in ratios.items()}, scale
 
 
 def enumerate_simple_paths(g: Graph, x: int, y: int) -> Iterator[Path]:
@@ -276,10 +279,10 @@ def spanning_tree_resistance(g: ConductanceGraph, x: int, y: int) -> ExactWeight
     g._check_pair(x, y, "resistance")
     # The enumerators' cap and message, so --oracle stops at the same sizes.
     _cap(g, TREE_CAP, "tree enumeration")
-    seen, scaled, scale = _scaled_component(g, x)
-    if y not in seen:
+    members, scaled, scale = _scaled_component(g, x)
+    index = {v: i for i, v in enumerate(members)}
+    if y not in index:
         return None
-    index = {v: i for i, v in enumerate(sorted(seen))}
     k = len(index)
     lap = [[0] * k for _ in range(k)]
     for (u, v), e in scaled.items():

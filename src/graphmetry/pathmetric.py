@@ -417,7 +417,9 @@ def enumerate_geodesics(g: WeightedGraph, x: int, y: int, cap: int = 64) -> Geod
     A path qualifies when its length is within the rounding bound
     :func:`_sum_slack` of delta_w(x, y), and the search prunes a branch
     only when it exceeds delta_w by more than that bound.  Stops after
-    ``cap`` paths and sets the truncation flag.
+    ``cap`` paths and sets the truncation flag.  The depth-first walk's one
+    stack is the current path; each vertex on it keeps its unread neighbours
+    (``todo``, None off the path) and the length walked to it.
     """
     cap = _count(cap, "cap")
     x, y = _vertex(x, g.n), _vertex(y, g.n)
@@ -428,36 +430,34 @@ def enumerate_geodesics(g: WeightedGraph, x: int, y: int, cap: int = 64) -> Geod
         return GeodesicSet([Path((x,))], 0.0)
     slack = _sum_slack(g.n, target)
     to_y = single_source_distances(g, y).tolist()  # float sums overflow to inf silently
+    limit = target + slack
     paths: list[Path] = []
     truncated = False
-    on_path = [False] * g.n
-    on_path[x] = True
-    stack = [x]
-    # Depth-first with an explicit stack of neighbour iterators, one per
-    # vertex on the current path, each paired with the length walked so far.
-    frames = [(iter(g.neighbors(x)), 0.0)]
-    while frames and not truncated:
-        neighbours, acc = frames[-1]
-        for v, w in neighbours:
-            if on_path[v]:
+    todo: list[Iterator[tuple[int, float]] | None] = [None] * g.n
+    walked = [0.0] * g.n
+    todo[x] = iter(g.neighbors(x))
+    path = [x]
+    while path and not truncated:
+        acc = walked[path[-1]]
+        for v, w in todo[path[-1]]:
+            if todo[v] is not None:  # v is on the path
                 continue
             length = acc + w
-            if length + to_y[v] > target + slack:
+            if length + to_y[v] > limit:
                 continue
             if v == y:
                 if abs(length - target) <= slack:
                     if len(paths) >= cap:
                         truncated = True
                         break
-                    paths.append(Path((*stack, y)))
+                    paths.append(Path((*path, y)))
                 continue
-            stack.append(v)
-            on_path[v] = True
-            frames.append((iter(g.neighbors(v)), length))
+            todo[v] = iter(g.neighbors(v))
+            walked[v] = length
+            path.append(v)
             break
         else:
-            frames.pop()
-            on_path[stack.pop()] = False
+            todo[path.pop()] = None
     return GeodesicSet(paths, target, truncated)
 
 

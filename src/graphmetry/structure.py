@@ -154,13 +154,16 @@ def biconnected_components(b: ConductanceGraph) -> list[list[int]]:
     """Vertex sets of the biconnected components (blocks), via DFS low-links.
 
     Bridges appear as two-vertex blocks; isolated vertices yield no block.
-    The DFS keeps its own stack of (vertex, parent, neighbour iterator)
-    frames, so path length is not bounded by the recursion limit.
+    The DFS keeps its own stack of (vertex, parent, neighbour iterator,
+    height) frames, so path length is not bounded by the recursion limit,
+    and puts each vertex it discovers on one vertex stack, at that height.
+    A child u of p that finishes with low[u] >= index[p] closes the block of
+    p and the vertices stacked from u up.  The tree edge back to p sets
+    low[u] no lower than index[p], so the walk need not skip it.
     """
     index = [0] * b.n  # 0 = unvisited
     low = [0] * b.n
     counter = 1
-    edge_stack: list[tuple[int, int]] = []
     blocks: list[list[int]] = []
 
     for s in range(b.n):
@@ -168,21 +171,20 @@ def biconnected_components(b: ConductanceGraph) -> list[list[int]]:
             continue
         index[s] = low[s] = counter
         counter += 1
-        stack = [(s, -1, iter(b.neighbors(s)))]
+        vertices = [s]
+        stack = [(s, -1, iter(b.neighbors(s)), 0)]
         while stack:
-            u, parent, todo = stack[-1]
+            u, parent, todo, height = stack[-1]
             for v, _ in todo:
-                if v == parent:
+                if index[v]:
+                    if index[v] < low[u]:
+                        low[u] = index[v]
                     continue
-                if not index[v]:
-                    edge_stack.append((u, v))
-                    index[v] = low[v] = counter
-                    counter += 1
-                    stack.append((v, u, iter(b.neighbors(v))))
-                    break
-                if index[v] < index[u]:
-                    edge_stack.append((u, v))
-                    low[u] = min(low[u], index[v])
+                index[v] = low[v] = counter
+                counter += 1
+                stack.append((v, u, iter(b.neighbors(v)), len(vertices)))
+                vertices.append(v)
+                break
             else:
                 # u is finished: hand its low-link to the parent, and close
                 # the block of edge (parent, u) when u's subtree reaches no
@@ -192,13 +194,8 @@ def biconnected_components(b: ConductanceGraph) -> list[list[int]]:
                     continue
                 low[parent] = min(low[parent], low[u])
                 if low[u] >= index[parent]:
-                    members: set[int] = set()
-                    while True:
-                        edge = edge_stack.pop()
-                        members.update(edge)
-                        if edge == (parent, u):
-                            break
-                    blocks.append(sorted(members))
+                    blocks.append(sorted([parent, *vertices[height:]]))
+                    del vertices[height:]
     return blocks
 
 
@@ -207,7 +204,7 @@ def is_block_graph(b: ConductanceGraph) -> tuple[bool, list[int] | None]:
 
     Classically equivalent to every vertex pair having a unique induced
     path (the definitional form, used as the oracle in tests).  Returns the
-    first offending block when the answer is no.
+    first offending block the block search closes when the answer is no.
     """
     _check_connected(b, "block-graph recognition")
     for block in biconnected_components(b):

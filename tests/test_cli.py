@@ -142,6 +142,23 @@ def test_missing_file_is_input_error(tmp_path, capsys):
     assert code == 2 and "cannot read" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("resistance", "--pair", "a", "c"),
+        ("resistance", "--pair", "a", "c", "--oracle"),
+        ("metric", "--source", "a", "--target", "c", "--mode", "conductance"),
+        ("metric", "--source", "a", "--target", "c"),
+        ("characterize", "--tree", "--mode", "weight"),
+    ],
+)
+def test_an_underflowing_value_is_refused_in_both_modes(graph_file, capsys, argv):
+    # R(a, c) = 10**400 + 1 is finite: reading 1e-400 as a zero conductance
+    # would print inf, and as a zero weight would refuse a "zero weight".
+    code, out, err = run(capsys, argv[0], graph_file("a b 1e-400\nb c 1\n"), *argv[1:])
+    assert (code, out, err) == (2, "", "error: line 1: underflowing value '1e-400'\n")
+
+
 def test_bad_input_is_input_error(graph_file, capsys):
     code, _, err = run(capsys, "metric", graph_file("a b 2\nb a 3\n"), "--all-pairs")
     assert code == 2

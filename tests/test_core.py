@@ -54,7 +54,7 @@ from graphmetry import (
     verify_variational,
     weights_close,
 )
-from graphmetry.core import _row_sums, edge_key, invariant_error, weights_close_array
+from graphmetry.core import _parse_value, _row_sums, edge_key, invariant_error, weights_close_array
 from graphmetry.oracle import (
     brute_metric,
     brute_metric_from,
@@ -557,6 +557,147 @@ def test_parse_graph_reads_each_distinct_token_once_and_exactly():
 def test_parse_graph_reports_a_bad_token_on_its_own_line(text, line):
     with pytest.raises(InputError, match=f"^line {line}:"):
         parse_graph(text)
+
+
+def reference_parse_graph(text: str, mode: str = "weight"):
+    """Reference: the parse loop as it stood before each label, value token
+    and pair was looked up once (a ``vid`` closure, a strip pass, and a
+    membership test before each store)."""
+    if mode not in ("weight", "conductance"):
+        raise InvalidArgument(f"unknown mode {mode!r}")
+    ids: dict[str, int] = {}
+
+    def vid(label):
+        if label not in ids:
+            ids[label] = len(ids)
+        return ids[label]
+
+    entries, exact, parsed = {}, {}, {}
+    for line_no, raw_line in enumerate(text.splitlines(), 1):
+        line = raw_line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        tokens = line.split()
+        if len(tokens) == 2 and tokens[0] == "vertex":
+            vid(tokens[1])
+            continue
+        if len(tokens) != 3:
+            raise ParseError(f"line {line_no}: expected '<label> <label> <value>', got {raw_line!r}")
+        u, v = vid(tokens[0]), vid(tokens[1])
+        value_frac = parsed.get(tokens[2])
+        if value_frac is None:
+            value_frac = parsed[tokens[2]] = _parse_value(tokens[2], line_no)
+        value, frac = value_frac
+        if u == v:
+            if mode == "conductance":
+                raise DiagonalError(f"line {line_no}: self-loop on {tokens[0]!r}")
+            if value != 0.0:
+                raise DiagonalError(f"line {line_no}: self-loop on {tokens[0]!r} with nonzero weight")
+            continue
+        if mode == "weight" and value == 0.0:
+            raise ParseError(
+                f"line {line_no}: zero weight between distinct vertices "
+                f"{tokens[0]!r} and {tokens[1]!r} breaks definiteness"
+            )
+        if mode == "conductance" and math.isinf(value):
+            raise ParseError(f"line {line_no}: conductances must be finite")
+        key = edge_key(u, v)
+        if key in entries and entries[key] != value:
+            raise AsymmetryError(
+                f"line {line_no}: pair ({tokens[0]}, {tokens[1]}) redeclared "
+                f"with conflicting value {tokens[2]}"
+            )
+        entries[key] = value
+        if frac is not None:
+            exact[key] = frac
+    kind = WeightedGraph if mode == "weight" else ConductanceGraph
+    return kind(len(ids), entries, tuple(ids), exact)
+
+
+# Every value spelling the parser reads or refuses, except the nonzero
+# tokens that underflow to 0, which the reference above still reads as 0.
+PARSE_VALUES = (
+    ["1", "2", "0.5", "0.25", "3.75", "10", "1e-3", "2.5E2", "+4", "007", "1_0", "3e-324", "1e300"]
+    + ["0", "-0", "0.0", "0e5", "-0.0", "inf", "INF", "Inf"]
+    + ["nan", "NaN", "1e999", "-1e999", "-1", "-2.5", "abc", "1/2", "0x10", "--1", "infinity"]
+)
+
+
+def random_edge_text(rng: random.Random) -> str:
+    labels = [rng.choice("abcxyz") + str(rng.randrange(8)) for _ in range(rng.randint(1, 7))]
+    lines, pairs = [], []
+    for _ in range(rng.randint(0, 12)):
+        r = rng.random()
+        sep = rng.choice([" ", "\t", "  ", " \t "])
+        u, v = rng.choice(labels), rng.choice(labels)
+        if r < 0.55:
+            value = rng.choice(PARSE_VALUES) if rng.random() < 0.4 else f"{rng.randrange(1, 1000) / 100:g}"
+            lines.append(sep.join([u, v, value]))
+            pairs.append((u, v, value))
+        elif r < 0.65 and pairs:  # a redeclaration, agreeing or (other value) not
+            a, b, value = rng.choice(pairs)
+            other = value if rng.random() < 0.5 else rng.choice(PARSE_VALUES)
+            lines.append(sep.join([b, a, other]) if rng.random() < 0.5 else sep.join([a, b, other]))
+        elif r < 0.72:
+            lines.append(f"vertex{sep}{u}")
+        elif r < 0.77:
+            lines.append(f"{u}{sep}{u}{sep}{rng.choice(['0', '-0', '1', 'inf', '0e5'])}")  # self-loop
+        elif r < 0.85:
+            lines.append(rng.choice(["", "   ", "# a comment", "\t# tabbed", f"{sep}{u} {v} 1 # trailing"]))
+        elif r < 0.90:
+            lines.append(rng.choice([f"{u} {v}", f"{u} {v} 1 2", "vertex", f"vertex {u} {v}", u, f"{u}#{v} 1"]))
+        else:
+            lines.append(f"{u} {v} {rng.choice(PARSE_VALUES)}")
+    return "\n".join(lines) + rng.choice(["", "\n", "\r\n"])
+
+
+def parse_outcome(parse, text, mode):
+    try:
+        g = parse(text, mode)
+    except Exception as error:  # noqa: BLE001 - the class and message are the outcome
+        return type(error), str(error)
+    return type(g), g.n, g.labels, list(g._pairs.items()), list(g.exact.items())
+
+
+def test_parse_graph_matches_the_reference_loop():
+    rng = random.Random(3401)
+    outcomes = collections.Counter()
+    for _ in range(10_000):
+        text = random_edge_text(rng)
+        for mode in ("weight", "conductance"):
+            got = parse_outcome(parse_graph, text, mode)
+            assert got == parse_outcome(reference_parse_graph, text, mode), (text, mode)
+            outcomes[got[0].__name__] += 1
+    # The files reach every outcome: both graph kinds and each refusal.
+    assert set(outcomes) == {
+        "WeightedGraph", "ConductanceGraph", "ParseError", "NegativeWeightError", "DiagonalError", "AsymmetryError",
+    }
+    assert min(outcomes.values()) >= 300
+
+
+@pytest.mark.parametrize("mode", ["weight", "conductance"])
+@pytest.mark.parametrize("token", ["1e-400", "2E-999", "0.1e-330"])
+def test_parse_graph_refuses_a_value_that_underflows_to_zero(mode, token):
+    with pytest.raises(ParseError, match=rf"^line 2: underflowing value '{re.escape(token)}'$"):
+        parse_graph(f"b c 1\na b {token}\n", mode=mode)
+
+
+@pytest.mark.parametrize("mode", ["weight", "conductance"])
+def test_parse_graph_reads_a_negative_underflow_as_negative(mode):
+    with pytest.raises(NegativeWeightError, match=r"^line 1: negative value '-1e-400'$"):
+        parse_graph("a b -1e-400\n", mode=mode)
+
+
+def test_parse_graph_keeps_zeros_and_subnormals():
+    # A zero token is a zero, not an underflow; a subnormal float is not 0.
+    for token in ("0", "-0", "0e5"):
+        b = parse_graph(f"a b {token}\nb c 1\n", mode="conductance")
+        assert b.b == {(1, 2): 1.0} and b.exact[0, 1] == 0
+        with pytest.raises(ParseError, match="zero weight between distinct vertices"):
+            parse_graph(f"a b {token}\n", mode="weight")
+        assert parse_graph(f"a a {token}\n", mode="weight").n == 1
+    w = parse_graph("a b 3e-324\n")
+    assert w.weights == {(0, 1): 5e-324} and w.exact[0, 1] == Fraction(3, 10**324)
 
 
 def test_exports_resolve_and_stay_sorted():

@@ -209,6 +209,56 @@ def test_traversal_order_matches_recorded_digest(tmp_path, capsys, argv):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def cycle_blocks_on_a_tree() -> str:
+    """Six blocks hung on cut vertices: four cycles with seeded chords (not
+    cliques), a triangle and a bridge, 0.01-grid values.  The lines are
+    shuffled, so the vertex ids, and with them the order in which the block
+    search closes the blocks, do not follow the listing above."""
+    rng = random.Random(3131)
+    blocks = [
+        ["h", "a1", "a2", "a3", "a4"],
+        ["a2", "b1", "b2", "b3"],
+        ["h", "t1", "t2"],
+        ["t1", "p"],
+        ["p", "c1", "c2", "c3", "c4", "c5"],
+        ["b2", "d1", "d2", "d3"],
+    ]
+    lines = []
+    for names in blocks:
+        k = len(names)
+        for i, u in enumerate(names):
+            for j in range(i + 1, k):
+                if k <= 3 or j == i + 1 or (i == 0 and j == k - 1) or rng.random() < 0.2:
+                    lines.append(f"{u} {names[j]} {_hundredths(rng)}\n")
+    rng.shuffle(lines)
+    return "".join(lines)
+
+
+# Recorded while the block search still kept a stack of edges and gathered
+# each block's members in a set: ``offending_block`` names the first
+# non-clique block the search closes, so these pin the closing order.
+BLOCK_DIGESTS = {
+    (two_blocks_at_cut_vertex, True): "c783a75cde9654540862200a4d8ea8cd0eef4eefb04f75d2a0348d6d556e9323",
+    (two_blocks_at_cut_vertex, False): "6d5022819533e563f5ff455da8acbdcc6f28f0d36e9c20dd10afdae7dcaadc05",
+    (cycle_blocks_on_a_tree, True): "6ad701254a0578a5a9cce6331b4aa5c52d6414676b493fef03901929cce8c1d0",
+    (cycle_blocks_on_a_tree, False): "bfd8956a88f727a407d31abae1a69f8c8ba27f5c3ef3199c5b1d35e9c7710092",
+}
+
+
+@pytest.mark.parametrize(
+    "build, as_json",
+    list(BLOCK_DIGESTS),
+    ids=[f"{build.__name__}-{'json' if as_json else 'text'}" for build, as_json in BLOCK_DIGESTS],
+)
+def test_block_order_matches_recorded_digest(tmp_path, capsys, build, as_json):
+    path = tmp_path / "blocks.edges"
+    path.write_text(build())
+    code = main(["characterize", str(path), "--block"] + (["--json"] if as_json else []))
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == BLOCK_DIGESTS[build, as_json]
+
+
 def test_geodesics_on_the_golden_file_match_recorded_digest(golden_file, capsys):
     code = main(["geodesics", golden_file, "--source", "0", "--target", "33", "--json"])
     out = capsys.readouterr().out

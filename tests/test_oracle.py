@@ -20,6 +20,7 @@ from graphmetry import (
     parse_graph,
 )
 from graphmetry.cli import main
+from graphmetry.core import Graph
 from graphmetry.oracle import (
     _bareiss_det,
     _decimal_shadow,
@@ -428,3 +429,24 @@ def test_valid_vertices_keep_the_same_vertex_and_cap_order():
         with pytest.raises(kind, match=f"^{message}$"):
             call()
     assert [p.vertices for p in enumerate_simple_paths(b, 1, 1)] == [(1,)]
+
+
+@pytest.mark.parametrize("argv", [("metric", "--all-pairs", "--oracle"), ("resistance", "--matrix", "--oracle")])
+def test_the_oracles_walk_each_component_once(tmp_path, capsys, monkeypatch, argv):
+    # Three components of 3, 2 and 1 vertices: the exact oracles read x's
+    # component from the graph's kept labelling, which one search per
+    # component builds, instead of searching again from every source.
+    path = tmp_path / "three.edges"
+    path.write_text("a b 1\nb c 2\nd e 0.5\nvertex f\n")
+    searches = []
+    reach = Graph.reach
+
+    def counted(self, *args, **kwargs):
+        searches.append(args[0])
+        return reach(self, *args, **kwargs)
+
+    monkeypatch.setattr(Graph, "reach", counted)
+    code = main([argv[0], str(path), *argv[1:], "--json"])
+    oracle = json.loads(capsys.readouterr().out)["results"]["oracle"]
+    assert code == 0 and list(oracle) == list("abcdef")
+    assert searches == [0, 3, 5]

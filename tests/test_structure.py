@@ -373,6 +373,91 @@ def test_biconnected_components_match_the_recursive_reference():
         assert biconnected_components(b) == recursive_biconnected_components(b)
 
 
+def edge_stack_biconnected_components(b: ConductanceGraph) -> list[list[int]]:
+    """Reference: the iterative low-link DFS as it stood before it kept one
+    vertex stack, with a stack of edges, a member set per block, and a
+    parent skip and an ancestor test per visited neighbour."""
+    index, low = [0] * b.n, [0] * b.n
+    counter = 1
+    edge_stack, blocks = [], []
+    for s in range(b.n):
+        if index[s]:
+            continue
+        index[s] = low[s] = counter
+        counter += 1
+        stack = [(s, -1, iter(b.neighbors(s)))]
+        while stack:
+            u, parent, todo = stack[-1]
+            for v, _ in todo:
+                if v == parent:
+                    continue
+                if not index[v]:
+                    edge_stack.append((u, v))
+                    index[v] = low[v] = counter
+                    counter += 1
+                    stack.append((v, u, iter(b.neighbors(v))))
+                    break
+                if index[v] < index[u]:
+                    edge_stack.append((u, v))
+                    low[u] = min(low[u], index[v])
+            else:
+                stack.pop()
+                if parent < 0:
+                    continue
+                low[parent] = min(low[parent], low[u])
+                if low[u] >= index[parent]:
+                    members = set()
+                    while True:
+                        edge = edge_stack.pop()
+                        members.update(edge)
+                        if edge == (parent, u):
+                            break
+                    blocks.append(sorted(members))
+    return blocks
+
+
+def glued_blocks(rng: random.Random) -> ConductanceGraph:
+    """Up to 30 vertices: components of trees, cycles, cliques and random
+    blocks glued at cut vertices, isolated vertices, and shuffled ids."""
+    n = rng.randint(0, 30)
+    order = list(range(n))
+    rng.shuffle(order)
+    pairs, free = set(), list(order)
+    while free:
+        component = [free.pop()]
+        for _ in range(rng.randint(0, 3)):  # blocks hung on this component
+            k = rng.randint(1, 6)
+            fresh = [free.pop() for _ in range(min(k, len(free)))]
+            if not fresh:
+                break
+            block = [rng.choice(component), *fresh]
+            kind = rng.choice(["tree", "cycle", "clique", "random"])
+            for i in range(1, len(block)):
+                if kind == "tree":
+                    pairs.add((block[rng.randrange(i)], block[i]))
+                else:
+                    pairs.add((block[i - 1], block[i]))
+            if kind == "cycle" and len(block) > 2:
+                pairs.add((block[-1], block[0]))
+            for i, u in enumerate(block):
+                for v in block[i + 2 :]:
+                    if kind == "clique" or (kind == "random" and rng.random() < 0.3):
+                        pairs.add((u, v))
+            component += fresh
+    return ConductanceGraph(n, {(min(u, v), max(u, v)): 1.0 for u, v in pairs})
+
+
+def test_biconnected_components_match_the_edge_stack_reference():
+    rng = random.Random(3402)
+    sizes = set()
+    for _ in range(3000):
+        b = glued_blocks(rng)
+        blocks = biconnected_components(b)
+        assert blocks == edge_stack_biconnected_components(b)
+        sizes.update(len(block) for block in blocks)
+    assert {2, 3, 7} <= sizes
+
+
 def test_deep_path_is_a_block_graph():
     n = 3000
     path = ConductanceGraph(n, {(i, i + 1): 1.0 for i in range(n - 1)})
