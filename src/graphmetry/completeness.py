@@ -30,8 +30,8 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .core import INFINITY, Path, WeightedGraph, _count, _first_text, _index
-from .errors import DuplicatePath, EmptyInput, InvalidArgument, MixedStart, OutOfRange, TooLarge, UnknownVertex
-from .pathmetric import GeodesicWeight, all_pairs_metric, geodesic_weight, is_generating, path_length
+from .errors import DuplicatePath, EmptyInput, InvalidArgument, MixedStart, TooLarge, UnknownVertex
+from .pathmetric import GeodesicWeight, _out_of_range, all_pairs_metric, geodesic_weight, is_generating, path_length
 
 SCAN_BUDGET_CAP = 2000
 
@@ -242,7 +242,7 @@ def family_ball_scan(
                 elif s < INFINITY:  # an overflowed sum, not an absent edge
                     over.append(v)
     if over and not beyond:
-        raise OutOfRange(f"distance between {labels[center]} and {labels[min(over)]} is outside float range")
+        raise _out_of_range(labels[center], labels[min(over)])
     verdict = EXCEEDS_THRESHOLD if found >= thr else BOUNDED_SO_FAR
     return BallScan(center=center, radius=radius, found=found, budget=budget, verdict=verdict)
 

@@ -26,9 +26,10 @@ key ``(u, v)`` has ``u <= v``.
 
 Extended weights are plain ``float`` values with ``math.inf`` as the
 distinguished infinity; this gives the required total order and absorbing
-addition for free.  Exact rational shadows of parsed decimal values are
-kept alongside the float pipeline so the brute-force oracles never
-inherit rounding error.
+addition for free.  ``Graph._exact`` decides each stored pair's exact
+rational value: its shadow in ``exact`` (the parser keeps each token's),
+else its float's shortest decimal.  The oracles and ``Graph.reciprocal``
+read it, so they never inherit rounding error.
 
 Both graph classes are immutable after construction and safe to read from
 any number of concurrent workers.
@@ -36,6 +37,7 @@ any number of concurrent workers.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import operator
@@ -67,8 +69,6 @@ INFINITY: float = math.inf
 # (metric entries, resistances).  Sums of the same path terms compare within
 # their rounding bound instead (pathmetric._sum_slack).
 TAU_EQ: float = 1e-9
-
-VertexId = int
 
 
 def edge_key(u: int, v: int) -> tuple[int, int]:
@@ -236,6 +236,12 @@ def _merge(ids: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
     return lo[last], hi[last], w[last]
 
 
+@functools.lru_cache(maxsize=4096)
+def _decimal_shadow(x: float) -> Fraction:
+    """The rational a float's shortest decimal spells, parsed once per value."""
+    return Fraction(repr(x))
+
+
 class Components(NamedTuple):
     """Each vertex's component number, and each component's sorted vertices."""
 
@@ -375,16 +381,23 @@ class Graph:
             self._components = Components(component, members)
         return self._components
 
+    def _exact(self, key: tuple[int, int]) -> Fraction:
+        """The exact value of pair ``key`` (canonical, no absent weight): its
+        shadow in ``exact``, else the rational its float's shortest decimal
+        spells.  Unchecked, as it sits on the oracles' per-pair path."""
+        shadow = self.exact.get(key)
+        return _decimal_shadow(self._pairs.get(key, self._absent)) if shadow is None else shadow
+
     def reciprocal(self, kind: type[G]) -> G:
         """A ``kind`` graph with value 1/x on every stored pair x of this one.
 
-        Lifts a conductance to its length 1/b and back; exact shadows carry
-        over as exact reciprocals.  Raises InputError when a reciprocal is
-        outside float range (a zero or subnormal value overflows 1/x).
+        Lifts a conductance to its length 1/b and back, with 1 / the pair's
+        exact value (:meth:`_exact`) as each shadow, on any graph.  Raises
+        InputError when a reciprocal is outside float range (a zero or
+        subnormal value overflows 1/x).
         """
         values = self._reciprocals()
-        exact = {key: 1 / self.exact[key] for key in values if key in self.exact}
-        return kind(self.n, values, self.labels, exact)
+        return kind(self.n, values, self.labels, {key: 1 / self._exact(key) for key in values})
 
     def _reciprocals(self) -> dict[tuple[int, int], float]:
         """1/x on every stored pair x off the diagonal, without the shadows;
@@ -502,7 +515,11 @@ def _parse_value(token: str, line_no: int) -> tuple[float, Fraction | None]:
         # Only the literal token spells infinity; 1e999 style overflow is
         # rejected so the exact shadow stays faithful.
         raise ParseError(f"line {line_no}: overflowing value {token!r}; use 'inf'")
-    frac = Fraction(token)
+    # The shadow drops the _ separators float() reads (3.10's Fraction refuses
+    # them).  A float of 0 is a zero or an underflow, which its mantissa tells
+    # apart: Fraction would expand an exponent such as e-99999999 in full.
+    digits = token.replace("_", "")
+    frac = Fraction(digits if value else digits.lower().partition("e")[0])
     if frac.numerator < 0:  # the token's sign: -1e-400 is negative, though its float is -0.0
         raise NegativeWeightError(f"line {line_no}: negative value {token!r}")
     if not value and frac:  # likewise underflow, which would drop a conductance or zero a weight
@@ -646,14 +663,16 @@ def serialize_graph(g: Graph) -> str:
     """Canonical edge-list text: the stored pairs in vertex-id order, then
     the isolated vertices.
 
-    Values use the shortest round-tripping decimal form, so a value (and its
-    exact rational shadow) survives a serialize/parse cycle.  Construction
-    stores the pairs in sorted order, and each distinct value is spelled
-    once.  The graph itself need not survive one: parsing numbers vertices
-    by first appearance, so ids out of that order come back renumbered
-    (``a b 1 / c d 1 / a d 1`` as ``(a, b, d, c)``, ``vertex z / a b 1`` as
-    ``(a, b, z)``), and a zero weight, or a label that holds whitespace or
-    ``#``, does not parse back at all.
+    Values use the shortest round-tripping decimal form, so a value survives
+    a serialize/parse cycle.  Its exact value survives only when that is its
+    float's shortest decimal: a parsed ``0.1000000000000000055511151231257827``
+    comes back with shadow 1/10.  Construction stores the pairs in sorted
+    order, and each distinct value is spelled once.  The graph itself need
+    not survive one: parsing numbers vertices by first appearance, so ids
+    out of that order come back renumbered (``a b 1 / c d 1 / a d 1`` as
+    ``(a, b, d, c)``, ``vertex z / a b 1`` as ``(a, b, z)``), and a zero
+    weight, or a label that holds whitespace or ``#``, does not parse back
+    at all.
     """
     names = g.labels if g.labels is not None else [str(u) for u in range(g.n)]
     edges = [(key, w) for key, w in g._pairs.items() if key[0] != key[1]]

@@ -1,11 +1,13 @@
 """Exact rational reference computations used to cross-check the fast paths.
 
 Everything here runs in exact rational arithmetic (:class:`~fractions.Fraction`)
-over the parsed decimal values and shares no code with the float algorithms
-it checks.  It reads graphs as construction left them (:func:`core.validate`
-holds): every stored weight is finite and nonnegative, every stored
-conductance positive and finite, so no oracle checks a value again.  Two
-oracles are polynomial and back ``--oracle`` on the CLI:
+over each pair's exact value, as the graph decides it (``Graph._exact``: a
+parsed shadow, else the float's shortest decimal), and shares no code with
+the float algorithms it checks.  It reads graphs as construction left them
+(:func:`core.validate` holds): every stored weight is finite and
+nonnegative, every stored conductance positive and finite, so no oracle
+checks a value again.  Two oracles are polynomial and back ``--oracle`` on
+the CLI:
 
 * :func:`brute_metric_from` runs Dijkstra over the source's component;
 * :func:`spanning_tree_resistance` reads R(x, y) = det L(-x,-y) / det L(-x)
@@ -26,7 +28,6 @@ user-facing tools.
 
 from __future__ import annotations
 
-import functools
 import heapq
 import itertools
 import math
@@ -48,20 +49,11 @@ def _cap(g: Graph, cap: int, what: str) -> None:
 
 
 def exact_weight(g: Graph, u: int, v: int) -> ExactWeight:
-    """w(u, v) (or b(u, v)) as an exact rational, or None for infinity."""
+    """w(u, v) (or b(u, v)) as the graph's exact rational, or None for infinity."""
     x = g._value(u, v)  # checks u and v
     if u == v:
         return Fraction(0)
-    key = edge_key(u, v)
-    if key in g.exact:
-        return g.exact[key]
-    return None if math.isinf(x) else _decimal_shadow(x)
-
-
-@functools.lru_cache(maxsize=4096)
-def _decimal_shadow(x: float) -> Fraction:
-    """The rational a float's shortest decimal spells, parsed once per value."""
-    return Fraction(repr(x))
+    return None if math.isinf(x) else g._exact(edge_key(u, v))
 
 
 def _scaled_component(g: Graph, x: int) -> tuple[list[int], dict[tuple[int, int], int], int]:
@@ -72,10 +64,7 @@ def _scaled_component(g: Graph, x: int) -> tuple[list[int], dict[tuple[int, int]
     labelling = g._labelling()
     members = labelling.members[labelling.component[x]]
     ratios = {
-        (u, v): (g.exact[u, v] if (u, v) in g.exact else _decimal_shadow(c)).as_integer_ratio()
-        for u in members
-        for v, c in g.neighbors(u)
-        if u < v
+        (u, v): g._exact((u, v)).as_integer_ratio() for u in members for v, _ in g.neighbors(u) if u < v
     }
     scale = math.lcm(*{q for _, q in ratios.values()})
     return members, {key: p * (scale // q) for key, (p, q) in ratios.items()}, scale

@@ -209,8 +209,9 @@ def path_length(g: WeightedGraph, p: Path) -> float:
     return total
 
 
-def _out_of_range(g: WeightedGraph, x: int, y: int) -> OutOfRange:
-    return OutOfRange(f"distance between {g.label(x)} and {g.label(y)} is outside float range")
+def _out_of_range(x: str, y: str) -> OutOfRange:
+    """OutOfRange for a distance, between the vertices labelled x and y, beyond float range."""
+    return OutOfRange(f"distance between {x} and {y} is outside float range")
 
 
 def _settle(g: WeightedGraph, x: int) -> Iterator[tuple[int, float]]:
@@ -238,7 +239,7 @@ def _settle(g: WeightedGraph, x: int) -> Iterator[tuple[int, float]]:
                 heapq.heappush(heap, (nd, v))
     for v in range(g.n):
         if not done[v] and any(done[u] for u, _ in g.neighbors(v)):
-            raise _out_of_range(g, x, v)
+            raise _out_of_range(g.label(x), g.label(v))
 
 
 def single_source_distances(g: WeightedGraph, x: int) -> np.ndarray:
@@ -303,7 +304,7 @@ def _check_range(g: WeightedGraph, d: np.ndarray) -> None:
     component = np.array(g._labelling().component, dtype=np.intp)
     xs, ys = np.nonzero(infinite & (component[:, None] == component[None, :]))
     if len(xs):
-        raise _out_of_range(g, int(xs[0]), int(ys[0]))
+        raise _out_of_range(g.label(int(xs[0])), g.label(int(ys[0])))
 
 
 def _one_sweep_metric(g: WeightedGraph) -> np.ndarray:

@@ -249,8 +249,8 @@ def compatible_resistance_weight(b: ConductanceGraph) -> CompatibilityCertificat
 def inverse_conductance_weight(b: ConductanceGraph) -> WeightedGraph:
     """The weight 1/b on positive-conductance edges, inf elsewhere.
 
-    Exact shadows carry over as exact reciprocals; a conductance whose
-    reciprocal overflows raises InputError.
+    Every pair's shadow is the exact reciprocal of its conductance's exact
+    value; a conductance whose reciprocal overflows raises InputError.
     """
     return b.reciprocal(WeightedGraph)
 

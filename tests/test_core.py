@@ -8,6 +8,7 @@ import random
 import re
 import struct
 import sys
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -698,6 +699,38 @@ def test_parse_graph_keeps_zeros_and_subnormals():
         assert parse_graph(f"a a {token}\n", mode="weight").n == 1
     w = parse_graph("a b 3e-324\n")
     assert w.weights == {(0, 1): 5e-324} and w.exact[0, 1] == Fraction(3, 10**324)
+
+
+def test_a_huge_exponent_on_a_zero_float_costs_no_power_of_ten():
+    # Fraction("1e-99999999") would expand 10**99999999; the mantissa decides instead.
+    start = time.perf_counter()
+    for mode in ("weight", "conductance"):
+        with pytest.raises(ParseError, match=r"^line 1: underflowing value '1e-99999999'$"):
+            parse_graph("a b 1e-99999999\n", mode)
+        with pytest.raises(NegativeWeightError, match=r"^line 1: negative value '-1e-99999999'$"):
+            parse_graph("a b -1e-99999999\n", mode)
+    for zero in ("0e-99999999", "-0e-99999999"):
+        b = parse_graph(f"a b {zero}\nb c 1\n", "conductance")
+        assert b.b == {(1, 2): 1.0} and b.exact[0, 1] == 0
+        with pytest.raises(ParseError, match="zero weight between distinct vertices"):
+            parse_graph(f"a b {zero}\n", "weight")
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("token", ["1_000", "1_0.5e1_0"])
+def test_a_digit_separator_reads_as_float_reads_it(token, monkeypatch):
+    shadow = Fraction(token.replace("_", ""))
+    for mode in ("weight", "conductance"):
+        g = parse_graph(f"a b {token}\n", mode)
+        assert g._pairs[0, 1] == float(token) and g.exact[0, 1] == shadow
+
+    def no_separator(text: str) -> Fraction:  # as Python 3.10's Fraction reads a string
+        if "_" in text:
+            raise ValueError(f"Invalid literal for Fraction: {text!r}")
+        return Fraction(text)
+
+    monkeypatch.setattr(graphmetry.core, "Fraction", no_separator)
+    assert parse_graph(f"a b {token}\n").exact[0, 1] == shadow
 
 
 def test_exports_resolve_and_stay_sorted():

@@ -20,10 +20,9 @@ from graphmetry import (
     parse_graph,
 )
 from graphmetry.cli import main
-from graphmetry.core import Graph
+from graphmetry.core import Graph, _decimal_shadow
 from graphmetry.oracle import (
     _bareiss_det,
-    _decimal_shadow,
     brute_metric,
     brute_metric_from,
     enumerate_simple_paths,
@@ -345,6 +344,50 @@ def test_matrix_tree_oracle_reads_the_exact_shadows():
     # One third in series with one seventh: the float values are not exact.
     b = ConductanceGraph(3, {(0, 1): 1 / 3, (1, 2): 1 / 7}, exact={(0, 1): Fraction(1, 3), (1, 2): Fraction(1, 7)})
     assert spanning_tree_resistance(b, 0, 2) == 10
+
+
+def test_a_library_tree_lifts_to_its_exact_length():
+    b = ConductanceGraph(3, {(0, 1): 3.0, (1, 2): 3.0})
+    assert brute_metric_from(b.reciprocal(WeightedGraph), 0)[2] == Fraction(2, 3)
+    assert spanning_tree_resistance(b, 0, 2) == Fraction(2, 3)
+
+
+# Most have a float reciprocal whose shortest decimal is not the exact one (1/3.0 is 0.3333333333333333).
+TREE_VALUES = [3.0, 0.1, 0.7, *(k / 7 for k in range(1, 7))]
+
+
+def tree_views(rng: random.Random, n: int) -> list[tuple[WeightedGraph, ConductanceGraph, Graph, Graph]]:
+    """One seeded tree built four ways, each as (weight view, conductance view,
+    source, lift): a library conductance or weight graph lifted by
+    ``reciprocal``, and a parsed conductance or weight file lifted as the CLI
+    lifts a file read in the other mode."""
+    pairs = {(rng.randrange(v), v): rng.choice(TREE_VALUES) for v in range(1, n)}
+    text = "".join(f"vertex v{u}\n" for u in range(n))  # parsed ids follow vertex order
+    text += "".join(f"v{u} v{v} {x!r}\n" for (u, v), x in pairs.items())
+    views = []
+    for source in (
+        ConductanceGraph(n, pairs),
+        WeightedGraph(n, pairs),
+        parse_graph(text, "conductance"),
+        parse_graph(text, "weight"),
+    ):
+        lift = source.reciprocal(ConductanceGraph if isinstance(source, WeightedGraph) else WeightedGraph)
+        w, b = (source, lift) if isinstance(source, WeightedGraph) else (lift, source)
+        views.append((w, b, source, lift))
+    return views
+
+
+def test_the_tree_theorem_holds_exactly_in_every_input_mode():
+    # On a tree R = delta_{1/b}: the two oracles agree exactly, on library and parsed graphs alike.
+    rng = random.Random(3501)
+    for _ in range(120):
+        for w, b, source, lift in tree_views(rng, rng.randint(2, 8)):
+            for x in range(w.n):
+                distances = brute_metric_from(w, x)
+                for y in range(x + 1, w.n):
+                    assert distances[y] == spanning_tree_resistance(b, x, y)
+            for u, v, _ in b.edges():
+                assert exact_weight(lift, u, v) == 1 / exact_weight(source, u, v)
 
 
 def test_bareiss_determinant_matches_rational_elimination():
