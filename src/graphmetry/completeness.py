@@ -31,7 +31,7 @@ from typing import Callable
 
 from .core import INFINITY, Path, WeightedGraph, _count, _first_text, _index
 from .errors import DuplicatePath, EmptyInput, InvalidArgument, MixedStart, TooLarge, UnknownVertex
-from .pathmetric import GeodesicWeight, _out_of_range, all_pairs_metric, geodesic_weight, is_generating, path_length
+from .pathmetric import GeodesicWeight, _first_mismatch, _out_of_range, all_pairs_metric, geodesic_weight, path_length
 
 SCAN_BUDGET_CAP = 2000
 
@@ -347,16 +347,20 @@ def verify_maximal_weight(g: WeightedGraph) -> MaximalWeightReport:
     With t the metric of g and W = geodesic_weight(t): (a) W generates t
     again, and (b) g's own weight never exceeds W on pairs where it is
     finite (W is inf, hence dominating, wherever the direct pair is not the
-    unique geodesic).  Witnesses list the offending pairs of (b); the
-    report carries W itself as ``weight``.  t is the one fixpoint closure;
-    W is found from g's tight edges and (a) reads one min-plus sweep.
+    unique geodesic).  Witnesses list the offending pairs of (b) in
+    row-major order; the report carries W itself as ``weight``.  t is the
+    one fixpoint closure; W is found from g's tight edges.  (a) reads one
+    min-plus sweep of W's own table, which is the start table of W's
+    weights; W is built as a graph only when that sweep leaves an inf entry
+    to classify (a disconnected g, or a sum beyond float range).
     """
     t = all_pairs_metric(g)
     W = geodesic_weight(t, graph=g)
-    generates = is_generating(W.as_weight_graph(), t)
-    # Stored weights are finite (construction checks), keys sorted.
-    witnesses = [(x, y) for (x, y), w in g.weights.items() if x < y and w > W.table[x, y]]
+    generates = _first_mismatch(W.as_weight_graph, lambda: t.d, W.table.copy()) is None
+    # Stored weights are finite (construction checks), pairs sorted.
+    xs, ys = g._ends.T
+    over = (xs < ys) & (g._values > W.table[xs, ys])
+    witnesses = list(zip(xs[over].tolist(), ys[over].tolist()))
     return MaximalWeightReport(
         generates=generates, dominates=not witnesses, witnesses=witnesses, weight=W
     )
-

@@ -27,9 +27,12 @@ key ``(u, v)`` has ``u <= v``.
 Extended weights are plain ``float`` values with ``math.inf`` as the
 distinguished infinity; this gives the required total order and absorbing
 addition for free.  ``Graph._exact`` decides each stored pair's exact
-rational value: its shadow in ``exact`` (the parser keeps each token's),
-else its float's shortest decimal.  The oracles and ``Graph.reciprocal``
-read it, so they never inherit rounding error.
+rational value: its shadow in ``exact``, else its float's shortest decimal.
+The oracles and ``Graph.reciprocal`` read it, so they never inherit rounding
+error.  A parsed graph's ``exact`` keeps each pair's token and builds its
+``Fraction`` on first read, once per distinct token; a map the caller gives
+is checked at construction (stored pairs only, each a nonnegative
+``Fraction`` or ``int`` that is zero exactly where the float is).
 
 Both graph classes are immutable after construction and safe to read from
 any number of concurrent workers.
@@ -42,10 +45,11 @@ import hashlib
 import math
 import operator
 import struct
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, starmap
-from typing import Iterator, Mapping, NamedTuple, TypeVar
+from typing import Iterator, NamedTuple, TypeVar
 
 import numpy as np
 
@@ -242,6 +246,48 @@ def _decimal_shadow(x: float) -> Fraction:
     return Fraction(repr(x))
 
 
+class _TokenShadows(Mapping):
+    """A parsed graph's ``exact``: each pair's value token (``_`` removed),
+    read as a ``Fraction`` on first access and kept, one per distinct token.
+
+    Read-only.  Two readers racing on a token may both build its Fraction;
+    ``setdefault`` keeps the first, and both return that one.
+    """
+
+    def __init__(self, tokens: dict[tuple[int, int], str]) -> None:
+        self._tokens = tokens
+        self._built: dict[str, Fraction] = {}
+
+    def __getitem__(self, key: tuple[int, int]) -> Fraction:
+        token = self._tokens[key]
+        shadow = self._built.get(token)
+        return self._built.setdefault(token, Fraction(token)) if shadow is None else shadow
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        return iter(self._tokens)
+
+    def __len__(self) -> int:
+        return len(self._tokens)
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+
+def _shadow_problem(q: object, x: float | None) -> str | None:
+    """What is wrong with ``q`` as the exact value of a pair whose stored
+    float is ``x`` (None: no stored pair), or None.  It is not asked to
+    round to x: a reciprocal 1/q may differ from fl(1/x) in the last bit."""
+    if x is None:
+        return "is on no stored pair"
+    if not isinstance(q, (Fraction, int)) or isinstance(q, bool):
+        return "is not a Fraction or an int"
+    if q.numerator < 0:  # a Fraction's or an int's sign, without a Fraction comparison
+        return "is negative"
+    if (not q.numerator) != (not x):
+        return f"is {'non' if q.numerator else ''}zero where the value {x!r} is not"
+    return None
+
+
 class Components(NamedTuple):
     """Each vertex's component number, and each component's sorted vertices."""
 
@@ -261,7 +307,7 @@ class Graph:
 
     n: int
     labels: tuple[str, ...] | None
-    exact: dict[tuple[int, int], Fraction]
+    exact: Mapping[tuple[int, int], Fraction]
     _absent: float  # the value of a pair with no stored entry
     _pairs: dict[tuple[int, int], float]  # the subclass's stored pairs
     _ends: np.ndarray  # the stored pairs' (u, v) rows, in stored order
@@ -269,6 +315,7 @@ class Graph:
     _adj: list[list[tuple[int, float]]] | None
     _components: Components | None  # the component labelling, built on first use
     _grounded: object | None  # a conductance graph's grounded system, built by resistance on first use
+    _scaled: dict[int, tuple[dict[tuple[int, int], int], int]]  # the oracles' scaled components, by number
 
     def _store(self, raw: Mapping[tuple[int, int], float]) -> dict[tuple[int, int], float]:
         """Check n and the labels, normalize the pairs and ``exact``; return the
@@ -310,9 +357,15 @@ class Graph:
         problems = validate(self)
         if problems:
             raise InputError("; ".join(problems))
-        lo, hi = _lo_hi(_id_array(self.n, list(self.exact)))
-        self.exact = dict(zip(zip(lo.tolist(), hi.tolist()), self.exact.values()))
+        if not isinstance(self.exact, _TokenShadows):  # the parser's keys and tokens are checked
+            lo, hi = _lo_hi(_id_array(self.n, list(self.exact)))
+            self.exact = dict(zip(zip(lo.tolist(), hi.tolist()), self.exact.values()))
+            for key, q in self.exact.items():
+                problem = _shadow_problem(q, self._pairs.get(key))
+                if problem is not None:
+                    raise InvalidArgument(f"pair {key}: exact value {q!r} {problem}")
         self._adj = self._components = self._grounded = None
+        self._scaled = {}
         return self._pairs
 
     def _value(self, u: int, v: int) -> float:
@@ -384,7 +437,8 @@ class Graph:
     def _exact(self, key: tuple[int, int]) -> Fraction:
         """The exact value of pair ``key`` (canonical, no absent weight): its
         shadow in ``exact``, else the rational its float's shortest decimal
-        spells.  Unchecked, as it sits on the oracles' per-pair path."""
+        spells.  Construction checked the shadows, so this read, on the
+        oracles' per-pair path, checks nothing."""
         shadow = self.exact.get(key)
         return _decimal_shadow(self._pairs.get(key, self._absent)) if shadow is None else shadow
 
@@ -458,14 +512,15 @@ class WeightedGraph(Graph):
 
     ``weights`` holds finite entries under canonical ``(min, max)`` keys;
     an absent off-diagonal pair has weight ``INFINITY``.  ``exact`` is an
-    optional rational shadow of parsed decimal values, consumed by the
-    oracle module and ignored by equality.
+    optional map of exact values of stored pairs (the parser's token
+    shadows, or a caller's map, checked at construction), read through
+    ``Graph._exact`` and ignored by equality.
     """
 
     n: int
     weights: dict[tuple[int, int], float]
     labels: tuple[str, ...] | None = None
-    exact: dict[tuple[int, int], Fraction] = field(
+    exact: Mapping[tuple[int, int], Fraction] = field(
         default_factory=dict, compare=False, repr=False
     )
     _absent = INFINITY
@@ -487,7 +542,7 @@ class ConductanceGraph(Graph):
     n: int
     b: dict[tuple[int, int], float]
     labels: tuple[str, ...] | None = None
-    exact: dict[tuple[int, int], Fraction] = field(
+    exact: Mapping[tuple[int, int], Fraction] = field(
         default_factory=dict, compare=False, repr=False
     )
     _absent = 0.0
@@ -502,7 +557,9 @@ class ConductanceGraph(Graph):
         return [(u, v, w) for (u, v), w in self.b.items() if u != v]
 
 
-def _parse_value(token: str, line_no: int) -> tuple[float, Fraction | None]:
+def _parse_value(token: str, line_no: int) -> tuple[float, str | None]:
+    """A value token's float and the spelling its exact shadow is read from
+    (None for ``inf``), or the ParseError that refuses it."""
     if token.lower() == "inf":
         return INFINITY, None
     try:
@@ -515,16 +572,19 @@ def _parse_value(token: str, line_no: int) -> tuple[float, Fraction | None]:
         # Only the literal token spells infinity; 1e999 style overflow is
         # rejected so the exact shadow stays faithful.
         raise ParseError(f"line {line_no}: overflowing value {token!r}; use 'inf'")
-    # The shadow drops the _ separators float() reads (3.10's Fraction refuses
-    # them).  A float of 0 is a zero or an underflow, which its mantissa tells
-    # apart: Fraction would expand an exponent such as e-99999999 in full.
-    digits = token.replace("_", "")
-    frac = Fraction(digits if value else digits.lower().partition("e")[0])
-    if frac.numerator < 0:  # the token's sign: -1e-400 is negative, though its float is -0.0
+    # The shadow drops the _ separators float() reads (3.10's Fraction refuses them).
+    if value:
+        if value < 0:
+            raise NegativeWeightError(f"line {line_no}: negative value {token!r}")
+        return value, token.replace("_", "")
+    # A float of 0 is a zero or an underflow, which its mantissa tells apart:
+    # Fraction would expand an exponent such as e-99999999 in full.
+    mantissa = Fraction(token.replace("_", "").lower().partition("e")[0])
+    if mantissa.numerator < 0:  # the token's sign: -1e-400 is negative, though its float is -0.0
         raise NegativeWeightError(f"line {line_no}: negative value {token!r}")
-    if not value and frac:  # likewise underflow, which would drop a conductance or zero a weight
+    if mantissa:  # likewise underflow, which would drop a conductance or zero a weight
         raise ParseError(f"line {line_no}: underflowing value {token!r}")
-    return value, frac
+    return value, "0"
 
 
 def parse_graph(text: str, mode: str = "weight") -> Graph:
@@ -542,10 +602,10 @@ def parse_graph(text: str, mode: str = "weight") -> Graph:
         raise InvalidArgument(f"unknown mode {mode!r}")
     ids: dict[str, int] = {}
     entries: dict[tuple[int, int], float] = {}
-    exact: dict[tuple[int, int], Fraction] = {}
-    # One parse (and one Fraction) per distinct value token; a bad token is
-    # never stored, so it fails on its own line.
-    parsed: dict[str, tuple[float, Fraction | None]] = {}
+    spelled: dict[tuple[int, int], str] = {}
+    # One parse per distinct value token; a bad token is never stored, so it
+    # fails on its own line.
+    parsed: dict[str, tuple[float, str | None]] = {}
     for line_no, raw_line in enumerate(text.splitlines(), 1):
         tokens = raw_line.split("#", 1)[0].split()
         if not tokens:
@@ -560,7 +620,7 @@ def parse_graph(text: str, mode: str = "weight") -> Graph:
         value_frac = parsed.get(tokens[2])
         if value_frac is None:
             value_frac = parsed[tokens[2]] = _parse_value(tokens[2], line_no)
-        value, frac = value_frac
+        value, spelling = value_frac
         if u == v:
             if mode == "conductance":
                 raise DiagonalError(f"line {line_no}: self-loop on {tokens[0]!r}")
@@ -582,13 +642,13 @@ def parse_graph(text: str, mode: str = "weight") -> Graph:
                 f"line {line_no}: pair ({tokens[0]}, {tokens[1]}) redeclared "
                 f"with conflicting value {tokens[2]}"
             )
-        if frac is not None:
-            exact[key] = frac
+        if spelling is not None:
+            spelled[key] = spelling
 
     labels = tuple(ids)
     n = len(labels)
     kind = WeightedGraph if mode == "weight" else ConductanceGraph
-    return kind(n, entries, labels, exact)
+    return kind(n, entries, labels, _TokenShadows(spelled))
 
 
 def validate(g: Graph) -> list[str]:

@@ -59,15 +59,21 @@ def exact_weight(g: Graph, u: int, v: int) -> ExactWeight:
 def _scaled_component(g: Graph, x: int) -> tuple[list[int], dict[tuple[int, int], int], int]:
     """x's component (its sorted vertices, from the kept labelling), the exact
     value of each of its stored pairs times D, and D: the lcm of those
-    values' denominators."""
+    values' denominators.  Each component is scaled on first use and kept
+    on the graph; racing readers may both scale it, and all read the first
+    one kept."""
     g._check_vertex(x)  # a negative x would index the labelling from its end
     labelling = g._labelling()
-    members = labelling.members[labelling.component[x]]
-    ratios = {
-        (u, v): g._exact((u, v)).as_integer_ratio() for u in members for v, _ in g.neighbors(u) if u < v
-    }
-    scale = math.lcm(*{q for _, q in ratios.values()})
-    return members, {key: p * (scale // q) for key, (p, q) in ratios.items()}, scale
+    c = labelling.component[x]
+    members = labelling.members[c]
+    kept = g._scaled.get(c)
+    if kept is None:
+        ratios = {
+            (u, v): g._exact((u, v)).as_integer_ratio() for u in members for v, _ in g.neighbors(u) if u < v
+        }
+        scale = math.lcm(*{q for _, q in ratios.values()})
+        kept = g._scaled.setdefault(c, ({key: p * (scale // q) for key, (p, q) in ratios.items()}, scale))
+    return members, *kept
 
 
 def enumerate_simple_paths(g: Graph, x: int, y: int) -> Iterator[Path]:

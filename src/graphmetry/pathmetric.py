@@ -307,16 +307,24 @@ def _check_range(g: WeightedGraph, d: np.ndarray) -> None:
         raise _out_of_range(g.label(int(xs[0])), g.label(int(ys[0])))
 
 
-def _one_sweep_metric(g: WeightedGraph) -> np.ndarray:
+def _one_sweep_metric(
+    g: WeightedGraph | Callable[[], WeightedGraph], d: np.ndarray | None = None
+) -> np.ndarray:
     """delta_w from a single min-plus sweep, for checks within a tolerance.
 
     One pass gives shortest paths up to rounding (a few ulps per step, far
     below TAU_EQ for nonnegative weights) but not the bitwise fixpoint of
     :func:`all_pairs_metric`, so the table is never printed or fed back in.
+    The sweep runs in place on ``d``, g's start table (default
+    :func:`_initial_table`).  Given that table, ``g`` may be a function that
+    builds the graph: it is called only when an inf entry is left for
+    :func:`_check_range` to classify.
     """
-    d = _initial_table(g)
+    if d is None:
+        d = _initial_table(g)
     _min_plus_sweep(d)
-    _check_range(g, d)
+    if np.isinf(d).any():
+        _check_range(g if isinstance(g, WeightedGraph) else g(), d)
     return d
 
 
@@ -571,12 +579,18 @@ def is_generating(g: WeightedGraph, t: MetricTable) -> bool:
     return _first_mismatch(g, lambda: t.d) is None
 
 
-def _first_mismatch(g: WeightedGraph, table: Callable[[], np.ndarray]) -> tuple[int, int] | None:
+def _first_mismatch(
+    g: WeightedGraph | Callable[[], WeightedGraph],
+    table: Callable[[], np.ndarray],
+    start: np.ndarray | None = None,
+) -> tuple[int, int] | None:
     """The first pair in row-major order where delta_w and ``table()`` differ by
     more than TAU_EQ (x < y on a symmetric table with a zero diagonal), or None:
-    every "w generates delta" check.  The table is read after the sweep, so the
-    sweep's OutOfRange comes before any error building the table raises."""
-    d = _one_sweep_metric(g)
+    every "w generates delta" check.  delta_w is one sweep of ``start``
+    (:func:`_one_sweep_metric`, which reads g and ``start`` as it does).  The
+    table is read after the sweep, so the sweep's OutOfRange comes before any
+    error building the table raises."""
+    d = _one_sweep_metric(g, start)
     differ = ~weights_close_array(d, table())
     if not differ.any():
         return None

@@ -462,6 +462,65 @@ def test_geodesic_weight_runs_one_closure_one_sweep_and_one_w_delta(
         assert calls == {"all_pairs_metric": 1, "_one_sweep_metric": 1, "geodesic_weight": 1}
 
 
+def count_weighted_graphs(monkeypatch) -> list:
+    """Every WeightedGraph built from here on, by any route."""
+    from graphmetry import WeightedGraph
+
+    built = []
+    original = WeightedGraph.__post_init__
+
+    def counted(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(WeightedGraph, "__post_init__", counted)
+    return built
+
+
+def test_geodesic_weight_builds_no_graph_from_w_when_connected(graph_file, capsys, monkeypatch):
+    built = count_weighted_graphs(monkeypatch)
+    for text in (P3, C4, K3):
+        built.clear()
+        code, _, err = run(capsys, "geodesic-weight", graph_file(text))
+        assert code == 0, err
+        assert len(built) == 1  # the parsed graph; W generates delta on its own table
+
+
+def test_geodesic_weight_classifies_inf_entries_as_before(graph_file, capsys, monkeypatch):
+    built = count_weighted_graphs(monkeypatch)
+    # Disconnected: W's sweep leaves inf entries, so W is built to read its components.
+    results = run_json(capsys, "geodesic-weight", graph_file("a b 1\nb c 2\nvertex d\nd e 3\n"))
+    assert len(built) == 2
+    assert results["results"]["generates"] is True and results["results"]["dominates"] is True
+    assert results["results"]["witnesses"] == []
+    table = results["results"]["geodesic_weight"]
+    assert table["a"] == {"a": "0", "b": "1", "c": "inf", "d": "inf", "e": "inf"}
+    assert table["d"] == {"a": "inf", "b": "inf", "c": "inf", "d": "0", "e": "3"}
+    # A distance beyond float range is refused by the closure, before W.
+    for extra in ((), ("--json",)):
+        code, out, err = run(capsys, "geodesic-weight", graph_file("a b 1e308\nb c 1e308\n"), *extra)
+        assert (code, out, err) == (2, "", "error: distance between a and c is outside float range\n")
+
+
+def test_metric_and_resistance_oracles_read_each_exact_value_once(graph_file, capsys, monkeypatch):
+    import graphmetry.core as core
+
+    reads = []
+    original = core.Graph._exact
+
+    def counted(self, key):
+        reads.append(key)
+        return original(self, key)
+
+    monkeypatch.setattr(core.Graph, "_exact", counted)
+    text = "a b 1\nb c 0.5\na c 2\nd e 0.25\ne f 3\n"
+    for argv in (("metric", "--all-pairs"), ("resistance", "--matrix", "--mode", "conductance")):
+        reads.clear()
+        run_json(capsys, *argv[:1], graph_file(text), *argv[1:], "--oracle")
+        # Each component is scaled once for all of its sources and pairs.
+        assert sorted(reads) == [(0, 1), (0, 2), (1, 2), (3, 4), (4, 5)]
+
+
 def test_characterize_tree_and_block_run_no_fixpoint_closure(graph_file, capsys, monkeypatch):
     calls = count_closures(monkeypatch)
     for text in (P3, C4):

@@ -39,8 +39,9 @@ from graphmetry import (
     single_source_distances,
     verify_maximal_weight,
 )
+import graphmetry.completeness as completeness
 from graphmetry.completeness import SCAN_BUDGET_CAP, _scan_counts
-from graphmetry.pathmetric import _settle
+from graphmetry.pathmetric import GeodesicWeight, _settle
 
 from .suites import complete_graph_for, random_weighted_graph
 
@@ -250,6 +251,29 @@ def test_verify_maximal_weight_examples():
 
     lone = WeightedGraph(1, {})
     assert verify_maximal_weight(lone).passed
+
+
+def test_verify_maximal_weight_on_a_disconnected_graph():
+    g = WeightedGraph(5, {(0, 1): 1.0, (1, 2): 2.0, (3, 4): 3.0, (0, 2): 3.0})
+    report = verify_maximal_weight(g)
+    assert report.passed and report.witnesses == []
+    assert report.weight.table[0, 2] == INFINITY and report.weight.table[3, 4] == 3.0
+    assert report.weight.table[0, 4] == INFINITY
+
+
+def test_verify_maximal_weight_names_witnesses_in_row_major_order(monkeypatch):
+    # A W that fails both halves: every finite entry halved.
+    real = completeness.geodesic_weight
+
+    def halved(t, graph=None):
+        w = real(t, graph=graph)
+        return GeodesicWeight(w.table / 2, w.labels)
+
+    monkeypatch.setattr(completeness, "geodesic_weight", halved)
+    g = WeightedGraph(4, {(2, 3): 1.0, (0, 3): 5.0, (1, 2): 1.0, (0, 1): 1.0, (0, 0): 0.0})
+    report = verify_maximal_weight(g)
+    assert report.witnesses == [(0, 1), (1, 2), (2, 3)]
+    assert not report.generates and not report.dominates and not report.passed
 
 
 def test_verify_maximal_weight_random():

@@ -4,10 +4,12 @@ import collections
 import copy
 import math
 import operator
+import pickle
 import random
 import re
 import struct
 import sys
+import threading
 import time
 from fractions import Fraction
 
@@ -55,7 +57,7 @@ from graphmetry import (
     verify_variational,
     weights_close,
 )
-from graphmetry.core import _parse_value, _row_sums, edge_key, invariant_error, weights_close_array
+from graphmetry.core import _row_sums, edge_key, invariant_error, weights_close_array
 from graphmetry.oracle import (
     brute_metric,
     brute_metric_from,
@@ -560,10 +562,32 @@ def test_parse_graph_reports_a_bad_token_on_its_own_line(text, line):
         parse_graph(text)
 
 
+def reference_parse_value(token: str, line_no: int):
+    """Reference: the value parse as it stood before shadows were built on
+    first read, a ``Fraction`` per token (of its mantissa when its float is 0)."""
+    if token.lower() == "inf":
+        return INFINITY, None
+    try:
+        value = float(token)
+    except ValueError:
+        raise ParseError(f"line {line_no}: bad value {token!r}") from None
+    if math.isnan(value):
+        raise ParseError(f"line {line_no}: NaN is not a valid value")
+    if math.isinf(value):
+        raise ParseError(f"line {line_no}: overflowing value {token!r}; use 'inf'")
+    digits = token.replace("_", "")
+    frac = Fraction(digits if value else digits.lower().partition("e")[0])
+    if frac.numerator < 0:
+        raise NegativeWeightError(f"line {line_no}: negative value {token!r}")
+    if not value and frac:
+        raise ParseError(f"line {line_no}: underflowing value {token!r}")
+    return value, frac
+
+
 def reference_parse_graph(text: str, mode: str = "weight"):
     """Reference: the parse loop as it stood before each label, value token
     and pair was looked up once (a ``vid`` closure, a strip pass, and a
-    membership test before each store)."""
+    membership test before each store), over :func:`reference_parse_value`."""
     if mode not in ("weight", "conductance"):
         raise InvalidArgument(f"unknown mode {mode!r}")
     ids: dict[str, int] = {}
@@ -587,7 +611,7 @@ def reference_parse_graph(text: str, mode: str = "weight"):
         u, v = vid(tokens[0]), vid(tokens[1])
         value_frac = parsed.get(tokens[2])
         if value_frac is None:
-            value_frac = parsed[tokens[2]] = _parse_value(tokens[2], line_no)
+            value_frac = parsed[tokens[2]] = reference_parse_value(tokens[2], line_no)
         value, frac = value_frac
         if u == v:
             if mode == "conductance":
@@ -612,7 +636,11 @@ def reference_parse_graph(text: str, mode: str = "weight"):
         if frac is not None:
             exact[key] = frac
     kind = WeightedGraph if mode == "weight" else ConductanceGraph
-    return kind(len(ids), entries, tuple(ids), exact)
+    # The parser's shadows skip the check a caller's map gets (a dropped zero
+    # conductance keeps its shadow), so they are attached after construction.
+    g = kind(len(ids), entries, tuple(ids))
+    g.exact = exact
+    return g
 
 
 # Every value spelling the parser reads or refuses, except the nonzero
@@ -733,6 +761,100 @@ def test_a_digit_separator_reads_as_float_reads_it(token, monkeypatch):
     assert parse_graph(f"a b {token}\n").exact[0, 1] == shadow
 
 
+def test_a_parse_builds_no_fraction_until_an_exact_value_is_read(monkeypatch):
+    built = []
+
+    def counting(text: str) -> Fraction:
+        built.append(text)
+        return Fraction(text)
+
+    monkeypatch.setattr(graphmetry.core, "Fraction", counting)
+    rng = random.Random(36)
+    tokens = [rng.choice(["0.1", "2", "1e-3", "7.25", "3_5", "1E2", f"{rng.randrange(1, 30) / 7:.5g}"]) for _ in range(400)]
+    text = "".join(f"v{i} v{i + 1} {token}\n" for i, token in enumerate(tokens))
+    distinct = sorted({token.replace("_", "") for token in tokens})
+    for mode in ("weight", "conductance"):
+        built.clear()
+        g = parse_graph(text, mode)
+        assert built == []
+        shadows = [g._exact(key) for key in g._pairs]
+        assert sorted(built) == distinct
+        assert shadows == [Fraction(token.replace("_", "")) for token in tokens]
+        assert [g._exact(key) for key in g._pairs] == shadows and sorted(built) == distinct
+
+
+def test_a_parsed_graph_pickles_copies_and_compares_as_before():
+    text = "a b 0.1\nb c 1_0\nc d 1e-3\na d 0.1\nvertex e\n"
+    shadows = {(0, 1): Fraction(1, 10), (1, 2): Fraction(10), (2, 3): Fraction(1, 1000), (0, 3): Fraction(1, 10)}
+    for kind, mode in ((WeightedGraph, "weight"), (ConductanceGraph, "conductance")):
+        g = parse_graph(text, mode)
+        assert g == kind(5, dict(g._pairs), g.labels)  # equality ignores the shadows
+        assert g.exact == shadows and shadows == g.exact and repr(g.exact) == repr(shadows)
+        g._exact((0, 1))  # a copy taken after a read carries the same values
+        for h in (pickle.loads(pickle.dumps(g)), copy.copy(g), copy.deepcopy(g)):
+            assert h == g and h.labels == g.labels and graph_digest(h) == graph_digest(g)
+            assert dict(h.exact) == shadows and list(h.exact) == list(shadows)
+            assert [h._exact(key) for key in h._pairs] == [shadows[key] for key in h._pairs]
+        with pytest.raises(TypeError):
+            g.exact[0, 1] = Fraction(1)  # read-only
+
+
+def test_concurrent_readers_of_a_parsed_graph_share_one_shadow_per_token():
+    text = "".join(f"v{i} v{i + 1} {(i % 13 + 1) / 8}\n" for i in range(300))
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            g = parse_graph(text, "conductance")
+            results = [None] * 8
+
+            def read(i):
+                results[i] = [g._exact(key) for key in g._pairs]
+
+            workers = [threading.Thread(target=read, args=(i,)) for i in range(8)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=30)
+            assert not any(worker.is_alive() for worker in workers)
+            first = results[0]
+            assert first == [Fraction(str((i % 13 + 1) / 8)) for i in range(300)]
+            for other in results[1:]:
+                assert all(a is b for a, b in zip(first, other, strict=True))
+    finally:
+        sys.setswitchinterval(previous)
+
+
+@pytest.mark.parametrize(
+    "kind, n, pairs, exact, message",
+    [
+        (WeightedGraph, 2, {(0, 1): 1.0}, {(0, 1): Fraction(-5)}, "exact value Fraction(-5, 1) is negative"),
+        (ConductanceGraph, 2, {(0, 1): 1.0}, {(0, 1): Fraction(0)}, "exact value Fraction(0, 1) is zero where the value 1.0 is not"),
+        (WeightedGraph, 2, {(0, 1): 1.0}, {(0, 1): "1"}, "exact value '1' is not a Fraction or an int"),
+        (ConductanceGraph, 2, {(0, 1): 1.0}, {(1, 0): "1"}, "exact value '1' is not a Fraction or an int"),
+        (WeightedGraph, 2, {(0, 1): 1.0}, {(0, 1): True}, "exact value True is not a Fraction or an int"),
+        (WeightedGraph, 2, {(0, 1): 0.5}, {(0, 1): 0.5}, "exact value 0.5 is not a Fraction or an int"),
+        (WeightedGraph, 3, {(0, 1): 1.0}, {(2, 1): Fraction(1)}, "exact value Fraction(1, 1) is on no stored pair"),
+        (ConductanceGraph, 2, {(0, 1): 0.0}, {(0, 1): 0}, "exact value 0 is on no stored pair"),
+        (WeightedGraph, 2, {(0, 1): 0.0}, {(0, 1): 1}, "exact value 1 is nonzero where the value 0.0 is not"),
+        (WeightedGraph, 2, {(1, 1): 0.0}, {(1, 1): Fraction(1, 3)}, "exact value Fraction(1, 3) is nonzero where the value 0.0 is not"),
+    ],
+)
+def test_a_callers_exact_map_is_checked_at_construction(kind, n, pairs, exact, message):
+    key = edge_key(*next(iter(exact)))
+    with pytest.raises(InvalidArgument, match=f"^pair {re.escape(str(key))}: {re.escape(message)}$"):
+        kind(n, pairs, exact=exact)
+
+
+def test_a_callers_exact_map_may_hold_ints_zeros_and_reciprocals():
+    g = WeightedGraph(3, {(0, 1): 0.0, (1, 2): 2.0, (2, 2): 0.0}, exact={(1, 0): 0, (2, 1): 2, (2, 2): Fraction(0)})
+    assert g.exact == {(0, 1): 0, (1, 2): 2, (2, 2): 0} and brute_metric_from(g, 0) == [0, 0, 2]
+    # 1/q beside fl(1/fl(q)): they differ in the last bit here, and both are kept.
+    b = parse_graph("a b 0.571429\n", "conductance")
+    w = b.reciprocal(WeightedGraph)
+    assert w.exact == {(0, 1): Fraction(1000000, 571429)} and float(w.exact[0, 1]) != w.weights[0, 1]
+
+
 def test_exports_resolve_and_stay_sorted():
     names = graphmetry.__all__
     assert names == sorted(set(names))
@@ -849,7 +971,19 @@ def reference_build(kind, n, raw, labels, exact):
         if problems:
             raise InputError("; ".join(problems))
         reference_canonical_map(n, dict.fromkeys(exact, 1.0), None)  # the ids of the shadows
-        return pairs, {edge_key(operator.index(u), operator.index(v)): q for (u, v), q in exact.items()}
+        shadows = {edge_key(operator.index(u), operator.index(v)): q for (u, v), q in exact.items()}
+        for key, q in shadows.items():  # each on a stored pair, a nonnegative number zero where its value is
+            if key not in pairs:
+                raise InvalidArgument(f"pair {key}: exact value {q!r} is on no stored pair")
+            if type(q) not in (int, Fraction):
+                raise InvalidArgument(f"pair {key}: exact value {q!r} is not a Fraction or an int")
+            if q < 0:
+                raise InvalidArgument(f"pair {key}: exact value {q!r} is negative")
+            if q == 0 and pairs[key] != 0:
+                raise InvalidArgument(f"pair {key}: exact value {q!r} is zero where the value {pairs[key]!r} is not")
+            if q != 0 and pairs[key] == 0:
+                raise InvalidArgument(f"pair {key}: exact value {q!r} is nonzero where the value {pairs[key]!r} is not")
+        return pairs, shadows
     except Exception as error:  # noqa: BLE001 - the error is the expected outcome
         return error
 
