@@ -416,13 +416,11 @@ def cmd_resistance(args: argparse.Namespace) -> Report:
             )
         report.results["resistance"] = _table(b, table.d)
         if args.oracle:
+            exact = {(x, x): "0/1" for x in range(b.n)}
+            for x, y in itertools.combinations(range(b.n), 2):  # R is symmetric: one call per pair
+                exact[x, y] = exact[y, x] = _exact_text(oracle.spanning_tree_resistance(b, x, y))
             report.results["oracle"] = {
-                b.label(x): {
-                    b.label(y): _exact_text(oracle.spanning_tree_resistance(b, x, y))
-                    if x != y else "0/1"
-                    for y in range(b.n)
-                }
-                for x in range(b.n)
+                b.label(x): {b.label(y): exact[x, y] for y in range(b.n)} for x in range(b.n)
             }
         return report
     if not args.pair:

@@ -27,12 +27,11 @@ key ``(u, v)`` has ``u <= v``.
 Extended weights are plain ``float`` values with ``math.inf`` as the
 distinguished infinity; this gives the required total order and absorbing
 addition for free.  ``Graph._exact`` decides each stored pair's exact
-rational value: its shadow in ``exact``, else its float's shortest decimal.
-The oracles and ``Graph.reciprocal`` read it, so they never inherit rounding
-error.  A parsed graph's ``exact`` keeps each pair's token and builds its
-``Fraction`` on first read, once per distinct token; a map the caller gives
-is checked at construction (stored pairs only, each a nonnegative
-``Fraction`` or ``int`` that is zero exactly where the float is).
+rational value from the input alone: the parser's token, else the float's
+shortest decimal, and on a graph made by ``Graph.reciprocal`` 1/q of its
+source's value.  The oracles read it, so they never inherit rounding error.
+Each spelling becomes a ``Fraction`` on first read, once per distinct one,
+so a parse or a lift that no oracle reads builds none.
 
 Both graph classes are immutable after construction and safe to read from
 any number of concurrent workers.
@@ -40,13 +39,12 @@ any number of concurrent workers.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import math
 import operator
 import struct
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, starmap
 from typing import Iterator, NamedTuple, TypeVar
@@ -212,17 +210,12 @@ def _first_text(values: list) -> int:
     return next((i for i, x in enumerate(values) if isinstance(x, (str, bytes))), -1)
 
 
-def _lo_hi(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The least and the greatest id of each pair."""
-    return np.minimum(ids[:, 0], ids[:, 1]), np.maximum(ids[:, 0], ids[:, 1])
-
-
 def _merge(ids: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Canonical (lo, hi, value) rows of the pairs ``ids`` with values ``w``,
     sorted by (lo, hi), one row per pair: of equal values (NaN equals NaN,
     0.0 equals -0.0) the last one given.  Raises AsymmetryError for the first
     value, in the caller's order, that differs from the one before it."""
-    lo, hi = _lo_hi(ids)
+    lo, hi = np.minimum(ids[:, 0], ids[:, 1]), np.maximum(ids[:, 0], ids[:, 1])
     if ((lo[1:] > lo[:-1]) | ((lo[1:] == lo[:-1]) & (hi[1:] > hi[:-1]))).all():
         return lo, hi, w  # already sorted, no pair twice
     order = np.lexsort((hi, lo))  # stable: equal pairs keep the caller's order
@@ -240,54 +233,6 @@ def _merge(ids: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
     return lo[last], hi[last], w[last]
 
 
-@functools.lru_cache(maxsize=4096)
-def _decimal_shadow(x: float) -> Fraction:
-    """The rational a float's shortest decimal spells, parsed once per value."""
-    return Fraction(repr(x))
-
-
-class _TokenShadows(Mapping):
-    """A parsed graph's ``exact``: each pair's value token (``_`` removed),
-    read as a ``Fraction`` on first access and kept, one per distinct token.
-
-    Read-only.  Two readers racing on a token may both build its Fraction;
-    ``setdefault`` keeps the first, and both return that one.
-    """
-
-    def __init__(self, tokens: dict[tuple[int, int], str]) -> None:
-        self._tokens = tokens
-        self._built: dict[str, Fraction] = {}
-
-    def __getitem__(self, key: tuple[int, int]) -> Fraction:
-        token = self._tokens[key]
-        shadow = self._built.get(token)
-        return self._built.setdefault(token, Fraction(token)) if shadow is None else shadow
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        return iter(self._tokens)
-
-    def __len__(self) -> int:
-        return len(self._tokens)
-
-    def __repr__(self) -> str:
-        return repr(dict(self.items()))
-
-
-def _shadow_problem(q: object, x: float | None) -> str | None:
-    """What is wrong with ``q`` as the exact value of a pair whose stored
-    float is ``x`` (None: no stored pair), or None.  It is not asked to
-    round to x: a reciprocal 1/q may differ from fl(1/x) in the last bit."""
-    if x is None:
-        return "is on no stored pair"
-    if not isinstance(q, (Fraction, int)) or isinstance(q, bool):
-        return "is not a Fraction or an int"
-    if q.numerator < 0:  # a Fraction's or an int's sign, without a Fraction comparison
-        return "is negative"
-    if (not q.numerator) != (not x):
-        return f"is {'non' if q.numerator else ''}zero where the value {x!r} is not"
-    return None
-
-
 class Components(NamedTuple):
     """Each vertex's component number, and each component's sorted vertices."""
 
@@ -301,13 +246,12 @@ class Graph:
     The two subclasses read the same structure two ways: a
     :class:`WeightedGraph` value is a length (absent pair: ``INFINITY``), a
     :class:`ConductanceGraph` value a conductance (absent pair: 0).  Each
-    names its stored pairs (``weights``, ``b``) and keeps them, like
-    ``exact``, under canonical ``(min, max)`` keys.
+    names its stored pairs (``weights``, ``b``) and keeps them under
+    canonical ``(min, max)`` keys.
     """
 
     n: int
     labels: tuple[str, ...] | None
-    exact: Mapping[tuple[int, int], Fraction]
     _absent: float  # the value of a pair with no stored entry
     _pairs: dict[tuple[int, int], float]  # the subclass's stored pairs
     _ends: np.ndarray  # the stored pairs' (u, v) rows, in stored order
@@ -316,10 +260,15 @@ class Graph:
     _components: Components | None  # the component labelling, built on first use
     _grounded: object | None  # a conductance graph's grounded system, built by resistance on first use
     _scaled: dict[int, tuple[dict[tuple[int, int], int], int]]  # the oracles' scaled components, by number
+    # Where _exact reads a pair's value; a graph made by reciprocal shares its source's.
+    _tokens: dict[tuple[int, int], str]  # the parser's value tokens, "_" removed
+    _floats: dict[tuple[int, int], float]  # the values spelled by their shortest decimal
+    _rationals: dict[str, Fraction]  # each spelling read so far
+    _inverted: bool  # whether the exact value is 1 over the one spelled
 
     def _store(self, raw: Mapping[tuple[int, int], float]) -> dict[tuple[int, int], float]:
-        """Check n and the labels, normalize the pairs and ``exact``; return the
-        pairs.  Raises InputError with every :func:`validate` diagnostic."""
+        """Check n and the labels and normalize the pairs; return them.
+        Raises InputError with every :func:`validate` diagnostic."""
         if self.n < 0:
             raise InvalidArgument("vertex count must be nonnegative")
         _check_labels(self.labels, self.n)
@@ -357,15 +306,9 @@ class Graph:
         problems = validate(self)
         if problems:
             raise InputError("; ".join(problems))
-        if not isinstance(self.exact, _TokenShadows):  # the parser's keys and tokens are checked
-            lo, hi = _lo_hi(_id_array(self.n, list(self.exact)))
-            self.exact = dict(zip(zip(lo.tolist(), hi.tolist()), self.exact.values()))
-            for key, q in self.exact.items():
-                problem = _shadow_problem(q, self._pairs.get(key))
-                if problem is not None:
-                    raise InvalidArgument(f"pair {key}: exact value {q!r} {problem}")
         self._adj = self._components = self._grounded = None
         self._scaled = {}
+        self._tokens, self._floats, self._rationals, self._inverted = {}, self._pairs, {}, False
         return self._pairs
 
     def _value(self, u: int, v: int) -> float:
@@ -435,27 +378,28 @@ class Graph:
         return self._components
 
     def _exact(self, key: tuple[int, int]) -> Fraction:
-        """The exact value of pair ``key`` (canonical, no absent weight): its
-        shadow in ``exact``, else the rational its float's shortest decimal
-        spells.  Construction checked the shadows, so this read, on the
-        oracles' per-pair path, checks nothing."""
-        shadow = self.exact.get(key)
-        return _decimal_shadow(self._pairs.get(key, self._absent)) if shadow is None else shadow
+        """The exact value of stored pair ``key`` (canonical): the rational its
+        parsed token spells, else its float's shortest decimal; on a graph
+        made by :meth:`reciprocal`, 1 over its source's.  Each spelling is
+        read as a Fraction once and kept; two racing readers may both read
+        one, and ``setdefault`` hands both the first.  KeyError for a key
+        that has no value anywhere, as a zero conductance the parser drops."""
+        text = self._tokens.get(key) or repr(self._floats[key])
+        q = self._rationals.get(text)
+        if q is None:
+            q = self._rationals.setdefault(text, Fraction(text))
+        return 1 / q if self._inverted else q
 
     def reciprocal(self, kind: type[G]) -> G:
         """A ``kind`` graph with value 1/x on every stored pair x of this one.
 
-        Lifts a conductance to its length 1/b and back, with 1 / the pair's
-        exact value (:meth:`_exact`) as each shadow, on any graph.  Raises
-        InputError when a reciprocal is outside float range (a zero or
-        subnormal value overflows 1/x).
+        Lifts a conductance to its length 1/b and back, on any graph.  The
+        lift shares this graph's tokens and floats, so its exact value of a
+        pair is 1/q of this one's q, read only when an oracle asks, and a
+        lift of a lift reads this graph's values back.  Raises InputError
+        when a reciprocal is outside float range (a zero or subnormal value
+        overflows 1/x).
         """
-        values = self._reciprocals()
-        return kind(self.n, values, self.labels, {key: 1 / self._exact(key) for key in values})
-
-    def _reciprocals(self) -> dict[tuple[int, int], float]:
-        """1/x on every stored pair x off the diagonal, without the shadows;
-        InputError as in :meth:`reciprocal`."""
         values = {
             key: 1.0 / x if x else INFINITY for key, x in self._pairs.items() if key[0] != key[1]
         }
@@ -465,7 +409,10 @@ class Graph:
                     f"1/{self._pairs[u, v]!r} on ({self.label(u)}, {self.label(v)}) "
                     "is outside float range"
                 )
-        return values
+        lift = kind(self.n, values, self.labels)
+        lift._tokens, lift._floats, lift._rationals = self._tokens, self._floats, self._rationals
+        lift._inverted = not self._inverted
+        return lift
 
     def label(self, u: int) -> str:
         self._check_vertex(u)
@@ -511,18 +458,12 @@ class WeightedGraph(Graph):
     """Finite vertex set with a symmetric extended weight per pair.
 
     ``weights`` holds finite entries under canonical ``(min, max)`` keys;
-    an absent off-diagonal pair has weight ``INFINITY``.  ``exact`` is an
-    optional map of exact values of stored pairs (the parser's token
-    shadows, or a caller's map, checked at construction), read through
-    ``Graph._exact`` and ignored by equality.
+    an absent off-diagonal pair has weight ``INFINITY``.
     """
 
     n: int
     weights: dict[tuple[int, int], float]
     labels: tuple[str, ...] | None = None
-    exact: Mapping[tuple[int, int], Fraction] = field(
-        default_factory=dict, compare=False, repr=False
-    )
     _absent = INFINITY
 
     def __post_init__(self) -> None:
@@ -542,9 +483,6 @@ class ConductanceGraph(Graph):
     n: int
     b: dict[tuple[int, int], float]
     labels: tuple[str, ...] | None = None
-    exact: Mapping[tuple[int, int], Fraction] = field(
-        default_factory=dict, compare=False, repr=False
-    )
     _absent = 0.0
 
     def __post_init__(self) -> None:
@@ -558,8 +496,9 @@ class ConductanceGraph(Graph):
 
 
 def _parse_value(token: str, line_no: int) -> tuple[float, str | None]:
-    """A value token's float and the spelling its exact shadow is read from
-    (None for ``inf``), or the ParseError that refuses it."""
+    """A value token's float and the spelling its exact value is read from
+    (None for ``inf`` and for a zero, which no parsed graph stores), or the
+    ParseError that refuses it."""
     if token.lower() == "inf":
         return INFINITY, None
     try:
@@ -570,9 +509,9 @@ def _parse_value(token: str, line_no: int) -> tuple[float, str | None]:
         raise ParseError(f"line {line_no}: NaN is not a valid value")
     if math.isinf(value):
         # Only the literal token spells infinity; 1e999 style overflow is
-        # rejected so the exact shadow stays faithful.
+        # rejected so the exact value stays faithful.
         raise ParseError(f"line {line_no}: overflowing value {token!r}; use 'inf'")
-    # The shadow drops the _ separators float() reads (3.10's Fraction refuses them).
+    # The spelling drops the _ separators float() reads (3.10's Fraction refuses them).
     if value:
         if value < 0:
             raise NegativeWeightError(f"line {line_no}: negative value {token!r}")
@@ -584,7 +523,7 @@ def _parse_value(token: str, line_no: int) -> tuple[float, str | None]:
         raise NegativeWeightError(f"line {line_no}: negative value {token!r}")
     if mantissa:  # likewise underflow, which would drop a conductance or zero a weight
         raise ParseError(f"line {line_no}: underflowing value {token!r}")
-    return value, "0"
+    return value, None
 
 
 def parse_graph(text: str, mode: str = "weight") -> Graph:
@@ -648,7 +587,9 @@ def parse_graph(text: str, mode: str = "weight") -> Graph:
     labels = tuple(ids)
     n = len(labels)
     kind = WeightedGraph if mode == "weight" else ConductanceGraph
-    return kind(n, entries, labels, _TokenShadows(spelled))
+    g = kind(n, entries, labels)
+    g._tokens = spelled
+    return g
 
 
 def validate(g: Graph) -> list[str]:
@@ -726,7 +667,7 @@ def serialize_graph(g: Graph) -> str:
     Values use the shortest round-tripping decimal form, so a value survives
     a serialize/parse cycle.  Its exact value survives only when that is its
     float's shortest decimal: a parsed ``0.1000000000000000055511151231257827``
-    comes back with shadow 1/10.  Construction stores the pairs in sorted
+    comes back with exact value 1/10.  Construction stores the pairs in sorted
     order, and each distinct value is spelled once.  The graph itself need
     not survive one: parsing numbers vertices by first appearance, so ids
     out of that order come back renumbered (``a b 1 / c d 1 / a d 1`` as

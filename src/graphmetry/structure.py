@@ -249,8 +249,9 @@ def compatible_resistance_weight(b: ConductanceGraph) -> CompatibilityCertificat
 def inverse_conductance_weight(b: ConductanceGraph) -> WeightedGraph:
     """The weight 1/b on positive-conductance edges, inf elsewhere.
 
-    Every pair's shadow is the exact reciprocal of its conductance's exact
-    value; a conductance whose reciprocal overflows raises InputError.
+    Each pair's exact value, read only when an oracle asks, is the exact
+    reciprocal of its conductance's; a conductance whose reciprocal
+    overflows raises InputError.
     """
     return b.reciprocal(WeightedGraph)
 
@@ -268,12 +269,9 @@ class TreeTheoremReport:
 
 
 def check_tree_theorem(b: ConductanceGraph) -> TreeTheoremReport:
-    """Compare delta_{1/b} with the resistance matrix entrywise.
-
-    Only the float sweep reads the weight 1/b, so it is built without the
-    exact shadows :func:`inverse_conductance_weight` carries.
-    """
+    """Compare delta_{1/b}, over :func:`inverse_conductance_weight`, with the
+    resistance matrix entrywise."""
     _check_connected(b, "tree theorem check")
-    w_graph = WeightedGraph(b.n, b._reciprocals(), b.labels)
+    w_graph = inverse_conductance_weight(b)
     equal = _first_mismatch(w_graph, lambda: resistance_matrix(b).d) is None
     return TreeTheoremReport(is_tree=is_tree(b), metrics_equal=equal)

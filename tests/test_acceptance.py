@@ -36,11 +36,8 @@ from graphmetry import (
     laplacian_apply,
     verify_variational,
 )
-from graphmetry.oracle import (
-    brute_metric_from,
-    spanning_tree_resistance,
-    unique_induced_path,
-)
+from graphmetry.oracle import brute_metric_from, spanning_tree_resistance
+from .enumerators import unique_induced_path
 from .suites import (
     complete_graph_for,
     random_block_graph,

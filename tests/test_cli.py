@@ -521,6 +521,25 @@ def test_metric_and_resistance_oracles_read_each_exact_value_once(graph_file, ca
         assert sorted(reads) == [(0, 1), (0, 2), (1, 2), (3, 4), (4, 5)]
 
 
+def test_resistance_matrix_oracle_asks_once_per_unordered_pair(graph_file, capsys, monkeypatch):
+    import graphmetry.oracle as oracle
+
+    asked = []
+    original = oracle.spanning_tree_resistance
+
+    def counted(b, x, y):
+        asked.append((x, y))
+        return original(b, x, y)
+
+    monkeypatch.setattr(oracle, "spanning_tree_resistance", counted)
+    k8 = "".join(f"v{u} v{v} {u + v + 1}\n" for u in range(8) for v in range(u + 1, 8))
+    results = run_json(capsys, "resistance", graph_file(k8), "--matrix", "--mode", "conductance", "--oracle")
+    assert sorted(asked) == [(x, y) for x in range(8) for y in range(x + 1, 8)]  # 28, not 56
+    table = results["results"]["oracle"]
+    assert all(table[x][y] == table[y][x] for x in table for y in table)
+    assert [table[x][x] for x in table] == ["0/1"] * 8
+
+
 def test_characterize_tree_and_block_run_no_fixpoint_closure(graph_file, capsys, monkeypatch):
     calls = count_closures(monkeypatch)
     for text in (P3, C4):

@@ -64,11 +64,10 @@ from graphmetry.oracle import (
     enumerate_simple_paths,
     exact_weight,
     spanning_tree_resistance,
-    two_forest_sum,
-    unique_induced_path,
 )
 from graphmetry.pathmetric import _initial_table, all_pairs_metric, is_generating, path_metric
 from graphmetry.resistance import _GroundedSystem, resistance_matrix
+from .enumerators import two_forest_sum, unique_induced_path
 from .suites import random_connected_conductance, random_weighted_graph
 
 P3_TEXT = """
@@ -216,8 +215,8 @@ def test_parse_exact_shadow():
     g = parse_graph("a b 0.1\nb c 3\n")
     from fractions import Fraction
 
-    assert g.exact[(0, 1)] == Fraction(1, 10)
-    assert g.exact[(1, 2)] == Fraction(3)
+    assert g._exact((0, 1)) == Fraction(1, 10)
+    assert g._exact((1, 2)) == Fraction(3)
 
 
 def test_validate_weighted():
@@ -540,12 +539,14 @@ def test_parse_graph_reads_each_distinct_token_once_and_exactly():
     for i, token in enumerate(tokens):
         key = (i, i + 1)
         if token == "inf":
-            assert key not in g.exact and math.isinf(g.weight(*key))
+            assert math.isinf(g.weight(*key))
+            with pytest.raises(KeyError):
+                g._exact(key)
         else:
-            assert g.exact[key] == Fraction(token)
+            assert g._exact(key) == Fraction(token)
             assert g.weight(*key) == float(token)
     # One object per distinct token.
-    assert g.exact[(0, 1)] is g.exact[(3, 4)] is g.exact[(6, 7)]
+    assert g._exact((0, 1)) is g._exact((3, 4)) is g._exact((6, 7))
 
 
 @pytest.mark.parametrize(
@@ -587,7 +588,8 @@ def reference_parse_value(token: str, line_no: int):
 def reference_parse_graph(text: str, mode: str = "weight"):
     """Reference: the parse loop as it stood before each label, value token
     and pair was looked up once (a ``vid`` closure, a strip pass, and a
-    membership test before each store), over :func:`reference_parse_value`."""
+    membership test before each store), over :func:`reference_parse_value`.
+    Returns the graph and the exact value of each stored pair."""
     if mode not in ("weight", "conductance"):
         raise InvalidArgument(f"unknown mode {mode!r}")
     ids: dict[str, int] = {}
@@ -633,14 +635,10 @@ def reference_parse_graph(text: str, mode: str = "weight"):
                 f"with conflicting value {tokens[2]}"
             )
         entries[key] = value
-        if frac is not None:
+        if frac:  # a zero conductance is dropped, and leaves no exact value behind
             exact[key] = frac
     kind = WeightedGraph if mode == "weight" else ConductanceGraph
-    # The parser's shadows skip the check a caller's map gets (a dropped zero
-    # conductance keeps its shadow), so they are attached after construction.
-    g = kind(len(ids), entries, tuple(ids))
-    g.exact = exact
-    return g
+    return kind(len(ids), entries, tuple(ids)), exact
 
 
 # Every value spelling the parser reads or refuses, except the nonzero
@@ -680,12 +678,17 @@ def random_edge_text(rng: random.Random) -> str:
     return "\n".join(lines) + rng.choice(["", "\n", "\r\n"])
 
 
+def parse_with_exact_values(text, mode):
+    g = parse_graph(text, mode)
+    return g, {key: g._exact(key) for key in g._pairs}
+
+
 def parse_outcome(parse, text, mode):
     try:
-        g = parse(text, mode)
+        g, exact = parse(text, mode)
     except Exception as error:  # noqa: BLE001 - the class and message are the outcome
         return type(error), str(error)
-    return type(g), g.n, g.labels, list(g._pairs.items()), list(g.exact.items())
+    return type(g), g.n, g.labels, list(g._pairs.items()), sorted(exact.items())
 
 
 def test_parse_graph_matches_the_reference_loop():
@@ -694,7 +697,7 @@ def test_parse_graph_matches_the_reference_loop():
     for _ in range(10_000):
         text = random_edge_text(rng)
         for mode in ("weight", "conductance"):
-            got = parse_outcome(parse_graph, text, mode)
+            got = parse_outcome(parse_with_exact_values, text, mode)
             assert got == parse_outcome(reference_parse_graph, text, mode), (text, mode)
             outcomes[got[0].__name__] += 1
     # The files reach every outcome: both graph kinds and each refusal.
@@ -721,12 +724,12 @@ def test_parse_graph_keeps_zeros_and_subnormals():
     # A zero token is a zero, not an underflow; a subnormal float is not 0.
     for token in ("0", "-0", "0e5"):
         b = parse_graph(f"a b {token}\nb c 1\n", mode="conductance")
-        assert b.b == {(1, 2): 1.0} and b.exact[0, 1] == 0
+        assert b.b == {(1, 2): 1.0} and b._tokens == {(1, 2): "1"}
         with pytest.raises(ParseError, match="zero weight between distinct vertices"):
             parse_graph(f"a b {token}\n", mode="weight")
         assert parse_graph(f"a a {token}\n", mode="weight").n == 1
     w = parse_graph("a b 3e-324\n")
-    assert w.weights == {(0, 1): 5e-324} and w.exact[0, 1] == Fraction(3, 10**324)
+    assert w.weights == {(0, 1): 5e-324} and w._exact((0, 1)) == Fraction(3, 10**324)
 
 
 def test_a_huge_exponent_on_a_zero_float_costs_no_power_of_ten():
@@ -739,7 +742,7 @@ def test_a_huge_exponent_on_a_zero_float_costs_no_power_of_ten():
             parse_graph("a b -1e-99999999\n", mode)
     for zero in ("0e-99999999", "-0e-99999999"):
         b = parse_graph(f"a b {zero}\nb c 1\n", "conductance")
-        assert b.b == {(1, 2): 1.0} and b.exact[0, 1] == 0
+        assert b.b == {(1, 2): 1.0} and b._tokens == {(1, 2): "1"}
         with pytest.raises(ParseError, match="zero weight between distinct vertices"):
             parse_graph(f"a b {zero}\n", "weight")
     assert time.perf_counter() - start < 1.0
@@ -750,7 +753,7 @@ def test_a_digit_separator_reads_as_float_reads_it(token, monkeypatch):
     shadow = Fraction(token.replace("_", ""))
     for mode in ("weight", "conductance"):
         g = parse_graph(f"a b {token}\n", mode)
-        assert g._pairs[0, 1] == float(token) and g.exact[0, 1] == shadow
+        assert g._pairs[0, 1] == float(token) and g._exact((0, 1)) == shadow
 
     def no_separator(text: str) -> Fraction:  # as Python 3.10's Fraction reads a string
         if "_" in text:
@@ -758,7 +761,7 @@ def test_a_digit_separator_reads_as_float_reads_it(token, monkeypatch):
         return Fraction(text)
 
     monkeypatch.setattr(graphmetry.core, "Fraction", no_separator)
-    assert parse_graph(f"a b {token}\n").exact[0, 1] == shadow
+    assert parse_graph(f"a b {token}\n")._exact((0, 1)) == shadow
 
 
 def test_a_parse_builds_no_fraction_until_an_exact_value_is_read(monkeypatch):
@@ -788,15 +791,11 @@ def test_a_parsed_graph_pickles_copies_and_compares_as_before():
     shadows = {(0, 1): Fraction(1, 10), (1, 2): Fraction(10), (2, 3): Fraction(1, 1000), (0, 3): Fraction(1, 10)}
     for kind, mode in ((WeightedGraph, "weight"), (ConductanceGraph, "conductance")):
         g = parse_graph(text, mode)
-        assert g == kind(5, dict(g._pairs), g.labels)  # equality ignores the shadows
-        assert g.exact == shadows and shadows == g.exact and repr(g.exact) == repr(shadows)
+        assert g == kind(5, dict(g._pairs), g.labels)  # equality ignores the tokens
         g._exact((0, 1))  # a copy taken after a read carries the same values
         for h in (pickle.loads(pickle.dumps(g)), copy.copy(g), copy.deepcopy(g)):
             assert h == g and h.labels == g.labels and graph_digest(h) == graph_digest(g)
-            assert dict(h.exact) == shadows and list(h.exact) == list(shadows)
-            assert [h._exact(key) for key in h._pairs] == [shadows[key] for key in h._pairs]
-        with pytest.raises(TypeError):
-            g.exact[0, 1] = Fraction(1)  # read-only
+            assert {key: h._exact(key) for key in h._pairs} == shadows
 
 
 def test_concurrent_readers_of_a_parsed_graph_share_one_shadow_per_token():
@@ -825,34 +824,59 @@ def test_concurrent_readers_of_a_parsed_graph_share_one_shadow_per_token():
         sys.setswitchinterval(previous)
 
 
-@pytest.mark.parametrize(
-    "kind, n, pairs, exact, message",
-    [
-        (WeightedGraph, 2, {(0, 1): 1.0}, {(0, 1): Fraction(-5)}, "exact value Fraction(-5, 1) is negative"),
-        (ConductanceGraph, 2, {(0, 1): 1.0}, {(0, 1): Fraction(0)}, "exact value Fraction(0, 1) is zero where the value 1.0 is not"),
-        (WeightedGraph, 2, {(0, 1): 1.0}, {(0, 1): "1"}, "exact value '1' is not a Fraction or an int"),
-        (ConductanceGraph, 2, {(0, 1): 1.0}, {(1, 0): "1"}, "exact value '1' is not a Fraction or an int"),
-        (WeightedGraph, 2, {(0, 1): 1.0}, {(0, 1): True}, "exact value True is not a Fraction or an int"),
-        (WeightedGraph, 2, {(0, 1): 0.5}, {(0, 1): 0.5}, "exact value 0.5 is not a Fraction or an int"),
-        (WeightedGraph, 3, {(0, 1): 1.0}, {(2, 1): Fraction(1)}, "exact value Fraction(1, 1) is on no stored pair"),
-        (ConductanceGraph, 2, {(0, 1): 0.0}, {(0, 1): 0}, "exact value 0 is on no stored pair"),
-        (WeightedGraph, 2, {(0, 1): 0.0}, {(0, 1): 1}, "exact value 1 is nonzero where the value 0.0 is not"),
-        (WeightedGraph, 2, {(1, 1): 0.0}, {(1, 1): Fraction(1, 3)}, "exact value Fraction(1, 3) is nonzero where the value 0.0 is not"),
-    ],
-)
-def test_a_callers_exact_map_is_checked_at_construction(kind, n, pairs, exact, message):
-    key = edge_key(*next(iter(exact)))
-    with pytest.raises(InvalidArgument, match=f"^pair {re.escape(str(key))}: {re.escape(message)}$"):
-        kind(n, pairs, exact=exact)
+def test_a_graph_takes_no_exact_map():
+    for kind in (WeightedGraph, ConductanceGraph):
+        with pytest.raises(TypeError, match="exact"):
+            kind(2, {(0, 1): 1.0}, exact={(0, 1): Fraction(1)})
+        with pytest.raises(TypeError):
+            kind(2, {(0, 1): 1.0}, None, {(0, 1): Fraction(1)})
+        assert not hasattr(kind(2, {(0, 1): 1.0}), "exact")
 
 
-def test_a_callers_exact_map_may_hold_ints_zeros_and_reciprocals():
-    g = WeightedGraph(3, {(0, 1): 0.0, (1, 2): 2.0, (2, 2): 0.0}, exact={(1, 0): 0, (2, 1): 2, (2, 2): Fraction(0)})
-    assert g.exact == {(0, 1): 0, (1, 2): 2, (2, 2): 0} and brute_metric_from(g, 0) == [0, 0, 2]
-    # 1/q beside fl(1/fl(q)): they differ in the last bit here, and both are kept.
+def test_a_graph_built_from_parsed_labels_reads_its_own_floats():
+    g = parse_graph("a b 1\nb c 2\n")
+    h = WeightedGraph(g.n, {(0, 1): 5.0, (1, 2): 7.0}, g.labels)
+    assert brute_metric_from(g, 0) == [0, 1, 3]
+    assert brute_metric_from(h, 0) == [0, 5, 12]
+
+
+def test_a_dropped_zero_conductance_leaves_no_exact_value():
+    b = parse_graph("a b 0\nb c 4\n", "conductance")
+    assert b.b == {(1, 2): 4.0}
+    with pytest.raises(KeyError):
+        b._exact((0, 1))
+    w = b.reciprocal(WeightedGraph)
+    assert w.weights == {(1, 2): 0.25} and brute_metric_from(w, 1) == [None, 0, Fraction(1, 4)]
+
+
+def test_reciprocal_builds_no_fraction_until_an_oracle_reads_a_value(monkeypatch):
+    built = []
+
+    def counting(text: str) -> Fraction:
+        built.append(text)
+        return Fraction(text)
+
+    monkeypatch.setattr(graphmetry.core, "Fraction", counting)
+    text = "".join(f"v{i} v{i + 1} {(i % 7 + 1) / 4}\n" for i in range(10))
+    for source, spellings in ((parse_graph(text, "conductance"), 7), (ConductanceGraph(3, {(0, 1): 3.0, (1, 2): 0.1}), 2)):
+        w = source.reciprocal(WeightedGraph)
+        c = w.reciprocal(ConductanceGraph)
+        assert built == []
+        assert brute_metric_from(w, 0)[1] == 1 / source._exact((0, 1))
+        assert [c._exact(key) for key in c._pairs] == [source._exact(key) for key in source._pairs]
+        assert len(built) == spellings  # once per distinct spelling, shared by the source and its lifts
+        built.clear()
+
+
+def test_a_lift_of_a_lift_reads_back_the_source_value():
+    # 1/q beside fl(1/fl(q)): they differ in the last bit here, and the lift keeps both.
     b = parse_graph("a b 0.571429\n", "conductance")
     w = b.reciprocal(WeightedGraph)
-    assert w.exact == {(0, 1): Fraction(1000000, 571429)} and float(w.exact[0, 1]) != w.weights[0, 1]
+    assert w._exact((0, 1)) == Fraction(1000000, 571429) and float(w._exact((0, 1))) != w.weights[0, 1]
+    for source in (b, ConductanceGraph(2, {(0, 1): 1 / 3}), WeightedGraph(3, {(0, 1): 0.1, (1, 2): 1e-300})):
+        back = source.reciprocal(ConductanceGraph if isinstance(source, WeightedGraph) else WeightedGraph)
+        back = back.reciprocal(type(source))
+        assert {key: back._exact(key) for key in back._pairs} == {key: source._exact(key) for key in source._pairs}
 
 
 def test_exports_resolve_and_stay_sorted():
@@ -959,8 +983,8 @@ def test_row_sum_diagnostics_follow_the_per_pair_loop():
     assert overflowed > 100 and built > 100 and order_dependent > 0
 
 
-def reference_build(kind, n, raw, labels, exact):
-    """(stored pairs, exact) as the per-pair reference builds them, or the error it raises."""
+def reference_build(kind, n, raw, labels):
+    """The stored pairs as the per-pair reference builds them, or the error it raises."""
     weighted = kind is WeightedGraph
     try:
         pairs = reference_canonical_map(n, raw, INFINITY if weighted else 0.0)
@@ -970,20 +994,7 @@ def reference_build(kind, n, raw, labels, exact):
         problems = reference_validate(weighted, n, pairs, labels)
         if problems:
             raise InputError("; ".join(problems))
-        reference_canonical_map(n, dict.fromkeys(exact, 1.0), None)  # the ids of the shadows
-        shadows = {edge_key(operator.index(u), operator.index(v)): q for (u, v), q in exact.items()}
-        for key, q in shadows.items():  # each on a stored pair, a nonnegative number zero where its value is
-            if key not in pairs:
-                raise InvalidArgument(f"pair {key}: exact value {q!r} is on no stored pair")
-            if type(q) not in (int, Fraction):
-                raise InvalidArgument(f"pair {key}: exact value {q!r} is not a Fraction or an int")
-            if q < 0:
-                raise InvalidArgument(f"pair {key}: exact value {q!r} is negative")
-            if q == 0 and pairs[key] != 0:
-                raise InvalidArgument(f"pair {key}: exact value {q!r} is zero where the value {pairs[key]!r} is not")
-            if q != 0 and pairs[key] == 0:
-                raise InvalidArgument(f"pair {key}: exact value {q!r} is nonzero where the value {pairs[key]!r} is not")
-        return pairs, shadows
+        return pairs
     except Exception as error:  # noqa: BLE001 - the error is the expected outcome
         return error
 
@@ -1025,14 +1036,7 @@ def random_raw_map(rng, kind):
         labels = tuple(f"v{u}" for u in range(n))
         if n > 1 and rng.random() < 0.2:
             labels = labels[:-1] + (labels[0],)
-    exact = {}
-    if rng.random() < 0.3 and n:
-        for _ in range(rng.randint(1, 3)):
-            u, v = rng.randrange(n), rng.randrange(n)
-            exact[(u, v) if rng.random() < 0.7 else (v, u)] = Fraction(rng.randint(1, 9), 7)
-        if rng.random() < 0.1:
-            exact[(0, n)] = Fraction(1)  # a shadow of a vertex the graph has not
-    return n, raw, labels, exact
+    return n, raw, labels
 
 
 @pytest.mark.parametrize("kind", [WeightedGraph, ConductanceGraph])
@@ -1040,24 +1044,24 @@ def test_the_array_pass_builds_what_the_per_pair_pass_built(kind):
     rng = random.Random(2020 if kind is WeightedGraph else 2021)
     outcomes = collections.Counter()
     for trial in range(600):
-        n, raw, labels, exact = random_raw_map(rng, kind)
+        n, raw, labels = random_raw_map(rng, kind)
         if trial % 50 == 0:
             raw = dict(sorted(raw.items(), key=repr))  # another key order
-        expected = reference_build(kind, n, dict(raw), labels, dict(exact))
+        expected = reference_build(kind, n, dict(raw), labels)
         try:
-            g = kind(n, dict(raw), labels, dict(exact))
+            g = kind(n, dict(raw), labels)
         except Exception as error:  # noqa: BLE001 - compared with the reference's error
             assert isinstance(expected, Exception), (raw, error)
             assert (type(error), str(error)) == (type(expected), str(expected)), raw
             outcomes[type(error).__name__] += 1
             continue
         assert not isinstance(expected, Exception), (raw, expected)
-        pairs, shadows = expected
+        pairs = expected
         stored = g._pairs
         assert list(stored) == list(pairs), raw
         assert float_bits(stored.values()) == float_bits(pairs.values()), raw
         assert {type(x) for key in stored for x in key} <= {int}
-        assert list(g.exact.items()) == list(shadows.items())
+        assert [g._exact(key) for key in stored] == [Fraction(repr(x)) for x in pairs.values()]
         assert g._ends.tolist() == [list(key) for key in pairs]
         assert float_bits(g._values.tolist()) == float_bits(pairs.values())
         outcomes["built"] += 1
@@ -1082,15 +1086,13 @@ def test_a_vertex_id_must_be_an_integer(key):
     for kind in (WeightedGraph, ConductanceGraph):
         with pytest.raises(UnknownVertex, match=r"is not a pair of integer vertex ids$"):
             kind(2, {key: 1.0})
-        with pytest.raises(UnknownVertex, match=r"is not a pair of integer vertex ids$"):
-            kind(2, {(0, 1): 1.0}, exact={key: Fraction(1)})
 
 
 def test_numpy_integer_ids_are_stored_as_int():
     raw = {(np.int64(1), np.int64(0)): 2.0, (np.int32(1), np.int32(2)): 3.0}
-    g = WeightedGraph(3, raw, exact={(np.int64(2), np.int64(1)): Fraction(3)})
+    g = WeightedGraph(3, raw)
     assert g == WeightedGraph(3, {(0, 1): 2.0, (1, 2): 3.0})
-    assert {type(x) for key in (*g.weights, *g.exact) for x in key} == {int}
+    assert {type(x) for key in g.weights for x in key} == {int}
     assert graph_digest(g) == graph_digest(WeightedGraph(3, {(0, 1): 2.0, (1, 2): 3.0}))
 
 

@@ -20,7 +20,8 @@ from graphmetry import (
     parse_graph,
 )
 from graphmetry.cli import main
-from graphmetry.core import Graph, _decimal_shadow
+import graphmetry.core
+from graphmetry.core import Graph
 from graphmetry.oracle import (
     _bareiss_det,
     brute_metric,
@@ -29,10 +30,8 @@ from graphmetry.oracle import (
     exact_path_length,
     exact_weight,
     spanning_tree_resistance,
-    spanning_tree_sum,
-    two_forest_sum,
-    unique_induced_path,
 )
+from .enumerators import spanning_tree_sum, two_forest_sum, unique_induced_path
 from .suites import random_connected_conductance, random_weighted_graph
 
 
@@ -41,8 +40,10 @@ def triangle() -> WeightedGraph:
 
 
 def test_exact_weight_prefers_parsed_shadow():
-    g = WeightedGraph(2, {(0, 1): 0.1}, exact={(0, 1): Fraction(1, 10)})
-    assert exact_weight(g, 0, 1) == Fraction(1, 10)
+    # The token, not the float's shortest decimal 0.1.
+    g = parse_graph("a b 0.10000000000000001\n")
+    assert g.weights == {(0, 1): 0.1}
+    assert exact_weight(g, 0, 1) == Fraction(10000000000000001, 10**17)
     assert exact_weight(g, 0, 0) == Fraction(0)
     bare = WeightedGraph(2, {(0, 1): 0.1})
     # repr() recovers the decimal the float was parsed from.
@@ -50,17 +51,20 @@ def test_exact_weight_prefers_parsed_shadow():
     assert exact_weight(WeightedGraph(2, {}), 0, 1) is None
 
 
-def test_exact_weight_spells_each_float_once_as_its_repr():
-    values = [0.1, 1 / 3, 5e-324, 1e308, 2.0, 0.0, -0.0, 1e-300, 0.1 + 0.2]
-    g = WeightedGraph(10, {(0, v): w for v, w in enumerate(values, 1)})
-    before = _decimal_shadow.cache_info()
+def test_exact_weight_spells_each_float_once_as_its_repr(monkeypatch):
+    built = []
+
+    def counting(text: str) -> Fraction:
+        built.append(text)
+        return Fraction(text)
+
+    monkeypatch.setattr(graphmetry.core, "Fraction", counting)
+    values = [0.1, 1 / 3, 5e-324, 1e308, 2.0, 0.0, -0.0, 1e-300, 0.1 + 0.2, 0.1]
+    g = WeightedGraph(11, {(0, v): w for v, w in enumerate(values, 1)})
     for _ in range(3):
-        assert [exact_weight(g, 0, v) for v in range(1, 10)] == [Fraction(repr(w)) for w in values]
-    after = _decimal_shadow.cache_info()
-    # -0.0 shares 0.0's entry (both are Fraction(0)); every later call is a hit.
-    assert after.misses - before.misses <= len(values) - 1
-    assert after.hits - before.hits >= 2 * len(values)
-    assert _decimal_shadow.cache_info().maxsize is not None
+        assert [exact_weight(g, 0, v) for v in range(1, 11)] == [Fraction(repr(w)) for w in values]
+    # One Fraction per distinct spelling, on the first read.
+    assert built == list(dict.fromkeys(map(repr, values)))
 
 
 def test_enumerate_simple_paths_triangle():
@@ -171,8 +175,8 @@ def test_resistance_ratio_restricted_to_component():
 
 
 def test_exact_conductance_shadow():
-    b = ConductanceGraph(2, {(0, 1): 0.1}, exact={(0, 1): Fraction(1, 10)})
-    assert exact_weight(b, 0, 1) == Fraction(1, 10)
+    b = parse_graph("a b 0.10000000000000001\n", "conductance")
+    assert exact_weight(b, 0, 1) == Fraction(10000000000000001, 10**17)
     assert exact_weight(b, 0, 0) == 0
 
 
@@ -286,12 +290,8 @@ def mixed_exact_graph(rng: random.Random) -> WeightedGraph:
     if rng.random() < 0.5:
         lines = [f"v{u} v{v} {rng.choice(DECIMAL_TOKENS)}" for u, v in pairs]
         lines += [f"vertex v{u}" for u in range(n)]  # isolated vertices keep their place
-        g = parse_graph("\n".join(lines))
-        weights, exact, labels = g.weights, g.exact, g.labels
-    else:
-        weights = {key: rng.choice(BARE_WEIGHTS) for key in pairs}
-        exact, labels = {}, None
-    return WeightedGraph(n, weights, labels, exact)
+        return parse_graph("\n".join(lines))
+    return WeightedGraph(n, {key: rng.choice(BARE_WEIGHTS) for key in pairs})
 
 
 def test_integer_dijkstra_matches_the_fraction_dijkstra():
@@ -301,18 +301,16 @@ def test_integer_dijkstra_matches_the_fraction_dijkstra():
         for x in range(g.n):
             assert brute_metric_from(g, x) == fraction_dijkstra(g, x)
     # The mix reaches every case: shadows, bare floats, zeros, isolated vertices.
-    assert any(g.exact for g in graphs) and any(not g.exact and g.weights for g in graphs)
+    assert any(g._tokens for g in graphs) and any(not g._tokens and g.weights for g in graphs)
     assert any(0.0 in g.weights.values() for g in graphs)
     assert any(not g.neighbors(u) for g in graphs for u in range(g.n))
 
 
 def component_graph(b: ConductanceGraph, members: list[int]) -> ConductanceGraph:
+    """The component on ``members``, renumbered; a library graph, so its
+    floats keep their exact values."""
     index = {v: i for i, v in enumerate(members)}
-    return ConductanceGraph(
-        len(members),
-        {(index[u], index[v]): c for u, v, c in b.edges() if u in index},
-        exact={(index[u], index[v]): exact_weight(b, u, v) for u, v, _ in b.edges() if u in index},
-    )
+    return ConductanceGraph(len(members), {(index[u], index[v]): c for u, v, c in b.edges() if u in index})
 
 
 def test_matrix_tree_oracle_matches_forest_enumeration():
@@ -342,7 +340,8 @@ def test_matrix_tree_oracle_matches_forest_enumeration():
 
 def test_matrix_tree_oracle_reads_the_exact_shadows():
     # One third in series with one seventh: the float values are not exact.
-    b = ConductanceGraph(3, {(0, 1): 1 / 3, (1, 2): 1 / 7}, exact={(0, 1): Fraction(1, 3), (1, 2): Fraction(1, 7)})
+    b = WeightedGraph(3, {(0, 1): 3.0, (1, 2): 7.0}).reciprocal(ConductanceGraph)
+    assert [exact_weight(b, 0, 1), exact_weight(b, 1, 2)] == [Fraction(1, 3), Fraction(1, 7)]
     assert spanning_tree_resistance(b, 0, 2) == 10
 
 

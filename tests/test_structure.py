@@ -35,9 +35,9 @@ from graphmetry import (
     resistance_matrix,
     separates,
 )
-from graphmetry.oracle import unique_induced_path
 from graphmetry.core import weights_close, weights_close_array
 from graphmetry.pathmetric import all_pairs_metric
+from .enumerators import unique_induced_path
 from .suites import random_block_graph, random_connected_conductance, random_nontree, random_tree
 
 
@@ -259,7 +259,7 @@ def test_inverse_conductance_weight():
 
 def test_inverse_conductance_weight_keeps_exact_reciprocals():
     w = inverse_conductance_weight(parse_graph("a b 3\nb c 0.4\nc d 0\n", mode="conductance"))
-    assert w.exact == {(0, 1): Fraction(1, 3), (1, 2): Fraction(5, 2)}
+    assert {key: w._exact(key) for key in w.weights} == {(0, 1): Fraction(1, 3), (1, 2): Fraction(5, 2)}
 
 
 def test_tree_theorem_examples():
