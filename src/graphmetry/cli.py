@@ -34,6 +34,7 @@ import numpy as np
 from . import oracle
 from .completeness import FAMILIES, family_ball_scan, family_elf_scan, verify_maximal_weight
 from .core import (
+    INFINITY,
     ConductanceGraph,
     G,
     Graph,
@@ -49,7 +50,7 @@ from .pathmetric import (
     path_length,
     path_metric,
 )
-from .resistance import effective_resistance, harmonic_maximizer, laplacian, resistance_matrix
+from .resistance import _dipole, _maximizer, laplacian, resistance_matrix
 from .structure import (
     check_tree_theorem,
     check_triangle_equality,
@@ -426,12 +427,13 @@ def cmd_resistance(args: argparse.Namespace) -> Report:
     if not args.pair:
         raise InputError("resistance needs --pair X Y or --matrix")
     x, y = (b.resolve(token) for token in args.pair)
-    value = effective_resistance(b, x, y)
+    dipole = _dipole(b, x, y, "resistance")  # R and the maximizer from one solve
+    value = INFINITY if dipole is None else float(dipole[x])
     report.results["resistance"] = fmt(value)
     if args.oracle:
         report.results.update(_oracle_fields(value, oracle.spanning_tree_resistance(b, x, y)))
     if args.maximizer:
-        potential = harmonic_maximizer(b, x, y).values
+        potential = _maximizer(b, x, y, dipole).values
         residual = max(np.delete(np.abs(laplacian(b, potential)), [x, y]).tolist(), default=0.0)
         f = potential.tolist()
         report.results["maximizer"] = {

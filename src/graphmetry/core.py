@@ -17,12 +17,23 @@ a nonzero or conductance diagonal entry, duplicate labels).  Zero weights
 are allowed, as pseudo-metric weights; the edge-list parser still rejects
 ``a b 0`` between distinct vertices.  No layer above checks values again.
 
-Construction is one array pass over the given map.  Vertex ids must be
-integers in ``0 .. n-1`` (what ``operator.index`` accepts: a float or a
-string is no id, even when whole), the one rule every vertex argument
-follows.  A value is a number, never text, even when float() reads it, and
-a pair given both ways must carry one value (NaN agrees with NaN).  The stored maps are canonical, sorted dicts: each
-key ``(u, v)`` has ``u <= v``.
+Construction is one array pass over the given map, which reads each key
+once for its ids and their types.  Vertex ids must be integers in
+``0 .. n-1`` (what ``operator.index`` accepts: a float or a string is no id,
+even when whole), the one rule every vertex argument follows.  A value is a
+number, never text, even when float() reads it, and a pair given both ways
+must carry one value (NaN agrees with NaN).  The stored maps are canonical,
+sorted dicts: each key ``(u, v)`` has ``u <= v``.  The parser and
+``Graph.reciprocal`` hand their sorted pair and value arrays to the graph
+directly instead of building a map for construction to read back.
+
+Traversals read one adjacency per graph, built on first use from the
+sorted pair arrays by one stable argsort and kept: compressed sparse rows,
+that is row offsets plus one partner list and its values, each vertex's
+partners in ascending order.  The component labelling, ``reach``, the
+separation and block searches, the Dijkstras and the geodesic walk index
+those lists and make no tuple per pair; ``neighbors(u)`` gives a fresh list
+of (partner, value) tuples.
 
 Extended weights are plain ``float`` values with ``math.inf`` as the
 distinguished infinity; this gives the required total order and absorbing
@@ -46,8 +57,8 @@ import struct
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, starmap
-from typing import Iterator, NamedTuple, TypeVar
+from functools import cached_property
+from typing import Iterable, Iterator, NamedTuple, TypeVar
 
 import numpy as np
 
@@ -131,18 +142,20 @@ class Path:
         return zip(self.vertices[:-1], self.vertices[1:])
 
 
-_ID_PAIR = struct.Struct("=qq")  # two int64 ids; pack refuses a float, a str, a 3-tuple
-
-
-def _id_array(n: int, keys: list) -> np.ndarray:
-    """The vertex pairs ``keys`` as an (m, 2) int64 array.
+def _id_array(n: int, keys: list) -> tuple[np.ndarray, bool]:
+    """The vertex pairs ``keys`` as an (m, 2) int64 array, and whether they
+    are plain: tuples of ``int`` (no subclass, no numpy scalar), as the keys
+    of a stored dict are.  Each key is read once, for its ids and their types.
 
     Raises UnknownVertex naming the first pair that is not two integer ids in
     0 .. n-1; a float or a string is no vertex id, even when it is whole.
     """
     try:
-        ids = np.frombuffer(b"".join(starmap(_ID_PAIR.pack, keys)), np.int64).reshape(-1, 2)
-    except (struct.error, TypeError):
+        lo, hi = zip(*keys, strict=True) if keys else ((), ())
+        both = lo + hi
+        # pack refuses a float or a str; it reads a numpy integer or a bool by its index
+        ids = np.frombuffer(struct.pack(f"={len(both)}q", *both), np.int64).reshape(2, -1).T
+    except (ValueError, TypeError, struct.error):
         ids = None
     # Read as unsigned, a negative id is beyond any vertex count.
     if ids is None or int(ids.view(np.uint64).max(initial=0)) >= n:
@@ -153,7 +166,9 @@ def _id_array(n: int, keys: list) -> np.ndarray:
                 raise UnknownVertex(f"vertex pair ({u!r}, {v!r}) is not a pair of integer vertex ids") from None
             if not (0 <= u < n and 0 <= v < n):
                 raise UnknownVertex(f"vertex pair ({u}, {v}) out of range for {n} vertices")
-    return ids
+    m = len(keys)
+    plain = operator.countOf(map(type, both), int) == 2 * m and operator.countOf(map(type, keys), tuple) == m
+    return ids, plain
 
 
 def _index(u: object) -> int | None:
@@ -192,16 +207,6 @@ def _check_labels(labels: tuple[str, ...] | None, n: int) -> None:
     """InvalidArgument unless ``labels`` is None or names exactly n vertices."""
     if labels is not None and len(labels) != n:
         raise InvalidArgument("label table size must equal the vertex count")
-
-
-def _plain(keys: list) -> bool:
-    """Whether ``keys`` are tuples of ``int`` (no subclass, no numpy scalar),
-    as the keys of a stored dict are."""
-    m = len(keys)
-    return (
-        operator.countOf(map(type, keys), tuple) == m
-        and operator.countOf(map(type, chain.from_iterable(keys)), int) == 2 * m
-    )
 
 
 def _first_text(values: list) -> int:
@@ -247,21 +252,27 @@ class Graph:
     :class:`WeightedGraph` value is a length (absent pair: ``INFINITY``), a
     :class:`ConductanceGraph` value a conductance (absent pair: 0).  Each
     names its stored pairs (``weights``, ``b``) and keeps them under
-    canonical ``(min, max)`` keys.
+    canonical ``(min, max)`` keys, beside the same pairs as sorted arrays
+    (``_ends``, ``_values``).  Derived facts are built on first use and
+    kept: the CSR adjacency (:meth:`_adjacency`), the component labelling,
+    the grounded factors and the oracles' scaled components.
     """
 
     n: int
     labels: tuple[str, ...] | None
     _absent: float  # the value of a pair with no stored entry
+    _field: str  # the name of the subclass's stored map
     _pairs: dict[tuple[int, int], float]  # the subclass's stored pairs
     _ends: np.ndarray  # the stored pairs' (u, v) rows, in stored order
     _values: np.ndarray  # their values
-    _adj: list[list[tuple[int, float]]] | None
+    _off: np.ndarray | None  # which of them are off the diagonal; None when all are
+    _csr: tuple[list[int], list[int], list[float]] | None  # the adjacency, built on first use
     _components: Components | None  # the component labelling, built on first use
     _grounded: object | None  # a conductance graph's grounded system, built by resistance on first use
     _scaled: dict[int, tuple[dict[tuple[int, int], int], int]]  # the oracles' scaled components, by number
+    _trees: dict[int, int]  # the resistance oracle's spanning-tree determinant, by component number
     # Where _exact reads a pair's value; a graph made by reciprocal shares its source's.
-    _tokens: dict[tuple[int, int], str]  # the parser's value tokens, "_" removed
+    _spelled: tuple[Iterable[tuple[int, int]], np.ndarray, list[str | None]] | None  # see _tokens
     _floats: dict[tuple[int, int], float]  # the values spelled by their shortest decimal
     _rationals: dict[str, Fraction]  # each spelling read so far
     _inverted: bool  # whether the exact value is 1 over the one spelled
@@ -269,11 +280,15 @@ class Graph:
     def _store(self, raw: Mapping[tuple[int, int], float]) -> dict[tuple[int, int], float]:
         """Check n and the labels and normalize the pairs; return them.
         Raises InputError with every :func:`validate` diagnostic."""
+        arrays = vars(self).pop("_arrays", None)
+        if arrays is not None:  # see _from_arrays
+            self._adopt(raw, *arrays)
+            return raw
         if self.n < 0:
             raise InvalidArgument("vertex count must be nonnegative")
         _check_labels(self.labels, self.n)
         keys, values = list(raw), list(raw.values())
-        ids = _id_array(self.n, keys)
+        ids, plain = _id_array(self.n, keys)
         floats = operator.countOf(map(type, values), float) == len(values)
         try:
             w = np.fromiter(map(float, values), float, len(values))
@@ -291,25 +306,49 @@ class Graph:
         text = -1 if floats else _first_text(values)  # after float()'s refusals and the conflicts
         if text >= 0:
             raise InvalidArgument(f"pair {keys[text]!r}: text {values[text]!r} is not a value")
-        keep = (w != self._absent) | (lo == hi)
+        diagonal = lo == hi
+        keep = (w != self._absent) | diagonal
         if not keep.all():
-            lo, hi, w = lo[keep], hi[keep], w[keep]
-        if len(w) == len(keys) and (lo == ids[:, 0]).all() and (hi == ids[:, 1]).all() and floats and _plain(keys):
+            lo, hi, w, diagonal = lo[keep], hi[keep], w[keep], diagonal[keep]
+        off = ~diagonal if diagonal.any() else None
+        if len(w) == len(keys) and plain and floats and (lo == ids[:, 0]).all() and (hi == ids[:, 1]).all():
             # Canonical and sorted already, as dict(g.b) with one value changed
             # is: the copy keeps the caller's key tuples instead of making new ones.
-            self._pairs, self._ends = dict(raw), ids
+            self._adopt(dict(raw), ids, w, off)
         else:
-            self._pairs = dict(zip(zip(lo.tolist(), hi.tolist()), w.tolist()))
-            self._ends = np.array((lo, hi)).T
-        self._values = w
-        self._ends.flags.writeable = self._values.flags.writeable = False
+            self._adopt(dict(zip(zip(lo.tolist(), hi.tolist()), w.tolist())), np.array((lo, hi)).T, w, off)
+        return self._pairs
+
+    def _adopt(
+        self, pairs: dict[tuple[int, int], float], ends: np.ndarray, values: np.ndarray, off: np.ndarray | None = None
+    ) -> None:
+        """Keep canonical pairs sorted by (u, v), their rows and values, as
+        the stored pairs of a graph with no derived state yet; ``off`` marks
+        the rows off the diagonal, None when all are.  Raises InputError
+        with every :func:`validate` diagnostic."""
+        self._pairs, self._ends, self._values, self._off = pairs, ends, values, off
+        ends.flags.writeable = values.flags.writeable = False
         problems = validate(self)
         if problems:
             raise InputError("; ".join(problems))
-        self._adj = self._components = self._grounded = None
-        self._scaled = {}
-        self._tokens, self._floats, self._rationals, self._inverted = {}, self._pairs, {}, False
-        return self._pairs
+        self._csr = self._components = self._grounded = None
+        self._scaled, self._trees = {}, {}
+        self._spelled, self._floats, self._rationals, self._inverted = None, pairs, {}, False
+
+    @classmethod
+    def _from_arrays(
+        cls: type[G], n: int, labels: tuple[str, ...] | None,
+        pairs: dict[tuple[int, int], float], ends: np.ndarray, values: np.ndarray,
+    ) -> G:
+        """A graph of the canonical sorted ``pairs`` (see :meth:`_adopt`),
+        whose rows and values :meth:`_store` takes as given instead of
+        reading them back from the map; n and the labels must agree already.
+        The graph is built by its class's ``__post_init__``, as every graph is."""
+        g = cls.__new__(cls)
+        g.n, g.labels, g._arrays = n, labels, (ends, values)
+        setattr(g, cls._field, pairs)
+        g.__post_init__()
+        return g
 
     def _value(self, u: int, v: int) -> float:
         """The value of pair (u, v): zero on the diagonal, ``_absent`` when none is stored."""
@@ -321,19 +360,34 @@ class Graph:
         # edge_key inlined: weight and conductance sit in hot loops
         return self._pairs.get((u, v) if u <= v else (v, u), self._absent)
 
+    def _adjacency(self) -> tuple[list[int], list[int], list[float]]:
+        """The stored pairs as a compressed sparse row adjacency, built on
+        first use and kept: row offsets, then every vertex's partners in
+        ascending order and their values, vertex u's at offsets[u] ..
+        offsets[u + 1].  A diagonal entry is no partner."""
+        if self._csr is None:
+            ends, w = self._ends, self._values
+            if self._off is not None:
+                ends, w = ends[self._off], w[self._off]
+            # The pairs are sorted, so a stable sort by row puts the partners
+            # below a vertex (pairs (c, u), by ascending c) before those above.
+            lo, hi = ends.T
+            rows = np.concatenate((hi, lo))
+            order = rows.argsort(kind="stable")
+            self._csr = (
+                rows[order].searchsorted(np.arange(self.n + 1)).tolist(),
+                np.concatenate((lo, hi))[order].tolist(),
+                w[order % len(w)].tolist(),
+            )
+        return self._csr
+
     def neighbors(self, u: int) -> list[tuple[int, float]]:
-        """Stored partners of ``u`` with their values, in ascending vertex order."""
-        if self._adj is None:
-            # The pairs are sorted, so each list fills in ascending order: the
-            # partners below a vertex (pairs (c, u), by ascending c) come first.
-            adj: list[list[tuple[int, float]]] = [[] for _ in range(self.n)]
-            for (a, b), w in self._pairs.items():
-                if a != b:
-                    adj[a].append((b, w))
-                    adj[b].append((a, w))
-            self._adj = adj
+        """Stored partners of ``u`` with their values, in ascending vertex
+        order: a fresh list off the kept adjacency (:meth:`_adjacency`)."""
         self._check_vertex(u)
-        return self._adj[u]
+        offsets, partners, values = self._adjacency()
+        a, b = offsets[u], offsets[u + 1]
+        return list(zip(partners[a:b], values[a:b]))
 
     def reach(self, start: int, banned: int | None = None, stop: int | None = None) -> dict[int, int]:
         """Breadth-first search from ``start`` in the graph minus ``banned``.
@@ -344,14 +398,14 @@ class Graph:
         as it reaches ``stop``; every parent on the route to ``stop`` is set
         by then, so that route is the one the full search would record.
         """
-        self.neighbors(start)  # checks start and builds the adjacency lists
-        adj = self._adj
+        self._check_vertex(start)
+        offsets, partners, _ = self._adjacency()
         parent = {start: start}
         if start == stop:
             return parent
         queue = [start]
         for u in queue:  # the list grows as it is read: first in, first out
-            for v, _ in adj[u]:
+            for v in partners[offsets[u] : offsets[u + 1]]:
                 if v != banned and v not in parent:
                     parent[v] = u
                     if v == stop:
@@ -365,17 +419,35 @@ class Graph:
 
     def _labelling(self) -> Components:
         """The components numbered by least vertex, built on first use and kept
-        on the graph: every layer that asks about connectivity reads them."""
+        on the graph: every layer that asks about connectivity reads them.
+        One breadth-first pass over the partner lists numbers them all."""
         if self._components is None:
+            offsets, partners, _ = self._adjacency()
             component = [-1] * self.n
             members: list[list[int]] = []
             for s in range(self.n):
                 if component[s] < 0:
-                    members.append(sorted(self.reach(s)))
-                    for v in members[-1]:
-                        component[v] = len(members) - 1
+                    c = component[s] = len(members)
+                    queue = [s]
+                    for u in queue:
+                        for v in partners[offsets[u] : offsets[u + 1]]:
+                            if component[v] < 0:
+                                component[v] = c
+                                queue.append(v)
+                    queue.sort()
+                    members.append(queue)
             self._components = Components(component, members)
         return self._components
+
+    @cached_property
+    def _tokens(self) -> dict[tuple[int, int], str]:
+        """The parser's value token of each stored pair that has one, ``_``
+        removed: the token of the pair's last line, none for ``inf``.  Built
+        on first read, from the stored keys and each one's token number."""
+        if self._spelled is None:
+            return {}
+        keys, which, spellings = self._spelled
+        return {key: text for key, text in zip(keys, map(spellings.__getitem__, which.tolist())) if text}
 
     def _exact(self, key: tuple[int, int]) -> Fraction:
         """The exact value of stored pair ``key`` (canonical): the rational its
@@ -393,24 +465,28 @@ class Graph:
     def reciprocal(self, kind: type[G]) -> G:
         """A ``kind`` graph with value 1/x on every stored pair x of this one.
 
-        Lifts a conductance to its length 1/b and back, on any graph.  The
-        lift shares this graph's tokens and floats, so its exact value of a
-        pair is 1/q of this one's q, read only when an oracle asks, and a
-        lift of a lift reads this graph's values back.  Raises InputError
-        when a reciprocal is outside float range (a zero or subnormal value
-        overflows 1/x).
+        Lifts a conductance to its length 1/b and back, on any graph, in one
+        array division.  The lift shares this graph's tokens and floats, so
+        its exact value of a pair is 1/q of this one's q, read only when an
+        oracle asks, and a lift of a lift reads this graph's values back.
+        Raises InputError when a reciprocal is outside float range (a zero
+        or subnormal value overflows 1/x).
         """
-        values = {
-            key: 1.0 / x if x else INFINITY for key, x in self._pairs.items() if key[0] != key[1]
-        }
-        for (u, v), y in values.items():
-            if not math.isfinite(y):
-                raise InputError(
-                    f"1/{self._pairs[u, v]!r} on ({self.label(u)}, {self.label(v)}) "
-                    "is outside float range"
-                )
-        lift = kind(self.n, values, self.labels)
-        lift._tokens, lift._floats, lift._rationals = self._tokens, self._floats, self._rationals
+        ends, x = self._ends, self._values
+        keys: Iterable[tuple[int, int]] = self._pairs
+        if self._off is not None:  # a weight graph's zero diagonal entries are not lifted
+            ends, x, keys = ends[self._off], x[self._off], [key for key in keys if key[0] != key[1]]
+        with np.errstate(divide="ignore", over="ignore"):
+            y = 1.0 / x
+        outside = np.flatnonzero(~np.isfinite(y))
+        if len(outside):
+            u, v = ends[outside[0]].tolist()
+            raise InputError(
+                f"1/{float(x[outside[0]])!r} on ({self.label(u)}, {self.label(v)}) "
+                "is outside float range"
+            )
+        lift = kind._from_arrays(self.n, self.labels, dict(zip(keys, y.tolist())), ends, y)
+        lift._spelled, lift._floats, lift._rationals = self._spelled, self._floats, self._rationals
         lift._inverted = not self._inverted
         return lift
 
@@ -465,6 +541,7 @@ class WeightedGraph(Graph):
     weights: dict[tuple[int, int], float]
     labels: tuple[str, ...] | None = None
     _absent = INFINITY
+    _field = "weights"
 
     def __post_init__(self) -> None:
         self.weights = self._store(self.weights)
@@ -484,6 +561,7 @@ class ConductanceGraph(Graph):
     b: dict[tuple[int, int], float]
     labels: tuple[str, ...] | None = None
     _absent = 0.0
+    _field = "b"
 
     def __post_init__(self) -> None:
         self.b = self._store(self.b)
@@ -495,34 +573,35 @@ class ConductanceGraph(Graph):
         return [(u, v, w) for (u, v), w in self.b.items() if u != v]
 
 
-def _parse_value(token: str, line_no: int) -> tuple[float, str | None]:
+def _parse_value(token: str) -> tuple[float, str | None]:
     """A value token's float and the spelling its exact value is read from
     (None for ``inf`` and for a zero, which no parsed graph stores), or the
-    ParseError that refuses it."""
+    ParseError or NegativeWeightError that refuses it, whose message the
+    parser prefixes with the line."""
     if token.lower() == "inf":
         return INFINITY, None
     try:
         value = float(token)
     except ValueError:
-        raise ParseError(f"line {line_no}: bad value {token!r}") from None
+        raise ParseError(f"bad value {token!r}") from None
     if math.isnan(value):
-        raise ParseError(f"line {line_no}: NaN is not a valid value")
+        raise ParseError("NaN is not a valid value")
     if math.isinf(value):
         # Only the literal token spells infinity; 1e999 style overflow is
         # rejected so the exact value stays faithful.
-        raise ParseError(f"line {line_no}: overflowing value {token!r}; use 'inf'")
+        raise ParseError(f"overflowing value {token!r}; use 'inf'")
     # The spelling drops the _ separators float() reads (3.10's Fraction refuses them).
     if value:
         if value < 0:
-            raise NegativeWeightError(f"line {line_no}: negative value {token!r}")
+            raise NegativeWeightError(f"negative value {token!r}")
         return value, token.replace("_", "")
     # A float of 0 is a zero or an underflow, which its mantissa tells apart:
     # Fraction would expand an exponent such as e-99999999 in full.
     mantissa = Fraction(token.replace("_", "").lower().partition("e")[0])
     if mantissa.numerator < 0:  # the token's sign: -1e-400 is negative, though its float is -0.0
-        raise NegativeWeightError(f"line {line_no}: negative value {token!r}")
+        raise NegativeWeightError(f"negative value {token!r}")
     if mantissa:  # likewise underflow, which would drop a conductance or zero a weight
-        raise ParseError(f"line {line_no}: underflowing value {token!r}")
+        raise ParseError(f"underflowing value {token!r}")
     return value, None
 
 
@@ -536,59 +615,112 @@ def parse_graph(text: str, mode: str = "weight") -> Graph:
 
     ``mode`` selects the semantics: ``weight`` (absent pair = inf, values
     are lengths) or ``conductance`` (absent pair = 0, values finite).
+
+    One pass splits the lines, numbers the labels and parses each distinct
+    value token once; the checks on the edge lines then run on arrays.  The
+    error raised is the one of the first offending line, and within a line
+    the checks keep this order: token count, value, self-loop, zero weight,
+    infinite conductance, conflicting redeclaration.  A zero conductance
+    counts for conflicts but is not stored; a pair's exact value is spelled
+    by the token of its last line.
     """
     if mode not in ("weight", "conductance"):
         raise InvalidArgument(f"unknown mode {mode!r}")
-    ids: dict[str, int] = {}
-    entries: dict[tuple[int, int], float] = {}
-    spelled: dict[tuple[int, int], str] = {}
-    # One parse per distinct value token; a bad token is never stored, so it
-    # fails on its own line.
-    parsed: dict[str, tuple[float, str | None]] = {}
-    for line_no, raw_line in enumerate(text.splitlines(), 1):
-        tokens = raw_line.split("#", 1)[0].split()
-        if not tokens:
-            continue
-        if len(tokens) == 2 and tokens[0] == "vertex":
-            ids.setdefault(tokens[1], len(ids))
-            continue
-        if len(tokens) != 3:
-            raise ParseError(f"line {line_no}: expected '<label> <label> <value>', got {raw_line!r}")
-        u = ids.setdefault(tokens[0], len(ids))
-        v = ids.setdefault(tokens[1], len(ids))
-        value_frac = parsed.get(tokens[2])
-        if value_frac is None:
-            value_frac = parsed[tokens[2]] = _parse_value(tokens[2], line_no)
-        value, spelling = value_frac
-        if u == v:
-            if mode == "conductance":
-                raise DiagonalError(f"line {line_no}: self-loop on {tokens[0]!r}")
-            if value != 0.0:
-                raise DiagonalError(
-                    f"line {line_no}: self-loop on {tokens[0]!r} with nonzero weight"
-                )
-            continue
-        if mode == "weight" and value == 0.0:
-            raise ParseError(
-                f"line {line_no}: zero weight between distinct vertices "
-                f"{tokens[0]!r} and {tokens[1]!r} breaks definiteness"
-            )
-        if mode == "conductance" and math.isinf(value):
-            raise ParseError(f"line {line_no}: conductances must be finite")
-        key = edge_key(u, v)
-        if entries.setdefault(key, value) != value:
-            raise AsymmetryError(
-                f"line {line_no}: pair ({tokens[0]}, {tokens[1]}) redeclared "
-                f"with conflicting value {tokens[2]}"
-            )
-        if spelling is not None:
-            spelled[key] = spelling
+    words: list[str] = []  # the three tokens of each edge line
+    at: list[int] = []  # and its line number
+    lone: list[tuple[int, str]] = []  # each vertex line's label, after the edge lines before it
+    failure: GraphmetryError | None = None  # the first line that fails on its own
+    lines = text.splitlines()
+    if "#" in text:  # a comment runs from its # to the end of the line
+        lines = [line.split("#", 1)[0] for line in lines]
+    for line_no, line in enumerate(lines, 1):
+        tokens = line.split()
+        if len(tokens) == 3:
+            words += tokens
+            at.append(line_no)
+        elif len(tokens) == 2 and tokens[0] == "vertex":
+            lone.append((len(at), tokens[1]))
+        elif tokens:
+            raw_line = text.splitlines()[line_no - 1]
+            failure = ParseError(f"line {line_no}: expected '<label> <label> <value>', got {raw_line!r}")
+            break
+    # Each distinct value token is parsed once, in order of first appearance,
+    # so the first one refused is the one on the earliest line.
+    texts = words[2::3]
+    numbers = dict(zip(dict.fromkeys(texts), range(len(texts))))
+    values: list[float] = []
+    spellings: list[str | None] = []
+    for token in numbers:
+        try:
+            value, spelling = _parse_value(token)
+        except GraphmetryError as error:
+            row = texts.index(token)
+            failure = type(error)(f"line {at[row]}: {error}")
+            del words[3 * row :], texts[row:], at[row:]
+            break
+        values.append(value)
+        spellings.append(spelling)
+    # Labels are numbered in order of first appearance, vertex lines included.
+    del words[2::3]
+    names: list[str] = []
+    done = 0  # edge lines copied so far
+    for row, label in lone:
+        names += words[2 * done : 2 * row]
+        names.append(label)
+        done = row
+    names += words[2 * done :]
+    ids = dict(zip(dict.fromkeys(names), range(len(names))))
 
     labels = tuple(ids)
     n = len(labels)
-    kind = WeightedGraph if mode == "weight" else ConductanceGraph
-    g = kind(n, entries, labels)
-    g._tokens = spelled
+    u, v = np.fromiter(map(ids.__getitem__, words), np.int64, len(words)).reshape(-1, 2).T
+    t = np.fromiter(map(numbers.__getitem__, texts), np.int64, len(texts))
+    w = np.array(values)[t]
+    loop = u == v
+    weighted = mode == "weight"
+    # The self-loop, zero-weight and infinite-conductance checks; a line fails at most one.
+    bad = np.flatnonzero(loop != (w == 0.0) if weighted else loop | np.isinf(w))
+    first = int(bad[0]) if len(bad) else len(w)
+    key = np.minimum(u, v) * n + np.maximum(u, v)
+    pick = key.argsort(kind="stable")  # each pair's lines, in line order
+    key = key[pick]
+    last = key[1:] != key[:-1]  # a pair's last line, but for the final one
+    if not last.all():
+        # A line conflicts when its value differs from its pair's first line's.
+        head = np.flatnonzero(np.concatenate(([True], last)))
+        ws = w[pick]
+        clash = pick[ws != np.repeat(ws[head], np.diff(head, append=len(ws)))]
+        clash = clash[clash < first]
+        if len(clash):
+            r = int(clash.min())
+            raise AsymmetryError(
+                f"line {at[r]}: pair ({labels[u[r]]}, {labels[v[r]]}) redeclared "
+                f"with conflicting value {list(numbers)[t[r]]}"
+            )
+        last = np.append(last, True)
+        pick, key = pick[last], key[last]
+    if first < len(w):
+        x, y, no = labels[u[first]], labels[v[first]], at[first]
+        if not weighted and x == y:
+            raise DiagonalError(f"line {no}: self-loop on {x!r}")
+        if x == y:
+            raise DiagonalError(f"line {no}: self-loop on {x!r} with nonzero weight")
+        if weighted:
+            raise ParseError(
+                f"line {no}: zero weight between distinct vertices {x!r} and {y!r} breaks definiteness"
+            )
+        raise ParseError(f"line {no}: conductances must be finite")
+    if failure is not None:
+        raise failure
+
+    kind = WeightedGraph if weighted else ConductanceGraph
+    w = w[pick]
+    lo, hi = np.divmod(key, n)
+    kept = (w != kind._absent) & (lo != hi)  # an inf weight, a zero conductance or a zero self-loop is absent
+    if not kept.all():
+        pick, lo, hi, w = pick[kept], lo[kept], hi[kept], w[kept]
+    g = kind._from_arrays(n, labels, dict(zip(zip(lo.tolist(), hi.tolist()), w.tolist())), np.array((lo, hi)).T, w)
+    g._spelled = g._pairs, t[pick], spellings
     return g
 
 
@@ -675,13 +807,25 @@ def serialize_graph(g: Graph) -> str:
     weight, or a label that holds whitespace or ``#``, does not parse back
     at all.
     """
-    names = g.labels if g.labels is not None else [str(u) for u in range(g.n)]
-    edges = [(key, w) for key, w in g._pairs.items() if key[0] != key[1]]
-    # 0.0 == -0.0 as a key, so a zero is spelled where it stands.
-    spelled = {w: repr(w) for w in {w for _, w in edges}}
-    lines = [f"{names[u]} {names[v]} {spelled[w] if w else repr(w)}" for (u, v), w in edges]
-    touched = set().union(*(key for key, _ in edges))
-    lines += [f"vertex {names[u]}" for u in range(g.n) if u not in touched]
+    names = g.labels if g.labels is not None else list(map(str, range(g.n)))
+    ends, w = g._ends, g._values
+    if g._off is not None:
+        ends, w = ends[g._off], w[g._off]
+    # One spelling per distinct value; its bits, not ==, tell 0.0 from -0.0.
+    # (np.unique would import numpy.ma on its first call, 10 ms.)
+    bits = w.view(np.int64)
+    distinct = np.sort(bits)
+    new = np.ones(len(distinct), bool)
+    new[1:] = distinct[1:] != distinct[:-1]
+    distinct = distinct[new]
+    spelled = list(map(repr, distinct.view(float).tolist()))
+    which = distinct.searchsorted(bits)
+    lo, hi = ends.T.tolist()
+    lines = [f"{names[u]} {names[v]} {spelled[i]}" for u, v, i in zip(lo, hi, which.tolist())]
+    touched = set(lo)
+    touched.update(hi)
+    if len(touched) < g.n:
+        lines += ["vertex " + names[u] for u in range(g.n) if u not in touched]
     return "\n".join(lines) + ("\n" if lines else "")
 
 

@@ -13,7 +13,9 @@ the CLI:
 * :func:`brute_metric_from` runs Dijkstra over the source's component;
 * :func:`spanning_tree_resistance` reads R(x, y) = det L(-x,-y) / det L(-x)
   off the pair's component by Kirchhoff's matrix-tree theorem, with both
-  determinants by fraction-free (Bareiss) elimination over integers.
+  determinants by fraction-free (Bareiss) elimination over integers.  det
+  L(-x), the tree sum, is the same for every x: it is computed once per
+  component and kept on the graph.
 
 Both read the component's exact values scaled once to integers by the lcm D
 of their denominators: integer sums and comparisons are those of the
@@ -66,7 +68,9 @@ def _scaled_component(g: Graph, x: int) -> tuple[list[int], dict[tuple[int, int]
     kept = g._scaled.get(c)
     if kept is None:
         ratios = {
-            (u, v): g._exact((u, v)).as_integer_ratio() for u in members for v, _ in g.neighbors(u) if u < v
+            key: g._exact(key).as_integer_ratio()
+            for key in g._pairs
+            if key[0] != key[1] and labelling.component[key[0]] == c
         }
         scale = math.lcm(*{q for _, q in ratios.values()})
         kept = g._scaled.setdefault(c, ({key: p * (scale // q) for key, (p, q) in ratios.items()}, scale))
@@ -81,12 +85,13 @@ def enumerate_simple_paths(g: Graph, x: int, y: int) -> Iterator[Path]:
     if x == y:
         yield Path((x,))
         return
+    offsets, partners, _ = g._adjacency()
     on_path = [False] * g.n
     on_path[x] = True
     stack: list[int] = [x]
 
     def walk(u: int) -> Iterator[Path]:
-        for v, _ in g.neighbors(u):
+        for v in partners[offsets[u] : offsets[u + 1]]:
             if on_path[v]:
                 continue
             stack.append(v)
@@ -131,6 +136,7 @@ def brute_metric_from(g: WeightedGraph, x: int) -> list[ExactWeight]:
     """
     _cap(g, PATH_CAP, "exact path oracle")
     _, scaled, scale = _scaled_component(g, x)
+    offsets, partners, _ = g._adjacency()
     best: list[int | None] = [None] * g.n
     best[x] = 0
     heap: list[tuple[int, int]] = [(0, x)]
@@ -140,7 +146,7 @@ def brute_metric_from(g: WeightedGraph, x: int) -> list[ExactWeight]:
         if done[u]:
             continue
         done[u] = True
-        for v, _ in g.neighbors(u):
+        for v in partners[offsets[u] : offsets[u + 1]]:
             if done[v]:
                 continue
             total = d + scaled[edge_key(u, v)]
@@ -203,5 +209,10 @@ def spanning_tree_resistance(g: ConductanceGraph, x: int, y: int) -> ExactWeight
     keep_x = [i for i in range(k) if i != index[x]]
     keep_xy = [i for i in keep_x if i != index[y]]
     forests = _bareiss_det([[lap[i][j] for j in keep_xy] for i in keep_xy])
-    trees = _bareiss_det([[lap[i][j] for j in keep_x] for i in keep_x])
+    # Every cofactor of a Laplacian is its tree sum, so det L(-x) is det L(-0)
+    # for each x of the component: one determinant per component, kept.
+    c = g._labelling().component[x]
+    trees = g._trees.get(c)
+    if trees is None:
+        trees = g._trees.setdefault(c, _bareiss_det([row[1:] for row in lap[1:]]))
     return Fraction(scale * forests, trees)

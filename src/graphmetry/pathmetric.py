@@ -220,6 +220,7 @@ def _settle(g: WeightedGraph, x: int) -> Iterator[tuple[int, float]]:
     next to a settled one never settled: every sum offered to it overflowed
     to inf."""
     g._check_vertex(x)
+    offsets, partners, weights = g._adjacency()
     dist = [INFINITY] * g.n
     dist[x] = 0.0
     heap: list[tuple[float, int]] = [(0.0, x)]
@@ -230,15 +231,16 @@ def _settle(g: WeightedGraph, x: int) -> Iterator[tuple[int, float]]:
             continue
         done[u] = True
         yield u, d
-        for v, w in g.neighbors(u):
+        for i in range(offsets[u], offsets[u + 1]):
+            v = partners[i]
             if done[v]:
                 continue
-            nd = d + w
+            nd = d + weights[i]
             if nd < dist[v]:
                 dist[v] = nd
                 heapq.heappush(heap, (nd, v))
     for v in range(g.n):
-        if not done[v] and any(done[u] for u, _ in g.neighbors(v)):
+        if not done[v] and any(done[u] for u in partners[offsets[v] : offsets[v + 1]]):
             raise _out_of_range(g.label(x), g.label(v))
 
 
@@ -442,16 +444,18 @@ def enumerate_geodesics(g: WeightedGraph, x: int, y: int, cap: int = 64) -> Geod
     limit = target + slack
     paths: list[Path] = []
     truncated = False
-    todo: list[Iterator[tuple[int, float]] | None] = [None] * g.n
+    offsets, partners, weights = g._adjacency()
+    todo: list[Iterator[int] | None] = [None] * g.n  # positions in the adjacency
     walked = [0.0] * g.n
-    todo[x] = iter(g.neighbors(x))
+    todo[x] = iter(range(offsets[x], offsets[x + 1]))
     path = [x]
     while path and not truncated:
         acc = walked[path[-1]]
-        for v, w in todo[path[-1]]:
+        for i in todo[path[-1]]:
+            v = partners[i]
             if todo[v] is not None:  # v is on the path
                 continue
-            length = acc + w
+            length = acc + weights[i]
             if length + to_y[v] > limit:
                 continue
             if v == y:
@@ -461,7 +465,7 @@ def enumerate_geodesics(g: WeightedGraph, x: int, y: int, cap: int = 64) -> Geod
                         break
                     paths.append(Path((*path, y)))
                 continue
-            todo[v] = iter(g.neighbors(v))
+            todo[v] = iter(range(offsets[v], offsets[v + 1]))
             walked[v] = length
             path.append(v)
             break

@@ -248,10 +248,17 @@ def _out_of_range(b: ConductanceGraph, x: int, y: int) -> OutOfRange:
     return OutOfRange(f"resistance between {b.label(x)} and {b.label(y)} is outside float range")
 
 
+def _dipole(b: ConductanceGraph, x: int, y: int, what: str) -> np.ndarray | None:
+    """The unit dipole potential f of x and y, R(x, y) = f(x); None when
+    they are not connected."""
+    b._check_pair(x, y, what)
+    (values,) = _dipole_potentials(b, [(x, y)])
+    return values
+
+
 def effective_resistance(b: ConductanceGraph, x: int, y: int) -> float:
     """R(x, y) = f(x) for the unit dipole potential; inf when x, y are not connected."""
-    b._check_pair(x, y, "resistance")
-    (values,) = _dipole_potentials(b, [(x, y)])
+    values = _dipole(b, x, y, "resistance")
     return INFINITY if values is None else float(values[x])
 
 
@@ -295,13 +302,19 @@ def resistance_matrix(b: ConductanceGraph) -> MetricTable:
     return MetricTable(d, b.labels)
 
 
-def _unit_dipole(b: ConductanceGraph, x: int, y: int, what: str) -> np.ndarray:
-    """The unit dipole potential f of x and y, R(x, y) = f(x); or Disconnected."""
-    b._check_pair(x, y, what)
-    (values,) = _dipole_potentials(b, [(x, y)])
+def _connected(b: ConductanceGraph, x: int, y: int, values: np.ndarray | None) -> np.ndarray:
+    """``values``, the dipole potential of x and y; Disconnected for None."""
     if values is None:
         raise Disconnected(f"{b.label(x)} and {b.label(y)} are not connected")
     return values
+
+
+def _maximizer(b: ConductanceGraph, x: int, y: int, values: np.ndarray | None) -> PotentialFunction:
+    """The harmonic maximizer from :func:`_dipole`'s potential of x and y, so
+    that R and the maximizer can come from one solve."""
+    values = _connected(b, x, y, values)
+    # Q(v) equals the injected current times the potential gap, i.e. R itself.
+    return PotentialFunction(values / math.sqrt(values[x]))
 
 
 def harmonic_maximizer(b: ConductanceGraph, x: int, y: int) -> PotentialFunction:
@@ -309,9 +322,7 @@ def harmonic_maximizer(b: ConductanceGraph, x: int, y: int) -> PotentialFunction
 
     Normalized so Q(f) = 1 and f(x) > f(y); then (f(y) - f(x))^2 = R(x, y).
     """
-    values = _unit_dipole(b, x, y, "harmonic maximizer")
-    # Q(v) equals the injected current times the potential gap, i.e. R itself.
-    return PotentialFunction(values / math.sqrt(values[x]))
+    return _maximizer(b, x, y, _dipole(b, x, y, "harmonic maximizer"))
 
 
 @dataclass
@@ -343,7 +354,7 @@ def verify_variational(
     cut-off is unit-free, and the reported figures keep their bits.
     """
     trials = _count(trials, "trials")
-    values = _unit_dipole(b, x, y, "the variational quotient")
+    values = _connected(b, x, y, _dipole(b, x, y, "the variational quotient"))
     resistance = float(values[x])
     rng = np.random.default_rng(seed)
     samples = rng.standard_normal((trials, b.n))

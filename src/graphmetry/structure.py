@@ -89,7 +89,8 @@ def _verify_certificate(b: ConductanceGraph, cert: SeparationCertificate) -> boo
     if cert.separator in sx or cert.separator in sz:
         return False
     small, large = (sx, sz) if len(sx) <= len(sz) else (sz, sx)
-    return not any(w in large for v in small for w, _ in b.neighbors(v))
+    offsets, partners, _ = b._adjacency()
+    return not any(w in large for v in small for w in partners[offsets[v] : offsets[v + 1]])
 
 
 @dataclass
@@ -161,6 +162,7 @@ def biconnected_components(b: ConductanceGraph) -> list[list[int]]:
     p and the vertices stacked from u up.  The tree edge back to p sets
     low[u] no lower than index[p], so the walk need not skip it.
     """
+    offsets, partners, _ = b._adjacency()
     index = [0] * b.n  # 0 = unvisited
     low = [0] * b.n
     counter = 1
@@ -172,17 +174,17 @@ def biconnected_components(b: ConductanceGraph) -> list[list[int]]:
         index[s] = low[s] = counter
         counter += 1
         vertices = [s]
-        stack = [(s, -1, iter(b.neighbors(s)), 0)]
+        stack = [(s, -1, iter(partners[offsets[s] : offsets[s + 1]]), 0)]
         while stack:
             u, parent, todo, height = stack[-1]
-            for v, _ in todo:
+            for v in todo:
                 if index[v]:
                     if index[v] < low[u]:
                         low[u] = index[v]
                     continue
                 index[v] = low[v] = counter
                 counter += 1
-                stack.append((v, u, iter(b.neighbors(v)), len(vertices)))
+                stack.append((v, u, iter(partners[offsets[v] : offsets[v + 1]]), len(vertices)))
                 vertices.append(v)
                 break
             else:

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from graphmetry import ConductanceGraph, GraphmetryError, MetricTable
+from graphmetry import ConductanceGraph, GraphmetryError, MetricTable, parse_graph
 import graphmetry.cli as cli
 from graphmetry.cli import _KERNEL_MIN, Report, Table, _fixed_17g, _render, _spell, build_parser, fmt, main
 from graphmetry.completeness import MaximalWeightReport
@@ -538,6 +538,45 @@ def test_resistance_matrix_oracle_asks_once_per_unordered_pair(graph_file, capsy
     table = results["results"]["oracle"]
     assert all(table[x][y] == table[y][x] for x in table for y in table)
     assert [table[x][x] for x in table] == ["0/1"] * 8
+
+
+def test_resistance_matrix_oracle_makes_one_tree_determinant_per_component(graph_file, capsys, monkeypatch):
+    import graphmetry.oracle as oracle
+
+    sizes = []
+    original = oracle._bareiss_det
+
+    def counted(m):
+        sizes.append(len(m))
+        return original(m)
+
+    monkeypatch.setattr(oracle, "_bareiss_det", counted)
+    k8 = "".join(f"v{u} v{v} {u + v + 1}\n" for u in range(8) for v in range(u + 1, 8))
+    run_json(capsys, "resistance", graph_file(k8), "--matrix", "--mode", "conductance", "--oracle")
+    assert sorted(sizes) == [6] * 28 + [7]  # 28 forest determinants, 1 tree determinant
+    sizes.clear()
+    run_json(capsys, "resistance", graph_file("a b 1\nb c 2\nd e 3\nd f 1\n"), "--matrix", "--oracle")
+    assert sorted(sizes) == [1] * 6 + [2] * 2  # one tree determinant per component
+
+
+def test_resistance_pair_maximizer_solves_one_dipole(graph_file, capsys, monkeypatch):
+    import graphmetry.resistance as resistance
+
+    solves = []
+    original = resistance._dipole_potentials
+
+    def counted(b, pairs):
+        solves.append(pairs)
+        return original(b, pairs)
+
+    monkeypatch.setattr(resistance, "_dipole_potentials", counted)
+    results = run_json(capsys, "resistance", graph_file(P3), "--pair", "a", "c", "--maximizer", "--oracle")
+    assert solves == [[(0, 2)]]
+    # The bits are the ones the two library calls give, each with a solve of its own.
+    b = parse_graph(P3, mode="conductance")
+    f = resistance.harmonic_maximizer(b, 0, 2).values.tolist()
+    assert results["results"]["resistance"] == fmt(resistance.effective_resistance(b, 0, 2))
+    assert results["results"]["maximizer"]["potential"] == {"a": fmt(f[0]), "b": fmt(f[1]), "c": fmt(f[2])}
 
 
 def test_characterize_tree_and_block_run_no_fixpoint_closure(graph_file, capsys, monkeypatch):

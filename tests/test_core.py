@@ -1185,7 +1185,7 @@ def test_the_array_consumers_read_what_the_dict_holds(kind):
         parts = 1 + trial % 3
         g = with_components(rng, kind, rng.randint(parts + 1, 40), parts)
         assert len(g.components()) == parts
-        g._adj = None
+        g._csr = None
         assert [bitwise(g.neighbors(u)) for u in range(g.n)] == [bitwise(lst) for lst in dict_neighbors(g)]
         if kind is WeightedGraph:
             assert _initial_table(g).tobytes() == dict_initial_table(g).tobytes()

@@ -21,7 +21,7 @@ from graphmetry import (
 )
 from graphmetry.cli import main
 import graphmetry.core
-from graphmetry.core import Graph
+from graphmetry.core import Components, Graph
 from graphmetry.oracle import (
     _bareiss_det,
     brute_metric,
@@ -476,19 +476,24 @@ def test_valid_vertices_keep_the_same_vertex_and_cap_order():
 @pytest.mark.parametrize("argv", [("metric", "--all-pairs", "--oracle"), ("resistance", "--matrix", "--oracle")])
 def test_the_oracles_walk_each_component_once(tmp_path, capsys, monkeypatch, argv):
     # Three components of 3, 2 and 1 vertices: the exact oracles read x's
-    # component from the graph's kept labelling, which one search per
-    # component builds, instead of searching again from every source.
+    # component from the graph's kept labelling, which one pass over the
+    # adjacency builds, instead of searching again from every source.
     path = tmp_path / "three.edges"
     path.write_text("a b 1\nb c 2\nd e 0.5\nvertex f\n")
-    searches = []
+    searches, labellings = [], []
     reach = Graph.reach
 
     def counted(self, *args, **kwargs):
         searches.append(args[0])
         return reach(self, *args, **kwargs)
 
+    def labelling(*args):
+        labellings.append(args[1])
+        return Components(*args)
+
     monkeypatch.setattr(Graph, "reach", counted)
+    monkeypatch.setattr(graphmetry.core, "Components", labelling)
     code = main([argv[0], str(path), *argv[1:], "--json"])
     oracle = json.loads(capsys.readouterr().out)["results"]["oracle"]
     assert code == 0 and list(oracle) == list("abcdef")
-    assert searches == [0, 3, 5]
+    assert searches == [] and labellings == [[[0, 1, 2], [3, 4], [5]]]
